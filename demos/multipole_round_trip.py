@@ -2,9 +2,9 @@
 
 Builds a superposition of outgoing partial waves with known
 coefficients, samples the full electromagnetic field on a quadrature
-sphere, projects the samples onto each tensor harmonic, and solves for
-the radial coefficients.  Recovery is exact to rounding; modes absent
-from the input project to zero.
+sphere, projects the samples onto every tensor harmonic in one call, and
+solves for the radial coefficients.  Recovery is exact to rounding; modes
+absent from the input project to zero.
 """
 
 import numpy as np
@@ -44,10 +44,8 @@ e_grid = np.array([s.e for s in samples]).reshape(len(rule.cos_nodes), rule.n_ph
 h_grid = np.array([s.h for s in samples]).reshape(len(rule.cos_nodes), rule.n_phi, 3)
 
 print("\nrecovered c1 per mode (zero rows are modes not present):")
-for l in range(1, 4):
-    for m in range(-l, l + 1):
-        mode = ModeIndex(l, m)
-        hl, el = project_sampled(e_grid, h_grid, mode, rule)
-        c1, c2 = recover_coefficients(hl, el, mode, k, r, medium, kinds)
-        tag = " <- input" if any(w.mode == mode for w in waves) else ""
-        print(f"  (l={l}, m={m:+d}): c1 = {np.round(c1, 12)}{tag}")
+modes = [ModeIndex(l, m) for l in range(1, 4) for m in range(-l, l + 1)]
+for mode, hl, el in zip(modes, *project_sampled(e_grid, h_grid, modes, rule)):
+    c1, c2 = recover_coefficients(hl, el, mode, k, r, medium, kinds)
+    tag = " <- input" if any(w.mode == mode for w in waves) else ""
+    print(f"  (l={mode.l}, m={mode.m:+d}): c1 = {np.round(c1, 12)}{tag}")

@@ -10,12 +10,10 @@ partial waves.
 
 from .harmonics import (
     AngularPoint,
-    OrthoBasis,
     QuadratureRule,
     flm,
     flm_explicit,
     flm_grid,
-    glm,
     l_dot_er_cross_xlm_residual,
     l_dot_xlm_residual,
     l_squared_check,
@@ -28,7 +26,6 @@ from .maxwell_radial import (
     Medium,
     RadialProfile,
     TangentialState,
-    WaveNumber,
     fundamental_matrix,
     homogeneous_eta_zeta,
     longitudinal_components,
@@ -36,7 +33,6 @@ from .maxwell_radial import (
     radial_flux,
     system_matrix,
     transfer_closed_form,
-    wphi_from_wtheta,
     wtheta_ode_residual,
 )
 from .specfun import (
@@ -53,7 +49,6 @@ from .synthesis import (
     PartialWave,
     match_sphere,
     multipole_amplitudes,
-    project,
     project_sampled,
     recover_coefficients,
     synthesize,
@@ -64,8 +59,6 @@ from .tensor3 import (
     E_THETA,
     IDENTITY,
     adjoint,
-    ctensor3,
-    cvec3,
     det,
     dual,
     dyad,
@@ -76,12 +69,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngularPoint",
-    "OrthoBasis",
     "QuadratureRule",
     "flm",
     "flm_explicit",
     "flm_grid",
-    "glm",
     "l_dot_er_cross_xlm_residual",
     "l_dot_xlm_residual",
     "l_squared_check",
@@ -92,7 +83,6 @@ __all__ = [
     "Medium",
     "RadialProfile",
     "TangentialState",
-    "WaveNumber",
     "fundamental_matrix",
     "homogeneous_eta_zeta",
     "longitudinal_components",
@@ -100,7 +90,6 @@ __all__ = [
     "radial_flux",
     "system_matrix",
     "transfer_closed_form",
-    "wphi_from_wtheta",
     "wtheta_ode_residual",
     "ModeIndex",
     "RadialKind",
@@ -113,7 +102,6 @@ __all__ = [
     "PartialWave",
     "match_sphere",
     "multipole_amplitudes",
-    "project",
     "project_sampled",
     "recover_coefficients",
     "synthesize",
@@ -122,8 +110,6 @@ __all__ = [
     "E_THETA",
     "IDENTITY",
     "adjoint",
-    "ctensor3",
-    "cvec3",
     "det",
     "dual",
     "dyad",

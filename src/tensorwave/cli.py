@@ -7,8 +7,9 @@ Three subcommands:
     tensorwave solve   run a task described by a JSON config file
 
 Exit codes: 0 success, 1 numerical or check failure, 2 usage/validation
-error.  Output is deterministic; the TW_THREADS environment variable
-(default 1) caps worker parallelism without changing any bytes.
+error.  Output is deterministic.  The TW_THREADS environment variable
+(default 1) is still validated, a bad value exits 2, but every command
+runs in a single thread whatever its value.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -54,25 +54,15 @@ def _pair(z) -> list:
     return [z.real, z.imag]
 
 
-def _thread_count() -> int:
+def _check_threads() -> None:
+    """Validate TW_THREADS; it selects nothing, as every command is serial."""
     raw = os.environ.get("TW_THREADS", "1")
     try:
         n = int(raw)
     except ValueError:
-        raise ValueError(f"TW_THREADS must be a positive integer, got {raw!r}")
+        n = 0
     if n < 1:
         raise ValueError(f"TW_THREADS must be a positive integer, got {raw!r}")
-    return n
-
-
-def _parallel_map(fn, items):
-    """Order-preserving map, threaded when TW_THREADS > 1."""
-    n = _thread_count()
-    items = list(items)
-    if n == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write_text(text: str, out) -> None:
@@ -168,7 +158,7 @@ def cmd_eval(args) -> int:
                 lines.append(",".join(cells))
             return "\n".join(lines)
 
-        body = _parallel_map(row_block, range(nt))
+        body = [row_block(i) for i in range(nt)]
         text = ",".join(header) + "\n" + "\n".join(body) + "\n"
     else:
 
@@ -187,7 +177,7 @@ def cmd_eval(args) -> int:
                 )
             return pts
 
-        points = [p for block in _parallel_map(point_block, range(nt)) for p in block]
+        points = [p for i in range(nt) for p in point_block(i)]
         doc = {
             "harmonic": args.harmonic,
             "l": mode.l,
@@ -292,8 +282,7 @@ def _solve_scatter(cfg: dict, fmt: str):
         scattered, interior = match_sphere(l, k, sphere, host, radius, incident)
         return l, scattered.c1, interior.c1
 
-    rows = _parallel_map(one_mode, range(1, lmax + 1))
-    rows.sort(key=lambda t: t[0])
+    rows = [one_mode(l) for l in range(1, lmax + 1)]
 
     if fmt == "csv":
         header = ["l"]
@@ -417,13 +406,14 @@ def _solve_project(cfg: dict, fmt: str):
         if mode.l < 1:
             raise ValueError("projection modes need l >= 1")
 
-    def one_mode(mode):
-        hl, el = project_sampled(e_grid, h_grid, mode, rule)
-        c1, c2 = recover_coefficients(hl, el, mode, k, r, med, kinds)
-        return mode, hl, el, c1, c2
-
-    rows = _parallel_map(one_mode, modes)
-    rows.sort(key=lambda t: (t[0].l, t[0].m))
+    hls, els = project_sampled(e_grid, h_grid, modes, rule)
+    rows = sorted(
+        (
+            (mode, hl, el, *recover_coefficients(hl, el, mode, k, r, med, kinds))
+            for mode, hl, el in zip(modes, hls, els)
+        ),
+        key=lambda t: (t[0].l, t[0].m),
+    )
 
     if fmt == "csv":
         header = ["l", "m"]
@@ -567,6 +557,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_threads()
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

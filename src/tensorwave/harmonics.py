@@ -4,17 +4,22 @@ The central object is the tensor harmonic
 
     F_lm = Y_lm e_r(x)e_r + X_lm(x)e_theta + (e_r x X_lm)(x)e_phi
 
-stored as a 3x3 complex matrix whose row index is the field-space factor
-and whose column index is the frame factor of each dyad, so a field is
-synthesized as the plain matrix-vector product F_lm @ v.
+returned by `flm` and `flm_grid` as a 3x3 complex matrix whose row index
+is the field-space factor and whose column index is the frame factor of
+each dyad, so a field is the plain matrix-vector product F_lm @ v.  Those
+two and the check `flm_explicit` below are the only places the dense
+matrix is built.  Everywhere else F_lm
+is held as its three independent components (Y, X_theta, X_phi), each a
+theta-part times e^{i m phi}: `_theta_columns` builds the theta-parts of
+every l at one m from a single Legendre recurrence.
 
-X_lm is evaluated through the Cartesian ladder route: the three Cartesian
-components of L Y_lm are exact combinations of Y_{l,m} and Y_{l,m+-1},
-which are then rotated into the local spherical frame.  Nothing in that
-path divides by sin(theta), so the poles are handled exactly.  A second,
-independent construction (`flm_explicit`) uses the theta-derivative ladder
-identity and the m/sin(theta) form; the two must agree away from the poles
-and that agreement is part of the test suite.
+X_lm comes from the Cartesian ladder route: the three Cartesian components
+of L Y_lm are exact combinations of Y_{l,m} and Y_{l,m+-1}, rotated into
+the local spherical frame.  Nothing in that path divides by sin(theta), so
+the poles are handled exactly.  A second, independent construction
+(`flm_explicit`) uses the theta-derivative ladder identity and the
+m/sin(theta) form; the two must agree away from the poles and that
+agreement is part of the test suite.
 """
 
 from __future__ import annotations
@@ -24,17 +29,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import ModeIndex, ladder_minus, ladder_plus, ylm
-from .tensor3 import E_PHI, E_R, E_THETA
+from .specfun import (
+    ModeIndex,
+    _check_theta,
+    _norm_legendre,
+    ladder_minus,
+    ladder_plus,
+    ylm,
+)
 
 __all__ = [
     "AngularPoint",
-    "OrthoBasis",
     "QuadratureRule",
     "xlm",
     "flm",
     "flm_explicit",
-    "glm",
     "ortho_matrix",
     "l_squared_check",
     "lz_check",
@@ -57,37 +66,6 @@ class AngularPoint:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
         if not 0.0 <= self.phi < 2.0 * math.pi:
             raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
-
-
-@dataclass(frozen=True)
-class OrthoBasis:
-    """Orthonormal triple (a, b, c) of complex unit vectors.
-
-    Orthonormality is checked with the Hermitian inner product to 1e-14.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            v = np.array(getattr(self, name), dtype=complex)
-            if v.shape != (3,):
-                raise ValueError(f"basis vector {name} must have shape (3,)")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-        vs = (self.a, self.b, self.c)
-        for i in range(3):
-            if abs(np.vdot(vs[i], vs[i]) - 1.0) > 1e-14:
-                raise ValueError("basis vectors must be unit length")
-            for j in range(i + 1, 3):
-                if abs(np.vdot(vs[i], vs[j])) > 1e-14:
-                    raise ValueError("basis vectors must be mutually orthogonal")
-
-    @classmethod
-    def spherical(cls) -> "OrthoBasis":
-        return cls(E_R, E_THETA, E_PHI)
 
 
 @dataclass(frozen=True)
@@ -141,34 +119,64 @@ class QuadratureRule:
         return np.tensordot(w, values.sum(axis=1), axes=(0, 0))
 
 
-# --- vector harmonic --------------------------------------------------------
+# --- theta columns ----------------------------------------------------------
 
 
-def _xlm_tp(mode: ModeIndex, theta, phi):
-    """Tangential components (v_theta, v_phi) of X_lm, broadcast over angles.
+def _theta_columns(m: int, lmax: int, theta):
+    """theta-parts of Y_lm, X_lm.e_theta and X_lm.e_phi for l = |m| .. lmax.
 
-    The e_r component of L Y_lm vanishes identically, so it is not formed.
+    Every harmonic of order m is its theta-part times e^{i m phi}.  Returns
+    (y, x_theta, x_phi), each of shape (lmax - |m| + 1,) + theta.shape; y
+    and x_theta are real, x_phi is imaginary.  X comes from the ladder
+    combination of the order m +- 1 columns, so no sin(theta) divides.
     """
-    l, m = mode.l, mode.m
     theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if l == 0:
-        shape = np.broadcast(theta, phi).shape
-        z = np.zeros(shape, dtype=complex)
-        return z, z
-    cp, up = ladder_plus(mode)
-    cm, dn = ladder_minus(mode)
-    yp = ylm(up, theta, phi) if up is not None else 0.0
-    ym = ylm(dn, theta, phi) if dn is not None else 0.0
-    lx = 0.5 * (cp * yp + cm * ym)
-    ly = (cp * yp - cm * ym) / 2j
-    lz = m * ylm(mode, theta, phi)
+    _check_theta(theta)
     ct, st = np.cos(theta), np.sin(theta)
-    cf, sf = np.cos(phi), np.sin(phi)
-    inv = 1.0 / math.sqrt(l * (l + 1))
-    v_theta = (ct * cf * lx + ct * sf * ly - st * lz) * inv
-    v_phi = (cf * ly - sf * lx) * inv
-    return np.asarray(v_theta, dtype=complex), np.asarray(v_phi, dtype=complex)
+    ma = abs(m)
+
+    def column(mm):
+        # Y_{l,mm} theta-parts on the rows l = |m| .. lmax, zero where l < |mm|
+        out = np.zeros((lmax - ma + 1,) + theta.shape)
+        mu = abs(mm)
+        if mu <= lmax:
+            p = _norm_legendre(lmax, mu, ct, st)
+            if mm < 0:
+                # Y_{l,-m} = (-1)^m conj(Y_lm)
+                p = (-1) ** mu * p
+            out[max(mu - ma, 0):] = p[max(ma - mu, 0):]
+        return out
+
+    ls = np.arange(ma, lmax + 1, dtype=float).reshape((-1,) + (1,) * theta.ndim)
+    y = column(m)
+    yp = np.sqrt((ls - m) * (ls + m + 1)) * column(m + 1)  # L+ Y_lm
+    ym = np.sqrt((ls + m) * (ls - m + 1)) * column(m - 1)  # L- Y_lm
+    inv = 1.0 / np.sqrt(np.maximum(ls * (ls + 1), 1.0))  # X_00 = 0 either way
+    x_theta = (0.5 * ct * (yp + ym) - m * st * y) * inv
+    x_phi = -0.5j * (yp - ym) * inv
+    return y, x_theta, x_phi
+
+
+def _f_apply(y, x_theta, x_phi, v):
+    """F @ v for F held as its components; v carries a last axis of 3."""
+    return np.stack(
+        [
+            y * v[..., 0],
+            x_theta * v[..., 1] - x_phi * v[..., 2],
+            x_phi * v[..., 1] + x_theta * v[..., 2],
+        ],
+        axis=-1,
+    )
+
+
+def _mode_parts(mode: ModeIndex, theta, phi):
+    """(Y, X_theta, X_phi) of one mode, broadcast over angle arrays."""
+    phase = np.exp(1j * mode.m * np.asarray(phi, dtype=float))
+    cols = _theta_columns(mode.m, mode.l, theta)
+    return np.broadcast_arrays(*(c[-1] * phase for c in cols))
+
+
+# --- vector harmonic --------------------------------------------------------
 
 
 def xlm(mode: ModeIndex, p: AngularPoint) -> np.ndarray:
@@ -177,13 +185,13 @@ def xlm(mode: ModeIndex, p: AngularPoint) -> np.ndarray:
     Returns the components over (e_r, e_theta, e_phi); the e_r component
     is exactly zero.  X_00 is the zero vector.
     """
-    vt, vp = _xlm_tp(mode, p.theta, p.phi)
+    _, vt, vp = _mode_parts(mode, p.theta, p.phi)
     return np.array([0.0 + 0.0j, complex(vt[()]), complex(vp[()])])
 
 
 def xlm_grid(mode: ModeIndex, theta, phi) -> np.ndarray:
     """X_lm components stacked along the last axis for angle arrays."""
-    vt, vp = _xlm_tp(mode, theta, phi)
+    _, vt, vp = _mode_parts(mode, theta, phi)
     out = np.zeros(vt.shape + (3,), dtype=complex)
     out[..., 1] = vt
     out[..., 2] = vp
@@ -208,19 +216,12 @@ def flm(mode: ModeIndex, p: AngularPoint) -> np.ndarray:
 
     Columns over (e_r, e_theta, e_phi) are Y_lm e_r, X_lm and e_r x X_lm.
     """
-    y = ylm(mode, p.theta, p.phi)
-    vt, vp = _xlm_tp(mode, p.theta, p.phi)
-    return _assemble_f(y, complex(vt[()]), complex(vp[()]))
+    return _assemble_f(*(complex(c[()]) for c in _mode_parts(mode, p.theta, p.phi)))
 
 
 def flm_grid(mode: ModeIndex, theta, phi) -> np.ndarray:
     """F_lm over angle arrays; shape broadcast(theta, phi) + (3, 3)."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    y = ylm(mode, theta, phi)
-    vt, vp = _xlm_tp(mode, theta, phi)
-    y, vt, vp = np.broadcast_arrays(y, vt, vp)
-    return _assemble_f(y, vt, vp)
+    return _assemble_f(*_mode_parts(mode, theta, phi))
 
 
 def flm_explicit(mode: ModeIndex, p: AngularPoint) -> np.ndarray:
@@ -249,21 +250,6 @@ def flm_explicit(mode: ModeIndex, p: AngularPoint) -> np.ndarray:
     vt = -m * y / st * inv
     vp = -1j * dy_dtheta * inv
     return _assemble_f(y, vt, vp)
-
-
-def glm(mode: ModeIndex, p: AngularPoint, basis: OrthoBasis) -> np.ndarray:
-    """Generalized tensor harmonic Y e_r(x)a + X(x)b + (e_r x X)(x)c."""
-    if not isinstance(basis, OrthoBasis):
-        basis = OrthoBasis(*basis)
-    y = ylm(mode, p.theta, p.phi)
-    vt, vp = _xlm_tp(mode, p.theta, p.phi)
-    x = np.array([0.0, complex(vt[()]), complex(vp[()])])
-    er_x = np.array([0.0, -x[2], x[1]])
-    return (
-        y * np.outer(E_R, basis.a)
-        + np.outer(x, basis.b)
-        + np.outer(er_x, basis.c)
-    )
 
 
 # --- orthonormality quadrature ----------------------------------------------

@@ -34,12 +34,10 @@ __all__ = [
     "Medium",
     "RadialProfile",
     "TangentialState",
-    "WaveNumber",
     "system_matrix",
     "homogeneous_eta_zeta",
     "fundamental_matrix",
     "transfer_closed_form",
-    "wphi_from_wtheta",
     "longitudinal_components",
     "propagate",
     "wtheta_ode_residual",
@@ -72,20 +70,6 @@ class Medium:
         if n.imag < 0 or (n.imag == 0 and n.real < 0):
             n = -n
         return n
-
-
-@dataclass(frozen=True)
-class WaveNumber:
-    """Vacuum wavenumber omega/c, strictly positive."""
-
-    k: float
-
-    def __post_init__(self):
-        if not self.k > 0:
-            raise ValueError(f"wavenumber must be > 0, got {self.k}")
-
-    def __float__(self) -> float:
-        return self.k
 
 
 def _as_k(k) -> float:
@@ -331,27 +315,6 @@ def transfer_closed_form(
         raise RuntimeError(
             f"degenerate radial basis {kinds} at r={r_from}"
         ) from exc
-
-
-def wphi_from_wtheta(l: int, k, r: float, med: Medium, w_theta, d_r_wtheta):
-    """phi-projections (H_phi, E_phi) from the theta-projection data.
-
-    `w_theta` is the pair (H_theta, E_theta) and `d_r_wtheta` the pair
-    (d(r H_theta)/dr, d(r E_theta)/dr); only the derivative enters,
-
-        W_phi = (i/(k r eps mu)) [[0, -eps], [mu, 0]] d(r W_theta)/dr,
-
-    the values themselves are accepted for interface symmetry.
-    """
-    if r <= 0:
-        raise ValueError("r must be positive")
-    k = _as_k(k)
-    w_theta = np.asarray(w_theta, dtype=complex)
-    d = np.asarray(d_r_wtheta, dtype=complex)
-    if w_theta.shape != (2,) or d.shape != (2,):
-        raise ValueError("w_theta and d_r_wtheta must be pairs (H, E)")
-    b = np.array([[0.0, -med.eps], [med.mu, 0.0]], dtype=complex)
-    return (1j / (k * r * med.eps * med.mu)) * (b @ d)
 
 
 def longitudinal_components(l: int, k, r: float, med: Medium, w: TangentialState):

@@ -65,25 +65,35 @@ class RadialKind(Enum):
     HANKEL2 = "hankel2"
 
 
-def _norm_legendre(l: int, m: int, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
-    """Fully normalized associated Legendre values for m >= 0.
+def _norm_legendre(lmax: int, m: int, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
+    """Fully normalized associated Legendre values for m >= 0, every l.
 
-    Returns N_lm P_l^m(ct) with N_lm = sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!)
-    and the Condon-Shortley (-1)^m folded in, evaluated elementwise on
+    Returns N_lm P_l^m(ct) for l = m .. lmax stacked along a new first
+    axis, with N_lm = sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!) and the
+    Condon-Shortley (-1)^m folded in, evaluated elementwise on
     cos(theta) = ct, sin(theta) = st.
     """
+    out = np.empty((lmax - m + 1,) + np.shape(ct))
     # sectoral seed, built multiplicatively so large m cannot overflow
     p = np.full_like(ct, 1.0 / math.sqrt(4.0 * math.pi))
     for k in range(1, m + 1):
         p = p * (-math.sqrt((2 * k + 1) / (2.0 * k))) * st
-    if l == m:
-        return p
+    out[0] = p
     p_prev = np.zeros_like(p)
-    for ll in range(m + 1, l + 1):
+    for ll in range(m + 1, lmax + 1):
         a = math.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - m * m))
         b = math.sqrt(((ll - 1.0) ** 2 - m * m) / (4.0 * (ll - 1.0) ** 2 - 1.0))
         p, p_prev = a * (ct * p - b * p_prev), p
-    return p
+        out[ll - m] = p
+    return out
+
+
+def _check_theta(theta: np.ndarray) -> None:
+    """Raise ValueError unless every theta lies in [0, pi]; NaN fails."""
+    ok = (theta >= -1e-12) & (theta <= math.pi + 1e-12)
+    if not np.all(ok):
+        bad = float(np.asarray(theta)[~ok].flat[0])
+        raise ValueError(f"theta must lie in [0, pi], got {bad}")
 
 
 def ylm(mode: ModeIndex, theta, phi):
@@ -95,16 +105,13 @@ def ylm(mode: ModeIndex, theta, phi):
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    if np.any(theta < -1e-12) or np.any(theta > math.pi + 1e-12):
-        raise ValueError("theta must lie in [0, pi]")
+    _check_theta(theta)
     ma = abs(mode.m)
-    ct, st = np.cos(theta), np.sin(theta)
-    p = _norm_legendre(mode.l, ma, ct, st)
-    out = p * np.exp(1j * ma * phi)
+    p = _norm_legendre(mode.l, ma, np.cos(theta), np.sin(theta))[-1]
     if mode.m < 0:
         # Y_{l,-m} = (-1)^m conj(Y_lm); p is real, so conjugate the phase
-        out = (-1) ** ma * p * np.exp(-1j * ma * phi)
-    out = np.asarray(out, dtype=complex)
+        p = (-1) ** ma * p
+    out = np.asarray(p * np.exp(1j * mode.m * phi), dtype=complex)
     return complex(out[()]) if out.ndim == 0 else out
 
 

@@ -9,9 +9,12 @@ two radial function kinds.  Fields are assembled as
     H(r, theta, phi) = sum_waves  F_lm(theta, phi) @ Hl(r)
 
 where the tangential parts of El, Hl come from the closed-form radial
-blocks and the radial parts from the longitudinal reconstruction.
-Projection inverts this with the angular Gram identity of F_lm, one mode
-at a time, as a plain quadrature at fixed radius.
+blocks and the radial parts from the longitudinal reconstruction.  Each
+F_lm is a theta-part times e^{i m phi}, so synthesis sums over l at each
+m on the distinct (r, theta) rows and then over m with the phase at each
+point.  Projection inverts this with the angular Gram identity of F_lm:
+for each m one sum over phi, then one contraction over the theta nodes of
+a quadrature sphere at fixed radius.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harmonics import QuadratureRule, _assemble_f, _xlm_tp
+from .harmonics import QuadratureRule, _f_apply, _theta_columns
 from .maxwell_radial import (
     Medium,
     TangentialState,
@@ -30,14 +33,13 @@ from .maxwell_radial import (
     longitudinal_components,
     _as_k,
 )
-from .specfun import ModeIndex, RadialKind, ylm
+from .specfun import ModeIndex, RadialKind
 
 __all__ = [
     "PartialWave",
     "FieldSample",
     "MultipoleAmplitudes",
     "synthesize",
-    "project",
     "project_sampled",
     "recover_coefficients",
     "multipole_amplitudes",
@@ -117,37 +119,55 @@ def _radial_vectors(wave: PartialWave, k: float, med: Medium, r: float):
     )
 
 
+def _by_order(modes) -> dict:
+    """Indices of `modes` grouped by m, in increasing m."""
+    groups: dict = {}
+    for i, mode in enumerate(modes):
+        groups.setdefault(mode.m, []).append(i)
+    return dict(sorted(groups.items()))
+
+
 def synthesize(waves, k, med: Medium, points) -> list:
     """Evaluate the summed field of `waves` at the given (r, theta, phi) points.
 
-    `points` is an (N, 3) array-like of positions with r > 0; the medium is
-    homogeneous (layered problems are synthesized region by region with the
-    coefficient sets belonging to each region).  Returns FieldSample objects
-    in input order.
+    `points` is an (N, 3) array-like of finite positions with r > 0 and
+    theta in [0, pi]; the medium is homogeneous (layered problems are
+    synthesized region by region with the coefficient sets belonging to
+    each region).  Returns FieldSample objects in input order.
     """
     k = _as_k(k)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must be an (N, 3) array of (r, theta, phi)")
+    bad = np.argwhere(~np.isfinite(pts))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(
+            f"synthesis points must be finite; point {i} has "
+            f"{('r', 'theta', 'phi')[j]} = {pts[i, j]}"
+        )
     if np.any(pts[:, 0] <= 0):
         raise ValueError("synthesis points require r > 0")
+    waves = list(waves)
     n = len(pts)
     e_out = np.zeros((n, 3), dtype=complex)
     h_out = np.zeros((n, 3), dtype=complex)
-    radii, inverse = np.unique(pts[:, 0], return_inverse=True)
-    for wave in waves:
-        y = ylm(wave.mode, pts[:, 1], pts[:, 2])
-        vt, vp = _xlm_tp(wave.mode, pts[:, 1], pts[:, 2])
-        y, vt, vp = np.broadcast_arrays(
-            np.asarray(y, dtype=complex), vt, vp
-        )
-        f_all = _assemble_f(y, vt, vp)
-        hl = np.empty((len(radii), 3), dtype=complex)
-        el = np.empty((len(radii), 3), dtype=complex)
-        for i, r in enumerate(radii):
-            hl[i], el[i] = _radial_vectors(wave, k, med, r)
-        h_out += np.einsum("nij,nj->ni", f_all, hl[inverse])
-        e_out += np.einsum("nij,nj->ni", f_all, el[inverse])
+    rows, row_of = np.unique(pts[:, :2], axis=0, return_inverse=True)
+    radii, radius_of = np.unique(rows[:, 0], return_inverse=True)
+    phis, phi_of = np.unique(pts[:, 2], return_inverse=True)
+    for m, group in _by_order([w.mode for w in waves]).items():
+        lmax = max(waves[i].mode.l for i in group)
+        cols = _theta_columns(m, lmax, rows[:, 1])
+        h_rows = np.zeros((len(rows), 3), dtype=complex)
+        e_rows = np.zeros((len(rows), 3), dtype=complex)
+        for i in group:
+            f = [c[waves[i].mode.l - abs(m)] for c in cols]
+            hl, el = zip(*(_radial_vectors(waves[i], k, med, r) for r in radii))
+            h_rows += _f_apply(*f, np.array(hl)[radius_of])
+            e_rows += _f_apply(*f, np.array(el)[radius_of])
+        phase = np.exp(1j * m * phis)[phi_of, None]
+        h_out += h_rows[row_of.ravel()] * phase
+        e_out += e_rows[row_of.ravel()] * phase
     return [
         FieldSample(pts[i, 0], pts[i, 1], pts[i, 2], e_out[i], h_out[i])
         for i in range(n)
@@ -157,13 +177,15 @@ def synthesize(waves, k, med: Medium, points) -> list:
 def project_sampled(
     e_grid: np.ndarray,
     h_grid: np.ndarray,
-    mode: ModeIndex,
+    modes,
     rule: QuadratureRule,
 ):
     """Project field values sampled on the rule's (theta, phi) grid.
 
-    `e_grid`, `h_grid` have shape (n_theta, n_phi, 3) in the local frame.
-    Returns (Hl, El), the per-mode radial 3-vectors at the sampling radius.
+    `e_grid`, `h_grid` have shape (n_theta, n_phi, 3) in the local frame;
+    `modes` is a list of ModeIndex.  Returns (Hl, El), arrays of shape
+    (len(modes), 3) holding each mode's radial 3-vectors at the sampling
+    radius, in the order of `modes`.
     """
     nt, nphi = len(rule.cos_nodes), rule.n_phi
     e_grid = np.asarray(e_grid, dtype=complex)
@@ -172,55 +194,21 @@ def project_sampled(
         raise ValueError(
             f"field grids must have shape ({nt}, {nphi}, 3) matching the rule"
         )
-    thetas = rule.thetas[:, None]
-    phis = rule.phis[None, :]
-    y = ylm(mode, thetas, phis)
-    vt, vp = _xlm_tp(mode, thetas, phis)
-    y, vt, vp = np.broadcast_arrays(np.asarray(y, dtype=complex), vt, vp)
-    f_grid = _assemble_f(y, vt, vp)
-    w = rule.weights[:, None] * (2.0 * math.pi / rule.n_phi)
-    w = np.broadcast_to(w, (nt, nphi))
-    hl = np.einsum("tp,tpki,tpk->i", w, f_grid.conj(), h_grid)
-    el = np.einsum("tp,tpki,tpk->i", w, f_grid.conj(), e_grid)
-    return hl, el
-
-
-def project(
-    field_fn,
-    mode: ModeIndex,
-    rule: QuadratureRule | None = None,
-    check: bool = True,
-):
-    """Project a field callable onto one mode at fixed radius.
-
-    `field_fn(theta, phi)` must accept scalar angles and return the pair
-    (e, h) of local-frame 3-vectors of the field at the caller's radius.
-    Returns (Hl, El).  With `check` enabled the quadrature is doubled once
-    and a RuntimeError raised if the projection moves by more than 1e-12.
-    """
-    if rule is None:
-        rule = QuadratureRule.for_degree(max(mode.l, 1))
-
-    def run(rl: QuadratureRule):
-        nt, nphi = len(rl.cos_nodes), rl.n_phi
-        e_grid = np.empty((nt, nphi, 3), dtype=complex)
-        h_grid = np.empty((nt, nphi, 3), dtype=complex)
-        for i, th in enumerate(rl.thetas):
-            for j, ph in enumerate(rl.phis):
-                e, h = field_fn(float(th), float(ph))
-                e_grid[i, j] = e
-                h_grid[i, j] = h
-        return project_sampled(e_grid, h_grid, mode, rl)
-
-    hl, el = run(rule)
-    if check:
-        hl2, el2 = run(rule.refined())
-        drift = max(np.max(np.abs(hl - hl2)), np.max(np.abs(el - el2)))
-        if drift > 1e-12:
-            raise RuntimeError(
-                f"projection quadrature under-resolved for {mode}: "
-                f"refinement moved the result by {drift:.3e}"
-            )
+    modes = list(modes)
+    hl = np.zeros((len(modes), 3), dtype=complex)
+    el = np.zeros((len(modes), 3), dtype=complex)
+    w = rule.weights[:, None] * (2.0 * math.pi / nphi)
+    for m, group in _by_order(modes).items():
+        y, x_theta, x_phi = _theta_columns(
+            m, max(modes[i].l for i in group), rule.thetas
+        )
+        rows = [modes[i].l - abs(m) for i in group]
+        phase = np.exp(-1j * m * rule.phis)
+        for grid, out in ((h_grid, hl), (e_grid, el)):
+            # F^H has the same form as F with (Y*, X_theta*, -X_phi*)
+            g = w * np.tensordot(phase, grid, axes=(0, 1))
+            fg = _f_apply(y.conj(), x_theta.conj(), -x_phi.conj(), g)
+            out[group] = fg[rows].sum(axis=1)
     return hl, el
 
 

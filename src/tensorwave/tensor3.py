@@ -15,9 +15,6 @@ __all__ = [
     "E_THETA",
     "E_PHI",
     "IDENTITY",
-    "TANGENTIAL",
-    "cvec3",
-    "ctensor3",
     "dyad",
     "dual",
     "trace",
@@ -36,23 +33,6 @@ E_THETA = _frozen(np.array([0.0, 1.0, 0.0], dtype=complex))
 E_PHI = _frozen(np.array([0.0, 0.0, 1.0], dtype=complex))
 
 IDENTITY = _frozen(np.eye(3, dtype=complex))
-
-# Projector onto the tangent plane of the sphere, 1 - e_r (x) e_r.
-# Equals -dual(E_R) @ dual(E_R); see the splitting identity in the tests.
-TANGENTIAL = _frozen(np.diag([0.0, 1.0, 1.0]).astype(complex))
-
-
-def cvec3(v_r: complex, v_theta: complex, v_phi: complex) -> np.ndarray:
-    """Assemble a complex 3-vector from its (r, theta, phi) components."""
-    return np.array([v_r, v_theta, v_phi], dtype=complex)
-
-
-def ctensor3(rows) -> np.ndarray:
-    """Coerce a 3x3 array-like to a complex tensor, validating the shape."""
-    t = np.array(rows, dtype=complex)
-    if t.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 tensor, got shape {t.shape}")
-    return t
 
 
 def dyad(u, v) -> np.ndarray:

@@ -13,10 +13,10 @@ import math
 
 import numpy as np
 
-from . import harmonics as _h
 from .harmonics import (
     AngularPoint,
     QuadratureRule,
+    _theta_columns,
     flm,
     flm_explicit,
     l_dot_er_cross_xlm_residual,
@@ -36,7 +36,7 @@ from .maxwell_radial import (
 )
 from .specfun import ModeIndex, RadialKind, spherical_radial, ylm
 from .synthesis import PartialWave, synthesize
-from .tensor3 import E_R, IDENTITY, adjoint, det, dual, dyad, trace
+from .tensor3 import E_R, IDENTITY, adjoint, det, dual, trace
 
 __all__ = ["ortho_suite", "invariants_suite", "maxwell_suite", "run_suite"]
 
@@ -65,58 +65,42 @@ def _modes(lmin: int, lmax: int):
     ]
 
 
-def _grid_stacks(modes, rule: QuadratureRule):
-    thetas = rule.thetas[:, None]
-    phis = rule.phis[None, :]
-    y = np.empty((len(modes), len(rule.cos_nodes), rule.n_phi), dtype=complex)
-    x = np.zeros(y.shape + (3,), dtype=complex)
-    f = np.zeros(y.shape + (3, 3), dtype=complex)
-    for a, mode in enumerate(modes):
-        ya = np.broadcast_to(
-            np.asarray(ylm(mode, thetas, phis), dtype=complex), y.shape[1:]
-        )
-        vt, vp = _h._xlm_tp(mode, thetas, phis)
-        vt = np.broadcast_to(vt, y.shape[1:])
-        vp = np.broadcast_to(vp, y.shape[1:])
-        y[a] = ya
-        x[a, ..., 1] = vt
-        x[a, ..., 2] = vp
-        f[a] = _h._assemble_f(ya, vt, vp)
-    w = np.broadcast_to(
-        rule.weights[:, None] * (2.0 * math.pi / rule.n_phi), y.shape[1:]
-    )
-    return y, x, f, w
+def _grams(lmax: int, rule: QuadratureRule):
+    """Quadrature Gram matrices over every mode l <= lmax, in `_modes` order.
+
+    Returns <Y_a, Y_b>, <X_a, X_b> and the integral of e_r . (X_a* x X_b).
+    They fill the blocks of the tensor Gram of F_a^dagger F_b:
+    [[gy, 0, 0], [0, gx, -gc], [0, gc, gx]].
+    """
+    nt, nphi = len(rule.cos_nodes), rule.n_phi
+    y, xt, xp = np.zeros((3, (lmax + 1) ** 2, nt, nphi), dtype=complex)
+    for m in range(-lmax, lmax + 1):
+        rows = [l * l + l + m for l in range(abs(m), lmax + 1)]
+        phase = np.exp(1j * m * rule.phis)
+        for stack, col in zip((y, xt, xp), _theta_columns(m, lmax, rule.thetas)):
+            stack[rows] = col[:, :, None] * phase
+    w = rule.weights[:, None] * (2.0 * math.pi / nphi)
+
+    def inner(u, v):
+        return np.einsum("tp,atp,btp->ab", w, u.conj(), v)
+
+    gx = inner(xt, xt) + inner(xp, xp)
+    return inner(y, y), gx, inner(xt, xp) - inner(xp, xt)
 
 
 def ortho_suite(lmax: int = 4, tol: float = 1e-10) -> list:
     """Quadrature orthonormality of the scalar, vector and tensor harmonics."""
-    modes = _modes(0, lmax)
     rule = QuadratureRule.for_degree(lmax)
-    y, x, f, w = _grid_stacks(modes, rule)
-
-    gram_f = np.einsum("tp,atpki,btpkj->abij", w, f.conj(), f)
-    expected = np.zeros_like(gram_f)
-    for a, mode in enumerate(modes):
-        expected[a, a] = IDENTITY if mode.l >= 1 else dyad(E_R, E_R)
-    err_f = np.max(np.abs(gram_f - expected))
-
-    gram_y = np.einsum("tp,atp,btp->ab", w, y.conj(), y)
-    err_y = np.max(np.abs(gram_y - np.eye(len(modes))))
-
-    sel = [a for a, mode in enumerate(modes) if mode.l >= 1]
-    xs = x[sel]
-    gram_x = np.einsum("tp,atpk,btpk->ab", w, xs.conj(), xs)
-    err_x = np.max(np.abs(gram_x - np.eye(len(sel))))
-
-    # e_r . (X_a* cross X_b) integrates to zero for every pair
-    cross = np.einsum(
-        "tp,atp,btp->ab", w, xs[..., 1].conj(), xs[..., 2]
-    ) - np.einsum("tp,atp,btp->ab", w, xs[..., 2].conj(), xs[..., 1])
-    err_cross = np.max(np.abs(cross))
-
-    y2, x2, f2, w2 = _grid_stacks(modes, rule.refined())
-    gram_f2 = np.einsum("tp,atpki,btpkj->abij", w2, f2.conj(), f2)
-    err_conv = np.max(np.abs(gram_f - gram_f2))
+    gy, gx, gc = _grams(lmax, rule)
+    eye = np.eye(len(gy))
+    eye_x = eye.copy()
+    eye_x[0, 0] = 0.0  # X_00 = 0: the (0,0) tensor self-Gram is dyad(e_r, e_r)
+    err_y = np.max(np.abs(gy - eye))
+    err_f = max(err_y, np.max(np.abs(gx - eye_x)), np.max(np.abs(gc)))
+    err_x = np.max(np.abs(gx[1:, 1:] - eye[1:, 1:]))
+    err_cross = np.max(np.abs(gc[1:, 1:]))
+    fine = _grams(lmax, rule.refined())
+    err_conv = max(np.max(np.abs(a - b)) for a, b in zip((gy, gx, gc), fine))
 
     return [
         _entry("f_gram_identity", err_f, tol),

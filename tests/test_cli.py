@@ -210,6 +210,21 @@ def test_solve_synthesize_then_project_round_trip(tmp_path):
             assert all(abs(complex(*p)) < 1e-10 for p in entry[key])
 
 
+def test_solve_synthesize_rejects_non_finite_point(tmp_path):
+    cfg = {
+        "task": "synthesize",
+        "k": 1.3,
+        "medium": {"eps": [1.21, 0.0], "mu": [1.0, 0.0]},
+        "waves": [{"l": 1, "m": 0, "c1": [[1.0, 0.0], [0.0, 0.0]],
+                   "kinds": ["hankel1", "hankel2"]}],
+        "points": [[2.0, 1.1, 0.3], [2.0, math.nan, 0.3]],
+    }
+    res = run_cli("solve", "--config", write_config(tmp_path, "nan.json", cfg))
+    assert res.returncode == 2
+    assert "theta = nan" in res.stderr
+    assert res.stdout == ""
+
+
 def test_solve_propagate_round_trips(tmp_path):
     profile = {
         "shells": [{"r_out": 2.5, "eps": [2.25, 0.0], "mu": [1.0, 0.0]}],

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from oracles import ylm_ref
 from tensorwave.harmonics import (
     AngularPoint,
-    OrthoBasis,
     QuadratureRule,
     flm,
     flm_explicit,
     flm_grid,
-    glm,
     l_dot_er_cross_xlm_residual,
     l_dot_xlm_residual,
     l_squared_check,
@@ -23,7 +21,7 @@ from tensorwave.harmonics import (
     xlm_grid,
 )
 from tensorwave.specfun import ModeIndex, ladder_minus, ladder_plus, ylm
-from tensorwave.tensor3 import E_PHI, E_R, E_THETA, IDENTITY, adjoint, det, dual, dyad, trace
+from tensorwave.tensor3 import E_R, IDENTITY, adjoint, det, dual, dyad, trace
 
 modes = st.integers(min_value=0, max_value=8).flatmap(
     lambda l: st.integers(min_value=-l, max_value=l).map(lambda m: ModeIndex(l, m))
@@ -47,14 +45,6 @@ def test_angular_point_validation():
         AngularPoint(-0.1, 0.0)
     with pytest.raises(ValueError):
         AngularPoint(0.5, 2 * math.pi)
-
-
-def test_ortho_basis_validation():
-    OrthoBasis.spherical()
-    with pytest.raises(ValueError, match="unit"):
-        OrthoBasis(2.0 * E_R, E_THETA, E_PHI)
-    with pytest.raises(ValueError, match="orthogonal"):
-        OrthoBasis(E_R, E_R, E_PHI)
 
 
 def test_quadrature_rule_invariants():
@@ -99,8 +89,8 @@ def test_radial_projection_of_angular_momentum_vanishes(mode, p):
 
 
 def test_xlm_against_scipy_composition():
-    # X_lm spherical components from scipy harmonics alone
-    for mode in [ModeIndex(1, 0), ModeIndex(2, 1), ModeIndex(5, -3)]:
+    # X_lm spherical components from scipy harmonics alone, every l <= 24
+    for mode in (ModeIndex(l, m) for l in range(1, 25) for m in range(-l, l + 1)):
         l, m = mode.l, mode.m
         for p in SAMPLES:
             th, ph = p.theta, p.phi
@@ -213,39 +203,6 @@ def test_grid_functions_match_pointwise():
             p = AngularPoint(th, ph)
             assert np.allclose(fx[i, j], xlm(mode, p), atol=1e-15)
             assert np.allclose(ff[i, j], flm(mode, p), atol=1e-15)
-
-
-def test_glm_reduces_to_flm():
-    basis = OrthoBasis.spherical()
-    for mode in [ModeIndex(0, 0), ModeIndex(2, 1)]:
-        for p in SAMPLES:
-            assert np.allclose(glm(mode, p, basis), flm(mode, p), atol=1e-16)
-
-
-def test_glm_flipped_phi_trace_is_y():
-    basis = OrthoBasis(E_R, E_THETA, -E_PHI)
-    for mode in [ModeIndex(1, 0), ModeIndex(3, 2)]:
-        for p in SAMPLES:
-            got = trace(glm(mode, p, basis))
-            assert got == pytest.approx(ylm(mode, p.theta, p.phi), abs=1e-14)
-
-
-def test_glm_orthonormality_any_fixed_basis():
-    v = np.array([1.0, 1.0, 1.0]) / math.sqrt(3)
-    w = np.array([1.0, -1.0, 0.0]) / math.sqrt(2)
-    u = np.cross(v, w)
-    basis = OrthoBasis(v, w, u)
-    rule = QuadratureRule.for_degree(3)
-    w_full = rule.weights[:, None] * (2 * math.pi / rule.n_phi)
-    for mode in [ModeIndex(1, 1), ModeIndex(3, 0)]:
-        tt = rule.thetas[:, None]
-        pp = rule.phis[None, :]
-        vals = np.zeros((len(rule.cos_nodes), rule.n_phi, 3, 3), dtype=complex)
-        for i, th in enumerate(rule.thetas):
-            for j, ph in enumerate(rule.phis):
-                vals[i, j] = glm(mode, AngularPoint(th, ph), basis)
-        gram = np.einsum("tp,tpki,tpkj->ij", w_full, vals.conj(), vals)
-        assert np.max(np.abs(gram - np.eye(3))) < 1e-10
 
 
 def test_ortho_matrix_identity_and_zero():

@@ -9,7 +9,6 @@ from tensorwave.maxwell_radial import (
     Medium,
     RadialProfile,
     TangentialState,
-    WaveNumber,
     fundamental_matrix,
     homogeneous_eta_zeta,
     longitudinal_components,
@@ -17,7 +16,6 @@ from tensorwave.maxwell_radial import (
     radial_flux,
     system_matrix,
     transfer_closed_form,
-    wphi_from_wtheta,
     wtheta_ode_residual,
 )
 from tensorwave.specfun import RadialKind, spherical_radial
@@ -44,11 +42,11 @@ def test_medium_validation_and_index_branch():
 
 
 def test_wavenumber_validation():
-    assert float(WaveNumber(2.0)) == 2.0
-    with pytest.raises(ValueError):
-        WaveNumber(0.0)
-    with pytest.raises(ValueError):
-        WaveNumber(-1.0)
+    assert system_matrix(1, 2.0, 1.0, Medium(1, 1)).shape == (4, 4)
+    with pytest.raises(ValueError, match="wavenumber"):
+        system_matrix(1, 0.0, 1.0, Medium(1, 1))
+    with pytest.raises(ValueError, match="wavenumber"):
+        system_matrix(1, -1.0, 1.0, Medium(1, 1))
 
 
 def test_profile_validation_and_lookup():
@@ -170,28 +168,6 @@ def test_polarization_blocks_det_scales_inverse_square():
             assert np.linalg.det(theta_block) == pytest.approx(want, rel=1e-12)
             dets.append(np.linalg.det(theta_block))
         assert dets[0] / dets[1] == pytest.approx(4.0, rel=1e-12)
-
-
-def test_wphi_consistent_with_eta_zeta():
-    k, r, med, l = 1.2, 1.9, Medium(2.0, 1.5), 2
-    eta1, _, zeta1, _ = homogeneous_eta_zeta(l, J, Y, k, r, med)
-    f, d = spherical_radial(J, l, med.n * k * r)
-    # theta-projections of the c1 = (1, 1) column; d(r f(nkr))/dr is the
-    # d(x f)/dx combination evaluated at x = nkr
-    w_theta = np.array([eta1[0, 0], zeta1[0, 1]])
-    d_r_wtheta = np.array([d, d])
-    w_phi = wphi_from_wtheta(l, k, r, med, w_theta, d_r_wtheta)
-    assert w_phi[0] == pytest.approx(eta1[1, 1], rel=1e-13)  # H_phi
-    assert w_phi[1] == pytest.approx(zeta1[1, 0], rel=1e-13)  # E_phi
-
-
-def test_wphi_zero_and_prefactor():
-    out = wphi_from_wtheta(2, 1.0, 1.0, Medium(1, 1), [0.0, 0.0], [0.0, 0.0])
-    assert np.allclose(out, 0.0)
-    # eps = mu = 1 reduces the prefactor to i/(kr)
-    out = wphi_from_wtheta(2, 2.0, 3.0, Medium(1, 1), [0.0, 0.0], [1.0, 0.0])
-    assert out[1] == pytest.approx(1j / 6.0, rel=1e-15)
-    assert out[0] == 0.0
 
 
 def test_longitudinal_components_cases():

@@ -52,6 +52,8 @@ def test_ylm_range_check():
         ylm(ModeIndex(1, 0), -0.2, 0.0)
     with pytest.raises(ValueError, match="theta"):
         ylm(ModeIndex(1, 0), math.pi + 0.2, 0.0)
+    with pytest.raises(ValueError, match="got nan"):
+        ylm(ModeIndex(1, 0), np.array([0.5, math.nan]), 0.0)
 
 
 def test_ylm_normalization_all_l_up_to_8():

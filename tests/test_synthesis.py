@@ -14,7 +14,6 @@ from tensorwave.synthesis import (
     PartialWave,
     match_sphere,
     multipole_amplitudes,
-    project,
     project_sampled,
     recover_coefficients,
     synthesize,
@@ -67,9 +66,48 @@ def test_empty_wave_list_gives_zero_field():
         assert np.all(s.e == 0) and np.all(s.h == 0)
 
 
-def test_synthesize_rejects_origin():
-    with pytest.raises(ValueError, match="r > 0"):
-        synthesize([wave(1, 0, (1, 0))], 1.0, VACUUM, [[0.0, 1.0, 1.0]])
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ([0.0, 1.0, 1.0], "r > 0"),
+        ([math.nan, 1.0, 1.0], "point 1 has r = nan"),
+        ([1.0, math.nan, 1.0], "point 1 has theta = nan"),
+        ([1.0, 1.0, math.nan], "point 1 has phi = nan"),
+        ([1.0, 1.0, math.inf], "point 1 has phi = inf"),
+        ([1.0, 3.5, 0.0], r"theta must lie in \[0, pi\], got 3.5"),
+    ],
+    ids=["origin", "r-nan", "theta-nan", "phi-nan", "phi-inf", "theta-range"],
+)
+def test_synthesize_rejects_origin(point, message):
+    with pytest.raises(ValueError, match=message):
+        synthesize([wave(1, 0, (1, 0))], 1.0, VACUUM, [[1.5, 0.5, 0.5], point])
+
+
+def test_grouped_synthesis_matches_point_by_point():
+    # shared theta across radii, shared r across thetas and shared phi
+    # exercise the (r, theta)-row and phi grouping
+    k, med = 1.3, Medium(1.44, 1.1)
+    waves = [
+        wave(1, 0, (1.0, 0.5j), (0.2, 0.0), kinds=(J, H1)),
+        wave(2, -1, (0.3, -0.7), (0.0, 0.4j)),
+        wave(3, -1, (0.1j, 0.2), kinds=(Y, H2)),
+        wave(3, 2, (0.6, 0.0), (0.0, -0.5)),
+        wave(2, -1, (0.2, 0.1), (0.3j, 0.0), kinds=(J, Y)),
+    ]
+    pts = [
+        [1.5, 0.7, 0.3],
+        [2.5, 0.7, 1.9],
+        [1.5, 2.2, 0.3],
+        [2.5, 0.7, 0.3],
+        [3.0, 0.0, 4.0],
+        [1.5, 0.7, 5.1],
+        [3.0, math.pi, 4.0],
+    ]
+    grouped = synthesize(waves, k, med, pts)
+    for p, s in zip(pts, grouped):
+        single = synthesize(waves, k, med, [p])[0]
+        for got, want in ((s.e, single.e), (s.h, single.h)):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_superposition(rng):
@@ -154,8 +192,9 @@ def test_projection_round_trip(rng):
     h_grid = np.array([s.h for s in samples]).reshape(
         len(rule.cos_nodes), rule.n_phi, 3
     )
-    for (l, m), (c1, c2) in coeffs.items():
-        hl, el = project_sampled(e_grid, h_grid, ModeIndex(l, m), rule)
+    modes = [ModeIndex(l, m) for l, m in coeffs]
+    hls, els = project_sampled(e_grid, h_grid, modes, rule)
+    for ((l, m), (c1, c2)), hl, el in zip(coeffs.items(), hls, els):
         got1, got2 = recover_coefficients(hl, el, ModeIndex(l, m), k, r, med, kinds)
         assert np.max(np.abs(got1 - c1)) < 1e-10
         assert np.max(np.abs(got2 - c2)) < 1e-10
@@ -169,34 +208,18 @@ def test_projection_cross_mode_leakage():
     samples = synthesize(waves, k, med, pts)
     e_grid = np.array([s.e for s in samples]).reshape(-1, rule.n_phi, 3)
     h_grid = np.array([s.h for s in samples]).reshape(-1, rule.n_phi, 3)
-    for other in [ModeIndex(3, 0), ModeIndex(1, 1), ModeIndex(4, -2)]:
-        hl, el = project_sampled(e_grid, h_grid, other, rule)
+    others = [ModeIndex(3, 0), ModeIndex(1, 1), ModeIndex(4, -2)]
+    for hl, el in zip(*project_sampled(e_grid, h_grid, others, rule)):
         assert np.max(np.abs(hl)) < 1e-10
         assert np.max(np.abs(el)) < 1e-10
-
-
-def test_project_zero_field_and_callable_interface():
-    def field_fn(theta, phi):
-        return np.zeros(3, dtype=complex), np.zeros(3, dtype=complex)
-
-    hl, el = project(field_fn, ModeIndex(2, 1))
-    assert np.all(hl == 0) and np.all(el == 0)
-
-
-def test_project_flags_under_resolved_field():
-    # a field with content far beyond the rule's degree moves on refinement
-    def field_fn(theta, phi):
-        spike = np.exp(-80.0 * (theta - 1.3) ** 2)
-        return np.array([0, spike, 0], dtype=complex), np.zeros(3, dtype=complex)
-
-    with pytest.raises(RuntimeError, match="under-resolved"):
-        project(field_fn, ModeIndex(1, 0), QuadratureRule.for_degree(1))
 
 
 def test_project_sampled_shape_validation():
     rule = QuadratureRule.for_degree(2)
     with pytest.raises(ValueError, match="shape"):
-        project_sampled(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)), ModeIndex(1, 0), rule)
+        project_sampled(
+            np.zeros((2, 2, 3)), np.zeros((2, 2, 3)), [ModeIndex(1, 0)], rule
+        )
 
 
 def test_multipole_amplitudes_cases():

@@ -8,10 +8,7 @@ from tensorwave.tensor3 import (
     E_R,
     E_THETA,
     IDENTITY,
-    TANGENTIAL,
     adjoint,
-    ctensor3,
-    cvec3,
     det,
     dual,
     dyad,
@@ -34,14 +31,6 @@ def test_frame_vectors():
         E_R[0] = 2.0
 
 
-def test_constructors_validate_shape():
-    v = cvec3(1, 2j, 3)
-    assert v.dtype == complex and v[1] == 2j
-    assert ctensor3(np.eye(3)).shape == (3, 3)
-    with pytest.raises(ValueError):
-        ctensor3(np.eye(2))
-
-
 def test_dyad_basis_cases():
     t = dyad(E_R, E_R)
     assert t[0, 0] == 1 and np.count_nonzero(t) == 1
@@ -58,8 +47,6 @@ def test_dual_frame_actions():
     assert np.allclose(dual(E_R) @ E_THETA, E_PHI)
     assert np.allclose(dual(E_R) @ E_R, 0.0)
     assert np.allclose(dual(E_THETA) @ E_PHI, E_R)
-    # minus the squared dual of e_r projects onto the tangent plane
-    assert np.allclose(-dual(E_R) @ dual(E_R), TANGENTIAL)
 
 
 def test_frame_splitting_identity():
