@@ -8,10 +8,10 @@ returned by `flm` and `flm_grid` as a 3x3 complex matrix whose row index
 is the field-space factor and whose column index is the frame factor of
 each dyad, so a field is the plain matrix-vector product F_lm @ v.  Those
 two and the check `flm_explicit` below are the only places the dense
-matrix is built.  Everywhere else F_lm
-is held as its three independent components (Y, X_theta, X_phi), each a
-theta-part times e^{i m phi}: `_theta_columns` builds the theta-parts of
-every l at one m from a single Legendre recurrence.
+matrix is built.  Everywhere else F_lm is held as its three independent
+components (Y, X_theta, X_phi), each a theta-part times e^{i m phi}:
+`_theta_columns` builds the theta-parts of every l at one m from a single
+Legendre recurrence.
 
 X_lm comes from the Cartesian ladder route: the three Cartesian components
 of L Y_lm are exact combinations of Y_{l,m} and Y_{l,m+-1}, rotated into

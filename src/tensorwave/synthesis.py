@@ -199,16 +199,14 @@ def project_sampled(
     el = np.zeros((len(modes), 3), dtype=complex)
     w = rule.weights[:, None] * (2.0 * math.pi / nphi)
     for m, group in _by_order(modes).items():
-        y, x_theta, x_phi = _theta_columns(
-            m, max(modes[i].l for i in group), rule.thetas
-        )
+        cols = _theta_columns(m, max(modes[i].l for i in group), rule.thetas)
         rows = [modes[i].l - abs(m) for i in group]
+        # F^H has the same form as F with (Y*, X_theta*, -X_phi*)
+        y, x_theta, x_phi = (c[rows].conj() for c in cols)
         phase = np.exp(-1j * m * rule.phis)
         for grid, out in ((h_grid, hl), (e_grid, el)):
-            # F^H has the same form as F with (Y*, X_theta*, -X_phi*)
             g = w * np.tensordot(phase, grid, axes=(0, 1))
-            fg = _f_apply(y.conj(), x_theta.conj(), -x_phi.conj(), g)
-            out[group] = fg[rows].sum(axis=1)
+            out[group] = _f_apply(y, x_theta, -x_phi, g).sum(axis=1)
     return hl, el
 
 
