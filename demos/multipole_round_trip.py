@@ -45,7 +45,7 @@ h_grid = np.array([s.h for s in samples]).reshape(len(rule.cos_nodes), rule.n_ph
 
 print("\nrecovered c1 per mode (zero rows are modes not present):")
 modes = [ModeIndex(l, m) for l in range(1, 4) for m in range(-l, l + 1)]
-for mode, hl, el in zip(modes, *project_sampled(e_grid, h_grid, modes, rule)):
-    c1, c2 = recover_coefficients(hl, el, mode, k, r, medium, kinds)
+hls, els = project_sampled(e_grid, h_grid, modes, rule)
+for mode, c1 in zip(modes, recover_coefficients(hls, els, modes, k, r, medium, kinds)[0]):
     tag = " <- input" if any(w.mode == mode for w in waves) else ""
     print(f"  (l={mode.l}, m={mode.m:+d}): c1 = {np.round(c1, 12)}{tag}")

@@ -27,7 +27,6 @@ from .maxwell_radial import (
     RadialProfile,
     TangentialState,
     fundamental_matrix,
-    homogeneous_eta_zeta,
     longitudinal_components,
     propagate,
     radial_flux,
@@ -41,6 +40,7 @@ from .specfun import (
     ladder_minus,
     ladder_plus,
     spherical_radial,
+    spherical_radial_seq,
     ylm,
 )
 from .synthesis import (
@@ -84,7 +84,6 @@ __all__ = [
     "RadialProfile",
     "TangentialState",
     "fundamental_matrix",
-    "homogeneous_eta_zeta",
     "longitudinal_components",
     "propagate",
     "radial_flux",
@@ -96,6 +95,7 @@ __all__ = [
     "ladder_minus",
     "ladder_plus",
     "spherical_radial",
+    "spherical_radial_seq",
     "ylm",
     "FieldSample",
     "MultipoleAmplitudes",

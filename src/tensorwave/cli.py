@@ -32,6 +32,7 @@ from .maxwell_radial import (
     longitudinal_components,
     propagate,
 )
+from .parsing import _fmt, _pair, complex_pair, integer, real, require_keys
 from .specfun import ModeIndex, RadialKind, ylm
 from .synthesis import (
     PartialWave,
@@ -43,15 +44,6 @@ from .synthesis import (
 from .verify import run_suite
 
 __all__ = ["main", "cmd_eval", "cmd_verify", "cmd_solve"]
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
-def _pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def _check_threads() -> None:
@@ -71,33 +63,6 @@ def _write_text(text: str, out) -> None:
     else:
         with open(out, "w", newline="") as handle:
             handle.write(text)
-
-
-def _require_keys(doc: dict, required, optional=(), what="config") -> None:
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    extra = set(doc) - set(required) - set(optional)
-    if extra:
-        raise ValueError(f"unknown {what} keys {sorted(extra)}")
-    missing = set(required) - set(doc)
-    if missing:
-        raise ValueError(f"{what} missing keys {sorted(missing)}")
-
-
-def _medium_from(doc, what="medium") -> Medium:
-    _require_keys(doc, ("eps", "mu"), what=what)
-    try:
-        eps = complex(doc["eps"][0], doc["eps"][1])
-        mu = complex(doc["mu"][0], doc["mu"][1])
-    except (TypeError, IndexError) as exc:
-        raise ValueError(f"{what} needs 'eps' and 'mu' as [re, im] pairs") from exc
-    return Medium(eps, mu)
-
-
-def _complex_from(v, what="value") -> complex:
-    if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise ValueError(f"{what} must be a [re, im] pair, got {v!r}")
-    return complex(float(v[0]), float(v[1]))
 
 
 # --- eval -------------------------------------------------------------------
@@ -241,32 +206,32 @@ def _kinds_from(raw) -> tuple:
         raise ValueError(f"radial kinds must be among {valid}") from None
 
 
-def _quadrature_points(r: float, rule: QuadratureRule):
-    pts = []
-    for th in rule.thetas:
-        for ph in rule.phis:
-            pts.append([r, th, ph])
-    return pts
+def _quadrature_points(r: float, rule: QuadratureRule) -> np.ndarray:
+    """(r, theta, phi) rows of the rule's grid, theta-major."""
+    tt, pp = np.meshgrid(rule.thetas, rule.phis, indexing="ij")
+    return np.column_stack([np.full(tt.size, r), tt.ravel(), pp.ravel()])
 
 
 def _solve_scatter(cfg: dict, fmt: str):
-    _require_keys(
+    require_keys(
         cfg,
         ("task", "k", "radius", "sphere", "host"),
         optional=("lmax", "incident_c1"),
         what="scatter config",
     )
-    k = float(cfg["k"])
-    radius = float(cfg["radius"])
-    sphere = _medium_from(cfg["sphere"], "sphere")
-    host = _medium_from(cfg["host"], "host")
-    x = k * radius
-    lmax = cfg.get("lmax", max(4, math.ceil(x + 4.0 * x ** (1.0 / 3.0) + 2.0)))
-    lmax = int(lmax)
+    k = real(cfg["k"], "k")
+    radius = real(cfg["radius"], "radius")
+    sphere = Medium.from_dict(cfg["sphere"], "sphere")
+    host = Medium.from_dict(cfg["host"], "host")
+    if "lmax" in cfg:
+        lmax = integer(cfg["lmax"], "lmax")
+    else:
+        x = k * radius
+        lmax = max(4, math.ceil(x + 4.0 * x ** (1.0 / 3.0) + 2.0))
     if lmax < 1:
         raise ValueError("lmax must be >= 1")
     inc_c1 = [
-        _complex_from(v, "incident_c1")
+        complex_pair(v, "incident_c1")
         for v in cfg.get("incident_c1", [[1.0, 0.0], [1.0, 0.0]])
     ]
     if len(inc_c1) != 2:
@@ -314,14 +279,14 @@ def _solve_scatter(cfg: dict, fmt: str):
 
 
 def _solve_synthesize(cfg: dict, fmt: str):
-    _require_keys(
+    require_keys(
         cfg,
         ("task", "k", "medium", "waves"),
         optional=("points", "grid"),
         what="synthesize config",
     )
-    k = float(cfg["k"])
-    med = _medium_from(cfg["medium"])
+    k = real(cfg["k"], "k")
+    med = Medium.from_dict(cfg["medium"])
     waves = _waves_from_config(cfg["waves"])
     if ("points" in cfg) == ("grid" in cfg):
         raise ValueError("provide exactly one of 'points' or 'grid'")
@@ -331,9 +296,11 @@ def _solve_synthesize(cfg: dict, fmt: str):
             raise ValueError("'points' must be a non-empty list of [r, theta, phi]")
     else:
         grid = cfg["grid"]
-        _require_keys(grid, ("r", "quadrature_lmax"), what="grid spec")
-        rule = QuadratureRule.for_degree(int(grid["quadrature_lmax"]))
-        pts = _quadrature_points(float(grid["r"]), rule)
+        require_keys(grid, ("r", "quadrature_lmax"), what="grid spec")
+        rule = QuadratureRule.for_degree(
+            integer(grid["quadrature_lmax"], "quadrature_lmax")
+        )
+        pts = _quadrature_points(real(grid["r"], "r"), rule)
     samples = synthesize(waves, k, med, pts)
     buf = io.StringIO()
     if fmt == "csv":
@@ -344,19 +311,31 @@ def _solve_synthesize(cfg: dict, fmt: str):
 
 
 def _solve_project(cfg: dict, fmt: str):
-    _require_keys(
+    require_keys(
         cfg,
         ("task", "k", "medium", "quadrature_lmax", "field"),
         optional=("modes", "kinds", "r"),
         what="project config",
     )
-    k = float(cfg["k"])
-    med = _medium_from(cfg["medium"])
-    lq = int(cfg["quadrature_lmax"])
+    k = real(cfg["k"], "k")
+    med = Medium.from_dict(cfg["medium"])
+    lq = integer(cfg["quadrature_lmax"], "quadrature_lmax")
     if lq < 1:
         raise ValueError("quadrature_lmax must be >= 1")
     rule = QuadratureRule.for_degree(lq)
     kinds = _kinds_from(cfg.get("kinds", ["hankel1", "hankel2"]))
+    if "modes" in cfg:
+        raw = cfg["modes"]
+        if not isinstance(raw, list) or not raw:
+            raise ValueError("'modes' must be a non-empty list of [l, m] pairs")
+        modes = [
+            ModeIndex(integer(lm[0], "modes l"), integer(lm[1], "modes m"))
+            for lm in raw
+        ]
+    else:
+        modes = [
+            ModeIndex(l, m) for l in range(1, lq + 1) for m in range(-l, l + 1)
+        ]
 
     path = cfg["field"]
     if not isinstance(path, str):
@@ -372,47 +351,37 @@ def _solve_project(cfg: dict, fmt: str):
             f"field file has {len(samples)} samples; quadrature grid "
             f"for lmax {lq} needs {nt * nphi}"
         )
-    radii = {round(s.r, 12) for s in samples}
-    if len(radii) != 1:
+    where = np.array([(s.r, s.theta, s.phi) for s in samples])
+    if len(np.unique(np.round(where[:, 0], 12))) != 1:
         raise ValueError("field samples must share a single radius")
     r = samples[0].r
-    if "r" in cfg and not math.isclose(float(cfg["r"]), r, rel_tol=1e-12):
+    if "r" in cfg and not math.isclose(real(cfg["r"], "r"), r, rel_tol=1e-12):
         raise ValueError(f"config r {cfg['r']} does not match file radius {r}")
 
-    by_angle = {(round(s.theta, 9), round(s.phi, 9)): s for s in samples}
-    e_grid = np.empty((nt, nphi, 3), dtype=complex)
-    h_grid = np.empty((nt, nphi, 3), dtype=complex)
-    for i, th in enumerate(rule.thetas):
-        for j, ph in enumerate(rule.phis):
-            s = by_angle.get((round(th, 9), round(ph, 9)))
-            if s is None:
-                raise ValueError(
-                    "field samples do not lie on the quadrature grid for "
-                    f"lmax {lq} (missing theta={th!r}, phi={ph!r})"
-                )
-            e_grid[i, j] = s.e
-            h_grid[i, j] = s.h
-
-    if "modes" in cfg:
-        raw = cfg["modes"]
-        if not isinstance(raw, list) or not raw:
-            raise ValueError("'modes' must be a non-empty list of [l, m] pairs")
-        modes = [ModeIndex(int(lm[0]), int(lm[1])) for lm in raw]
-    else:
-        modes = [
-            ModeIndex(l, m) for l in range(1, lq + 1) for m in range(-l, l + 1)
-        ]
-    for mode in modes:
-        if mode.l < 1:
-            raise ValueError("projection modes need l >= 1")
+    # each grid cell takes the last sample whose angles agree to 9 digits
+    cells = _quadrature_points(r, rule)[:, 1:]
+    _, key_of = np.unique(
+        np.round(np.concatenate([cells, where[:, 1:]]), 9),
+        axis=0,
+        return_inverse=True,
+    )
+    key_of = key_of.ravel()
+    sample_of_key = np.full(key_of.max() + 1, -1)
+    sample_of_key[key_of[nt * nphi:]] = np.arange(len(samples))
+    pick = sample_of_key[key_of[: nt * nphi]]
+    if np.any(pick < 0):
+        i, j = divmod(int(np.argmax(pick < 0)), nphi)
+        raise ValueError(
+            "field samples do not lie on the quadrature grid for "
+            f"lmax {lq} (missing theta={rule.thetas[i]!r}, phi={rule.phis[j]!r})"
+        )
+    e_grid = np.array([s.e for s in samples])[pick].reshape(nt, nphi, 3)
+    h_grid = np.array([s.h for s in samples])[pick].reshape(nt, nphi, 3)
 
     hls, els = project_sampled(e_grid, h_grid, modes, rule)
+    c1s, c2s = recover_coefficients(hls, els, modes, k, r, med, kinds)
     rows = sorted(
-        (
-            (mode, hl, el, *recover_coefficients(hl, el, mode, k, r, med, kinds))
-            for mode, hl, el in zip(modes, hls, els)
-        ),
-        key=lambda t: (t[0].l, t[0].m),
+        zip(modes, hls, els, c1s, c2s), key=lambda t: (t[0].l, t[0].m)
     )
 
     if fmt == "csv":
@@ -448,23 +417,23 @@ def _solve_project(cfg: dict, fmt: str):
 
 
 def _solve_propagate(cfg: dict, fmt: str):
-    _require_keys(
+    require_keys(
         cfg,
         ("task", "l", "k", "profile", "r_from", "r_to", "w"),
         what="propagate config",
     )
-    l = int(cfg["l"])
-    k = float(cfg["k"])
+    l = integer(cfg["l"], "l")
+    k = real(cfg["k"], "k")
     profile = RadialProfile.from_dict(cfg["profile"])
-    r_from = float(cfg["r_from"])
-    r_to = float(cfg["r_to"])
+    r_from = real(cfg["r_from"], "r_from")
+    r_to = real(cfg["r_to"], "r_to")
     w_raw = cfg["w"]
     if not (isinstance(w_raw, list) and len(w_raw) == 4):
         raise ValueError(
             "'w' must be four [re, im] pairs (H_theta, H_phi, E_theta, E_phi)"
         )
-    w0 = TangentialState.from_vector4([_complex_from(v, "w") for v in w_raw])
-    w1 = propagate(l, k, profile, r_from, r_to, w0)
+    w0 = TangentialState.from_vector4([complex_pair(v, "w") for v in w_raw])
+    w1 = propagate(l, k, profile, r_from, r_to, w0).as_vector4()
     e_r, h_r = longitudinal_components(l, k, r_to, profile.medium_at(r_to), w1)
 
     if fmt == "csv":
@@ -472,7 +441,7 @@ def _solve_propagate(cfg: dict, fmt: str):
         for name in ("h_theta", "h_phi", "e_theta", "e_phi", "e_r", "h_r"):
             header.extend([name + "_re", name + "_im"])
         cells = [_fmt(r_to)]
-        for v in (*w1.as_vector4(), e_r, h_r):
+        for v in (*w1, e_r, h_r):
             cells.extend([_fmt(v.real), _fmt(v.imag)])
         return ",".join(header) + "\n" + ",".join(cells) + "\n"
     doc = {
@@ -481,7 +450,7 @@ def _solve_propagate(cfg: dict, fmt: str):
         "k": k,
         "r_from": r_from,
         "r_to": r_to,
-        "w": [_pair(v) for v in w1.as_vector4()],
+        "w": [_pair(v) for v in w1],
         "e_r": _pair(e_r),
         "h_r": _pair(h_r),
     }

@@ -13,6 +13,7 @@ import json
 from contextlib import contextmanager
 
 from .maxwell_radial import RadialProfile
+from .parsing import _fmt, _pair, complex_pair, integer, real
 from .specfun import ModeIndex, RadialKind
 from .synthesis import FieldSample, PartialWave
 
@@ -47,10 +48,6 @@ FIELD_CSV_COLUMNS = (
 )
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 @contextmanager
 def _opened(fp, mode: str):
     if isinstance(fp, (str, bytes)):
@@ -58,17 +55,6 @@ def _opened(fp, mode: str):
             yield handle
     else:
         yield fp
-
-
-def _pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _from_pair(v) -> complex:
-    if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise ValueError(f"expected a [re, im] pair, got {v!r}")
-    return complex(float(v[0]), float(v[1]))
 
 
 def write_field_csv(samples, fp) -> None:
@@ -135,12 +121,10 @@ def read_field_json(fp) -> list:
         if extra:
             raise ValueError(f"unknown field-sample keys {sorted(extra)}")
         try:
-            e = [_from_pair(v) for v in rec["e"]]
-            h = [_from_pair(v) for v in rec["h"]]
-            samples.append(
-                FieldSample(float(rec["r"]), float(rec["theta"]),
-                            float(rec["phi"]), e, h)
-            )
+            e = [complex_pair(v, "e") for v in rec["e"]]
+            h = [complex_pair(v, "h") for v in rec["h"]]
+            r, theta, phi = (real(rec[key], key) for key in ("r", "theta", "phi"))
+            samples.append(FieldSample(r, theta, phi, e, h))
         except KeyError as exc:
             raise ValueError(f"field sample missing key {exc}") from None
     return samples
@@ -166,10 +150,10 @@ def _wave_from_dict(rec: dict) -> PartialWave:
     kinds = rec["kinds"]
     if not (isinstance(kinds, (list, tuple)) and len(kinds) == 2):
         raise ValueError("wave 'kinds' must be a pair of kind names")
-    c1 = [_from_pair(v) for v in rec["c1"]]
-    c2 = [_from_pair(v) for v in rec.get("c2", [[0.0, 0.0], [0.0, 0.0]])]
+    c1 = [complex_pair(v, "c1") for v in rec["c1"]]
+    c2 = [complex_pair(v, "c2") for v in rec.get("c2", [[0.0, 0.0], [0.0, 0.0]])]
     return PartialWave(
-        ModeIndex(int(rec["l"]), int(rec["m"])),
+        ModeIndex(integer(rec["l"], "l"), integer(rec["m"], "m")),
         c1,
         c2,
         (RadialKind(kinds[0]), RadialKind(kinds[1])),

@@ -14,8 +14,8 @@ on the (theta, phi) tangential pair.  Time dependence is exp(-i*omega*t)
 with k = omega/c, so Hankel-1 radial functions are outgoing.
 
 The two polarizations never couple: (H_theta, E_phi) and (H_phi, E_theta)
-evolve independently, which is what makes the sphere matching problem a
-pair of 2x2 systems.
+evolve independently, so each column of the solution basis touches only
+one of the two pairs.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .parsing import _pair, complex_pair, real, require_keys
 from .specfun import RadialKind, spherical_radial
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "RadialProfile",
     "TangentialState",
     "system_matrix",
-    "homogeneous_eta_zeta",
     "fundamental_matrix",
     "transfer_closed_form",
     "longitudinal_components",
@@ -58,6 +58,19 @@ class Medium:
             raise ValueError("eps and mu must be nonzero")
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "mu", mu)
+
+    @classmethod
+    def from_dict(cls, doc, what: str = "medium", extra=()) -> "Medium":
+        """Build from {"eps": [re, im], "mu": [re, im]}; keys named in
+        `extra` are allowed and left to the caller."""
+        require_keys(doc, ("eps", "mu"), extra, what=what)
+        return cls(
+            complex_pair(doc["eps"], f"{what} eps"),
+            complex_pair(doc["mu"], f"{what} mu"),
+        )
+
+    def to_dict(self) -> dict:
+        return {"eps": _pair(self.eps), "mu": _pair(self.mu)}
 
     @property
     def n(self) -> complex:
@@ -115,52 +128,25 @@ class RadialProfile:
     def from_dict(cls, doc: dict) -> "RadialProfile":
         """Build from {"shells": [{"r_out", "eps": [re, im], "mu": [re, im]}...],
         "outer": {"eps": ..., "mu": ...}}."""
-        if not isinstance(doc, dict):
-            raise ValueError("profile document must be an object")
-        unknown = set(doc) - {"shells", "outer"}
-        if unknown:
-            raise ValueError(f"unknown profile keys: {sorted(unknown)}")
-        if "outer" not in doc:
-            raise ValueError("profile document needs an 'outer' medium")
-
-        def med_of(entry: dict, extra=()) -> Medium:
-            bad = set(entry) - {"eps", "mu", *extra}
-            if bad:
-                raise ValueError(f"unknown medium keys: {sorted(bad)}")
-            try:
-                eps = complex(entry["eps"][0], entry["eps"][1])
-                mu = complex(entry["mu"][0], entry["mu"][1])
-            except (KeyError, TypeError, IndexError) as exc:
-                raise ValueError(
-                    "medium entries need 'eps' and 'mu' as [re, im] pairs"
-                ) from exc
-            return Medium(eps, mu)
-
+        require_keys(doc, ("outer",), ("shells",), what="profile")
         shells = doc.get("shells", [])
-        try:
-            boundaries = tuple(float(s["r_out"]) for s in shells)
-        except (KeyError, TypeError) as exc:
-            raise ValueError("each shell needs a numeric 'r_out'") from exc
-        media = tuple(med_of(s, extra=("r_out",)) for s in shells)
-        media = media + (med_of(doc["outer"]),)
-        return cls(boundaries, media)
+        if not isinstance(shells, list):
+            raise ValueError("profile 'shells' must be a list")
+        for shell in shells:
+            require_keys(shell, ("r_out", "eps", "mu"), what="shell")
+        return cls(
+            tuple(real(shell["r_out"], "shell r_out") for shell in shells),
+            tuple(Medium.from_dict(shell, extra=("r_out",)) for shell in shells)
+            + (Medium.from_dict(doc["outer"]),),
+        )
 
     def to_dict(self) -> dict:
-        shells = [
-            {
-                "r_out": b,
-                "eps": [m.eps.real, m.eps.imag],
-                "mu": [m.mu.real, m.mu.imag],
-            }
-            for b, m in zip(self.boundaries, self.media)
-        ]
-        outer = self.media[-1]
         return {
-            "shells": shells,
-            "outer": {
-                "eps": [outer.eps.real, outer.eps.imag],
-                "mu": [outer.mu.real, outer.mu.imag],
-            },
+            "shells": [
+                {"r_out": b, **m.to_dict()}
+                for b, m in zip(self.boundaries, self.media)
+            ],
+            "outer": self.media[-1].to_dict(),
         }
 
     def medium_at(self, r: float) -> Medium:
@@ -223,46 +209,31 @@ def system_matrix(l: int, k, r: float, med: Medium) -> np.ndarray:
     return m
 
 
-def _radial_pair(kind: RadialKind, l: int, k: float, r: float, med: Medium):
-    """f(nkr) and d(r f(nkr))/dr for the given kind."""
-    return spherical_radial(kind, l, med.n * k * r)
+def _basis(f1, d1, f2, d2, k: float, r, med: Medium) -> np.ndarray:
+    """The 4x4 solution basis Phi on u = r W from the radial values of two kinds.
 
+    f_i and d_i = d(r f_i)/dr are the kind_i radial function and its
+    derivative at argument n k r.  A transverse solution in a homogeneous
+    medium is u = Phi (c1, c2) with constant coefficient 2-vectors c1, c2
+    on (e_theta, e_phi):
 
-def homogeneous_eta_zeta(
-    l: int,
-    kind1: RadialKind,
-    kind2: RadialKind,
-    k,
-    r: float,
-    med: Medium,
-):
-    """The four 2x2 blocks (eta1, eta2, zeta1, zeta2) on (e_theta, e_phi).
+        H_t = f_i c_theta e_theta - (i/(mu k r)) d_i c_phi e_phi
+        E_t = f_i c_phi e_theta + (i/(eps k r)) d_i c_theta e_phi
 
-    A transverse solution in a homogeneous medium is
-    H_t = eta1 c1 + eta2 c2 and E_t = zeta1 c1 + zeta2 c2 with constant
-    2-vectors c1, c2:
-
-        eta_i  = f_i ett - (i/(mu k r)) d(r f_i)/dr epp
-        zeta_i = f_i etp + (i/(eps k r)) d(r f_i)/dr ept
-
-    where ett = e_theta(x)e_theta, epp = e_phi(x)e_phi, etc., and f_i is
-    the radial function of kind_i at argument n k r.
+    summed over i.  Columns correspond to (c1_theta, c1_phi, c2_theta,
+    c2_phi), rows to (rH_theta, rH_phi, rE_theta, rE_phi).  The inputs and
+    r broadcast together; the result has their shape followed by (4, 4).
     """
-    if l < 1:
-        raise ValueError("transverse solutions need l >= 1")
-    if r <= 0:
-        raise ValueError("r must be positive")
-    k = _as_k(k)
-    out = []
-    for kind in (kind1, kind2):
-        f, d_rf = _radial_pair(kind, l, k, r, med)
-        out.append((f, d_rf))
-    (f1, d1), (f2, d2) = out
-    eta1 = np.array([[f1, 0.0], [0.0, -1j * d1 / (med.mu * k * r)]], dtype=complex)
-    eta2 = np.array([[f2, 0.0], [0.0, -1j * d2 / (med.mu * k * r)]], dtype=complex)
-    zeta1 = np.array([[0.0, f1], [1j * d1 / (med.eps * k * r), 0.0]], dtype=complex)
-    zeta2 = np.array([[0.0, f2], [1j * d2 / (med.eps * k * r), 0.0]], dtype=complex)
-    return eta1, eta2, zeta1, zeta2
+    f1, d1, f2, d2, r = np.broadcast_arrays(f1, d1, f2, d2, r)
+    ie, im_ = 1j / (med.eps * k), -1j / (med.mu * k)
+    phi = np.zeros(f1.shape + (4, 4), dtype=complex)
+    phi[..., 0, 0] = phi[..., 2, 1] = r * f1
+    phi[..., 0, 2] = phi[..., 2, 3] = r * f2
+    phi[..., 1, 1] = im_ * d1
+    phi[..., 1, 3] = im_ * d2
+    phi[..., 3, 0] = ie * d1
+    phi[..., 3, 2] = ie * d2
+    return phi
 
 
 def fundamental_matrix(
@@ -277,25 +248,17 @@ def fundamental_matrix(
 
     Columns correspond to the coefficient unit vectors
     (c1_theta, c1_phi, c2_theta, c2_phi); rows to (rH_theta, rH_phi,
-    rE_theta, rE_phi).
+    rE_theta, rE_phi).  See `_basis` for the entries.
     """
     if l < 1:
         raise ValueError("transverse solutions need l >= 1")
     if r <= 0:
         raise ValueError("r must be positive")
     k = _as_k(k)
-    f1, d1 = _radial_pair(kind1, l, k, r, med)
-    f2, d2 = _radial_pair(kind2, l, k, r, med)
-    ie, im_ = 1j / (med.eps * k), -1j / (med.mu * k)
-    return np.array(
-        [
-            [r * f1, 0.0, r * f2, 0.0],
-            [0.0, im_ * d1, 0.0, im_ * d2],
-            [0.0, r * f1, 0.0, r * f2],
-            [ie * d1, 0.0, ie * d2, 0.0],
-        ],
-        dtype=complex,
-    )
+    x = med.n * k * r
+    f1, d1 = spherical_radial(kind1, l, x)
+    f2, d2 = (f1, d1) if kind2 is kind1 else spherical_radial(kind2, l, x)
+    return _basis(f1, d1, f2, d2, k, r, med)
 
 
 def transfer_closed_form(
@@ -317,18 +280,23 @@ def transfer_closed_form(
         ) from exc
 
 
-def longitudinal_components(l: int, k, r: float, med: Medium, w: TangentialState):
-    """Radial field components (E_r, H_r) reconstructed from W.
+def longitudinal_components(l: int, k, r, med: Medium, w):
+    """Radial field components (E_r, H_r) reconstructed from the tangential state.
+
+    `w` holds (H_theta, H_phi, E_theta, E_phi) along its last axis; its
+    leading shape broadcasts against r.
 
     E_r = -sqrt(l(l+1))/(eps k r) H_theta,
     H_r = +sqrt(l(l+1))/(mu  k r) E_theta.
     """
-    if r <= 0:
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0):
         raise ValueError("r must be positive")
     k = _as_k(k)
+    w = np.asarray(w, dtype=complex)
     root = math.sqrt(l * (l + 1))
-    e_r = -root / (med.eps * k * r) * w.h[1]
-    h_r = root / (med.mu * k * r) * w.e[1]
+    e_r = -root / (med.eps * k * r) * w[..., 0]
+    h_r = root / (med.mu * k * r) * w[..., 2]
     return e_r, h_r
 
 
@@ -356,8 +324,8 @@ def propagate(
     if isinstance(profile, Medium):
         profile = RadialProfile.uniform(profile)
     k = _as_k(k)
-    if r_from <= 0 or r_to <= 0:
-        raise ValueError("radii must be positive")
+    if not (0 < r_from < math.inf and 0 < r_to < math.inf):
+        raise ValueError(f"radii must be positive and finite, got {r_from}, {r_to}")
     if r_from == r_to:
         return w_init
 

@@ -15,8 +15,9 @@ hold exactly, and Y_{l,-m} = (-1)^m conj(Y_lm).
 The Legendre part is evaluated by the fully normalized forward recurrence
 in l at fixed m (seeded from the double-factorial closed form of the
 sectoral term), which is stable for every |m| <= l at the orders handled
-here.  Spherical Bessel functions use downward Miller recursion for j_l
-and upward recursion for y_l, valid for complex arguments.
+here.  Spherical Bessel functions come as whole sequences in l, from
+downward Miller recursion for j_l and upward recursion for y_l, valid
+for complex arguments.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "ladder_plus",
     "ladder_minus",
     "spherical_radial",
+    "spherical_radial_seq",
 ]
 
 
@@ -136,90 +138,90 @@ def ladder_minus(mode: ModeIndex):
 _RESCALE = 1e250
 
 
-def _bessel_j_seq(lmax: int, x: complex) -> list[complex]:
-    """j_0 .. j_lmax at complex x != 0 by downward Miller recursion.
+def spherical_radial_seq(kind: RadialKind, lmax: int, x) -> tuple:
+    """Spherical radial functions f_l(x) and d(x f_l)/dx for l = 0 .. lmax.
 
-    The trial sequence is started well above lmax, recursed down, and
-    normalized against whichever of the closed forms j_0, j_1 is larger
-    in magnitude (guards against normalizing at a zero of sin x / x).
+    f is j_l, y_l, h_l^(1) = j_l + i y_l, or h_l^(2) = j_l - i y_l.  The
+    derivative is of the product x*f(x), the combination entering the
+    transverse field solutions; for an argument x = n k r it equals
+    d(r f(n k r))/dr exactly.  Returns two complex arrays of length
+    lmax + 1 from one recursion for every l.
+
+    j_l comes from downward Miller recursion, started past the turning
+    point l = |x| by a margin growing like |x|^(1/3) so the trial
+    sequence has converged to the minimal solution there (Gautschi 1967,
+    SIAM Rev. 9), and normalized against whichever of the closed forms
+    j_0, j_1 is larger (j_0 vanishes at x = n*pi).  y_l comes from upward
+    recursion, which is stable for it.
+
+    Raises ValueError at x = 0 for the kinds singular there, and
+    OverflowError when an entry leaves the double range (large l at
+    small |x| for the singular kinds).
     """
-    n_start = lmax + 16 + int(math.ceil(abs(x)))
-    fp = 0.0 + 0.0j  # trial value at n_start + 1
-    fc = 1e-30 + 0.0j
-    out = [0.0 + 0.0j] * (lmax + 1)
-    for n in range(n_start, -1, -1):
-        fn = (2.0 * n + 3.0) / x * fc - fp
-        fp, fc = fc, fn
-        if n <= lmax:
-            out[n] = fn
-        if abs(fn.real) > _RESCALE or abs(fn.imag) > _RESCALE:
-            fp /= _RESCALE
-            fc /= _RESCALE
-            out = [v / _RESCALE for v in out]
-    j0 = cmath.sin(x) / x
-    j1 = j0 / x - cmath.cos(x) / x
-    # normalize against the larger closed form; j_0 vanishes at x = n*pi
-    if lmax >= 1 and abs(j1) > abs(j0):
-        scale = j1 / out[1]
-    else:
-        scale = j0 / out[0]
-    return [v * scale for v in out]
+    if lmax < 0:
+        raise ValueError(f"l must be >= 0, got {lmax}")
+    x = complex(x)
+    if x == 0:
+        if kind is not RadialKind.BESSEL_J:
+            raise ValueError(f"{kind.value} is singular at x = 0")
+        # j_0(0) = 1, j_l(0) = 0; x*j_l ~ x^{l+1}/(2l+1)!! near 0
+        f = np.zeros(lmax + 1, dtype=complex)
+        f[0] = 1.0
+        return f, f.copy()
 
+    sin_x, cos_x = cmath.sin(x), cmath.cos(x)
+    # entry n of each list holds f_{n-1}; the closed forms
+    # j_{-1} = cos x / x and y_{-1} = sin x / x give d(x f_0)/dx
+    if kind is not RadialKind.BESSEL_Y:
+        ax = abs(x)
+        n_start = lmax + 16 + math.ceil(ax + 10.0 * (ax / 2.0) ** (1.0 / 3.0))
+        fp, fc = 0j, 1e-30 + 0j  # trial values at n + 2, n + 1
+        trial = [0j] * (lmax + 1)
+        for n in range(n_start, -1, -1):
+            fp, fc = fc, (2.0 * n + 3.0) / x * fc - fp
+            if n <= lmax:
+                trial[n] = fc
+            if abs(fc.real) > _RESCALE or abs(fc.imag) > _RESCALE:
+                fp /= _RESCALE
+                fc /= _RESCALE
+                trial = [v / _RESCALE for v in trial]
+        j0 = sin_x / x
+        j1 = j0 / x - cos_x / x
+        if lmax >= 1 and abs(j1) > abs(j0):
+            scale = j1 / trial[1]
+        else:
+            scale = j0 / trial[0]
+        j = np.array([cos_x / x] + [v * scale for v in trial])
+    if kind is not RadialKind.BESSEL_J:
+        y = [sin_x / x, -cos_x / x]
+        for n in range(lmax):
+            y.append((2.0 * n + 1.0) / x * y[-1] - y[-2])
+        y = np.array(y)
 
-def _bessel_y_seq(lmax: int, x: complex) -> list[complex]:
-    """y_0 .. y_lmax at complex x != 0 by (stable) upward recursion."""
-    y0 = -cmath.cos(x) / x
-    if lmax == 0:
-        return [y0]
-    y1 = y0 / x - cmath.sin(x) / x
-    out = [y0, y1]
-    for n in range(1, lmax):
-        out.append((2.0 * n + 1.0) / x * out[n] - out[n - 1])
-    return out
+    # y_l past the double range is inf, and inf - inf in the combinations
+    # below is nan; both are caught by the finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind is RadialKind.BESSEL_J:
+            g = j
+        elif kind is RadialKind.BESSEL_Y:
+            g = y
+        else:
+            g = j + (1j if kind is RadialKind.HANKEL1 else -1j) * y
+        f = g[1:]
+        d_rf = x * g[:-1] - np.arange(lmax + 1) * f
+    bad = ~(np.isfinite(f) & np.isfinite(d_rf))
+    if bad.any():
+        raise OverflowError(
+            f"{kind.value} overflowed at l={int(np.argmax(bad))}, x={x}: "
+            "outside double range"
+        )
+    return f, d_rf
 
 
 def spherical_radial(kind: RadialKind, l: int, x) -> tuple[complex, complex]:
-    """Spherical radial function f_l(x) and the derivative d(x f_l)/dx.
+    """Entry l of `spherical_radial_seq`: f_l(x) and d(x f_l)/dx.
 
-    f is j_l, y_l, h_l^(1) = j_l + i y_l, or h_l^(2) = j_l - i y_l.  The
-    returned derivative is of the product x*f(x), the combination entering
-    the transverse field solutions; for an argument x = n k r this equals
-    d(r f(n k r))/dr exactly.
-
-    Raises ValueError at x = 0 for the kinds singular there, and
-    OverflowError when the result leaves the double range (large l at
-    small |x| for the singular kinds).
+    Raises like `spherical_radial_seq` on every entry up to l.
     """
-    if l < 0:
-        raise ValueError(f"l must be >= 0, got {l}")
-    x = complex(x)
-    if x == 0:
-        if kind is RadialKind.BESSEL_J:
-            # j_0(0) = 1, j_l(0) = 0; x*j_l ~ x^{l+1}/(2l+1)!! near 0
-            f = 1.0 + 0.0j if l == 0 else 0.0 + 0.0j
-            d = 1.0 + 0.0j if l == 0 else 0.0 + 0.0j
-            return f, d
-        raise ValueError(f"{kind.value} is singular at x = 0")
-
-    need_j = kind in (RadialKind.BESSEL_J, RadialKind.HANKEL1, RadialKind.HANKEL2)
-    need_y = kind in (RadialKind.BESSEL_Y, RadialKind.HANKEL1, RadialKind.HANKEL2)
-    js = _bessel_j_seq(l, x) if need_j else None
-    ys = _bessel_y_seq(l, x) if need_y else None
-
-    def pick(n: int) -> complex:
-        # f_{-1} closed forms: j_{-1} = cos x / x, y_{-1} = sin x / x
-        if kind is RadialKind.BESSEL_J:
-            return js[n] if n >= 0 else cmath.cos(x) / x
-        if kind is RadialKind.BESSEL_Y:
-            return ys[n] if n >= 0 else cmath.sin(x) / x
-        jj = js[n] if n >= 0 else cmath.cos(x) / x
-        yy = ys[n] if n >= 0 else cmath.sin(x) / x
-        return jj + 1j * yy if kind is RadialKind.HANKEL1 else jj - 1j * yy
-
-    f = pick(l)
-    d_rf = x * pick(l - 1) - l * f
-    if not (cmath.isfinite(f) and cmath.isfinite(d_rf)):
-        raise OverflowError(
-            f"{kind.value} overflowed at l={l}, x={x}: outside double range"
-        )
-    return f, d_rf
+    f, d_rf = spherical_radial_seq(kind, l, x)
+    return complex(f[l]), complex(d_rf[l])

@@ -27,13 +27,12 @@ import numpy as np
 from .harmonics import QuadratureRule, _f_apply, _theta_columns
 from .maxwell_radial import (
     Medium,
-    TangentialState,
-    fundamental_matrix,
-    homogeneous_eta_zeta,
-    longitudinal_components,
     _as_k,
+    _basis,
+    fundamental_matrix,
+    longitudinal_components,
 )
-from .specfun import ModeIndex, RadialKind
+from .specfun import ModeIndex, RadialKind, spherical_radial_seq
 
 __all__ = [
     "PartialWave",
@@ -103,19 +102,33 @@ class MultipoleAmplitudes:
     a_m: dict = field(default_factory=dict)
 
 
-def _radial_vectors(wave: PartialWave, k: float, med: Medium, r: float):
-    """(Hl, El) full 3-vectors of one wave at radius r."""
+def _radial_tables(kind_l, k: float, radii, med: Medium) -> dict:
+    """(f_l, d(x f_l)/dx) at x = n k r for each kind, one sequence per radius.
+
+    `kind_l` yields (kind, l) pairs; each kind's table runs to the largest
+    l paired with it, so no kind is evaluated past the entries in use.
+    Returns {kind: array of shape (len(radii), 2, lmax + 1)}.
+    """
+    lmax: dict = {}
+    for kind, l in kind_l:
+        lmax[kind] = max(lmax.get(kind, 0), l)
+    xs = med.n * k * np.asarray(radii)
+    return {
+        kind: np.array([spherical_radial_seq(kind, top, x) for x in xs])
+        for kind, top in lmax.items()
+    }
+
+
+def _radial_vectors(wave: PartialWave, k: float, med: Medium, radii, tables):
+    """(Hl, El) full 3-vectors of one wave, arrays of shape (len(radii), 3)."""
     l = wave.mode.l
-    eta1, eta2, zeta1, zeta2 = homogeneous_eta_zeta(
-        l, wave.kinds[0], wave.kinds[1], k, r, med
-    )
-    h_t = eta1 @ wave.c1 + eta2 @ wave.c2
-    e_t = zeta1 @ wave.c1 + zeta2 @ wave.c2
-    w = TangentialState.from_components(h_t[0], h_t[1], e_t[0], e_t[1])
-    e_r, h_r = longitudinal_components(l, k, r, med, w)
+    (f1, d1), (f2, d2) = (tables[kind][:, :, l].T for kind in wave.kinds)
+    u = _basis(f1, d1, f2, d2, k, radii, med) @ np.concatenate([wave.c1, wave.c2])
+    w = u / radii[:, None]
+    e_r, h_r = longitudinal_components(l, k, radii, med, w)
     return (
-        np.array([h_r, h_t[0], h_t[1]]),
-        np.array([e_r, e_t[0], e_t[1]]),
+        np.column_stack([h_r, w[:, 0], w[:, 1]]),
+        np.column_stack([e_r, w[:, 2], w[:, 3]]),
     )
 
 
@@ -155,6 +168,9 @@ def synthesize(waves, k, med: Medium, points) -> list:
     rows, row_of = np.unique(pts[:, :2], axis=0, return_inverse=True)
     radii, radius_of = np.unique(rows[:, 0], return_inverse=True)
     phis, phi_of = np.unique(pts[:, 2], return_inverse=True)
+    tables = _radial_tables(
+        ((kind, w.mode.l) for w in waves for kind in w.kinds), k, radii, med
+    )
     for m, group in _by_order([w.mode for w in waves]).items():
         lmax = max(waves[i].mode.l for i in group)
         cols = _theta_columns(m, lmax, rows[:, 1])
@@ -162,9 +178,9 @@ def synthesize(waves, k, med: Medium, points) -> list:
         e_rows = np.zeros((len(rows), 3), dtype=complex)
         for i in group:
             f = [c[waves[i].mode.l - abs(m)] for c in cols]
-            hl, el = zip(*(_radial_vectors(waves[i], k, med, r) for r in radii))
-            h_rows += _f_apply(*f, np.array(hl)[radius_of])
-            e_rows += _f_apply(*f, np.array(el)[radius_of])
+            hl, el = _radial_vectors(waves[i], k, med, radii, tables)
+            h_rows += _f_apply(*f, hl[radius_of])
+            e_rows += _f_apply(*f, el[radius_of])
         phase = np.exp(1j * m * phis)[phi_of, None]
         h_out += h_rows[row_of.ravel()] * phase
         e_out += e_rows[row_of.ravel()] * phase
@@ -213,31 +229,39 @@ def project_sampled(
 def recover_coefficients(
     hl,
     el,
-    mode: ModeIndex,
+    modes,
     k,
     r: float,
     med: Medium,
     kinds: tuple,
 ):
-    """Invert the radial solution basis at radius r for (c1, c2).
+    """Invert the radial solution basis at radius r for each mode's (c1, c2).
 
-    `hl`, `el` are the projected per-mode 3-vectors; only their tangential
-    parts enter (the radial parts are determined by them and serve as a
-    consistency check elsewhere).
+    `hl`, `el` are the (len(modes), 3) arrays `project_sampled` returns
+    for `modes`; only their tangential parts enter (the radial parts are
+    determined by them and serve as a consistency check elsewhere).
+    Returns (c1, c2), arrays of shape (len(modes), 2) in the order of
+    `modes`.
     """
     k = _as_k(k)
+    if not r > 0:
+        raise ValueError("r must be positive")
+    ls = np.array([mode.l for mode in modes])
+    if np.any(ls < 1):
+        raise ValueError("transverse solutions need l >= 1")
     hl = np.asarray(hl, dtype=complex)
     el = np.asarray(el, dtype=complex)
-    u = r * np.array([hl[1], hl[2], el[1], el[2]])
-    phi = fundamental_matrix(mode.l, kinds[0], kinds[1], k, r, med)
+    u = r * np.column_stack([hl[:, 1], hl[:, 2], el[:, 1], el[:, 2]])
+    tables = _radial_tables(((kind, int(ls.max())) for kind in kinds), k, [r], med)
+    (f1, d1), (f2, d2) = (tables[kind][0][:, ls] for kind in kinds)
     try:
-        c = np.linalg.solve(phi, u)
+        c = np.linalg.solve(_basis(f1, d1, f2, d2, k, r, med), u[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"radial basis {kinds} is degenerate at r={r}; cannot recover "
             "coefficients"
         ) from exc
-    return c[0:2], c[2:4]
+    return c[:, 0:2], c[:, 2:4]
 
 
 def multipole_amplitudes(waves) -> MultipoleAmplitudes:
@@ -276,17 +300,17 @@ def match_sphere(
 ):
     """Match a regular incident wave on a homogeneous sphere of the given radius.
 
-    Continuity of the tangential state at r = radius fixes the outgoing
-    scattered coefficients in the host and the regular interior ones.  The
-    two polarizations decouple into 2x2 systems:
+    Continuity of the tangential state u = r W at r = radius fixes the
+    outgoing scattered coefficients s in the host and the regular interior
+    ones d:
 
-        theta:  j(x_i) d            - h(x_h) s            = j(x_h) c
-                (1/eps_i) Dj(x_i) d - (1/eps_h) Dh(x_h) s = (1/eps_h) Dj(x_h) c
-        phi:    same with eps -> mu
+        Phi_i[J] d - Phi_h[H1] s = Phi_h[J] c
 
-    with x_i = n_i k a, x_h = n_h k a and Df = d(r f)/dr.  Returns
-    (scattered, interior) PartialWave objects; scattered carries Hankel-1,
-    interior the regular Bessel kind, both with c2 = 0.
+    where Phi_i[J] are the two regular columns of the interior solution
+    basis and Phi_h[J], Phi_h[H1] the regular and outgoing columns of the
+    host basis, all at r = radius.  Returns (scattered, interior)
+    PartialWave objects; scattered carries Hankel-1, interior the regular
+    Bessel kind, both with c2 = 0.
     """
     if l < 1:
         raise ValueError("sphere matching needs l >= 1")
@@ -302,43 +326,28 @@ def match_sphere(
             "incident wave must be regular: kind1 = bessel_j and c2 = 0"
         )
 
-    from .specfun import spherical_radial
-
-    xi = sphere.n * k * radius
-    xh = host.n * k * radius
-    fj_i, dj_i = spherical_radial(RadialKind.BESSEL_J, l, xi)
-    fj_h, dj_h = spherical_radial(RadialKind.BESSEL_J, l, xh)
-    fh_h, dh_h = spherical_radial(RadialKind.HANKEL1, l, xh)
-
-    def solve_pol(w_in: complex, w_host: complex, c: complex):
-        a = np.array(
-            [
-                [fj_i, -fh_h],
-                [dj_i / w_in, -dh_h / w_host],
-            ],
-            dtype=complex,
-        )
-        rhs = np.array([fj_h, dj_h / w_host], dtype=complex) * c
-        try:
-            sol = np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                f"singular matching matrix at l={l}, k={k}, radius={radius}"
-            ) from exc
-        return sol[0], sol[1]  # interior, scattered
-
-    d_theta, s_theta = solve_pol(sphere.eps, host.eps, incident.c1[0])
-    d_phi, s_phi = solve_pol(sphere.mu, host.mu, incident.c1[1])
+    J, H1 = RadialKind.BESSEL_J, RadialKind.HANKEL1
+    # the interior basis is (J, J): y_l of the interior argument is never
+    # evaluated, so it cannot overflow where only j_l is needed
+    phi_i = fundamental_matrix(l, J, J, k, radius, sphere)
+    phi_h = fundamental_matrix(l, J, H1, k, radius, host)
+    a = np.hstack([phi_i[:, :2], -phi_h[:, 2:]])
+    try:
+        sol = np.linalg.solve(a, phi_h[:, :2] @ incident.c1)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(
+            f"singular matching matrix at l={l}, k={k}, radius={radius}"
+        ) from exc
 
     scattered = PartialWave(
         incident.mode,
-        np.array([s_theta, s_phi]),
+        sol[2:],
         np.zeros(2, dtype=complex),
         (RadialKind.HANKEL1, RadialKind.HANKEL2),
     )
     interior = PartialWave(
         incident.mode,
-        np.array([d_theta, d_phi]),
+        sol[:2],
         np.zeros(2, dtype=complex),
         (RadialKind.BESSEL_J, RadialKind.BESSEL_Y),
     )

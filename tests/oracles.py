@@ -1,10 +1,11 @@
 """Independent reference implementations used only by the tests.
 
-Everything here is built from scipy closed forms or plain finite
-differences, never from the package under test, so agreement is
-evidence rather than tautology.
+Everything here is built from scipy closed forms, mpmath at raised
+precision or plain finite differences, never from the package under
+test, so agreement is evidence rather than tautology.
 """
 
+import mpmath
 import numpy as np
 import scipy.special as sp
 
@@ -62,6 +63,41 @@ def mie_ab(m, x, nmax):
         a[i] = (da * psi[i] - psi_m[i]) / (da * xi[i] - xi_m[i])
         b[i] = (db * psi[i] - psi_m[i]) / (db * xi[i] - xi_m[i])
     return a, b
+
+
+def spherical_jy_mp(l, x):
+    """(j_l(x), y_l(x)) from mpmath's half-integer Bessel functions."""
+    z = mpmath.mpc(x)
+    c = mpmath.sqrt(mpmath.pi / (2 * z))
+    return complex(c * mpmath.besselj(l + 0.5, z)), complex(c * mpmath.bessely(l + 0.5, z))
+
+
+def mie_ab_mp(m, x, l):
+    """Mie a_l, b_l of a sphere of index m (mu = 1) at size x, from the
+    direct Riccati-Bessel formula evaluated in mpmath at 40 digits:
+
+        a_l = (m psi(mx) psi'(x) - psi(x) psi'(mx)) / (m psi(mx) xi'(x) - xi(x) psi'(mx))
+        b_l = (psi(mx) psi'(x) - m psi(x) psi'(mx)) / (psi(mx) xi'(x) - m xi(x) psi'(mx))
+
+    with psi(z) = z j_l(z), xi(z) = z h_l^(1)(z) and g'(z) = z f_{l-1} - l f_l.
+    """
+    with mpmath.workdps(40):
+        x, m = mpmath.mpf(x), mpmath.mpc(m)
+
+        def riccati(z, outgoing):
+            def f(n):
+                c = mpmath.sqrt(mpmath.pi / (2 * z))
+                v = c * mpmath.besselj(n + 0.5, z)
+                return v + 1j * c * mpmath.bessely(n + 0.5, z) if outgoing else v
+
+            return z * f(l), z * f(l - 1) - l * f(l)
+
+        psi, dpsi = riccati(x, False)
+        xi, dxi = riccati(x, True)
+        psi_m, dpsi_m = riccati(m * x, False)
+        a = (m * psi_m * dpsi - psi * dpsi_m) / (m * psi_m * dxi - xi * dpsi_m)
+        b = (psi_m * dpsi - m * psi * dpsi_m) / (psi_m * dxi - m * xi * dpsi_m)
+        return complex(a), complex(b)
 
 
 def curl_fd(field_at, r, th, ph, h_rel=1e-4):

@@ -280,8 +280,10 @@ def test_acceptance_7_projection_round_trip(capsys, rng):
     h_grid = np.array([s.h for s in samples]).reshape(nt, rule.n_phi, 3)
 
     err_rt = 0.0
-    for mode, hl, el in zip(modes, *project_sampled(e_grid, h_grid, modes, rule)):
-        got1, got2 = recover_coefficients(hl, el, mode, k, r, med, kinds)
+    hls, els = project_sampled(e_grid, h_grid, modes, rule)
+    for mode, got1, got2 in zip(
+        modes, *recover_coefficients(hls, els, modes, k, r, med, kinds)
+    ):
         c1, c2 = coeffs[mode]
         err_rt = max(
             err_rt, np.max(np.abs(got1 - c1)), np.max(np.abs(got2 - c2))

@@ -11,7 +11,7 @@ import pytest
 Y00 = 0.28209479177387814
 
 
-def run_cli(*argv, env_extra=None):
+def run_cli(*argv, env_extra=None, timeout=None):
     env = os.environ.copy()
     env.pop("TW_THREADS", None)
     if env_extra:
@@ -21,6 +21,7 @@ def run_cli(*argv, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -245,6 +246,92 @@ def test_solve_propagate_round_trips(tmp_path):
     got = np.array([complex(*p) for p in back["w"]])
     want = np.array([complex(*p) for p in w0])
     assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("r_to", [math.nan, math.inf])
+def test_solve_propagate_rejects_non_finite_radius_promptly(tmp_path, r_to):
+    # a NaN or infinite end radius used to send the integrator into an
+    # endless loop
+    cfg = {"task": "propagate", "l": 1, "k": 1.0,
+           "profile": {"outer": {"eps": [1.0, 0.0], "mu": [1.0, 0.0]}},
+           "r_from": 1.0, "r_to": r_to, "w": [[1.0, 0.0]] * 4}
+    res = run_cli("solve", "--config", write_config(tmp_path, "p.json", cfg),
+                  timeout=5)
+    assert res.returncode == 2
+    assert "r_to" in res.stderr
+
+
+SPHERE = {"eps": [2.25, 0.0], "mu": [1.0, 0.0]}
+HOST = {"eps": [1.0, 0.0], "mu": [1.0, 0.0]}
+SCATTER = {"task": "scatter", "k": 1.0, "radius": 1.0, "sphere": SPHERE, "host": HOST}
+WAVE = {"l": 1, "m": 0, "c1": [[1.0, 0.0], [0.0, 0.0]], "kinds": ["hankel1", "hankel2"]}
+SYNTH = {"task": "synthesize", "k": 1.0, "medium": HOST, "waves": [WAVE],
+         "points": [[2.0, 1.0, 0.5]]}
+PROJECT = {"task": "project", "k": 1.0, "medium": HOST, "quadrature_lmax": 2,
+           "field": "absent.csv"}
+PROPAGATE = {"task": "propagate", "l": 1, "k": 1.0, "profile": {"outer": HOST},
+             "r_from": 1.0, "r_to": 2.0, "w": [[1.0, 0.0]] * 4}
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        (dict(SCATTER, lmax=2.7), "lmax"),
+        (dict(SCATTER, sphere={"eps": [math.nan, 0.0], "mu": [1.0, 0.0]}),
+         "sphere eps"),
+        (dict(SCATTER, k=math.inf), "k"),
+        (dict(SYNTH, medium={"eps": [1.0, 0.0], "mu": [1.0, math.nan]}), "medium mu"),
+        (dict(SYNTH, waves=[dict(WAVE, l=1.5)]), "l"),
+        (dict(SYNTH, waves=[dict(WAVE, c1=[[1.0, math.nan], [0.0, 0.0]])]), "c1"),
+        (dict(SYNTH, points=None, grid={"r": 2.0, "quadrature_lmax": 3.5}),
+         "quadrature_lmax"),
+        (dict(PROJECT, quadrature_lmax=2.5), "quadrature_lmax"),
+        (dict(PROJECT, modes=[[2, 0.5]]), "modes m"),
+        (dict(PROPAGATE, l=2.5), "l"),
+        (dict(PROPAGATE, r_from=math.nan), "r_from"),
+        (dict(PROPAGATE, profile={"shells": [dict(SPHERE, r_out=math.inf)],
+                                  "outer": HOST}), "shell r_out"),
+    ],
+)
+def test_solve_rejects_non_finite_and_non_integral_values(tmp_path, capsys, cfg, key):
+    from tensorwave.cli import main
+
+    cfg = {name: v for name, v in cfg.items() if v is not None}
+    assert main(["solve", "--config", write_config(tmp_path, "c.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {key} must be" in err
+
+
+def test_solve_project_places_samples_by_angle(tmp_path, capsys):
+    from tensorwave.cli import main
+    from tensorwave.harmonics import QuadratureRule
+
+    syn = {key: v for key, v in SYNTH.items() if key != "points"}
+    syn["grid"] = {"r": 2.0, "quadrature_lmax": 2}
+    field = tmp_path / "field.csv"
+    assert main(["solve", "--config", write_config(tmp_path, "s.json", syn),
+                 "--format", "csv", "--out", str(field)]) == 0
+    header, *rows = field.read_text().splitlines()
+    proj = write_config(tmp_path, "p.json", dict(PROJECT, field=str(field)))
+    assert main(["solve", "--config", proj]) == 0
+    in_grid_order = capsys.readouterr().out
+
+    # sample order does not matter, only the angles
+    field.write_text("\n".join([header, *rows[::-1]]) + "\n")
+    assert main(["solve", "--config", proj]) == 0
+    assert capsys.readouterr().out == in_grid_order
+
+    # rows are theta-major like the grid; move rows 7 and 4 off it and the
+    # error names the first grid cell left uncovered
+    for i in (7, 4):
+        cells = rows[i].split(",")
+        cells[2] = repr(float(cells[2]) + 0.01)
+        rows[i] = ",".join(cells)
+    field.write_text("\n".join([header, *rows]) + "\n")
+    assert main(["solve", "--config", proj]) == 2
+    rule = QuadratureRule.for_degree(2)
+    th, ph = rule.thetas[4 // rule.n_phi], rule.phis[4 % rule.n_phi]
+    assert f"missing theta={th!r}, phi={ph!r}" in capsys.readouterr().err
 
 
 def test_solve_rejects_malformed_json(tmp_path):

@@ -10,7 +10,6 @@ from tensorwave.maxwell_radial import (
     RadialProfile,
     TangentialState,
     fundamental_matrix,
-    homogeneous_eta_zeta,
     longitudinal_components,
     propagate,
     radial_flux,
@@ -128,10 +127,11 @@ def test_system_matrix_rejects_bad_domain():
 
 def test_eta_theta_entry_is_bessel_j():
     # n k r = 2 with n = 1, k = 1, r = 2
-    eta1, _, _, _ = homogeneous_eta_zeta(1, J, Y, 1.0, 2.0, Medium(1, 1))
+    # eta and zeta are rows of Phi / r
+    eta1_tt = fundamental_matrix(1, J, Y, 1.0, 2.0, Medium(1, 1))[0, 0] / 2.0
     j12 = math.sin(2.0) / 4.0 - math.cos(2.0) / 2.0
-    assert eta1[0, 0] == pytest.approx(j12, rel=1e-14)
-    assert eta1[0, 0] == pytest.approx(0.435397, abs=1e-6)
+    assert eta1_tt == pytest.approx(j12, rel=1e-14)
+    assert eta1_tt == pytest.approx(0.435397, abs=1e-6)
 
 
 def test_eta_zeta_assembled_state_solves_ode(rng):
@@ -143,10 +143,7 @@ def test_eta_zeta_assembled_state_solves_ode(rng):
         c2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
 
         def u_at(r):
-            eta1, eta2, zeta1, zeta2 = homogeneous_eta_zeta(l, J, Y, k, r, med)
-            h_t = eta1 @ c1 + eta2 @ c2
-            e_t = zeta1 @ c1 + zeta2 @ c2
-            return r * np.concatenate([h_t, e_t])
+            return fundamental_matrix(l, J, Y, k, r, med) @ np.concatenate([c1, c2])
 
         r0 = 1.7
         du = (u_at(r0 + h) - u_at(r0 - h)) / (2 * h)
@@ -159,10 +156,9 @@ def test_polarization_blocks_det_scales_inverse_square():
     for l in (1, 3):
         dets = []
         for r in (1.0, 2.0):
-            eta1, eta2, zeta1, zeta2 = homogeneous_eta_zeta(l, J, Y, k, r, med)
-            theta_block = np.array(
-                [[eta1[0, 0], eta2[0, 0]], [zeta1[1, 0], zeta2[1, 0]]]
-            )
+            # rows (H_theta, E_phi), columns (c1_theta, c2_theta) of Phi / r
+            phi = fundamental_matrix(l, J, Y, k, r, med)
+            theta_block = phi[np.ix_([0, 3], [0, 2])] / r
             x = med.n * k * r
             want = 1j / (med.eps * med.n * (k * r) ** 2)
             assert np.linalg.det(theta_block) == pytest.approx(want, rel=1e-12)
@@ -171,15 +167,17 @@ def test_polarization_blocks_det_scales_inverse_square():
 
 
 def test_longitudinal_components_cases():
-    e_r, h_r = longitudinal_components(
-        1, 1.0, 1.0, Medium(1, 1), TangentialState.from_components(0, 5.0, 0, -2.0)
-    )
+    e_r, h_r = longitudinal_components(1, 1.0, 1.0, Medium(1, 1), [0, 5.0, 0, -2.0])
     assert e_r == 0.0 and h_r == 0.0
-    e_r, h_r = longitudinal_components(
-        1, 1.0, 1.0, Medium(1, 1), TangentialState.from_components(1.0, 0, 0, 0)
-    )
+    e_r, h_r = longitudinal_components(1, 1.0, 1.0, Medium(1, 1), [1.0, 0, 0, 0])
     assert e_r == pytest.approx(-math.sqrt(2.0), rel=1e-15)
     assert h_r == 0.0
+    # any leading shape, broadcast against r
+    e_r, h_r = longitudinal_components(
+        1, 1.0, np.array([1.0, 2.0]), Medium(1, 1), [[1.0, 0, 3.0, 0]] * 2
+    )
+    assert e_r == pytest.approx(-math.sqrt(2.0) / np.array([1.0, 2.0]), rel=1e-15)
+    assert h_r == pytest.approx(3.0 * math.sqrt(2.0) / np.array([1.0, 2.0]), rel=1e-15)
 
 
 def test_propagate_matches_closed_form_single_shell():
@@ -193,6 +191,13 @@ def test_propagate_matches_closed_form_single_shell():
         got = propagate(l, k, med, r0, r1, w0).as_vector4()
         ref = (transfer_closed_form(l, k, r0, r1, med) @ (phi0 @ c)) / r1
         assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-8
+
+
+def test_propagate_rejects_non_finite_radius():
+    w0 = TangentialState.from_components(1.0, 0.0, 0.0, 0.0)
+    for r_to in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            propagate(1, 1.0, Medium(1.0, 1.0), 1.0, r_to, w0)
 
 
 def test_propagate_zero_state_and_linearity(rng):

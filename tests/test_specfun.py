@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import spherical_j_ref, spherical_y_ref, ylm_ref
+from oracles import spherical_j_ref, spherical_jy_mp, spherical_y_ref, ylm_ref
 from tensorwave.specfun import (
     ModeIndex,
     RadialKind,
     ladder_minus,
     ladder_plus,
     spherical_radial,
+    spherical_radial_seq,
     ylm,
 )
 
@@ -209,9 +210,33 @@ def test_wronskian_identity():
         assert fj * yp - jp * fy == pytest.approx(1.0 / x**2, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "x", [1e-3, 0.5, 7.3, 50.0, 1000.0, 1e4, 3.0 + 10j, 1000.0 + 10j, 1e4 + 10j]
+)
+def test_bessel_j_sequence_matches_mpmath_at_large_argument(x):
+    # below the turning point j_l and y_l share one envelope, so the error
+    # is measured against |j_l| + |y_l|; a Miller start too close to |x|
+    # left j_1(1000) off by 2.4e-3 on this scale
+    f, _ = spherical_radial_seq(RadialKind.BESSEL_J, 200, x)
+    for l in (0, 1, 5, 40, 100, 200):
+        j, y = spherical_jy_mp(l, x)
+        assert abs(f[l] - j) <= 1e-13 * (abs(j) + abs(y))
+
+
+def test_sequence_entries_agree_for_every_kind():
+    # an entry does not depend on how far the sequence runs
+    x = 3.7 + 0.2j
+    for kind in RadialKind:
+        f, d = spherical_radial_seq(kind, 9, x)
+        for l in (0, 4, 9):
+            assert (f[l], d[l]) == pytest.approx(spherical_radial(kind, l, x), rel=1e-14)
+
+
 def test_overflow_signaled():
     with pytest.raises(OverflowError):
         spherical_radial(RadialKind.BESSEL_Y, 80, 1e-4)
+    with pytest.raises(OverflowError):
+        spherical_radial_seq(RadialKind.HANKEL1, 80, 1e-4)
 
 
 def test_radial_kind_values():

@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from oracles import curl_fd, div_fd, mie_ab
+from oracles import curl_fd, div_fd, mie_ab, mie_ab_mp
 from tensorwave.harmonics import QuadratureRule
 from tensorwave.maxwell_radial import Medium
 from tensorwave.specfun import ModeIndex, RadialKind
@@ -194,8 +194,8 @@ def test_projection_round_trip(rng):
     )
     modes = [ModeIndex(l, m) for l, m in coeffs]
     hls, els = project_sampled(e_grid, h_grid, modes, rule)
-    for ((l, m), (c1, c2)), hl, el in zip(coeffs.items(), hls, els):
-        got1, got2 = recover_coefficients(hl, el, ModeIndex(l, m), k, r, med, kinds)
+    got = recover_coefficients(hls, els, modes, k, r, med, kinds)
+    for (c1, c2), got1, got2 in zip(coeffs.values(), *got):
         assert np.max(np.abs(got1 - c1)) < 1e-10
         assert np.max(np.abs(got2 - c2)) < 1e-10
 
@@ -287,6 +287,18 @@ def test_match_sphere_matches_mie_table():
             assert -scattered.c1[1] == pytest.approx(
                 complex(*b_pair), rel=1e-9, abs=1e-15
             )
+
+
+@pytest.mark.parametrize("x", [50.0, 1000.0])
+@pytest.mark.parametrize("m", [1.33, 1.5 + 0.1j])
+def test_match_sphere_matches_mpmath_mie_at_large_x(x, m):
+    # up to the CLI's default lmax; at x = 1000, m = 1.33 a_1 was 37% off
+    # while the Bessel sequence started its Miller recursion too low
+    for l in sorted({1, 7, int(x), math.ceil(x + 4.0 * x ** (1.0 / 3.0) + 2.0)}):
+        a, b = mie_ab_mp(m, x, l)
+        scattered, _ = match_sphere(l, 1.0, Medium(m * m, 1.0), VACUUM, x, incident(l))
+        assert -scattered.c1[0] == pytest.approx(a, rel=1e-9)
+        assert -scattered.c1[1] == pytest.approx(b, rel=1e-9)
 
 
 def test_match_sphere_linearity():
