@@ -1,9 +1,9 @@
 """Radial propagation of tangential field components through shells.
 
-Starts from a closed-form solution in the inner medium, pushes it
-numerically through a two-shell dielectric profile, and compares
-against the analytic transfer matrix shell by shell.  Also tracks the
-radial power flux, which a lossless profile must conserve.
+Starts from a closed-form solution in the inner medium and pushes it
+through a two-shell dielectric profile, one closed-form transfer per
+shell.  Tracks the radial power flux, which a lossless profile must
+conserve, and the round trip out and back.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from tensorwave import (
     fundamental_matrix,
     propagate,
     radial_flux,
-    transfer_closed_form,
 )
 
 l, k = 2, 1.0
@@ -41,17 +40,7 @@ print(f"radial flux at start: {flux0:.6f}")
 for r1 in (1.5, 2.0, 2.8, 3.5, 5.0):
     w1 = propagate(l, k, profile, r0, r1, w)
     flux1 = radial_flux(r1, w1)
-    # analytic reference by chaining per-shell transfer matrices
-    vec = w.as_vector4() * r0
-    cuts = [r0] + [b for b in profile.boundaries if r0 < b < r1] + [r1]
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        vec = transfer_closed_form(l, k, a, b, profile.medium_at(0.5 * (a + b))) @ vec
-    ref = vec / r1
-    err = np.max(np.abs(w1.as_vector4() - ref)) / np.max(np.abs(ref))
-    print(
-        f"  r = {r1:4.1f}: closed-form agreement {err:.2e}, "
-        f"flux drift {abs(flux1 - flux0) / abs(flux0):.2e}"
-    )
+    print(f"  r = {r1:4.1f}: flux drift {abs(flux1 - flux0) / abs(flux0):.2e}")
 
 print("\nround trip there and back:")
 w_out = propagate(l, k, profile, r0, 5.0, w)

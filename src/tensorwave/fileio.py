@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from contextlib import contextmanager
 
 from .maxwell_radial import RadialProfile
@@ -87,6 +88,11 @@ def read_field_csv(fp) -> list:
             if len(row) != len(FIELD_CSV_COLUMNS):
                 raise ValueError(f"field CSV row has {len(row)} columns")
             vals = [float(x) for x in row]
+            if not all(map(math.isfinite, vals)):
+                col = FIELD_CSV_COLUMNS[[math.isfinite(v) for v in vals].index(False)]
+                raise ValueError(
+                    f"field CSV line {reader.line_num}: {col} is not finite"
+                )
             e = [complex(vals[3 + 2 * i], vals[4 + 2 * i]) for i in range(3)]
             h = [complex(vals[9 + 2 * i], vals[10 + 2 * i]) for i in range(3)]
             samples.append(FieldSample(vals[0], vals[1], vals[2], e, h))

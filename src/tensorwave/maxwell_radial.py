@@ -1,6 +1,7 @@
 """Radial side of the field separation: the first-order tangential system,
 closed-form solutions in homogeneous media, longitudinal reconstruction,
-and a numerical propagator for piecewise-radial material profiles.
+and the exact propagator for piecewise-constant radial profiles, a
+product of one closed-form transfer per shell.
 
 State convention
 ----------------
@@ -26,10 +27,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .parsing import _pair, complex_pair, real, require_keys
-from .specfun import RadialKind, spherical_radial
+from .specfun import RadialKind, spherical_radial, spherical_radial_seq
+
+# the smallest normal double: below it j_l has lost precision to gradual underflow
+_TINY = np.finfo(float).tiny
 
 __all__ = [
     "Medium",
@@ -261,23 +264,46 @@ def fundamental_matrix(
     return _basis(f1, d1, f2, d2, k, r, med)
 
 
+def _scaled_basis(l: int, k: float, r: float, med: Medium) -> np.ndarray:
+    """Phi at r in the (j, h1) basis with e^{-i n k r} taken out of the
+    j columns and e^{+i n k r} out of the h1 columns (Im(n k r) >= 0)."""
+    x = med.n * k * r
+    f1, d1 = spherical_radial_seq(RadialKind.BESSEL_J, l, x, scaled=True)
+    f2, d2 = spherical_radial_seq(RadialKind.HANKEL1, l, x, scaled=True)
+    if not abs(f1[l]) > _TINY:
+        raise OverflowError(f"bessel_j underflowed at l={l}, x={x}")
+    return _basis(f1[l], d1[l], f2[l], d2[l], k, r, med)
+
+
 def transfer_closed_form(
-    l: int,
-    k,
-    r_from: float,
-    r_to: float,
-    med: Medium,
-    kinds: tuple = (RadialKind.BESSEL_J, RadialKind.BESSEL_Y),
+    l: int, k, r_from: float, r_to: float, med: Medium
 ) -> np.ndarray:
-    """Closed-form transfer matrix on u = rW across a homogeneous region."""
-    phi_to = fundamental_matrix(l, kinds[0], kinds[1], k, r_to, med)
-    phi_from = fundamental_matrix(l, kinds[0], kinds[1], k, r_from, med)
+    """Closed-form transfer matrix T on u = rW across a homogeneous region.
+
+    T = Phi(r_to) Phi(r_from)^-1 for any solution basis Phi.  The basis
+    is the regular and outgoing pair (j, h1), which stays well
+    conditioned for every n k r in the upper half plane: below the
+    turning point h1 ~ i y dominates j, and where the field oscillates
+    in an absorbing medium h1 decays as e^{-Im(n k r)} while j grows as
+    e^{+Im(n k r)}.  The pairs (j, y) and (h1, h2) each become nearly
+    dependent in one of those regions.  The exponential factors are
+    taken out of the basis and applied as the phases e^{-+i n k (r_to -
+    r_from)}, so thick absorbing regions stay in the double range.
+    """
+    if l < 1:
+        raise ValueError("transverse solutions need l >= 1")
+    if not (r_from > 0 and r_to > 0):
+        raise ValueError("r must be positive")
+    k = _as_k(k)
+    with np.errstate(over="ignore"):
+        phase = np.exp(np.array([-1, -1, 1, 1]) * 1j * med.n * k * (r_to - r_from))
+    if not np.all(np.isfinite(phase)):
+        raise OverflowError(f"transfer across [{r_from}, {r_to}] overflows")
+    phi_to = _scaled_basis(l, k, r_to, med) * phase
     try:
-        return phi_to @ np.linalg.inv(phi_from)
+        return phi_to @ np.linalg.inv(_scaled_basis(l, k, r_from, med))
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"degenerate radial basis {kinds} at r={r_from}"
-        ) from exc
+        raise RuntimeError(f"degenerate radial basis at r={r_from}") from exc
 
 
 def longitudinal_components(l: int, k, r, med: Medium, w):
@@ -308,13 +334,14 @@ def propagate(
     r_to: float,
     w_init: TangentialState,
 ) -> TangentialState:
-    """Integrate the tangential system from r_from to r_to.
+    """Carry the tangential state from r_from to r_to.
 
-    `profile` may be a RadialProfile or a bare Medium.  Integration runs
-    on u = rW with an adaptive 8th-order Runge-Kutta pair at
-    rtol 3e-14 / atol 1e-15, split at every shell boundary so the
-    coefficient matrix stays smooth within each segment.  Inward
-    integration (r_to < r_from) is allowed.
+    `profile` may be a RadialProfile or a bare Medium.  The profile is
+    piecewise constant, so the exact transfer is the product of one
+    `transfer_closed_form` per shell crossed; W is continuous across
+    every boundary.  Inward propagation (r_to < r_from) is allowed.
+    Raises OverflowError when a radial function or the state leaves the
+    double range.
     """
     if l < 1:
         raise ValueError(
@@ -334,18 +361,12 @@ def propagate(
     stops = [r_from] + (cuts if r_to > r_from else cuts[::-1]) + [r_to]
 
     u = w_init.as_vector4() * r_from
-    for a, b in zip(stops, stops[1:]):
-        med = profile.medium_at(0.5 * (a + b))
-
-        def rhs(r, uu, med=med):
-            return 1j * k * (system_matrix(l, k, r, med) @ uu)
-
-        sol = solve_ivp(
-            rhs, (a, b), u, method="DOP853", rtol=3e-14, atol=1e-15, dense_output=False
-        )
-        if not sol.success:
-            raise RuntimeError(f"radial integration failed on [{a}, {b}]: {sol.message}")
-        u = sol.y[:, -1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in zip(stops, stops[1:]):
+            med = profile.medium_at(0.5 * (a + b))
+            u = transfer_closed_form(l, k, a, b, med) @ u
+    if not np.all(np.isfinite(u)):
+        raise OverflowError(f"the state at r={r_to} leaves the double range")
     return TangentialState.from_vector4(u / r_to)
 
 

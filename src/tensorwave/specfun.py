@@ -16,8 +16,8 @@ The Legendre part is evaluated by the fully normalized forward recurrence
 in l at fixed m (seeded from the double-factorial closed form of the
 sectoral term), which is stable for every |m| <= l at the orders handled
 here.  Spherical Bessel functions come as whole sequences in l, from
-downward Miller recursion for j_l and upward recursion for y_l, valid
-for complex arguments.
+downward Miller recursion for j_l and upward recursion for y_l and the
+Hankel functions, valid for complex arguments.
 """
 
 from __future__ import annotations
@@ -138,7 +138,77 @@ def ladder_minus(mode: ModeIndex):
 _RESCALE = 1e250
 
 
-def spherical_radial_seq(kind: RadialKind, lmax: int, x) -> tuple:
+def _upward(f_prev, f_0, lmax: int, x: complex) -> list:
+    """f_{-1} .. f_lmax from the upward recursion f_{n+1} = (2n+1)/x f_n - f_{n-1}."""
+    f = [f_prev, f_0]
+    for n in range(lmax):
+        f.append((2.0 * n + 1.0) / x * f[-1] - f[-2])
+    return f
+
+
+def _miller(lmax: int, x: complex, s: complex, c: complex) -> list:
+    """w j_l(x) for l = -1 .. lmax, given s = w sin x and c = w cos x.
+
+    Downward Miller recursion, started past the turning point l = |x| by
+    a margin growing like |x|^(1/3) so the trial sequence has converged
+    to the minimal solution there (Gautschi 1967, SIAM Rev. 9), and
+    normalized against whichever of the closed forms j_0, j_1 is larger
+    (j_0 vanishes at x = n*pi).
+    """
+    ax = abs(x)
+    n_start = lmax + 16 + math.ceil(ax + 10.0 * (ax / 2.0) ** (1.0 / 3.0))
+    fp, fc = 0j, 1e-30 + 0j  # trial values at n + 2, n + 1
+    trial = [0j] * (lmax + 1)
+    for n in range(n_start, -1, -1):
+        fp, fc = fc, (2.0 * n + 3.0) / x * fc - fp
+        if n <= lmax:
+            trial[n] = fc
+        if abs(fc.real) > _RESCALE or abs(fc.imag) > _RESCALE:
+            fp /= _RESCALE
+            fc /= _RESCALE
+            trial = [v / _RESCALE for v in trial]
+    j0 = s / x
+    j1 = j0 / x - c / x
+    if lmax >= 1 and abs(j1) > abs(j0):
+        scale = j1 / trial[1]
+    else:
+        scale = j0 / trial[0]
+    return [c / x] + [v * scale for v in trial]
+
+
+def _scaled_j(lmax: int, x: complex) -> list:
+    """e^{i t x} j_l(x) for l = -1 .. lmax, t = +1 if Im x >= 0 else -1.
+
+    The factor has modulus e^{-|Im x|}, so the values stay in the double
+    range for any Im x.
+    """
+    t = 1 if x.imag >= 0 else -1
+    if abs(x.imag) < 300.0:
+        w = cmath.exp(1j * t * x)
+        return _miller(lmax, x, w * cmath.sin(x), w * cmath.cos(x))
+    e2 = cmath.exp(2j * t * x)  # modulus below e^{-600}: no cancellation
+    return _miller(lmax, x, t * (e2 - 1.0) / 2j, (e2 + 1.0) / 2.0)
+
+
+def _scaled_hankel(sigma: int, lmax: int, x: complex) -> np.ndarray:
+    """e^{-i sigma x} h_l(x) for l = -1 .. lmax; sigma = +1 for h^(1), -1 for h^(2).
+
+    The scaled seeds are 1/x and -i sigma/x.  Upward recursion is stable
+    for the kind that decays into the half plane of x (sigma Im x >= 0):
+    it grows with l relative to the other kind.  The other kind shrinks
+    relative to it by up to e^{2|Im x|}, so its upward recursion would
+    amplify rounding by that much (0.2 relative at l = 40, x = 20+30i);
+    it is 2 j_l - h_l of the stable kind instead.
+    """
+    if sigma * x.imag >= 0:
+        return np.array(_upward(1.0 / x, -1j * sigma / x, lmax, x))
+    stable = np.array(_upward(1.0 / x, 1j * sigma / x, lmax, x))
+    return 2.0 * np.array(_scaled_j(lmax, x)) - cmath.exp(-2j * sigma * x) * stable
+
+
+def spherical_radial_seq(
+    kind: RadialKind, lmax: int, x, scaled: bool = False
+) -> tuple:
     """Spherical radial functions f_l(x) and d(x f_l)/dx for l = 0 .. lmax.
 
     f is j_l, y_l, h_l^(1) = j_l + i y_l, or h_l^(2) = j_l - i y_l.  The
@@ -147,12 +217,18 @@ def spherical_radial_seq(kind: RadialKind, lmax: int, x) -> tuple:
     d(r f(n k r))/dr exactly.  Returns two complex arrays of length
     lmax + 1 from one recursion for every l.
 
-    j_l comes from downward Miller recursion, started past the turning
-    point l = |x| by a margin growing like |x|^(1/3) so the trial
-    sequence has converged to the minimal solution there (Gautschi 1967,
-    SIAM Rev. 9), and normalized against whichever of the closed forms
-    j_0, j_1 is larger (j_0 vanishes at x = n*pi).  y_l comes from upward
-    recursion, which is stable for it.
+    j_l comes from downward Miller recursion and y_l from upward
+    recursion, both started from the closed forms of l = 0 and l = -1.
+    The Hankel kinds are never formed as j_l +- i y_l, which cancels to
+    a relative error of e^{2|Im x|}: each comes from upward recursion
+    from h_0, h_{-1} where that is stable, and as 2 j_l minus the other
+    kind where it is not.
+
+    With `scaled`, both arrays come multiplied by a factor that removes
+    the exponential dependence on Im x, so they stay in the double range
+    for any Im x: e^{-ix} for h^(1) and e^{+ix} for h^(2), which leaves
+    their slowly varying 1/x terms, and for j_l e^{ix} when Im x >= 0 and
+    e^{-ix} otherwise, of modulus e^{-|Im x|}.  y_l has no scaled form.
 
     Raises ValueError at x = 0 for the kinds singular there, and
     OverflowError when an entry leaves the double range (large l at
@@ -160,6 +236,8 @@ def spherical_radial_seq(kind: RadialKind, lmax: int, x) -> tuple:
     """
     if lmax < 0:
         raise ValueError(f"l must be >= 0, got {lmax}")
+    if scaled and kind is RadialKind.BESSEL_Y:
+        raise ValueError("bessel_y has no scaled form")
     x = complex(x)
     if x == 0:
         if kind is not RadialKind.BESSEL_J:
@@ -169,44 +247,22 @@ def spherical_radial_seq(kind: RadialKind, lmax: int, x) -> tuple:
         f[0] = 1.0
         return f, f.copy()
 
-    sin_x, cos_x = cmath.sin(x), cmath.cos(x)
-    # entry n of each list holds f_{n-1}; the closed forms
-    # j_{-1} = cos x / x and y_{-1} = sin x / x give d(x f_0)/dx
-    if kind is not RadialKind.BESSEL_Y:
-        ax = abs(x)
-        n_start = lmax + 16 + math.ceil(ax + 10.0 * (ax / 2.0) ** (1.0 / 3.0))
-        fp, fc = 0j, 1e-30 + 0j  # trial values at n + 2, n + 1
-        trial = [0j] * (lmax + 1)
-        for n in range(n_start, -1, -1):
-            fp, fc = fc, (2.0 * n + 3.0) / x * fc - fp
-            if n <= lmax:
-                trial[n] = fc
-            if abs(fc.real) > _RESCALE or abs(fc.imag) > _RESCALE:
-                fp /= _RESCALE
-                fc /= _RESCALE
-                trial = [v / _RESCALE for v in trial]
-        j0 = sin_x / x
-        j1 = j0 / x - cos_x / x
-        if lmax >= 1 and abs(j1) > abs(j0):
-            scale = j1 / trial[1]
-        else:
-            scale = j0 / trial[0]
-        j = np.array([cos_x / x] + [v * scale for v in trial])
-    if kind is not RadialKind.BESSEL_J:
-        y = [sin_x / x, -cos_x / x]
-        for n in range(lmax):
-            y.append((2.0 * n + 1.0) / x * y[-1] - y[-2])
-        y = np.array(y)
-
-    # y_l past the double range is inf, and inf - inf in the combinations
-    # below is nan; both are caught by the finiteness check
+    # entry n of g holds f_{n-1}; f_{-1} gives d(x f_0)/dx.  A sequence
+    # past the double range holds inf, and inf - inf is nan; both are
+    # caught by the finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
-        if kind is RadialKind.BESSEL_J:
-            g = j
+        if kind is RadialKind.BESSEL_J and scaled:
+            g = _scaled_j(lmax, x)
+        elif kind is RadialKind.BESSEL_J:
+            g = _miller(lmax, x, cmath.sin(x), cmath.cos(x))
         elif kind is RadialKind.BESSEL_Y:
-            g = y
+            g = _upward(cmath.sin(x) / x, -cmath.cos(x) / x, lmax, x)
         else:
-            g = j + (1j if kind is RadialKind.HANKEL1 else -1j) * y
+            sigma = 1 if kind is RadialKind.HANKEL1 else -1
+            g = _scaled_hankel(sigma, lmax, x)
+            if not scaled:
+                g = g * np.exp(1j * sigma * x)
+        g = np.asarray(g, dtype=complex)
         f = g[1:]
         d_rf = x * g[:-1] - np.arange(lmax + 1) * f
     bad = ~(np.isfinite(f) & np.isfinite(d_rf))

@@ -261,6 +261,27 @@ def test_solve_propagate_rejects_non_finite_radius_promptly(tmp_path, r_to):
     assert "r_to" in res.stderr
 
 
+def test_solve_propagate_reports_overflow_promptly(tmp_path):
+    # h1_200 at k r = 1e-3 is far outside the double range
+    cfg = {"task": "propagate", "l": 200, "k": 1.0,
+           "profile": {"outer": {"eps": [1.0, 0.0], "mu": [1.0, 0.0]}},
+           "r_from": 1e-3, "r_to": 2e-3, "w": [[1.0, 0.0]] * 4}
+    res = run_cli("solve", "--config", write_config(tmp_path, "p.json", cfg),
+                  timeout=5)
+    assert res.returncode == 1
+    assert "double range" in res.stderr
+    assert res.stdout == ""
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, tensorwave.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 SPHERE = {"eps": [2.25, 0.0], "mu": [1.0, 0.0]}
 HOST = {"eps": [1.0, 0.0], "mu": [1.0, 0.0]}
 SCATTER = {"task": "scatter", "k": 1.0, "radius": 1.0, "sphere": SPHERE, "host": HOST}
@@ -332,6 +353,27 @@ def test_solve_project_places_samples_by_angle(tmp_path, capsys):
     rule = QuadratureRule.for_degree(2)
     th, ph = rule.thetas[4 // rule.n_phi], rule.phis[4 % rule.n_phi]
     assert f"missing theta={th!r}, phi={ph!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_solve_project_rejects_non_finite_field_cell(tmp_path, capsys, cell):
+    from tensorwave.cli import main
+
+    syn = {key: v for key, v in SYNTH.items() if key != "points"}
+    syn["grid"] = {"r": 2.0, "quadrature_lmax": 2}
+    field = tmp_path / "field.csv"
+    assert main(["solve", "--config", write_config(tmp_path, "s.json", syn),
+                 "--format", "csv", "--out", str(field)]) == 0
+    lines = field.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[5] = cell  # e_theta_re of the third sample
+    lines[3] = ",".join(cells)
+    field.write_text("\n".join(lines) + "\n")
+    proj = write_config(tmp_path, "p.json", dict(PROJECT, field=str(field)))
+    assert main(["solve", "--config", proj]) == 2
+    out = capsys.readouterr()
+    assert "field CSV line 4: e_theta_re is not finite" in out.err
+    assert out.out == ""
 
 
 def test_solve_rejects_malformed_json(tmp_path):

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import spherical_j_ref, spherical_jy_mp, spherical_y_ref, ylm_ref
+from oracles import (
+    scaled_radial_mp,
+    spherical_hankel_mp,
+    spherical_j_ref,
+    spherical_jy_mp,
+    spherical_y_ref,
+    ylm_ref,
+)
 from tensorwave.specfun import (
     ModeIndex,
     RadialKind,
@@ -221,6 +228,38 @@ def test_bessel_j_sequence_matches_mpmath_at_large_argument(x):
     for l in (0, 1, 5, 40, 100, 200):
         j, y = spherical_jy_mp(l, x)
         assert abs(f[l] - j) <= 1e-13 * (abs(j) + abs(y))
+
+
+@pytest.mark.parametrize("x", [50 + 11.4j, 20 + 30j, 5 + 40j])
+@pytest.mark.parametrize(
+    "kind, sign", [(RadialKind.HANKEL1, 1), (RadialKind.HANKEL2, -1)]
+)
+def test_hankel_sequence_matches_mpmath_at_complex_argument(kind, sign, x):
+    # formed as j_l + i y_l, h1 cancelled to e^{-2 Im x} of its terms:
+    # h1_1(20+30i) was off by 6e9 relative, h1_5(50+11.4i) by 6e-7
+    f, d = spherical_radial_seq(kind, 40, x)
+    for l in range(41):
+        h, dh = spherical_hankel_mp(sign, l, x)
+        assert abs(f[l] - h) <= 1e-13 * abs(h)
+        assert abs(d[l] - dh) <= 1e-13 * abs(dh)
+
+
+@pytest.mark.parametrize("x", [0.3 + 0.1j, 7.0, 20 + 30j, 3 + 800j, 3 - 800j])
+@pytest.mark.parametrize(
+    "kind", [RadialKind.BESSEL_J, RadialKind.HANKEL1, RadialKind.HANKEL2]
+)
+def test_scaled_sequence_matches_mpmath(kind, x):
+    # the factor keeps every value in range, even where e^{|Im x|} is not
+    f, d = spherical_radial_seq(kind, 10, x, scaled=True)
+    for l in (0, 1, 5, 10):
+        g, dg = scaled_radial_mp(kind.value, l, x)
+        assert abs(f[l] - g) <= 1e-13 * abs(g)
+        assert abs(d[l] - dg) <= 1e-13 * abs(dg)
+
+
+def test_scaled_sequence_rejects_bessel_y():
+    with pytest.raises(ValueError, match="no scaled form"):
+        spherical_radial_seq(RadialKind.BESSEL_Y, 3, 1.0, scaled=True)
 
 
 def test_sequence_entries_agree_for_every_kind():
