@@ -8,7 +8,6 @@ prints the tensor layout, and checks the pointwise invariant identities
 import numpy as np
 
 from tensorwave import (
-    AngularPoint,
     ModeIndex,
     adjoint,
     det,
@@ -20,15 +19,15 @@ from tensorwave import (
 
 np.set_printoptions(precision=5, suppress=True, linewidth=100)
 
-point = AngularPoint(theta=1.1, phi=0.7)
+theta, phi = 1.1, 0.7
 
 for l, m in [(0, 0), (1, 0), (2, 1), (3, -2)]:
     mode = ModeIndex(l, m)
-    y = ylm(mode, point.theta, point.phi)
-    x = xlm(mode, point)
-    f = flm(mode, point)
+    y = ylm(mode, theta, phi)
+    x = xlm(mode, theta, phi)
+    f = flm(mode, theta, phi)
 
-    print(f"mode (l={l}, m={m}) at theta={point.theta}, phi={point.phi}")
+    print(f"mode (l={l}, m={m}) at theta={theta}, phi={phi}")
     print(f"  Y = {y:.6f}")
     print(f"  X = {x}")
     print("  F =")

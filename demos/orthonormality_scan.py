@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from tensorwave import ModeIndex, QuadratureRule
-from tensorwave.harmonics import flm_grid
+from tensorwave import ModeIndex, QuadratureRule, flm
 
 lmax = 4
 modes = [ModeIndex(l, m) for l in range(1, lmax + 1) for m in range(-l, l + 1)]
@@ -21,7 +20,7 @@ print(f"{len(modes)} modes, grid {len(rule.cos_nodes)} x {rule.n_phi}")
 
 tt, pp = rule.thetas[:, None], rule.phis[None, :]
 shape = (len(rule.cos_nodes), rule.n_phi, 3, 3)
-stack = np.stack([np.broadcast_to(flm_grid(mode, tt, pp), shape) for mode in modes])
+stack = np.stack([np.broadcast_to(flm(mode, tt, pp), shape) for mode in modes])
 w = np.broadcast_to(
     rule.weights[:, None] * (2.0 * math.pi / rule.n_phi), shape[:2]
 )

@@ -12,7 +12,6 @@ from tensorwave import (
     Medium,
     RadialKind,
     RadialProfile,
-    TangentialState,
     fundamental_matrix,
     propagate,
     radial_flux,
@@ -32,8 +31,8 @@ phi0 = fundamental_matrix(
     l, RadialKind.HANKEL1, RadialKind.BESSEL_J, k, r0, profile.media[0]
 )
 c = np.array([1.0, 0.25j, -0.5, 0.8j])
-w = TangentialState.from_vector4(phi0 @ c / r0)
-print(f"start at r = {r0}: w = {np.round(w.as_vector4(), 5)}")
+w = phi0 @ c / r0  # (H_theta, H_phi, E_theta, E_phi)
+print(f"start at r = {r0}: w = {np.round(w, 5)}")
 
 flux0 = radial_flux(r0, w)
 print(f"radial flux at start: {flux0:.6f}")
@@ -45,5 +44,5 @@ for r1 in (1.5, 2.0, 2.8, 3.5, 5.0):
 print("\nround trip there and back:")
 w_out = propagate(l, k, profile, r0, 5.0, w)
 w_back = propagate(l, k, profile, 5.0, r0, w_out)
-err = np.max(np.abs(w_back.as_vector4() - w.as_vector4()))
+err = np.max(np.abs(w_back - w))
 print(f"  |w_back - w| = {err:.2e}")

@@ -9,23 +9,19 @@ partial waves.
 """
 
 from .harmonics import (
-    AngularPoint,
     QuadratureRule,
     flm,
     flm_explicit,
-    flm_grid,
     l_dot_er_cross_xlm_residual,
     l_dot_xlm_residual,
     l_squared_check,
     lz_check,
     ortho_matrix,
     xlm,
-    xlm_grid,
 )
 from .maxwell_radial import (
     Medium,
     RadialProfile,
-    TangentialState,
     fundamental_matrix,
     longitudinal_components,
     propagate,
@@ -68,21 +64,17 @@ from .tensor3 import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngularPoint",
     "QuadratureRule",
     "flm",
     "flm_explicit",
-    "flm_grid",
     "l_dot_er_cross_xlm_residual",
     "l_dot_xlm_residual",
     "l_squared_check",
     "lz_check",
     "ortho_matrix",
     "xlm",
-    "xlm_grid",
     "Medium",
     "RadialProfile",
-    "TangentialState",
     "fundamental_matrix",
     "longitudinal_components",
     "propagate",

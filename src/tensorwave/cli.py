@@ -24,18 +24,16 @@ import sys
 import numpy as np
 
 from . import fileio
-from .harmonics import QuadratureRule, flm_grid, xlm_grid
+from .harmonics import QuadratureRule, flm, xlm
 from .maxwell_radial import (
     Medium,
     RadialProfile,
-    TangentialState,
     longitudinal_components,
     propagate,
 )
-from .parsing import _fmt, _pair, complex_pair, integer, real, require_keys
+from .parsing import _fmt, _pair, complex_pairs, integer, real, require_keys
 from .specfun import ModeIndex, RadialKind, ylm
 from .synthesis import (
-    PartialWave,
     match_sphere,
     project_sampled,
     recover_coefficients,
@@ -103,11 +101,11 @@ def cmd_eval(args) -> int:
             np.asarray(ylm(mode, tt, pp), dtype=complex), (nt, nphi)
         ).reshape(nt, nphi, 1)
     elif args.harmonic == "xlm":
-        vals = np.broadcast_to(xlm_grid(mode, tt, pp), (nt, nphi, 3))
+        vals = np.broadcast_to(xlm(mode, tt, pp), (nt, nphi, 3))
     else:
-        vals = np.broadcast_to(
-            flm_grid(mode, tt, pp), (nt, nphi, 3, 3)
-        ).reshape(nt, nphi, 9)
+        vals = np.broadcast_to(flm(mode, tt, pp), (nt, nphi, 3, 3)).reshape(
+            nt, nphi, 9
+        )
 
     if args.format == "csv":
         header = ["theta", "phi"]
@@ -228,26 +226,11 @@ def _solve_scatter(cfg: dict, fmt: str):
     else:
         x = k * radius
         lmax = max(4, math.ceil(x + 4.0 * x ** (1.0 / 3.0) + 2.0))
-    if lmax < 1:
-        raise ValueError("lmax must be >= 1")
-    inc_c1 = [
-        complex_pair(v, "incident_c1")
-        for v in cfg.get("incident_c1", [[1.0, 0.0], [1.0, 0.0]])
-    ]
-    if len(inc_c1) != 2:
-        raise ValueError("incident_c1 must be a pair of [re, im] pairs")
-
-    def one_mode(l):
-        incident = PartialWave(
-            ModeIndex(l, 0),
-            inc_c1,
-            [0.0, 0.0],
-            (RadialKind.BESSEL_J, RadialKind.BESSEL_Y),
-        )
-        scattered, interior = match_sphere(l, k, sphere, host, radius, incident)
-        return l, scattered.c1, interior.c1
-
-    rows = [one_mode(l) for l in range(1, lmax + 1)]
+    inc_c1 = complex_pairs(
+        cfg.get("incident_c1", [[1.0, 0.0], [1.0, 0.0]]), 2, "incident_c1"
+    )
+    scattered, interior = match_sphere(lmax, k, sphere, host, radius, inc_c1)
+    rows = list(zip(range(1, lmax + 1), scattered, interior))
 
     if fmt == "csv":
         header = ["l"]
@@ -328,6 +311,9 @@ def _solve_project(cfg: dict, fmt: str):
         raw = cfg["modes"]
         if not isinstance(raw, list) or not raw:
             raise ValueError("'modes' must be a non-empty list of [l, m] pairs")
+        for lm in raw:
+            if not (isinstance(lm, list) and len(lm) == 2):
+                raise ValueError(f"modes entry must be an [l, m] pair, got {lm!r}")
         modes = [
             ModeIndex(integer(lm[0], "modes l"), integer(lm[1], "modes m"))
             for lm in raw
@@ -427,13 +413,9 @@ def _solve_propagate(cfg: dict, fmt: str):
     profile = RadialProfile.from_dict(cfg["profile"])
     r_from = real(cfg["r_from"], "r_from")
     r_to = real(cfg["r_to"], "r_to")
-    w_raw = cfg["w"]
-    if not (isinstance(w_raw, list) and len(w_raw) == 4):
-        raise ValueError(
-            "'w' must be four [re, im] pairs (H_theta, H_phi, E_theta, E_phi)"
-        )
-    w0 = TangentialState.from_vector4([complex_pair(v, "w") for v in w_raw])
-    w1 = propagate(l, k, profile, r_from, r_to, w0).as_vector4()
+    # (H_theta, H_phi, E_theta, E_phi)
+    w0 = complex_pairs(cfg["w"], 4, "w")
+    w1 = propagate(l, k, profile, r_from, r_to, w0)
     e_r, h_r = longitudinal_components(l, k, r_to, profile.medium_at(r_to), w1)
 
     if fmt == "csv":
@@ -471,7 +453,7 @@ def cmd_solve(args) -> int:
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
     task = cfg.get("task")
-    if task not in _TASKS:
+    if not isinstance(task, str) or task not in _TASKS:
         raise ValueError(f"config 'task' must be one of {sorted(_TASKS)}")
     text = _TASKS[task](cfg, args.format)
     _write_text(text, args.out)

@@ -14,7 +14,15 @@ import math
 from contextlib import contextmanager
 
 from .maxwell_radial import RadialProfile
-from .parsing import _fmt, _pair, complex_pair, integer, real
+from .parsing import (
+    _fmt,
+    _pair,
+    complex_pair,
+    complex_pairs,
+    integer,
+    real,
+    require_keys,
+)
 from .specfun import ModeIndex, RadialKind
 from .synthesis import FieldSample, PartialWave
 
@@ -147,17 +155,12 @@ def _wave_dict(w: PartialWave) -> dict:
 
 
 def _wave_from_dict(rec: dict) -> PartialWave:
-    extra = set(rec) - {"l", "m", "c1", "c2", "kinds"}
-    if extra:
-        raise ValueError(f"unknown wave keys {sorted(extra)}")
-    for key in ("l", "m", "c1", "kinds"):
-        if key not in rec:
-            raise ValueError(f"wave entry missing key {key!r}")
+    require_keys(rec, ("l", "m", "c1", "kinds"), ("c2",), what="wave")
     kinds = rec["kinds"]
     if not (isinstance(kinds, (list, tuple)) and len(kinds) == 2):
         raise ValueError("wave 'kinds' must be a pair of kind names")
-    c1 = [complex_pair(v, "c1") for v in rec["c1"]]
-    c2 = [complex_pair(v, "c2") for v in rec.get("c2", [[0.0, 0.0], [0.0, 0.0]])]
+    c1 = complex_pairs(rec["c1"], 2, "c1")
+    c2 = complex_pairs(rec.get("c2", [[0.0, 0.0], [0.0, 0.0]]), 2, "c2")
     return PartialWave(
         ModeIndex(integer(rec["l"], "l"), integer(rec["m"], "m")),
         c1,

@@ -4,14 +4,16 @@ The central object is the tensor harmonic
 
     F_lm = Y_lm e_r(x)e_r + X_lm(x)e_theta + (e_r x X_lm)(x)e_phi
 
-returned by `flm` and `flm_grid` as a 3x3 complex matrix whose row index
-is the field-space factor and whose column index is the frame factor of
-each dyad, so a field is the plain matrix-vector product F_lm @ v.  Those
-two and the check `flm_explicit` below are the only places the dense
-matrix is built.  Everywhere else F_lm is held as its three independent
-components (Y, X_theta, X_phi), each a theta-part times e^{i m phi}:
-`_theta_columns` builds the theta-parts of every l at one m from a single
-Legendre recurrence.
+returned by `flm` as a 3x3 complex matrix whose row index is the
+field-space factor and whose column index is the frame factor of each
+dyad, so a field is the plain matrix-vector product F_lm @ v.  It and the
+check `flm_explicit` below are the only places the dense matrix is built.
+Everywhere else F_lm is held as its three independent components
+(Y, X_theta, X_phi), each a theta-part times e^{i m phi}: `_theta_columns`
+builds the theta-parts of every l at one m from a single Legendre
+recurrence.  Every public function here takes angle arrays (theta, phi)
+that broadcast together and returns values of their broadcast shape,
+followed by (3,) or (3, 3) for vectors and tensors.
 
 X_lm comes from the Cartesian ladder route: the three Cartesian components
 of L Y_lm are exact combinations of Y_{l,m} and Y_{l,m+-1}, rotated into
@@ -39,7 +41,6 @@ from .specfun import (
 )
 
 __all__ = [
-    "AngularPoint",
     "QuadratureRule",
     "xlm",
     "flm",
@@ -49,23 +50,7 @@ __all__ = [
     "lz_check",
     "l_dot_xlm_residual",
     "l_dot_er_cross_xlm_residual",
-    "xlm_grid",
-    "flm_grid",
 ]
-
-
-@dataclass(frozen=True)
-class AngularPoint:
-    """Point on the unit sphere, theta in [0, pi], phi in [0, 2*pi)."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
 
 
 @dataclass(frozen=True)
@@ -169,9 +154,22 @@ def _f_apply(y, x_theta, x_phi, v):
     )
 
 
+def _angles(theta, phi):
+    """theta, phi as float arrays; theta must lie in [0, pi] (NaN fails)
+    and phi must be finite."""
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    _check_theta(theta)
+    bad = ~np.isfinite(phi)
+    if np.any(bad):
+        raise ValueError(f"phi must be finite, got {float(phi[bad].flat[0])}")
+    return theta, phi
+
+
 def _mode_parts(mode: ModeIndex, theta, phi):
     """(Y, X_theta, X_phi) of one mode, broadcast over angle arrays."""
-    phase = np.exp(1j * mode.m * np.asarray(phi, dtype=float))
+    theta, phi = _angles(theta, phi)
+    phase = np.exp(1j * mode.m * phi)
     cols = _theta_columns(mode.m, mode.l, theta)
     return np.broadcast_arrays(*(c[-1] * phase for c in cols))
 
@@ -179,18 +177,12 @@ def _mode_parts(mode: ModeIndex, theta, phi):
 # --- vector harmonic --------------------------------------------------------
 
 
-def xlm(mode: ModeIndex, p: AngularPoint) -> np.ndarray:
+def xlm(mode: ModeIndex, theta, phi) -> np.ndarray:
     """Vector spherical harmonic X_lm = L Y_lm / sqrt(l(l+1)).
 
-    Returns the components over (e_r, e_theta, e_phi); the e_r component
-    is exactly zero.  X_00 is the zero vector.
+    Returns the components over (e_r, e_theta, e_phi) along a last axis
+    of 3; the e_r component is exactly zero.  X_00 is the zero vector.
     """
-    _, vt, vp = _mode_parts(mode, p.theta, p.phi)
-    return np.array([0.0 + 0.0j, complex(vt[()]), complex(vp[()])])
-
-
-def xlm_grid(mode: ModeIndex, theta, phi) -> np.ndarray:
-    """X_lm components stacked along the last axis for angle arrays."""
     _, vt, vp = _mode_parts(mode, theta, phi)
     out = np.zeros(vt.shape + (3,), dtype=complex)
     out[..., 1] = vt
@@ -211,20 +203,15 @@ def _assemble_f(y, vt, vp) -> np.ndarray:
     return f
 
 
-def flm(mode: ModeIndex, p: AngularPoint) -> np.ndarray:
-    """Tensor harmonic F_lm as a 3x3 complex matrix.
+def flm(mode: ModeIndex, theta, phi) -> np.ndarray:
+    """Tensor harmonic F_lm as a 3x3 complex matrix over the last two axes.
 
     Columns over (e_r, e_theta, e_phi) are Y_lm e_r, X_lm and e_r x X_lm.
     """
-    return _assemble_f(*(complex(c[()]) for c in _mode_parts(mode, p.theta, p.phi)))
-
-
-def flm_grid(mode: ModeIndex, theta, phi) -> np.ndarray:
-    """F_lm over angle arrays; shape broadcast(theta, phi) + (3, 3)."""
     return _assemble_f(*_mode_parts(mode, theta, phi))
 
 
-def flm_explicit(mode: ModeIndex, p: AngularPoint) -> np.ndarray:
+def flm_explicit(mode: ModeIndex, theta, phi) -> np.ndarray:
     """Second construction of F_lm from the explicit component formulas.
 
     Uses X_theta = -m Y_lm / (sin(theta) sqrt(l(l+1))) and
@@ -234,12 +221,12 @@ def flm_explicit(mode: ModeIndex, p: AngularPoint) -> np.ndarray:
     Valid away from the poles; serves as a cross-check on `flm`.
     """
     l, m = mode.l, mode.m
-    theta, phi = p.theta, p.phi
+    theta, phi = _angles(theta, phi)
     y = ylm(mode, theta, phi)
     if l == 0:
         return _assemble_f(y, 0.0, 0.0)
-    st = math.sin(theta)
-    if st == 0.0:
+    st = np.sin(theta)
+    if np.any(st == 0.0):
         raise ValueError("explicit form is singular at the poles; use flm")
     cp, up = ladder_plus(mode)
     cm, dn = ladder_minus(mode)
@@ -249,7 +236,7 @@ def flm_explicit(mode: ModeIndex, p: AngularPoint) -> np.ndarray:
     inv = 1.0 / math.sqrt(l * (l + 1))
     vt = -m * y / st * inv
     vp = -1j * dy_dtheta * inv
-    return _assemble_f(y, vt, vp)
+    return _assemble_f(*np.broadcast_arrays(y, vt, vp))
 
 
 # --- orthonormality quadrature ----------------------------------------------
@@ -258,8 +245,8 @@ def flm_explicit(mode: ModeIndex, p: AngularPoint) -> np.ndarray:
 def _gram(mode_a: ModeIndex, mode_b: ModeIndex, rule: QuadratureRule) -> np.ndarray:
     thetas = rule.thetas[:, None]
     phis = rule.phis[None, :]
-    fa = flm_grid(mode_a, thetas, phis)
-    fb = flm_grid(mode_b, thetas, phis)
+    fa = flm(mode_a, thetas, phis)
+    fb = flm(mode_b, thetas, phis)
     w = rule.weights[:, None] * (2.0 * math.pi / rule.n_phi)
     w = np.broadcast_to(w, fa.shape[:2])
     return np.einsum("tp,tpki,tpkj->ij", w, fa.conj(), fb)
@@ -269,7 +256,6 @@ def ortho_matrix(
     mode_a: ModeIndex,
     mode_b: ModeIndex,
     rule: QuadratureRule | None = None,
-    check: bool = True,
 ) -> np.ndarray:
     """Angular Gram tensor of two tensor harmonics.
 
@@ -278,20 +264,18 @@ def ortho_matrix(
     when the modes coincide and zero otherwise; the (0,0) harmonic has only
     its longitudinal dyad, so its self-Gram is dyad(e_r, e_r).
 
-    With `check` enabled the rule is doubled once and a RuntimeError is
-    raised if the two results differ by more than 1e-12 (under-resolved
-    quadrature).
+    The rule is doubled once and a RuntimeError is raised if the two
+    results differ by more than 1e-12 (under-resolved quadrature).
     """
     if rule is None:
         rule = QuadratureRule.for_degree(max(mode_a.l, mode_b.l, 1))
     g = _gram(mode_a, mode_b, rule)
-    if check:
-        g2 = _gram(mode_a, mode_b, rule.refined())
-        if np.max(np.abs(g - g2)) > 1e-12:
-            raise RuntimeError(
-                f"quadrature under-resolved for modes {mode_a}, {mode_b}: "
-                f"refinement moved the result by {np.max(np.abs(g - g2)):.3e}"
-            )
+    g2 = _gram(mode_a, mode_b, rule.refined())
+    if np.max(np.abs(g - g2)) > 1e-12:
+        raise RuntimeError(
+            f"quadrature under-resolved for modes {mode_a}, {mode_b}: "
+            f"refinement moved the result by {np.max(np.abs(g - g2)):.3e}"
+        )
     return g
 
 
@@ -299,7 +283,8 @@ def ortho_matrix(
 #
 # A "combo" is a dict mapping ModeIndex -> coefficient, representing an
 # exact finite combination of scalar harmonics.  The angular momentum
-# components map combos to combos with no numerical differentiation.
+# components map combos to combos with no numerical differentiation.  Each
+# check takes angle arrays and returns the residual at every angle.
 
 
 def _combo_add(acc: dict, mode: ModeIndex, coeff: complex) -> None:
@@ -346,15 +331,16 @@ def _op_y(combo: dict) -> dict:
     return {mode: c / 2j for mode, c in out.items()}
 
 
-def _eval_combo(combo: dict, theta: float, phi: float) -> complex:
+def _eval_combo(combo: dict, theta, phi):
     return sum(
         (coeff * ylm(mode, theta, phi) for mode, coeff in combo.items()),
         start=0.0 + 0.0j,
     )
 
 
-def l_squared_check(mode: ModeIndex, p: AngularPoint) -> float:
+def l_squared_check(mode: ModeIndex, theta, phi):
     """|L^2 Y_lm - l(l+1) Y_lm| with L^2 = Lz^2 + (L+L- + L-L+)/2."""
+    theta, phi = _angles(theta, phi)
     base = {mode: 1.0 + 0.0j}
     total: dict = {}
     for mode2, coeff in _op_z(_op_z(base)).items():
@@ -363,21 +349,22 @@ def l_squared_check(mode: ModeIndex, p: AngularPoint) -> float:
         _combo_add(total, mode2, 0.5 * coeff)
     for mode2, coeff in _op_minus(_op_plus(base)).items():
         _combo_add(total, mode2, 0.5 * coeff)
-    val = _eval_combo(total, p.theta, p.phi)
-    target = mode.l * (mode.l + 1) * ylm(mode, p.theta, p.phi)
-    return abs(val - target)
+    val = _eval_combo(total, theta, phi)
+    target = mode.l * (mode.l + 1) * ylm(mode, theta, phi)
+    return np.abs(val - target)
 
 
-def lz_check(mode: ModeIndex, p: AngularPoint) -> float:
+def lz_check(mode: ModeIndex, theta, phi):
     """|Lz Y_lm - m Y_lm| with Lz realized as the commutator [L+, L-]/2."""
+    theta, phi = _angles(theta, phi)
     base = {mode: 1.0 + 0.0j}
     total: dict = {}
     for mode2, coeff in _op_plus(_op_minus(base)).items():
         _combo_add(total, mode2, 0.5 * coeff)
     for mode2, coeff in _op_minus(_op_plus(base)).items():
         _combo_add(total, mode2, -0.5 * coeff)
-    val = _eval_combo(total, p.theta, p.phi)
-    return abs(val - mode.m * ylm(mode, p.theta, p.phi))
+    val = _eval_combo(total, theta, phi)
+    return np.abs(val - mode.m * ylm(mode, theta, phi))
 
 
 def _cartesian_x_combos(mode: ModeIndex):
@@ -402,19 +389,18 @@ _EPS3 = {
 _OPS = (_op_x, _op_y, _op_z)
 
 
-def l_dot_xlm_residual(mode: ModeIndex, p: AngularPoint) -> float:
+def l_dot_xlm_residual(mode: ModeIndex, theta, phi):
     """|L . X_lm - sqrt(l(l+1)) Y_lm| via exact ladder composition."""
+    theta, phi = _angles(theta, phi)
     if mode.l == 0:
-        return 0.0
+        return np.zeros(np.broadcast(theta, phi).shape)
     xc = _cartesian_x_combos(mode)
-    val = sum(
-        _eval_combo(_OPS[i](xc[i]), p.theta, p.phi) for i in range(3)
-    )
-    target = math.sqrt(mode.l * (mode.l + 1)) * ylm(mode, p.theta, p.phi)
-    return abs(val - target)
+    val = sum(_eval_combo(_OPS[i](xc[i]), theta, phi) for i in range(3))
+    target = math.sqrt(mode.l * (mode.l + 1)) * ylm(mode, theta, phi)
+    return np.abs(val - target)
 
 
-def l_dot_er_cross_xlm_residual(mode: ModeIndex, p: AngularPoint) -> float:
+def l_dot_er_cross_xlm_residual(mode: ModeIndex, theta, phi):
     """|L . (e_r x X_lm)| assembled by the exact operator product rule.
 
     With V_i = eps_{ijk} rhat_j X_k, each L_i V_i splits into the commutator
@@ -422,13 +408,13 @@ def l_dot_er_cross_xlm_residual(mode: ModeIndex, p: AngularPoint) -> float:
     rhat_j (L_i X_k); both pieces are exact ladder evaluations at the point,
     so the returned residual is pure rounding when the identity holds.
     """
+    theta, phi = _angles(theta, phi)
     if mode.l == 0:
-        return 0.0
-    theta, phi = p.theta, p.phi
+        return np.zeros(np.broadcast(theta, phi).shape)
     rhat = (
-        math.sin(theta) * math.cos(phi),
-        math.sin(theta) * math.sin(phi),
-        math.cos(theta),
+        np.sin(theta) * np.cos(phi),
+        np.sin(theta) * np.sin(phi),
+        np.cos(theta),
     )
     xc = _cartesian_x_combos(mode)
     x_vals = [_eval_combo(xc[k], theta, phi) for k in range(3)]
@@ -441,4 +427,4 @@ def l_dot_er_cross_xlm_residual(mode: ModeIndex, p: AngularPoint) -> float:
         for m2 in range(3):
             comm += _EPS3.get((i, j, m2), 0.0) * rhat[m2]
         total += sign * (1j * comm * x_vals[k] + rhat[j] * lx_vals[i][k])
-    return abs(total)
+    return np.abs(total)

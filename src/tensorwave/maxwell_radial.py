@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .parsing import _pair, complex_pair, real, require_keys
-from .specfun import RadialKind, spherical_radial, spherical_radial_seq
+from .specfun import RadialKind, spherical_radial_seq
 
 # the smallest normal double: below it j_l has lost precision to gradual underflow
 _TINY = np.finfo(float).tiny
@@ -37,7 +37,6 @@ _TINY = np.finfo(float).tiny
 __all__ = [
     "Medium",
     "RadialProfile",
-    "TangentialState",
     "system_matrix",
     "fundamental_matrix",
     "transfer_closed_form",
@@ -158,41 +157,6 @@ class RadialProfile:
         return self.media[bisect.bisect_right(self.boundaries, r)]
 
 
-@dataclass(frozen=True, eq=False)
-class TangentialState:
-    """Tangential field pair (H_t, E_t) at one radius; e_r parts are zero."""
-
-    h: np.ndarray
-    e: np.ndarray
-
-    def __post_init__(self):
-        for name in ("h", "e"):
-            v = np.array(getattr(self, name), dtype=complex)
-            if v.shape != (3,):
-                raise ValueError(f"{name} must have shape (3,)")
-            if v[0] != 0:
-                raise ValueError(f"{name} must have zero e_r component")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-
-    @classmethod
-    def from_components(cls, h_theta, h_phi, e_theta, e_phi) -> "TangentialState":
-        return cls(
-            np.array([0.0, h_theta, h_phi], dtype=complex),
-            np.array([0.0, e_theta, e_phi], dtype=complex),
-        )
-
-    @classmethod
-    def from_vector4(cls, w) -> "TangentialState":
-        w = np.asarray(w, dtype=complex)
-        if w.shape != (4,):
-            raise ValueError("expected a 4-vector (H_theta, H_phi, E_theta, E_phi)")
-        return cls.from_components(w[0], w[1], w[2], w[3])
-
-    def as_vector4(self) -> np.ndarray:
-        return np.array([self.h[1], self.h[2], self.e[1], self.e[2]])
-
-
 def _tangential_a(l: int, k: float, r: float, med: Medium) -> np.ndarray:
     q = l * (l + 1) / (med.eps * med.mu * k * k * r * r)
     return np.array([[0.0, -1.0], [1.0 - q, 0.0]], dtype=complex)
@@ -240,7 +204,7 @@ def _basis(f1, d1, f2, d2, k: float, r, med: Medium) -> np.ndarray:
 
 
 def fundamental_matrix(
-    l: int,
+    l,
     kind1: RadialKind,
     kind2: RadialKind,
     k,
@@ -251,17 +215,21 @@ def fundamental_matrix(
 
     Columns correspond to the coefficient unit vectors
     (c1_theta, c1_phi, c2_theta, c2_phi); rows to (rH_theta, rH_phi,
-    rE_theta, rE_phi).  See `_basis` for the entries.
+    rE_theta, rE_phi).  See `_basis` for the entries.  `l` may be an
+    array of degrees; the result then has its shape followed by (4, 4),
+    from one `spherical_radial_seq` per kind up to the largest l.
     """
-    if l < 1:
+    ls = np.asarray(l)
+    if np.any(ls < 1):
         raise ValueError("transverse solutions need l >= 1")
-    if r <= 0:
+    if not r > 0:
         raise ValueError("r must be positive")
     k = _as_k(k)
     x = med.n * k * r
-    f1, d1 = spherical_radial(kind1, l, x)
-    f2, d2 = (f1, d1) if kind2 is kind1 else spherical_radial(kind2, l, x)
-    return _basis(f1, d1, f2, d2, k, r, med)
+    lmax = int(ls.max())
+    f1, d1 = spherical_radial_seq(kind1, lmax, x)
+    f2, d2 = (f1, d1) if kind2 is kind1 else spherical_radial_seq(kind2, lmax, x)
+    return _basis(f1[ls], d1[ls], f2[ls], d2[ls], k, r, med)
 
 
 def _scaled_basis(l: int, k: float, r: float, med: Medium) -> np.ndarray:
@@ -332,9 +300,10 @@ def propagate(
     profile,
     r_from: float,
     r_to: float,
-    w_init: TangentialState,
-) -> TangentialState:
-    """Carry the tangential state from r_from to r_to.
+    w,
+) -> np.ndarray:
+    """Carry the tangential state w = (H_theta, H_phi, E_theta, E_phi)
+    from r_from to r_to; returns the state at r_to as a (4,) array.
 
     `profile` may be a RadialProfile or a bare Medium.  The profile is
     piecewise constant, so the exact transfer is the product of one
@@ -353,21 +322,24 @@ def propagate(
     k = _as_k(k)
     if not (0 < r_from < math.inf and 0 < r_to < math.inf):
         raise ValueError(f"radii must be positive and finite, got {r_from}, {r_to}")
+    w = np.array(w, dtype=complex)
+    if w.shape != (4,):
+        raise ValueError("w must be a 4-vector (H_theta, H_phi, E_theta, E_phi)")
     if r_from == r_to:
-        return w_init
+        return w
 
     lo, hi = min(r_from, r_to), max(r_from, r_to)
     cuts = [b for b in profile.boundaries if lo < b < hi]
     stops = [r_from] + (cuts if r_to > r_from else cuts[::-1]) + [r_to]
 
-    u = w_init.as_vector4() * r_from
+    u = w * r_from
     with np.errstate(over="ignore", invalid="ignore"):
         for a, b in zip(stops, stops[1:]):
             med = profile.medium_at(0.5 * (a + b))
             u = transfer_closed_form(l, k, a, b, med) @ u
     if not np.all(np.isfinite(u)):
         raise OverflowError(f"the state at r={r_to} leaves the double range")
-    return TangentialState.from_vector4(u / r_to)
+    return u / r_to
 
 
 def wtheta_ode_residual(l: int, k, med: Medium, r, f) -> float:
@@ -399,10 +371,14 @@ def wtheta_ode_residual(l: int, k, med: Medium, r, f) -> float:
     return float(np.max(np.abs(d2 + pot)) / scale)
 
 
-def radial_flux(r: float, w: TangentialState) -> float:
+def radial_flux(r, w):
     """Radial power flux r^2 Re(E_theta H_phi* - E_phi H_theta*).
 
-    For real eps, mu this is independent of r along any solution of the
-    tangential system (energy conservation), a useful integration check.
+    `w` holds (H_theta, H_phi, E_theta, E_phi) along its last axis, its
+    leading shape broadcasting against r.  For real eps, mu the flux is
+    independent of r along any solution of the tangential system (energy
+    conservation), a useful integration check.
     """
-    return float(r * r * (w.e[1] * np.conj(w.h[2]) - w.e[2] * np.conj(w.h[1])).real)
+    w = np.asarray(w, dtype=complex)
+    flux = w[..., 2] * np.conj(w[..., 1]) - w[..., 3] * np.conj(w[..., 0])
+    return (np.square(r) * flux).real

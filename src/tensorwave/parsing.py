@@ -57,3 +57,10 @@ def complex_pair(v, key: str) -> complex:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise ValueError(f"{key} must be a [re, im] pair, got {v!r}")
     return complex(real(v[0], key), real(v[1], key))
+
+
+def complex_pairs(v, n: int, key: str) -> list:
+    """n complex values from a list of n [re, im] pairs."""
+    if not (isinstance(v, (list, tuple)) and len(v) == n):
+        raise ValueError(f"{key} must be a list of {n} [re, im] pairs, got {v!r}")
+    return [complex_pair(p, key) for p in v]

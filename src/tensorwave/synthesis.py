@@ -149,8 +149,12 @@ def synthesize(waves, k, med: Medium, points) -> list:
     each region).  Returns FieldSample objects in input order.
     """
     k = _as_k(k)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != 3:
+    try:
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        ok = pts.ndim == 2 and pts.shape[1] == 3
+    except TypeError:  # an entry that is no number, such as a dict
+        ok = False
+    if not ok:
         raise ValueError("points must be an (N, 3) array of (r, theta, phi)")
     bad = np.argwhere(~np.isfinite(pts))
     if len(bad):
@@ -243,19 +247,13 @@ def recover_coefficients(
     Returns (c1, c2), arrays of shape (len(modes), 2) in the order of
     `modes`.
     """
-    k = _as_k(k)
-    if not r > 0:
-        raise ValueError("r must be positive")
     ls = np.array([mode.l for mode in modes])
-    if np.any(ls < 1):
-        raise ValueError("transverse solutions need l >= 1")
     hl = np.asarray(hl, dtype=complex)
     el = np.asarray(el, dtype=complex)
     u = r * np.column_stack([hl[:, 1], hl[:, 2], el[:, 1], el[:, 2]])
-    tables = _radial_tables(((kind, int(ls.max())) for kind in kinds), k, [r], med)
-    (f1, d1), (f2, d2) = (tables[kind][0][:, ls] for kind in kinds)
+    phi = fundamental_matrix(ls, kinds[0], kinds[1], k, r, med)
     try:
-        c = np.linalg.solve(_basis(f1, d1, f2, d2, k, r, med), u[..., None])[..., 0]
+        c = np.linalg.solve(phi, u[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"radial basis {kinds} is degenerate at r={r}; cannot recover "
@@ -291,64 +289,49 @@ def multipole_amplitudes(waves) -> MultipoleAmplitudes:
 
 
 def match_sphere(
-    l: int,
+    lmax: int,
     k,
     sphere: Medium,
     host: Medium,
     radius: float,
-    incident: PartialWave,
+    incident_c1,
 ):
-    """Match a regular incident wave on a homogeneous sphere of the given radius.
+    """Match regular incident waves on a homogeneous sphere, every l at once.
 
-    Continuity of the tangential state u = r W at r = radius fixes the
-    outgoing scattered coefficients s in the host and the regular interior
-    ones d:
+    For each l = 1 .. lmax, continuity of the tangential state u = r W at
+    r = radius fixes the outgoing scattered coefficients s in the host and
+    the regular interior ones d:
 
         Phi_i[J] d - Phi_h[H1] s = Phi_h[J] c
 
-    where Phi_i[J] are the two regular columns of the interior solution
-    basis and Phi_h[J], Phi_h[H1] the regular and outgoing columns of the
-    host basis, all at r = radius.  Returns (scattered, interior)
-    PartialWave objects; scattered carries Hankel-1, interior the regular
-    Bessel kind, both with c2 = 0.
+    where c is `incident_c1`, the (e_theta, e_phi) coefficients of the
+    regular incident wave (the same for every l), Phi_i[J] are the two
+    regular columns of the interior solution basis and Phi_h[J], Phi_h[H1]
+    the regular and outgoing columns of the host basis, all at r = radius.
+    The lmax 4x4 systems are one batched solve.
+    Returns (scattered, interior), arrays of shape (lmax, 2) whose row
+    l - 1 holds the Hankel-1 coefficients of the scattered wave and the
+    Bessel-j coefficients of the interior wave of degree l.
     """
-    if l < 1:
-        raise ValueError("sphere matching needs l >= 1")
+    if lmax < 1:
+        raise ValueError(f"lmax must be >= 1 (matching needs l >= 1), got {lmax}")
     if radius <= 0:
         raise ValueError("sphere radius must be positive")
-    k = _as_k(k)
-    if incident.mode.l != l:
-        raise ValueError(
-            f"incident wave has l={incident.mode.l}, expected l={l}"
-        )
-    if incident.kinds[0] is not RadialKind.BESSEL_J or np.any(incident.c2 != 0):
-        raise ValueError(
-            "incident wave must be regular: kind1 = bessel_j and c2 = 0"
-        )
+    c = np.asarray(incident_c1, dtype=complex)
+    if c.shape != (2,):
+        raise ValueError("incident_c1 must be a 2-vector on (e_theta, e_phi)")
 
     J, H1 = RadialKind.BESSEL_J, RadialKind.HANKEL1
+    ls = np.arange(1, lmax + 1)
     # the interior basis is (J, J): y_l of the interior argument is never
     # evaluated, so it cannot overflow where only j_l is needed
-    phi_i = fundamental_matrix(l, J, J, k, radius, sphere)
-    phi_h = fundamental_matrix(l, J, H1, k, radius, host)
-    a = np.hstack([phi_i[:, :2], -phi_h[:, 2:]])
+    phi_i = fundamental_matrix(ls, J, J, k, radius, sphere)
+    phi_h = fundamental_matrix(ls, J, H1, k, radius, host)
+    a = np.concatenate([phi_i[..., :2], -phi_h[..., 2:]], axis=-1)
     try:
-        sol = np.linalg.solve(a, phi_h[:, :2] @ incident.c1)
+        sol = np.linalg.solve(a, (phi_h[..., :2] @ c)[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
-            f"singular matching matrix at l={l}, k={k}, radius={radius}"
+            f"singular matching matrix at k={k}, radius={radius}"
         ) from exc
-
-    scattered = PartialWave(
-        incident.mode,
-        sol[2:],
-        np.zeros(2, dtype=complex),
-        (RadialKind.HANKEL1, RadialKind.HANKEL2),
-    )
-    interior = PartialWave(
-        incident.mode,
-        sol[:2],
-        np.zeros(2, dtype=complex),
-        (RadialKind.BESSEL_J, RadialKind.BESSEL_Y),
-    )
-    return scattered, interior
+    return sol[:, 2:], sol[:, :2]

@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import os
@@ -7,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 Y00 = 0.28209479177387814
 
@@ -312,6 +317,13 @@ PROPAGATE = {"task": "propagate", "l": 1, "k": 1.0, "profile": {"outer": HOST},
         (dict(PROPAGATE, r_from=math.nan), "r_from"),
         (dict(PROPAGATE, profile={"shells": [dict(SPHERE, r_out=math.inf)],
                                   "outer": HOST}), "shell r_out"),
+        (dict(SCATTER, incident_c1=5), "incident_c1"),
+        (dict(SYNTH, waves=[5]), "wave"),
+        (dict(SYNTH, waves=[dict(WAVE, c1=5)]), "c1"),
+        (dict(SYNTH, waves=[dict(WAVE, c2=5)]), "c2"),
+        (dict(PROJECT, modes=[5]), "modes entry"),
+        (dict(PROJECT, modes=[[1]]), "modes entry"),
+        (dict(SYNTH, points=[[2.0, 1.0, {}]]), "points"),
     ],
 )
 def test_solve_rejects_non_finite_and_non_integral_values(tmp_path, capsys, cfg, key):
@@ -321,6 +333,30 @@ def test_solve_rejects_non_finite_and_non_integral_values(tmp_path, capsys, cfg,
     assert main(["solve", "--config", write_config(tmp_path, "c.json", cfg)]) == 2
     err = capsys.readouterr().err
     assert f"error: {key} must be" in err
+
+
+def test_solve_scatter_builds_one_radial_sequence_per_kind_and_argument(
+    tmp_path, capsys, monkeypatch
+):
+    from tensorwave import maxwell_radial, specfun, synthesis
+    from tensorwave.cli import main
+
+    calls = []
+    seq = specfun.spherical_radial_seq
+
+    def counted(kind, lmax, x, *args, **kwargs):
+        calls.append((kind.value, complex(x)))
+        return seq(kind, lmax, x, *args, **kwargs)
+
+    for module in (specfun, maxwell_radial, synthesis):
+        monkeypatch.setattr(module, "spherical_radial_seq", counted)
+    cfg = write_config(tmp_path, "s.json", dict(SCATTER, lmax=40))
+    assert main(["solve", "--config", cfg]) == 0
+    assert len(json.loads(capsys.readouterr().out)["modes"]) == 40
+    # j_l inside the sphere, j_l and h1_l in the host, each once for every l
+    assert sorted(calls, key=str) == [
+        ("bessel_j", 1.0 + 0j), ("bessel_j", 1.5 + 0j), ("hankel1", 1.0 + 0j)
+    ]
 
 
 def test_solve_project_places_samples_by_angle(tmp_path, capsys):
@@ -421,3 +457,93 @@ def test_bad_thread_count_is_a_usage_error():
                   "--grid", "2x2", env_extra={"TW_THREADS": "0"})
     assert res.returncode == 2
     assert "TW_THREADS" in res.stderr
+
+
+# one value of a valid config, at any depth, is replaced by one of these
+FUZZ_VALUES = [None, "x", [], [1.0, 0.0], {}, {"eps": [1, 0]}, -1, 0, 2.7, 3]
+
+
+@pytest.fixture(scope="module")
+def fuzz_configs(tmp_path_factory):
+    """Valid configs of every task, kept small so that no replacement
+    allocates a large grid; the project config reads a real field file."""
+    from tensorwave.cli import main
+
+    d = tmp_path_factory.mktemp("fuzz")
+    grid = {key: v for key, v in SYNTH.items() if key != "points"}
+    grid["grid"] = {"r": 2.0, "quadrature_lmax": 2}
+    field = str(d / "field.csv")
+    assert main(["solve", "--config", write_config(d, "g.json", grid),
+                 "--format", "csv", "--out", field]) == 0
+    wave2 = dict(WAVE, l=2, m=-1, c2=[[0.0, 0.5], [1.0, 0.0]],
+                 kinds=["bessel_j", "hankel1"])
+    configs = {
+        "scatter": dict(SCATTER, lmax=3, incident_c1=[[1.0, 0.0], [0.0, 1.0]]),
+        "synthesize points": dict(SYNTH, waves=[WAVE, wave2]),
+        "synthesize grid": grid,
+        "project": dict(PROJECT, field=field, modes=[[1, 0], [2, -1]],
+                        kinds=["bessel_j", "hankel1"], r=2.0),
+        "propagate": dict(PROPAGATE, profile={"shells": [dict(SPHERE, r_out=1.5)],
+                                              "outer": HOST}),
+    }
+    return d, configs
+
+
+def _paths(doc, prefix=()):
+    """Every position in a JSON document, the root included."""
+    yield prefix
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        items = ()
+    for key, v in items:
+        yield from _paths(v, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _all_finite(text, fmt):
+    if fmt == "csv":
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        return all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+    def finite(v):
+        if isinstance(v, dict):
+            return all(map(finite, v.values()))
+        if isinstance(v, list):
+            return all(map(finite, v))
+        return not isinstance(v, float) or math.isfinite(v)
+
+    return finite(json.loads(text))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_solve_survives_one_bad_value_anywhere(fuzz_configs, data):
+    from tensorwave.cli import main
+
+    d, configs = fuzz_configs
+    cfg = configs[data.draw(st.sampled_from(sorted(configs)))]
+    path = data.draw(st.sampled_from(list(_paths(cfg))))
+    value = data.draw(st.sampled_from(FUZZ_VALUES))
+    fmt = data.draw(st.sampled_from(["json", "csv"]))
+    path_cfg = write_config(d, "fuzz.json", _replaced(cfg, path, value))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["solve", "--config", path_cfg, "--format", fmt])
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert _all_finite(out.getvalue(), fmt)
+    else:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""

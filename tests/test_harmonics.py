@@ -7,18 +7,15 @@ from hypothesis import strategies as st
 
 from oracles import ylm_ref
 from tensorwave.harmonics import (
-    AngularPoint,
     QuadratureRule,
     flm,
     flm_explicit,
-    flm_grid,
     l_dot_er_cross_xlm_residual,
     l_dot_xlm_residual,
     l_squared_check,
     lz_check,
     ortho_matrix,
     xlm,
-    xlm_grid,
 )
 from tensorwave.specfun import ModeIndex, ladder_minus, ladder_plus, ylm
 from tensorwave.tensor3 import E_R, IDENTITY, adjoint, det, dual, dyad, trace
@@ -26,25 +23,35 @@ from tensorwave.tensor3 import E_R, IDENTITY, adjoint, det, dual, dyad, trace
 modes = st.integers(min_value=0, max_value=8).flatmap(
     lambda l: st.integers(min_value=-l, max_value=l).map(lambda m: ModeIndex(l, m))
 )
-interior_points = st.builds(
-    AngularPoint,
+# (theta, phi) pairs
+interior_points = st.tuples(
     st.floats(min_value=0.05, max_value=math.pi - 0.05),
     st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True),
 )
 
-SAMPLES = [
-    AngularPoint(0.4, 0.9),
-    AngularPoint(1.0, 0.3),
-    AngularPoint(1.9, 2.5),
-    AngularPoint(2.8, 5.7),
+SAMPLES = [(0.4, 0.9), (1.0, 0.3), (1.9, 2.5), (2.8, 5.7)]
+
+ANGLE_FUNCTIONS = [
+    xlm,
+    flm,
+    flm_explicit,
+    l_squared_check,
+    lz_check,
+    l_dot_xlm_residual,
+    l_dot_er_cross_xlm_residual,
 ]
 
 
-def test_angular_point_validation():
-    with pytest.raises(ValueError):
-        AngularPoint(-0.1, 0.0)
-    with pytest.raises(ValueError):
-        AngularPoint(0.5, 2 * math.pi)
+def test_angles_are_validated():
+    # theta in [0, pi] (NaN fails) and a finite phi, for every angle function
+    mode = ModeIndex(2, 1)
+    for fn in ANGLE_FUNCTIONS:
+        for theta in (-0.1, math.pi + 0.1, math.nan):
+            with pytest.raises(ValueError, match="theta"):
+                fn(mode, np.array([1.0, theta]), 0.3)
+        for phi in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="phi"):
+                fn(mode, 1.0, np.array([0.3, phi]))
 
 
 def test_quadrature_rule_invariants():
@@ -61,13 +68,13 @@ def test_quadrature_rule_invariants():
 
 def test_xlm_l0_is_zero():
     for p in SAMPLES:
-        assert np.array_equal(xlm(ModeIndex(0, 0), p), np.zeros(3))
+        assert np.array_equal(xlm(ModeIndex(0, 0), *p), np.zeros(3))
 
 
 @settings(max_examples=100)
 @given(modes, interior_points)
 def test_xlm_has_no_radial_part(mode, p):
-    assert xlm(mode, p)[0] == 0.0
+    assert xlm(mode, *p)[0] == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -75,15 +82,16 @@ def test_xlm_has_no_radial_part(mode, p):
 def test_radial_projection_of_angular_momentum_vanishes(mode, p):
     # independent ladder reconstruction of L Y_lm; its e_r component
     # sin(t)cos(f) Lx + sin(t)sin(f) Ly + cos(t) Lz must vanish
+    theta, phi = p
     cp, up = ladder_plus(mode)
     cm, dn = ladder_minus(mode)
-    yp = cp * ylm(up, p.theta, p.phi) if up else 0.0
-    ym = cm * ylm(dn, p.theta, p.phi) if dn else 0.0
+    yp = cp * ylm(up, theta, phi) if up else 0.0
+    ym = cm * ylm(dn, theta, phi) if dn else 0.0
     lx = (yp + ym) / 2.0
     ly = (yp - ym) / 2j
-    lz = mode.m * ylm(mode, p.theta, p.phi)
-    st_, ct = math.sin(p.theta), math.cos(p.theta)
-    sf, cf = math.sin(p.phi), math.cos(p.phi)
+    lz = mode.m * ylm(mode, theta, phi)
+    st_, ct = math.sin(theta), math.cos(theta)
+    sf, cf = math.sin(phi), math.cos(phi)
     radial = st_ * cf * lx + st_ * sf * ly + ct * lz
     assert abs(radial) < 1e-12 * max(1.0, abs(lz))
 
@@ -92,8 +100,7 @@ def test_xlm_against_scipy_composition():
     # X_lm spherical components from scipy harmonics alone, every l <= 24
     for mode in (ModeIndex(l, m) for l in range(1, 25) for m in range(-l, l + 1)):
         l, m = mode.l, mode.m
-        for p in SAMPLES:
-            th, ph = p.theta, p.phi
+        for th, ph in SAMPLES:
             norm = math.sqrt(l * (l + 1))
             v_theta = -m * ylm_ref(l, m, th, ph) / (math.sin(th) * norm)
             cp = math.sqrt((l - m) * (l + m + 1))
@@ -102,33 +109,33 @@ def test_xlm_against_scipy_composition():
             ym = cm * ylm_ref(l, m - 1, th, ph) if m > -l else 0.0
             dtheta = (np.exp(-1j * ph) * yp - np.exp(1j * ph) * ym) / 2.0
             v_phi = -1j * dtheta / norm
-            got = xlm(mode, p)
+            got = xlm(mode, th, ph)
             assert got[1] == pytest.approx(v_theta, abs=1e-13)
             assert got[2] == pytest.approx(v_phi, abs=1e-13)
 
 
 def test_xlm_finite_at_poles():
     for theta in (0.0, math.pi):
-        p = AngularPoint(theta, 0.7)
         for mode in [ModeIndex(1, 1), ModeIndex(3, -1), ModeIndex(4, 0)]:
-            v = xlm(mode, p)
+            v = xlm(mode, theta, 0.7)
             assert np.all(np.isfinite(v))
         # m = +-1 modes keep a finite transverse limit, others vanish
-        assert np.linalg.norm(xlm(ModeIndex(2, 1), p)) > 0.1
-        assert np.linalg.norm(xlm(ModeIndex(2, 2), p)) == pytest.approx(0.0, abs=1e-15)
+        assert np.linalg.norm(xlm(ModeIndex(2, 1), theta, 0.7)) > 0.1
+        assert np.linalg.norm(xlm(ModeIndex(2, 2), theta, 0.7)) == pytest.approx(
+            0.0, abs=1e-15
+        )
 
 
 def test_xlm_pole_limit_matches_interior_approach():
-    p0 = AngularPoint(0.0, 1.1)
     for mode in [ModeIndex(1, 1), ModeIndex(2, -1)]:
-        at_pole = xlm(mode, p0)
-        near = xlm(mode, AngularPoint(1e-7, 1.1))
+        at_pole = xlm(mode, 0.0, 1.1)
+        near = xlm(mode, 1e-7, 1.1)
         assert np.allclose(at_pole, near, atol=1e-6)
 
 
 def test_flm_l0_is_rank_one():
     for p in SAMPLES:
-        f = flm(ModeIndex(0, 0), p)
+        f = flm(ModeIndex(0, 0), *p)
         want = (1.0 / math.sqrt(4 * math.pi)) * dyad(E_R, E_R)
         assert np.allclose(f, want, atol=1e-16)
 
@@ -136,9 +143,9 @@ def test_flm_l0_is_rank_one():
 def test_flm_columns_are_y_x_and_er_cross_x(rng):
     for mode in [ModeIndex(1, 0), ModeIndex(3, 2)]:
         for p in SAMPLES:
-            f = flm(mode, p)
-            x = xlm(mode, p)
-            assert np.allclose(f[:, 0], ylm(mode, p.theta, p.phi) * E_R, atol=1e-15)
+            f = flm(mode, *p)
+            x = xlm(mode, *p)
+            assert np.allclose(f[:, 0], ylm(mode, *p) * E_R, atol=1e-15)
             assert np.allclose(f[:, 1], x, atol=1e-15)
             assert np.allclose(f[:, 2], dual(E_R) @ x, atol=1e-15)
 
@@ -146,19 +153,19 @@ def test_flm_columns_are_y_x_and_er_cross_x(rng):
 def test_trace_identity_10_random_points(rng):
     mode = ModeIndex(1, 0)
     for _ in range(10):
-        p = AngularPoint(rng.uniform(0.05, math.pi - 0.05), rng.uniform(0, 2 * math.pi))
-        f = flm(mode, p)
-        x = xlm(mode, p)
-        want = ylm(mode, p.theta, p.phi) + 2.0 * x[1]
+        p = (rng.uniform(0.05, math.pi - 0.05), rng.uniform(0, 2 * math.pi))
+        f = flm(mode, *p)
+        x = xlm(mode, *p)
+        want = ylm(mode, *p) + 2.0 * x[1]
         assert trace(f) == pytest.approx(want, abs=1e-14)
 
 
 @settings(max_examples=100, deadline=None)
 @given(modes, interior_points)
 def test_invariant_identities(mode, p):
-    f = flm(mode, p)
-    x = xlm(mode, p)
-    y = ylm(mode, p.theta, p.phi)
+    f = flm(mode, *p)
+    x = xlm(mode, *p)
+    y = ylm(mode, *p)
     xdotx = complex(np.sum(x * x))  # unconjugated
     s = max(float(np.linalg.norm(f)), 1e-30)
     assert abs(det(f) - y * xdotx) <= 1e-12 * s**3
@@ -171,7 +178,7 @@ def test_invariant_identities(mode, p):
 @settings(max_examples=100, deadline=None)
 @given(modes, interior_points)
 def test_commutation_with_frame_tensors(mode, p):
-    f = flm(mode, p)
+    f = flm(mode, *p)
     s = max(float(np.linalg.norm(f)), 1.0)
     er_cross = dual(E_R)
     assert np.max(np.abs(f @ er_cross - er_cross @ f)) <= 1e-14 * s
@@ -181,28 +188,35 @@ def test_commutation_with_frame_tensors(mode, p):
 @settings(max_examples=100, deadline=None)
 @given(modes, interior_points)
 def test_two_construction_paths_agree(mode, p):
-    a = flm(mode, p)
-    b = flm_explicit(mode, p)
+    a = flm(mode, *p)
+    b = flm_explicit(mode, *p)
     s = max(float(np.linalg.norm(a)), 1e-30)
     assert np.max(np.abs(a - b)) <= 1e-12 * s
 
 
 def test_flm_explicit_rejects_poles():
     with pytest.raises(ValueError):
-        flm_explicit(ModeIndex(2, 1), AngularPoint(0.0, 0.3))
+        flm_explicit(ModeIndex(2, 1), 0.0, 0.3)
+    with pytest.raises(ValueError):
+        flm_explicit(ModeIndex(2, 1), np.array([1.0, 0.0]), 0.3)
 
 
 def test_grid_functions_match_pointwise():
     mode = ModeIndex(3, -2)
     thetas = np.array([0.4, 1.2, 2.6])
     phis = np.array([0.0, 2.1])
-    fx = xlm_grid(mode, thetas[:, None], phis[None, :])
-    ff = flm_grid(mode, thetas[:, None], phis[None, :])
+    fx = xlm(mode, thetas[:, None], phis[None, :])
+    ff = flm(mode, thetas[:, None], phis[None, :])
+    fe = flm_explicit(mode, thetas[:, None], phis[None, :])
+    assert fx.shape == (3, 2, 3) and ff.shape == fe.shape == (3, 2, 3, 3)
     for i, th in enumerate(thetas):
         for j, ph in enumerate(phis):
-            p = AngularPoint(th, ph)
-            assert np.allclose(fx[i, j], xlm(mode, p), atol=1e-15)
-            assert np.allclose(ff[i, j], flm(mode, p), atol=1e-15)
+            assert np.allclose(fx[i, j], xlm(mode, th, ph), atol=1e-15)
+            assert np.allclose(ff[i, j], flm(mode, th, ph), atol=1e-15)
+            assert np.allclose(fe[i, j], flm_explicit(mode, th, ph), atol=1e-15)
+            for check in ANGLE_FUNCTIONS[3:]:
+                grid = check(mode, thetas[:, None], phis[None, :])
+                assert grid[i, j] == pytest.approx(check(mode, th, ph), abs=1e-14)
 
 
 def test_ortho_matrix_identity_and_zero():
@@ -225,10 +239,10 @@ def test_x_cross_product_integral_vanishes():
     tt = rule.thetas[:, None]
     pp = rule.phis[None, :]
     xa = np.broadcast_to(
-        xlm_grid(ModeIndex(3, 1), tt, pp), (len(rule.cos_nodes), rule.n_phi, 3)
+        xlm(ModeIndex(3, 1), tt, pp), (len(rule.cos_nodes), rule.n_phi, 3)
     )
     xb = np.broadcast_to(
-        xlm_grid(ModeIndex(3, 1), tt, pp), (len(rule.cos_nodes), rule.n_phi, 3)
+        xlm(ModeIndex(3, 1), tt, pp), (len(rule.cos_nodes), rule.n_phi, 3)
     )
     integral = np.sum(
         w_full * (xa[..., 1].conj() * xb[..., 2] - xa[..., 2].conj() * xb[..., 1])
@@ -243,15 +257,17 @@ def test_ortho_matrix_flags_under_resolved_rule():
 
 
 def test_eigenrelation_checks():
-    assert l_squared_check(ModeIndex(0, 0), SAMPLES[0]) == pytest.approx(0.0, abs=1e-15)
+    assert l_squared_check(ModeIndex(0, 0), *SAMPLES[0]) == pytest.approx(
+        0.0, abs=1e-15
+    )
     for mode in [ModeIndex(3, 2), ModeIndex(5, -5)]:
         for p in SAMPLES:
-            assert l_squared_check(mode, p) < 1e-12
-            assert lz_check(mode, p) < 1e-12
+            assert l_squared_check(mode, *p) < 1e-12
+            assert lz_check(mode, *p) < 1e-12
 
 
 @settings(max_examples=80, deadline=None)
 @given(modes, interior_points)
 def test_l_dot_relations(mode, p):
-    assert l_dot_xlm_residual(mode, p) < 1e-10
-    assert l_dot_er_cross_xlm_residual(mode, p) < 1e-10
+    assert l_dot_xlm_residual(mode, *p) < 1e-10
+    assert l_dot_er_cross_xlm_residual(mode, *p) < 1e-10

@@ -6,7 +6,6 @@ from oracles import propagate_mp, propagate_rk
 from tensorwave.maxwell_radial import (
     Medium,
     RadialProfile,
-    TangentialState,
     fundamental_matrix,
     longitudinal_components,
     propagate,
@@ -75,14 +74,18 @@ def test_profile_dict_round_trip():
 
 
 def test_tangential_state_shape_and_order():
-    w = TangentialState.from_components(1.0, 2.0, 3.0, 4.0)
-    assert np.allclose(w.h, [0.0, 1.0, 2.0])
-    assert np.allclose(w.e, [0.0, 3.0, 4.0])
-    assert np.allclose(w.as_vector4(), [1.0, 2.0, 3.0, 4.0])
-    w2 = TangentialState.from_vector4([1.0, 2.0, 3.0, 4.0])
-    assert np.allclose(w2.as_vector4(), w.as_vector4())
-    with pytest.raises(ValueError):
-        TangentialState(np.array([1.0, 0, 0]), np.zeros(3))
+    # the state is the 4-vector (H_theta, H_phi, E_theta, E_phi)
+    assert radial_flux(2.0, [0.0, 1.0, 3.0, 0.0]) == 12.0  # E_theta H_phi*
+    assert radial_flux(2.0, [1.0, 0.0, 0.0, 3.0]) == -12.0  # -E_phi H_theta*
+    assert radial_flux(1.0, [1.0, 1.0, 1.0, 1.0]) == 0.0
+    flux = radial_flux(np.array([1.0, 2.0]), [[0, 1, 3, 0], [1, 0, 0, 3]])
+    assert flux.tolist() == [3.0, -12.0]
+    med = Medium(1.0, 1.0)
+    w = propagate(1, 1.0, med, 1.0, 1.0, (1.0, 2.0, 3.0, 4.0))
+    assert w.shape == (4,) and w.tolist() == [1.0, 2.0, 3.0, 4.0]
+    for bad in ([1.0, 2.0, 3.0], np.zeros((2, 4)), np.zeros(6)):
+        with pytest.raises(ValueError, match="4-vector"):
+            propagate(1, 1.0, med, 1.0, 2.0, bad)
 
 
 def test_system_matrix_reference_case():
@@ -148,6 +151,18 @@ def test_eta_zeta_assembled_state_solves_ode(rng):
         assert np.max(np.abs(du - rhs)) / np.max(np.abs(rhs)) < 1e-6
 
 
+def test_fundamental_matrix_over_an_array_of_l():
+    k, r, med = 1.3, 2.0, Medium(2.25 + 0.1j, 1.0)
+    ls = np.array([[1, 4], [9, 2]])
+    phi = fundamental_matrix(ls, J, H1, k, r, med)
+    assert phi.shape == (2, 2, 4, 4)
+    for idx in np.ndindex(ls.shape):
+        one = fundamental_matrix(int(ls[idx]), J, H1, k, r, med)
+        assert np.max(np.abs(phi[idx] - one)) <= 1e-14 * np.max(np.abs(one))
+    with pytest.raises(ValueError, match="l >= 1"):
+        fundamental_matrix(np.array([2, 0]), J, H1, k, r, med)
+
+
 def test_polarization_blocks_det_scales_inverse_square():
     k, med = 1.0, Medium(1.96, 1.0)
     for l in (1, 3):
@@ -185,14 +200,13 @@ def test_propagate_matches_rk_single_shell():
         phi0 = fundamental_matrix(l, J, Y, k, r0, med)
         c = np.array([1.0, -0.5j, 0.25, 1.5j]) / l
         w0 = phi0 @ c / r0
-        got = propagate(l, k, med, r0, r1, TangentialState.from_vector4(w0))
-        got = got.as_vector4()
+        got = propagate(l, k, med, r0, r1, w0)
         ref = propagate_rk(l, k, med, r0, r1, w0)
         assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-8
 
 
 def test_propagate_rejects_non_finite_radius():
-    w0 = TangentialState.from_components(1.0, 0.0, 0.0, 0.0)
+    w0 = [1.0, 0.0, 0.0, 0.0]
     for r_to in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             propagate(1, 1.0, Medium(1.0, 1.0), 1.0, r_to, w0)
@@ -200,17 +214,17 @@ def test_propagate_rejects_non_finite_radius():
 
 def test_propagate_zero_state_and_linearity(rng):
     k, med, l = 1.2, Medium(1.69, 1.0), 2
-    zero = TangentialState.from_vector4(np.zeros(4))
+    zero = np.zeros(4)
     out = propagate(l, k, med, 1.0, 3.0, zero)
-    assert np.allclose(out.as_vector4(), 0.0)
-    a = TangentialState.from_vector4(rng.standard_normal(4) + 0j)
-    b = TangentialState.from_vector4(rng.standard_normal(4) + 0j)
+    assert np.allclose(out, 0.0)
+    a = rng.standard_normal(4) + 0j
+    b = rng.standard_normal(4) + 0j
     lam = 0.7 - 0.4j
-    combo = TangentialState.from_vector4(a.as_vector4() + lam * b.as_vector4())
-    out_combo = propagate(l, k, med, 1.0, 3.0, combo).as_vector4()
+    combo = a + lam * b
+    out_combo = propagate(l, k, med, 1.0, 3.0, combo)
     out_sum = (
-        propagate(l, k, med, 1.0, 3.0, a).as_vector4()
-        + lam * propagate(l, k, med, 1.0, 3.0, b).as_vector4()
+        propagate(l, k, med, 1.0, 3.0, a)
+        + lam * propagate(l, k, med, 1.0, 3.0, b)
     )
     scale = np.max(np.abs(out_sum))
     assert np.max(np.abs(out_combo - out_sum)) < 1e-12 * scale
@@ -224,19 +238,19 @@ def test_propagate_two_shell_profile():
     phi0 = fundamental_matrix(l, J, Y, k, r0, prof.media[0])
     c = np.array([0.3, 1.0, -0.7j, 0.2])
     w0 = phi0 @ c / r0
-    got = propagate(l, k, prof, r0, r1, TangentialState.from_vector4(w0))
+    got = propagate(l, k, prof, r0, r1, w0)
     ref = propagate_rk(l, k, prof, r0, r1, w0)
-    assert np.max(np.abs(got.as_vector4() - ref)) / np.max(np.abs(ref)) < 1e-8
+    assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-8
 
 
 def test_propagate_inward_round_trip():
     k, med, l = 1.0, Medium(1.44, 1.0), 2
-    w0 = TangentialState.from_components(1.0, 0.3j, -0.2, 0.8)
+    w0 = [1.0, 0.3j, -0.2, 0.8]
     there = propagate(l, k, med, 1.0, 4.0, w0)
     back = propagate(l, k, med, 4.0, 1.0, there)
-    assert np.max(np.abs(back.as_vector4() - w0.as_vector4())) < 1e-9
-    ref = propagate_rk(l, k, med, 4.0, 1.0, there.as_vector4())
-    assert np.max(np.abs(back.as_vector4() - ref)) / np.max(np.abs(ref)) < 1e-8
+    assert np.max(np.abs(back - w0)) < 1e-9
+    ref = propagate_rk(l, k, med, 4.0, 1.0, there)
+    assert np.max(np.abs(back - ref)) / np.max(np.abs(ref)) < 1e-8
 
 
 def _stress_profile(seed):
@@ -271,9 +285,9 @@ def test_propagate_matches_mpmath_in_absorbing_shells(l, case):
     r0, r1 = (60.0, 0.5) if case == "inward" else (0.5, 60.0)
     if case == "metal":
         prof, r1 = METAL, 30.0
-    got = propagate(l, 1.0, prof, r0, r1, TangentialState.from_vector4(w))
+    got = propagate(l, 1.0, prof, r0, r1, w)
     ref = propagate_mp(l, 1.0, prof, r0, r1, w)
-    err = np.max(np.abs(got.as_vector4() - ref)) / np.max(np.abs(ref))
+    err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
     assert err <= 1e-10
 
 
@@ -285,13 +299,13 @@ def test_propagate_outgoing_wave_inward_componentwise(l, eps):
     # lost up to all digits on 5 of these 8 cases
     k, med = 1.0, Medium(eps, 1.0)
     w = fundamental_matrix(l, H1, H1, k, 30.0, med) @ [1.0, 0.5, 0.0, 0.0] / 30.0
-    got = propagate(l, k, med, 30.0, 1.0, TangentialState.from_vector4(w))
+    got = propagate(l, k, med, 30.0, 1.0, w)
     ref = propagate_mp(l, k, med, 30.0, 1.0, w)
-    assert np.max(np.abs(got.as_vector4() - ref) / np.abs(ref)) <= 1e-10
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-10
 
 
 def test_propagate_reports_overflow():
-    w0 = TangentialState.from_components(1.0, 0.0, 0.0, 0.0)
+    w0 = [1.0, 0.0, 0.0, 0.0]
     with pytest.raises(OverflowError, match="double range"):
         propagate(200, 1.0, Medium(1.0, 1.0), 1e-3, 2e-3, w0)
 
@@ -300,15 +314,15 @@ def test_propagate_continuity_across_boundary():
     # crossing a boundary introduces no jump in W
     k = 1.0
     prof = RadialProfile((2.0,), (Medium(4.0, 1.0), Medium(1.0, 1.0)))
-    w0 = TangentialState.from_components(0.5, 1.0, 0.0, -0.3)
+    w0 = [0.5, 1.0, 0.0, -0.3]
     eps = 1e-9
     w_in = propagate(2, k, prof, 1.0, 2.0 - eps, w0)
     w_out = propagate(2, k, prof, 1.0, 2.0 + eps, w0)
-    assert np.max(np.abs(w_in.as_vector4() - w_out.as_vector4())) < 1e-6
+    assert np.max(np.abs(w_in - w_out)) < 1e-6
 
 
 def test_propagate_rejects_l0_and_bad_radii():
-    w0 = TangentialState.from_components(1, 0, 0, 0)
+    w0 = [1, 0, 0, 0]
     with pytest.raises(ValueError, match="l >= 1"):
         propagate(0, 1.0, Medium(1, 1), 1.0, 2.0, w0)
     with pytest.raises(ValueError):
@@ -319,7 +333,7 @@ def test_radial_flux_conserved_in_lossless_medium():
     k, med, l = 1.0, Medium(2.25, 1.0), 2
     phi0 = fundamental_matrix(l, H1, H2, k, 1.0, med)
     c = np.array([0.6, -0.2j, 1.0, 0.4j])
-    w0 = TangentialState.from_vector4(phi0 @ c / 1.0)
+    w0 = phi0 @ c / 1.0
     flux0 = radial_flux(1.0, w0)
     for r in (2.0, 5.0, 9.0):
         w = propagate(l, k, med, 1.0, r, w0)

@@ -244,19 +244,12 @@ def test_multipole_amplitudes_rejects_non_multipole():
         multipole_amplitudes([wave(1, 0, (1, 0)), wave(1, 0, (0, 1))])
 
 
-def incident(l, c1=(1.0, 1.0)):
-    return PartialWave(ModeIndex(l, 0), c1, (0, 0), (J, Y))
-
-
 def test_match_sphere_no_contrast():
+    scattered, interior = match_sphere(3, 1.0, VACUUM, VACUUM, 0.8, (0.7, -0.2j))
+    assert scattered.shape == interior.shape == (3, 2)
     for l in (1, 3):
-        scattered, interior = match_sphere(
-            l, 1.0, VACUUM, VACUUM, 0.8, incident(l, (0.7, -0.2j))
-        )
-        assert np.max(np.abs(scattered.c1)) < 1e-14
-        assert np.allclose(interior.c1, [0.7, -0.2j], atol=1e-14)
-        assert scattered.kinds[0] is H1
-        assert interior.kinds[0] is J
+        assert np.max(np.abs(scattered[l - 1])) < 1e-14
+        assert np.allclose(interior[l - 1], [0.7, -0.2j], atol=1e-14)
 
 
 def test_match_sphere_reproduces_mie_dipole():
@@ -264,9 +257,9 @@ def test_match_sphere_reproduces_mie_dipole():
     k, radius = 1.0, 0.5
     sphere = Medium(1.33**2, 1.0)
     a, b = mie_ab(1.33, 0.5, 1)
-    scattered, _ = match_sphere(1, k, sphere, VACUUM, radius, incident(1))
-    assert -scattered.c1[0] == pytest.approx(a[0], rel=1e-10)
-    assert -scattered.c1[1] == pytest.approx(b[0], rel=1e-10)
+    scattered, _ = match_sphere(1, k, sphere, VACUUM, radius, (1.0, 1.0))
+    assert -scattered[0, 0] == pytest.approx(a[0], rel=1e-10)
+    assert -scattered[0, 1] == pytest.approx(b[0], rel=1e-10)
 
 
 def test_match_sphere_matches_mie_table():
@@ -278,13 +271,14 @@ def test_match_sphere_matches_mie_table():
         radius = case["radius"]
         m = complex(*case["m"])
         sphere = Medium(m**2, 1.0)
+        scattered, _ = match_sphere(
+            len(case["a"]), k, sphere, VACUUM, radius, (1.0, 1.0)
+        )
         for i, (a_pair, b_pair) in enumerate(zip(case["a"], case["b"])):
-            l = i + 1
-            scattered, _ = match_sphere(l, k, sphere, VACUUM, radius, incident(l))
-            assert -scattered.c1[0] == pytest.approx(
+            assert -scattered[i, 0] == pytest.approx(
                 complex(*a_pair), rel=1e-9, abs=1e-15
             )
-            assert -scattered.c1[1] == pytest.approx(
+            assert -scattered[i, 1] == pytest.approx(
                 complex(*b_pair), rel=1e-9, abs=1e-15
             )
 
@@ -292,35 +286,33 @@ def test_match_sphere_matches_mie_table():
 @pytest.mark.parametrize("x", [50.0, 1000.0])
 @pytest.mark.parametrize("m", [1.33, 1.5 + 0.1j])
 def test_match_sphere_matches_mpmath_mie_at_large_x(x, m):
-    # up to the CLI's default lmax; at x = 1000, m = 1.33 a_1 was 37% off
-    # while the Bessel sequence started its Miller recursion too low
-    for l in sorted({1, 7, int(x), math.ceil(x + 4.0 * x ** (1.0 / 3.0) + 2.0)}):
+    # up to the CLI's default lmax, from one batched call; at x = 1000,
+    # m = 1.33 a_1 was 37% off while the Bessel sequence started its
+    # Miller recursion too low
+    lmax = math.ceil(x + 4.0 * x ** (1.0 / 3.0) + 2.0)
+    scattered, _ = match_sphere(lmax, 1.0, Medium(m * m, 1.0), VACUUM, x, (1.0, 1.0))
+    for l in sorted({1, 7, int(x), lmax}):
         a, b = mie_ab_mp(m, x, l)
-        scattered, _ = match_sphere(l, 1.0, Medium(m * m, 1.0), VACUUM, x, incident(l))
-        assert -scattered.c1[0] == pytest.approx(a, rel=1e-9)
-        assert -scattered.c1[1] == pytest.approx(b, rel=1e-9)
+        assert -scattered[l - 1, 0] == pytest.approx(a, rel=1e-9)
+        assert -scattered[l - 1, 1] == pytest.approx(b, rel=1e-9)
 
 
 def test_match_sphere_linearity():
     k, radius = 1.0, 0.7
     sphere = Medium(2.56, 1.0)
     lam = 1.7 - 0.9j
-    s1, i1 = match_sphere(2, k, sphere, VACUUM, radius, incident(2, (1.0, 0.4)))
-    s2, i2 = match_sphere(
-        2, k, sphere, VACUUM, radius, incident(2, (lam * 1.0, lam * 0.4))
-    )
-    assert np.max(np.abs(s2.c1 - lam * s1.c1)) < 1e-12 * np.max(np.abs(s2.c1))
-    assert np.max(np.abs(i2.c1 - lam * i1.c1)) < 1e-12 * np.max(np.abs(i2.c1))
+    s1, i1 = match_sphere(2, k, sphere, VACUUM, radius, (1.0, 0.4))
+    s2, i2 = match_sphere(2, k, sphere, VACUUM, radius, (lam * 1.0, lam * 0.4))
+    assert np.max(np.abs(s2[1] - lam * s1[1])) < 1e-12 * np.max(np.abs(s2[1]))
+    assert np.max(np.abs(i2[1] - lam * i1[1])) < 1e-12 * np.max(np.abs(i2[1]))
 
 
 def test_match_sphere_no_contrast_limit_is_continuous():
     k, radius = 1.0, 0.6
     prev = None
     for eps in (1.5, 1.1, 1.01, 1.001):
-        scattered, _ = match_sphere(
-            1, k, Medium(eps, 1.0), VACUUM, radius, incident(1)
-        )
-        mag = np.max(np.abs(scattered.c1))
+        scattered, _ = match_sphere(1, k, Medium(eps, 1.0), VACUUM, radius, (1.0, 1.0))
+        mag = np.max(np.abs(scattered[0]))
         if prev is not None:
             assert mag < prev
         prev = mag
@@ -332,22 +324,16 @@ def test_match_sphere_unitarity_lossless():
     # circle |a - 1/2| = 1/2, i.e. |a|^2 = Re(a)
     k, radius = 1.0, 3.0
     sphere = Medium(1.33**2, 1.0)
-    for l in range(1, 8):
-        scattered, _ = match_sphere(l, k, sphere, VACUUM, radius, incident(l))
-        for coeff in -scattered.c1:
-            assert abs(coeff) ** 2 == pytest.approx(coeff.real, abs=1e-10)
+    scattered, _ = match_sphere(7, k, sphere, VACUUM, radius, (1.0, 1.0))
+    for coeff in -scattered.ravel():
+        assert abs(coeff) ** 2 == pytest.approx(coeff.real, abs=1e-10)
 
 
 def test_match_sphere_validation():
     with pytest.raises(ValueError, match="l >= 1"):
-        match_sphere(0, 1.0, VACUUM, VACUUM, 1.0, incident(1))
+        match_sphere(0, 1.0, VACUUM, VACUUM, 1.0, (1.0, 1.0))
     with pytest.raises(ValueError, match="radius"):
-        match_sphere(1, 1.0, VACUUM, VACUUM, 0.0, incident(1))
-    with pytest.raises(ValueError, match="l="):
-        match_sphere(2, 1.0, VACUUM, VACUUM, 1.0, incident(1))
-    bad = PartialWave(ModeIndex(1, 0), [1, 0], [0.2, 0], (J, Y))
-    with pytest.raises(ValueError, match="regular"):
-        match_sphere(1, 1.0, VACUUM, VACUUM, 1.0, bad)
-    outgoing = PartialWave(ModeIndex(1, 0), [1, 0], [0, 0], (H1, H2))
-    with pytest.raises(ValueError, match="regular"):
-        match_sphere(1, 1.0, VACUUM, VACUUM, 1.0, outgoing)
+        match_sphere(1, 1.0, VACUUM, VACUUM, 0.0, (1.0, 1.0))
+    for bad in ([1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]] * 2):
+        with pytest.raises(ValueError, match="incident_c1"):
+            match_sphere(2, 1.0, VACUUM, VACUUM, 1.0, bad)

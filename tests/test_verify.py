@@ -27,7 +27,7 @@ def test_ortho_suite_passes_at_small_lmax():
 
 
 def test_invariants_suite_passes_at_small_lmax():
-    report = invariants_suite(lmax=2, n_points=40)
+    report = invariants_suite(lmax=2)
     assert_clean_report(report)
     names = {entry["check"] for entry in report}
     assert {"trace_identity", "det_identity", "l_squared_eigenrelation"} <= names
