@@ -37,11 +37,11 @@ for (l, m), a_e in sorted(amps.a_e.items()):
 
 rule = QuadratureRule.for_degree(3)
 points = [[r, th, ph] for th in rule.thetas for ph in rule.phis]
-samples = synthesize(waves, k, medium, points)
-print(f"\nsampled {len(samples)} points on the r = {r} sphere")
+e, h = synthesize(waves, k, medium, points)
+print(f"\nsampled {len(e)} points on the r = {r} sphere")
 
-e_grid = np.array([s.e for s in samples]).reshape(len(rule.cos_nodes), rule.n_phi, 3)
-h_grid = np.array([s.h for s in samples]).reshape(len(rule.cos_nodes), rule.n_phi, 3)
+e_grid = e.reshape(len(rule.cos_nodes), rule.n_phi, 3)
+h_grid = h.reshape(len(rule.cos_nodes), rule.n_phi, 3)
 
 print("\nrecovered c1 per mode (zero rows are modes not present):")
 modes = [ModeIndex(l, m) for l in range(1, 4) for m in range(-l, l + 1)]

@@ -40,7 +40,6 @@ from .specfun import (
     ylm,
 )
 from .synthesis import (
-    FieldSample,
     MultipoleAmplitudes,
     PartialWave,
     match_sphere,
@@ -89,7 +88,6 @@ __all__ = [
     "spherical_radial",
     "spherical_radial_seq",
     "ylm",
-    "FieldSample",
     "MultipoleAmplitudes",
     "PartialWave",
     "match_sphere",

@@ -31,7 +31,15 @@ from .maxwell_radial import (
     longitudinal_components,
     propagate,
 )
-from .parsing import _fmt, _pair, complex_pairs, integer, real, require_keys
+from .parsing import (
+    _csv_table,
+    _pair,
+    _re_im,
+    complex_pairs,
+    integer,
+    real,
+    require_keys,
+)
 from .specfun import ModeIndex, RadialKind, ylm
 from .synthesis import (
     match_sphere,
@@ -108,21 +116,11 @@ def cmd_eval(args) -> int:
         )
 
     if args.format == "csv":
-        header = ["theta", "phi"]
-        for name in _EVAL_COLUMNS[args.harmonic]:
-            header.extend([name + "_re", name + "_im"])
-
-        def row_block(i):
-            lines = []
-            for j in range(nphi):
-                cells = [_fmt(thetas[i]), _fmt(phis[j])]
-                for v in vals[i, j]:
-                    cells.extend([_fmt(v.real), _fmt(v.imag)])
-                lines.append(",".join(cells))
-            return "\n".join(lines)
-
-        body = [row_block(i) for i in range(nt)]
-        text = ",".join(header) + "\n" + "\n".join(body) + "\n"
+        tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+        text = _csv_table(
+            ["theta", "phi", *_re_im(_EVAL_COLUMNS[args.harmonic])],
+            [tt.ravel(), pp.ravel(), vals.reshape(nt * nphi, -1)],
+        )
     else:
 
         def point_block(i):
@@ -230,20 +228,11 @@ def _solve_scatter(cfg: dict, fmt: str):
         cfg.get("incident_c1", [[1.0, 0.0], [1.0, 0.0]]), 2, "incident_c1"
     )
     scattered, interior = match_sphere(lmax, k, sphere, host, radius, inc_c1)
-    rows = list(zip(range(1, lmax + 1), scattered, interior))
+    ls = np.arange(1, lmax + 1)
 
     if fmt == "csv":
-        header = ["l"]
-        for name in ("scattered_theta", "scattered_phi",
-                     "interior_theta", "interior_phi"):
-            header.extend([name + "_re", name + "_im"])
-        lines = [",".join(header)]
-        for l, sc, inr in rows:
-            cells = [str(l)]
-            for v in (*sc, *inr):
-                cells.extend([_fmt(v.real), _fmt(v.imag)])
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        names = ("scattered_theta", "scattered_phi", "interior_theta", "interior_phi")
+        return _csv_table(["l", *_re_im(names)], [ls, scattered, interior], ints=1)
     doc = {
         "task": "scatter",
         "k": k,
@@ -255,7 +244,7 @@ def _solve_scatter(cfg: dict, fmt: str):
                 "scattered_c1": [_pair(v) for v in sc],
                 "interior_c1": [_pair(v) for v in inr],
             }
-            for l, sc, inr in rows
+            for l, sc, inr in zip(ls.tolist(), scattered, interior)
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -284,12 +273,10 @@ def _solve_synthesize(cfg: dict, fmt: str):
             integer(grid["quadrature_lmax"], "quadrature_lmax")
         )
         pts = _quadrature_points(real(grid["r"], "r"), rule)
-    samples = synthesize(waves, k, med, pts)
+    e, h = synthesize(waves, k, med, pts)
     buf = io.StringIO()
-    if fmt == "csv":
-        fileio.write_field_csv(samples, buf)
-    else:
-        fileio.write_field_json(samples, buf)
+    write = fileio.write_field_csv if fmt == "csv" else fileio.write_field_json
+    write(pts, e, h, buf)
     return buf.getvalue()
 
 
@@ -326,21 +313,18 @@ def _solve_project(cfg: dict, fmt: str):
     path = cfg["field"]
     if not isinstance(path, str):
         raise ValueError("'field' must be a path to a CSV or JSON sample file")
-    if path.endswith(".json"):
-        samples = fileio.read_field_json(path)
-    else:
-        samples = fileio.read_field_csv(path)
+    read = fileio.read_field_json if path.endswith(".json") else fileio.read_field_csv
+    where, e, h = read(path)
 
     nt, nphi = len(rule.cos_nodes), rule.n_phi
-    if len(samples) != nt * nphi:
+    if len(where) != nt * nphi:
         raise ValueError(
-            f"field file has {len(samples)} samples; quadrature grid "
+            f"field file has {len(where)} samples; quadrature grid "
             f"for lmax {lq} needs {nt * nphi}"
         )
-    where = np.array([(s.r, s.theta, s.phi) for s in samples])
     if len(np.unique(np.round(where[:, 0], 12))) != 1:
         raise ValueError("field samples must share a single radius")
-    r = samples[0].r
+    r = float(where[0, 0])
     if "r" in cfg and not math.isclose(real(cfg["r"], "r"), r, rel_tol=1e-12):
         raise ValueError(f"config r {cfg['r']} does not match file radius {r}")
 
@@ -353,7 +337,7 @@ def _solve_project(cfg: dict, fmt: str):
     )
     key_of = key_of.ravel()
     sample_of_key = np.full(key_of.max() + 1, -1)
-    sample_of_key[key_of[nt * nphi:]] = np.arange(len(samples))
+    sample_of_key[key_of[nt * nphi:]] = np.arange(len(where))
     pick = sample_of_key[key_of[: nt * nphi]]
     if np.any(pick < 0):
         i, j = divmod(int(np.argmax(pick < 0)), nphi)
@@ -361,27 +345,22 @@ def _solve_project(cfg: dict, fmt: str):
             "field samples do not lie on the quadrature grid for "
             f"lmax {lq} (missing theta={rule.thetas[i]!r}, phi={rule.phis[j]!r})"
         )
-    e_grid = np.array([s.e for s in samples])[pick].reshape(nt, nphi, 3)
-    h_grid = np.array([s.h for s in samples])[pick].reshape(nt, nphi, 3)
+    e_grid = e[pick].reshape(nt, nphi, 3)
+    h_grid = h[pick].reshape(nt, nphi, 3)
 
     hls, els = project_sampled(e_grid, h_grid, modes, rule)
     c1s, c2s = recover_coefficients(hls, els, modes, k, r, med, kinds)
-    rows = sorted(
-        zip(modes, hls, els, c1s, c2s), key=lambda t: (t[0].l, t[0].m)
-    )
+    order = sorted(range(len(modes)), key=lambda i: (modes[i].l, modes[i].m))
 
     if fmt == "csv":
-        header = ["l", "m"]
-        for name in ("h_r", "h_theta", "h_phi", "e_r", "e_theta", "e_phi",
-                     "c1_theta", "c1_phi", "c2_theta", "c2_phi"):
-            header.extend([name + "_re", name + "_im"])
-        lines = [",".join(header)]
-        for mode, hl, el, c1, c2 in rows:
-            cells = [str(mode.l), str(mode.m)]
-            for v in (*hl, *el, *c1, *c2):
-                cells.extend([_fmt(v.real), _fmt(v.imag)])
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        names = ("h_r", "h_theta", "h_phi", "e_r", "e_theta", "e_phi",
+                 "c1_theta", "c1_phi", "c2_theta", "c2_phi")
+        lm = [(modes[i].l, modes[i].m) for i in order]
+        return _csv_table(
+            ["l", "m", *_re_im(names)],
+            [np.array(lm), hls[order], els[order], c1s[order], c2s[order]],
+            ints=2,
+        )
     doc = {
         "task": "project",
         "k": k,
@@ -389,14 +368,14 @@ def _solve_project(cfg: dict, fmt: str):
         "quadrature_lmax": lq,
         "modes": [
             {
-                "l": mode.l,
-                "m": mode.m,
-                "h": [_pair(v) for v in hl],
-                "e": [_pair(v) for v in el],
-                "c1": [_pair(v) for v in c1],
-                "c2": [_pair(v) for v in c2],
+                "l": modes[i].l,
+                "m": modes[i].m,
+                "h": [_pair(v) for v in hls[i]],
+                "e": [_pair(v) for v in els[i]],
+                "c1": [_pair(v) for v in c1s[i]],
+                "c2": [_pair(v) for v in c2s[i]],
             }
-            for mode, hl, el, c1, c2 in rows
+            for i in order
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -419,13 +398,10 @@ def _solve_propagate(cfg: dict, fmt: str):
     e_r, h_r = longitudinal_components(l, k, r_to, profile.medium_at(r_to), w1)
 
     if fmt == "csv":
-        header = ["r_to"]
-        for name in ("h_theta", "h_phi", "e_theta", "e_phi", "e_r", "h_r"):
-            header.extend([name + "_re", name + "_im"])
-        cells = [_fmt(r_to)]
-        for v in (*w1, e_r, h_r):
-            cells.extend([_fmt(v.real), _fmt(v.imag)])
-        return ",".join(header) + "\n" + ",".join(cells) + "\n"
+        names = ("h_theta", "h_phi", "e_theta", "e_phi", "e_r", "h_r")
+        return _csv_table(
+            ["r_to", *_re_im(names)], [[r_to], [[*w1, e_r, h_r]]]
+        )
     doc = {
         "task": "propagate",
         "l": l,

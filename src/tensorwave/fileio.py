@@ -1,22 +1,26 @@
-"""Readers and writers for the on-disk artifact formats.
+"""Readers and writers for sampled-field files.
 
-Field samples travel as CSV (one row per point, complex values split
-into _re/_im columns, 17 significant digits) or as JSON with complex
-numbers encoded as [re, im] pairs.  Partial waves and radial profiles
-are JSON only.  All writers are deterministic: same inputs, same bytes.
+A field travels as three arrays: `points`, real of shape (N, 3) holding
+(r, theta, phi), and `e`, `h`, complex of shape (N, 3) in the local
+spherical frame.  On disk it is CSV (one row per point, complex values
+split into _re/_im columns, 17 significant digits) or JSON with complex
+numbers encoded as [re, im] pairs.  Writers are deterministic: same
+inputs, same bytes.  The JSON wave entries of a config are read by
+`_wave_from_dict`.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from contextlib import contextmanager
+from itertools import chain
 
-from .maxwell_radial import RadialProfile
+import numpy as np
+
 from .parsing import (
-    _fmt,
-    _pair,
+    _csv_table,
+    _re_im,
     complex_pair,
     complex_pairs,
     integer,
@@ -24,7 +28,7 @@ from .parsing import (
     require_keys,
 )
 from .specfun import ModeIndex, RadialKind
-from .synthesis import FieldSample, PartialWave
+from .synthesis import PartialWave
 
 __all__ = [
     "FIELD_CSV_COLUMNS",
@@ -32,28 +36,13 @@ __all__ = [
     "read_field_csv",
     "write_field_json",
     "read_field_json",
-    "write_waves_json",
-    "read_waves_json",
-    "write_profile_json",
-    "read_profile_json",
 ]
 
 FIELD_CSV_COLUMNS = (
     "r",
     "theta",
     "phi",
-    "e_r_re",
-    "e_r_im",
-    "e_theta_re",
-    "e_theta_im",
-    "e_phi_re",
-    "e_phi_im",
-    "h_r_re",
-    "h_r_im",
-    "h_theta_re",
-    "h_theta_im",
-    "h_phi_re",
-    "h_phi_im",
+    *_re_im(("e_r", "e_theta", "e_phi", "h_r", "h_theta", "h_phi")),
 )
 
 
@@ -66,18 +55,18 @@ def _opened(fp, mode: str):
         yield fp
 
 
-def write_field_csv(samples, fp) -> None:
+def write_field_csv(points, e, h, fp) -> None:
+    text = _csv_table(FIELD_CSV_COLUMNS, [np.reshape(points, (-1, 3)), e, h])
     with _opened(fp, "w") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(FIELD_CSV_COLUMNS)
-        for s in samples:
-            row = [s.r, s.theta, s.phi]
-            for v in (*s.e, *s.h):
-                row.extend([v.real, v.imag])
-            writer.writerow([_fmt(x) for x in row])
+        handle.write(text)
 
 
-def read_field_csv(fp) -> list:
+def read_field_csv(fp) -> tuple:
+    """(points, e, h) from a field CSV; blank lines are skipped.
+
+    Faults are reported for the first row holding one, in the order the
+    row is checked: column count, numbers, finiteness, r > 0.
+    """
     with _opened(fp, "r") as handle:
         reader = csv.reader(handle)
         try:
@@ -89,69 +78,83 @@ def read_field_csv(fp) -> list:
                 f"unexpected field CSV header {header!r}; "
                 f"expected {','.join(FIELD_CSV_COLUMNS)}"
             )
-        samples = []
+        rows, line_of = [], []
         for row in reader:
-            if not row:
-                continue
-            if len(row) != len(FIELD_CSV_COLUMNS):
-                raise ValueError(f"field CSV row has {len(row)} columns")
-            vals = [float(x) for x in row]
-            if not all(map(math.isfinite, vals)):
-                col = FIELD_CSV_COLUMNS[[math.isfinite(v) for v in vals].index(False)]
-                raise ValueError(
-                    f"field CSV line {reader.line_num}: {col} is not finite"
-                )
-            e = [complex(vals[3 + 2 * i], vals[4 + 2 * i]) for i in range(3)]
-            h = [complex(vals[9 + 2 * i], vals[10 + 2 * i]) for i in range(3)]
-            samples.append(FieldSample(vals[0], vals[1], vals[2], e, h))
-    return samples
+            if row:
+                rows.append(row)
+                line_of.append(reader.line_num)
+    ncol = len(FIELD_CSV_COLUMNS)
+    wide = next((i for i, row in enumerate(rows) if len(row) != ncol), len(rows))
+    flat: list = []
+    try:
+        # on a bad number, `flat` keeps the cells parsed before it
+        flat.extend(map(float, chain.from_iterable(rows[:wide])))
+        unparsed = None
+    except ValueError as exc:
+        unparsed = exc
+    vals = np.array(flat[: len(flat) // ncol * ncol]).reshape(-1, ncol)
+    nonfinite = ~np.isfinite(vals)
+    bad = nonfinite.any(axis=1) | ~(vals[:, 0] > 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if nonfinite[i].any():
+            col = FIELD_CSV_COLUMNS[int(np.argmax(nonfinite[i]))]
+            raise ValueError(f"field CSV line {line_of[i]}: {col} is not finite")
+        raise ValueError("field samples require r > 0")
+    if unparsed is not None:
+        raise unparsed
+    if wide < len(rows):
+        raise ValueError(f"field CSV row has {len(rows[wide])} columns")
+    # (re, im) cell pairs viewed as complex keep signed zeros and infinities
+    eh = np.ascontiguousarray(vals[:, 3:]).view(complex)
+    return vals[:, :3], eh[:, :3], eh[:, 3:]
 
 
-def _sample_dict(s: FieldSample) -> dict:
-    return {
-        "r": s.r,
-        "theta": s.theta,
-        "phi": s.phi,
-        "e": [_pair(v) for v in s.e],
-        "h": [_pair(v) for v in s.h],
+def write_field_json(points, e, h, fp) -> None:
+    def pairs(z):
+        z = np.asarray(z, dtype=complex)
+        return np.stack([z.real, z.imag], axis=-1).tolist()
+
+    doc = {
+        "fields": [
+            {"r": r, "theta": theta, "phi": phi, "e": pe, "h": ph}
+            for (r, theta, phi), pe, ph in zip(
+                np.reshape(points, (-1, 3)).astype(float).tolist(), pairs(e), pairs(h)
+            )
+        ]
     }
-
-
-def write_field_json(samples, fp) -> None:
-    doc = {"fields": [_sample_dict(s) for s in samples]}
     with _opened(fp, "w") as handle:
         json.dump(doc, handle, indent=2)
         handle.write("\n")
 
 
-def read_field_json(fp) -> list:
+def read_field_json(fp) -> tuple:
+    """(points, e, h) from a field JSON document."""
     with _opened(fp, "r") as handle:
         doc = json.load(handle)
     if not isinstance(doc, dict) or "fields" not in doc:
         raise ValueError("field JSON must be an object with a 'fields' list")
-    samples = []
+    points, e, h = [], [], []
     for rec in doc["fields"]:
         extra = set(rec) - {"r", "theta", "phi", "e", "h"}
         if extra:
             raise ValueError(f"unknown field-sample keys {sorted(extra)}")
         try:
-            e = [complex_pair(v, "e") for v in rec["e"]]
-            h = [complex_pair(v, "h") for v in rec["h"]]
-            r, theta, phi = (real(rec[key], key) for key in ("r", "theta", "phi"))
-            samples.append(FieldSample(r, theta, phi, e, h))
+            e.append([complex_pair(v, "e") for v in rec["e"]])
+            h.append([complex_pair(v, "h") for v in rec["h"]])
+            points.append([real(rec[key], key) for key in ("r", "theta", "phi")])
         except KeyError as exc:
             raise ValueError(f"field sample missing key {exc}") from None
-    return samples
-
-
-def _wave_dict(w: PartialWave) -> dict:
-    return {
-        "l": w.mode.l,
-        "m": w.mode.m,
-        "c1": [_pair(v) for v in w.c1],
-        "c2": [_pair(v) for v in w.c2],
-        "kinds": [w.kinds[0].value, w.kinds[1].value],
-    }
+        if not points[-1][0] > 0:
+            raise ValueError("field samples require r > 0")
+        for name, v in (("e", e), ("h", h)):
+            if len(v[-1]) != 3:
+                raise ValueError(f"{name} must have shape (3,)")
+    return (
+        np.array(points, dtype=float).reshape(-1, 3),
+        np.array(e, dtype=complex).reshape(-1, 3),
+        np.array(h, dtype=complex).reshape(-1, 3),
+    )
 
 
 def _wave_from_dict(rec: dict) -> PartialWave:
@@ -167,30 +170,3 @@ def _wave_from_dict(rec: dict) -> PartialWave:
         c2,
         (RadialKind(kinds[0]), RadialKind(kinds[1])),
     )
-
-
-def write_waves_json(waves, fp) -> None:
-    doc = {"waves": [_wave_dict(w) for w in waves]}
-    with _opened(fp, "w") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
-
-
-def read_waves_json(fp) -> list:
-    with _opened(fp, "r") as handle:
-        doc = json.load(handle)
-    if not isinstance(doc, dict) or "waves" not in doc:
-        raise ValueError("waves JSON must be an object with a 'waves' list")
-    return [_wave_from_dict(rec) for rec in doc["waves"]]
-
-
-def write_profile_json(profile: RadialProfile, fp) -> None:
-    with _opened(fp, "w") as handle:
-        json.dump(profile.to_dict(), handle, indent=2)
-        handle.write("\n")
-
-
-def read_profile_json(fp) -> RadialProfile:
-    with _opened(fp, "r") as handle:
-        doc = json.load(handle)
-    return RadialProfile.from_dict(doc)

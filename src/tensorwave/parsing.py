@@ -3,16 +3,41 @@
 Every number, integer, [re, im] pair and keyed object read from a config
 or artifact goes through these functions, so non-finite and non-integral
 values are rejected alike everywhere, with a ValueError naming the key.
-`_fmt` and `_pair` are the matching encoders for CSV cells and JSON pairs.
+`_csv_table` and `_pair` are the matching encoders for CSV tables and
+JSON pairs.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+
+def _re_im(names) -> list:
+    """The CSV header cells of complex columns: name_re, name_im each."""
+    return [f"{name}_{part}" for name in names for part in ("re", "im")]
+
+
+def _csv_table(header, columns, ints: int = 0) -> str:
+    """CSV text: the header line, then one line per row of `columns`.
+
+    `columns` are arrays of N rows each, of shape (N,) or (N, ...), real
+    or complex; a complex entry becomes two adjacent cells, re then im.
+    The first `ints` cells of a row are written as integers, every other
+    cell with 17 significant digits, which reproduces a double exactly.
+    The body is formatted in one pass over the flat values.
+    """
+    blocks = []
+    for col in columns:
+        col = np.asarray(col)
+        if np.iscomplexobj(col):
+            col = np.stack([col.real, col.imag], axis=-1)
+        blocks.append(col.reshape(len(col), math.prod(col.shape[1:])).astype(float))
+    table = np.hstack(blocks)
+    row = ",".join(["%d"] * ints + ["%.17g"] * (table.shape[1] - ints)) + "\n"
+    body = (row * len(table)) % tuple(table.ravel().tolist())
+    return ",".join(header) + "\n" + body
 
 
 def _pair(z) -> list:

@@ -102,12 +102,15 @@ def ylm(mode: ModeIndex, theta, phi):
     """Scalar spherical harmonic Y_lm(theta, phi).
 
     Accepts scalars or broadcastable numpy arrays of angles; theta must
-    lie in [0, pi].  Returns a complex scalar for scalar input, else a
-    complex array.
+    lie in [0, pi] and phi be finite.  Returns a complex scalar for scalar
+    input, else a complex array.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     _check_theta(theta)
+    if not np.all(np.isfinite(phi)):
+        bad = float(phi[~np.isfinite(phi)].flat[0])
+        raise ValueError(f"phi must be finite, got {bad}")
     ma = abs(mode.m)
     p = _norm_legendre(mode.l, ma, np.cos(theta), np.sin(theta))[-1]
     if mode.m < 0:
@@ -232,7 +235,7 @@ def spherical_radial_seq(
 
     Raises ValueError at x = 0 for the kinds singular there, and
     OverflowError when an entry leaves the double range (large l at
-    small |x| for the singular kinds).
+    small |x| for the singular kinds, |Im x| above about 710 unscaled).
     """
     if lmax < 0:
         raise ValueError(f"l must be >= 0, got {lmax}")
@@ -249,19 +252,25 @@ def spherical_radial_seq(
 
     # entry n of g holds f_{n-1}; f_{-1} gives d(x f_0)/dx.  A sequence
     # past the double range holds inf, and inf - inf is nan; both are
-    # caught by the finiteness check
+    # caught by the finiteness check.  A closed-form seed past the range
+    # raises from cmath instead
     with np.errstate(over="ignore", invalid="ignore"):
-        if kind is RadialKind.BESSEL_J and scaled:
-            g = _scaled_j(lmax, x)
-        elif kind is RadialKind.BESSEL_J:
-            g = _miller(lmax, x, cmath.sin(x), cmath.cos(x))
-        elif kind is RadialKind.BESSEL_Y:
-            g = _upward(cmath.sin(x) / x, -cmath.cos(x) / x, lmax, x)
-        else:
-            sigma = 1 if kind is RadialKind.HANKEL1 else -1
-            g = _scaled_hankel(sigma, lmax, x)
-            if not scaled:
-                g = g * np.exp(1j * sigma * x)
+        try:
+            if kind is RadialKind.BESSEL_J and scaled:
+                g = _scaled_j(lmax, x)
+            elif kind is RadialKind.BESSEL_J:
+                g = _miller(lmax, x, cmath.sin(x), cmath.cos(x))
+            elif kind is RadialKind.BESSEL_Y:
+                g = _upward(cmath.sin(x) / x, -cmath.cos(x) / x, lmax, x)
+            else:
+                sigma = 1 if kind is RadialKind.HANKEL1 else -1
+                g = _scaled_hankel(sigma, lmax, x)
+                if not scaled:
+                    g = g * np.exp(1j * sigma * x)
+        except OverflowError:
+            raise OverflowError(
+                f"{kind.value} overflowed at x={x}: outside double range"
+            ) from None
         g = np.asarray(g, dtype=complex)
         f = g[1:]
         d_rf = x * g[:-1] - np.arange(lmax + 1) * f

@@ -36,7 +36,6 @@ from .specfun import ModeIndex, RadialKind, spherical_radial_seq
 
 __all__ = [
     "PartialWave",
-    "FieldSample",
     "MultipoleAmplitudes",
     "synthesize",
     "project_sampled",
@@ -71,27 +70,6 @@ class PartialWave:
         if len(kinds) != 2 or not all(isinstance(kk, RadialKind) for kk in kinds):
             raise ValueError("kinds must be a pair of RadialKind values")
         object.__setattr__(self, "kinds", kinds)
-
-
-@dataclass(frozen=True, eq=False)
-class FieldSample:
-    """Full E, H vectors in the local spherical frame at one point."""
-
-    r: float
-    theta: float
-    phi: float
-    e: np.ndarray
-    h: np.ndarray
-
-    def __post_init__(self):
-        if not self.r > 0:
-            raise ValueError("field samples require r > 0")
-        for name in ("e", "h"):
-            v = np.array(getattr(self, name), dtype=complex)
-            if v.shape != (3,):
-                raise ValueError(f"{name} must have shape (3,)")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
 
 
 @dataclass(frozen=True)
@@ -140,13 +118,14 @@ def _by_order(modes) -> dict:
     return dict(sorted(groups.items()))
 
 
-def synthesize(waves, k, med: Medium, points) -> list:
+def synthesize(waves, k, med: Medium, points) -> tuple:
     """Evaluate the summed field of `waves` at the given (r, theta, phi) points.
 
     `points` is an (N, 3) array-like of finite positions with r > 0 and
     theta in [0, pi]; the medium is homogeneous (layered problems are
     synthesized region by region with the coefficient sets belonging to
-    each region).  Returns FieldSample objects in input order.
+    each region).  Returns (e, h), the full E and H vectors in the local
+    spherical frame: complex arrays of shape (N, 3) in input order.
     """
     k = _as_k(k)
     try:
@@ -188,10 +167,7 @@ def synthesize(waves, k, med: Medium, points) -> list:
         phase = np.exp(1j * m * phis)[phi_of, None]
         h_out += h_rows[row_of.ravel()] * phase
         e_out += e_rows[row_of.ravel()] * phase
-    return [
-        FieldSample(pts[i, 0], pts[i, 1], pts[i, 2], e_out[i], h_out[i])
-        for i in range(n)
-    ]
+    return e_out, h_out
 
 
 def project_sampled(

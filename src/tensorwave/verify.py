@@ -173,13 +173,6 @@ def invariants_suite(lmax: int = 4, tol: float = 1e-12) -> list:
     ]
 
 
-def _fields_at(waves, k, med, pts):
-    samples = synthesize(waves, k, med, pts)
-    e = np.array([s.e for s in samples])
-    h = np.array([s.h for s in samples])
-    return e, h
-
-
 def _curl_fd(waves, k, med, r, th, ph, h_rel=1e-4):
     """Central-difference curl of both fields at one point."""
     hr, ha = h_rel * r, h_rel
@@ -192,7 +185,7 @@ def _curl_fd(waves, k, med, r, th, ph, h_rel=1e-4):
         [r, th, ph + ha],
         [r, th, ph - ha],
     ]
-    e, h = _fields_at(waves, k, med, pts)
+    e, h = synthesize(waves, k, med, pts)
 
     def curl(v):
         v0 = v[0]

@@ -222,10 +222,10 @@ def test_acceptance_6_curl_equations_random_fields(capsys, rng):
             waves.append(PartialWave(mode, c1, c2, (H1, H2)))
 
         def e_at(r, th, ph):
-            return synthesize(waves, k, VACUUM, [[r, th, ph]])[0].e
+            return synthesize(waves, k, VACUUM, [[r, th, ph]])[0][0]
 
         def h_at(r, th, ph):
-            return synthesize(waves, k, VACUUM, [[r, th, ph]])[0].h
+            return synthesize(waves, k, VACUUM, [[r, th, ph]])[1][0]
 
         for _ in range(2):
             r = float(rng.uniform(1.5, 3.0))
@@ -260,10 +260,10 @@ def test_acceptance_7_projection_round_trip(capsys, rng):
 
     rule = QuadratureRule.for_degree(7)
     pts = [[r, th, ph] for th in rule.thetas for ph in rule.phis]
-    samples = synthesize(waves, k, med, pts)
+    e, h = synthesize(waves, k, med, pts)
     nt = len(rule.cos_nodes)
-    e_grid = np.array([s.e for s in samples]).reshape(nt, rule.n_phi, 3)
-    h_grid = np.array([s.h for s in samples]).reshape(nt, rule.n_phi, 3)
+    e_grid = e.reshape(nt, rule.n_phi, 3)
+    h_grid = h.reshape(nt, rule.n_phi, 3)
 
     err_rt = 0.0
     hls, els = project_sampled(e_grid, h_grid, modes, rule)

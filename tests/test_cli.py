@@ -231,6 +231,18 @@ def test_solve_synthesize_rejects_non_finite_point(tmp_path):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_solve_synthesize_takes_one_point_as_a_flat_list(tmp_path, capsys, fmt):
+    from tensorwave.cli import main
+
+    outputs = []
+    for points in ([[2.0, 1.0, 0.5]], [2.0, 1.0, 0.5]):
+        cfg = write_config(tmp_path, "s.json", dict(SYNTH, points=points))
+        assert main(["solve", "--config", cfg, "--format", fmt]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_solve_propagate_round_trips(tmp_path):
     profile = {
         "shells": [{"r_out": 2.5, "eps": [2.25, 0.0], "mu": [1.0, 0.0]}],
@@ -275,6 +287,17 @@ def test_solve_propagate_reports_overflow_promptly(tmp_path):
                   timeout=5)
     assert res.returncode == 1
     assert "double range" in res.stderr
+    assert res.stdout == ""
+
+
+def test_solve_scatter_names_the_overflowing_function(tmp_path):
+    # n = 1.5+1i at radius 720: sin and cos of the interior argument
+    # 1080+720i are past the double range
+    cfg = dict(SCATTER, radius=720.0, sphere={"eps": [1.25, 3.0], "mu": [1.0, 0.0]})
+    res = run_cli("solve", "--config", write_config(tmp_path, "s.json", cfg),
+                  "--format", "csv", timeout=5)
+    assert res.returncode == 1
+    assert "error: bessel_j overflowed at x=(1080+720j)" in res.stderr
     assert res.stdout == ""
 
 
@@ -528,7 +551,11 @@ def _all_finite(text, fmt):
     return finite(json.loads(text))
 
 
-@settings(max_examples=400, deadline=None)
+# per-example time bound: every input ends promptly, in exit 0, 1 or 2
+FUZZ_DEADLINE_MS = 2000
+
+
+@settings(max_examples=400, deadline=FUZZ_DEADLINE_MS)
 @given(data=st.data())
 def test_solve_survives_one_bad_value_anywhere(fuzz_configs, data):
     from tensorwave.cli import main
@@ -543,6 +570,38 @@ def test_solve_survives_one_bad_value_anywhere(fuzz_configs, data):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["solve", "--config", path_cfg, "--format", fmt])
     assert code in (0, 1, 2)
+    if code == 0:
+        assert _all_finite(out.getvalue(), fmt)
+    else:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+
+
+# one cell of a valid field CSV is replaced by one of these
+FIELD_FUZZ_VALUES = ["", "x", "nan", "-inf", "1e400", "0", "-1"]
+
+
+@settings(max_examples=200, deadline=FUZZ_DEADLINE_MS)
+@given(data=st.data())
+def test_solve_project_survives_one_bad_field_cell(fuzz_configs, data):
+    from tensorwave.cli import main
+
+    d, configs = fuzz_configs
+    cfg = configs["project"]
+    with open(cfg["field"]) as handle:
+        header, *rows = handle.read().splitlines()
+    i = data.draw(st.integers(0, len(rows) - 1))
+    cells = rows[i].split(",")
+    cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(
+        st.sampled_from(FIELD_FUZZ_VALUES)
+    )
+    field = d / "fuzz_field.csv"
+    field.write_text("\n".join([header, *rows[:i], ",".join(cells), *rows[i + 1:]]) + "\n")
+    fmt = data.draw(st.sampled_from(["json", "csv"]))
+    path_cfg = write_config(d, "fuzz_field.json", dict(cfg, field=str(field)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["solve", "--config", path_cfg, "--format", fmt])
+    assert code in (0, 2)
     if code == 0:
         assert _all_finite(out.getvalue(), fmt)
     else:

@@ -1,68 +1,130 @@
+import csv
 import io
 import json
 
 import numpy as np
 import pytest
 
+from tensorwave.cli import _waves_from_config
 from tensorwave.fileio import (
     FIELD_CSV_COLUMNS,
+    _wave_from_dict,
     read_field_csv,
     read_field_json,
-    read_profile_json,
-    read_waves_json,
     write_field_csv,
     write_field_json,
-    write_profile_json,
-    write_waves_json,
 )
 from tensorwave.maxwell_radial import Medium, RadialProfile
-from tensorwave.specfun import ModeIndex, RadialKind
-from tensorwave.synthesis import FieldSample, PartialWave
+from tensorwave.parsing import _pair
+from tensorwave.specfun import RadialKind
+
+EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, 1e-300, 3.0, -2.0, 0.0]
 
 
-def some_samples(rng, n=5):
-    out = []
-    for _ in range(n):
-        r = float(rng.uniform(0.5, 4.0))
-        th = float(rng.uniform(0.1, 3.0))
-        ph = float(rng.uniform(0.0, 6.2))
-        e = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        out.append(FieldSample(r, th, ph, e, h))
-    return out
+def some_fields(rng, n=5):
+    points = np.column_stack(
+        [rng.uniform(0.5, 4.0, n), rng.uniform(0.1, 3.0, n), rng.uniform(0.0, 6.2, n)]
+    )
+    e = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    h = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    return points, e, h
 
 
-def assert_samples_equal(a, b):
-    assert len(a) == len(b)
-    for sa, sb in zip(a, b):
-        assert (sa.r, sa.theta, sa.phi) == (sb.r, sb.theta, sb.phi)
-        assert np.array_equal(sa.e, sb.e)
-        assert np.array_equal(sa.h, sb.h)
+def edge_fields():
+    """Two rows whose cells hit signed zero, the subnormal and largest
+    doubles, a tiny normal and exact integers."""
+    vals = np.resize(np.array(EDGE_VALUES), 2 * 15).reshape(2, 15)
+    vals[:, 0] = [1.0, 2.0]  # r > 0
+    eh = vals[:, 3:].copy().view(complex)  # keeps the signed zeros
+    return vals[:, :3], eh[:, :3], eh[:, 3:]
+
+
+def reference_csv(points, e, h) -> str:
+    """The field CSV built cell by cell with csv.writer and "%.17g"."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(FIELD_CSV_COLUMNS)
+    for p, ei, hi in zip(points, e, h):
+        row = list(p)
+        for v in (*ei, *hi):
+            row.extend([v.real, v.imag])
+        writer.writerow(["%.17g" % x for x in row])
+    return buf.getvalue()
+
+
+def reference_json(points, e, h) -> str:
+    doc = {
+        "fields": [
+            {"r": p[0], "theta": p[1], "phi": p[2],
+             "e": [_pair(v) for v in ei], "h": [_pair(v) for v in hi]}
+            for p, ei, hi in zip(points.tolist(), e, h)
+        ]
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def assert_fields_equal(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == np.shape(w)
+        # bit for bit, signed zeros included
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def field_text(*rows) -> str:
+    return ",".join(FIELD_CSV_COLUMNS) + "\n" + "".join(r + "\n" for r in rows)
+
+
+GOOD_ROW = ",".join(["1.5", "0.5", "0.25"] + ["0.125"] * 12)
 
 
 def test_field_csv_round_trip_is_exact(rng, tmp_path):
     # 17 significant digits round-trips IEEE doubles bit for bit
-    samples = some_samples(rng)
+    fields = some_fields(rng)
     path = tmp_path / "field.csv"
-    write_field_csv(samples, str(path))
-    assert_samples_equal(read_field_csv(str(path)), samples)
+    write_field_csv(*fields, str(path))
+    assert_fields_equal(read_field_csv(str(path)), fields)
+    edges = edge_fields()
+    write_field_csv(*edges, str(path))
+    assert_fields_equal(read_field_csv(str(path)), edges)
 
 
 def test_field_csv_accepts_file_objects(rng):
-    samples = some_samples(rng, n=2)
+    fields = some_fields(rng, n=2)
     buf = io.StringIO()
-    write_field_csv(samples, buf)
+    write_field_csv(*fields, buf)
     text = buf.getvalue()
     assert text.splitlines()[0] == ",".join(FIELD_CSV_COLUMNS)
-    assert_samples_equal(read_field_csv(io.StringIO(text)), samples)
+    assert_fields_equal(read_field_csv(io.StringIO(text)), fields)
 
 
 def test_field_csv_writer_is_deterministic(rng):
-    samples = some_samples(rng, n=3)
+    fields = some_fields(rng, n=3)
     a, b = io.StringIO(), io.StringIO()
-    write_field_csv(samples, a)
-    write_field_csv(samples, b)
+    write_field_csv(*fields, a)
+    write_field_csv(*fields, b)
     assert a.getvalue() == b.getvalue()
+
+
+@pytest.mark.parametrize("which", ["random", "edges", "empty"])
+def test_field_csv_writer_matches_per_cell_reference(rng, which):
+    fields = {
+        "random": lambda: some_fields(rng, n=7),
+        "edges": edge_fields,
+        "empty": lambda: some_fields(rng, n=0),
+    }[which]()
+    buf = io.StringIO()
+    write_field_csv(*fields, buf)
+    assert buf.getvalue() == reference_csv(*fields)
+
+
+def test_field_csv_writer_cells_at_the_edges():
+    buf = io.StringIO()
+    write_field_csv(*edge_fields(), buf)
+    cells = buf.getvalue().splitlines()[1].split(",")
+    assert cells[:9] == [
+        "1", "4.9406564584124654e-324", "1.7976931348623157e+308", "1e-300",
+        "3", "-2", "0", "-0", "4.9406564584124654e-324",
+    ]
 
 
 def test_field_csv_rejects_bad_header():
@@ -76,19 +138,82 @@ def test_field_csv_rejects_empty_file():
 
 
 def test_field_csv_rejects_short_row():
-    text = ",".join(FIELD_CSV_COLUMNS) + "\n1,2,3\n"
-    with pytest.raises(ValueError, match="columns"):
+    for row, n in (("1,2,3", 3), (GOOD_ROW.rsplit(",", 1)[0], 14)):
+        with pytest.raises(ValueError, match=f"field CSV row has {n} columns"):
+            read_field_csv(io.StringIO(field_text(GOOD_ROW, row)))
+
+
+def test_field_csv_skips_blank_lines_and_counts_them():
+    points, e, h = read_field_csv(io.StringIO(field_text("", GOOD_ROW, "", GOOD_ROW)))
+    assert points.shape == e.shape == h.shape == (2, 3)
+    # the header is line 1 and the blank lines 2 and 4, so the nan is on line 5
+    bad = GOOD_ROW.split(",")
+    bad[5] = "nan"
+    text = field_text("", GOOD_ROW, "", ",".join(bad))
+    with pytest.raises(ValueError, match="field CSV line 5: e_theta_re is not finite"):
         read_field_csv(io.StringIO(text))
 
 
+@pytest.mark.parametrize("r", ["0", "-0", "-1"])
+def test_field_csv_rejects_nonpositive_radius(r):
+    text = field_text(GOOD_ROW, r + GOOD_ROW[3:])
+    with pytest.raises(ValueError, match="field samples require r > 0"):
+        read_field_csv(io.StringIO(text))
+    doc = {"fields": [{"r": float(r), "theta": 1, "phi": 1, "e": [[0, 0]] * 3,
+                       "h": [[0, 0]] * 3}]}
+    with pytest.raises(ValueError, match="field samples require r > 0"):
+        read_field_json(io.StringIO(json.dumps(doc)))
+
+
+def _with_cell(row, j, value):
+    cells = row.split(",")
+    cells[j] = value
+    return ",".join(cells)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # line 3 holds the first fault whatever comes after it
+        ([GOOD_ROW, _with_cell(GOOD_ROW, 9, "nan"), _with_cell(GOOD_ROW, 2, "x")],
+         "line 3: h_r_re is not finite"),
+        ([GOOD_ROW, _with_cell(GOOD_ROW, 2, "x"), _with_cell(GOOD_ROW, 9, "nan")],
+         "could not convert string to float: 'x'"),
+        ([GOOD_ROW, _with_cell(GOOD_ROW, 1, "inf"), "1,2"],
+         "line 3: theta is not finite"),
+        ([GOOD_ROW, "1,2", _with_cell(GOOD_ROW, 1, "inf")], "row has 2 columns"),
+        ([_with_cell(GOOD_ROW, 0, "0"), _with_cell(GOOD_ROW, 2, "x")], "r > 0"),
+        # within a row a non-finite cell is reported before r <= 0
+        ([_with_cell(_with_cell(GOOD_ROW, 0, "0"), 9, "-inf")],
+         "line 2: h_r_re is not finite"),
+    ],
+)
+def test_field_csv_reports_the_first_faulty_row(rows, message):
+    with pytest.raises(ValueError, match=message):
+        read_field_csv(io.StringIO(field_text(*rows)))
+
+
 def test_field_json_round_trip(rng, tmp_path):
-    samples = some_samples(rng)
+    fields = some_fields(rng)
     path = tmp_path / "field.json"
-    write_field_json(samples, str(path))
-    assert_samples_equal(read_field_json(str(path)), samples)
+    write_field_json(*fields, str(path))
+    assert_fields_equal(read_field_json(str(path)), fields)
     doc = json.loads(path.read_text())
     assert set(doc) == {"fields"}
     assert all(isinstance(p, list) and len(p) == 2 for p in doc["fields"][0]["e"])
+
+
+@pytest.mark.parametrize("which", ["random", "edges", "empty"])
+def test_field_json_writer_matches_reference(rng, which):
+    fields = {
+        "random": lambda: some_fields(rng, n=4),
+        "edges": edge_fields,
+        "empty": lambda: some_fields(rng, n=0),
+    }[which]()
+    buf = io.StringIO()
+    write_field_json(*fields, buf)
+    assert buf.getvalue() == reference_json(*fields)
+    assert_fields_equal(read_field_json(io.StringIO(buf.getvalue())), fields)
 
 
 def test_field_json_rejects_unknown_keys():
@@ -111,67 +236,69 @@ def test_field_json_rejects_bad_pair():
         read_field_json(io.StringIO(json.dumps(doc)))
 
 
+def test_field_json_rejects_wrong_vector_length():
+    doc = {"fields": [{"r": 1, "theta": 1, "phi": 1,
+                       "e": [[0, 0]] * 3, "h": [[0, 0]] * 4}]}
+    with pytest.raises(ValueError, match=r"h must have shape \(3,\)"):
+        read_field_json(io.StringIO(json.dumps(doc)))
+
+
 def test_field_json_rejects_wrong_top_level():
     with pytest.raises(ValueError, match="fields"):
         read_field_json(io.StringIO("[1, 2]"))
 
 
-def test_waves_json_round_trip(tmp_path):
-    waves = [
-        PartialWave(ModeIndex(1, 0), [1.0, 0.5j], [0.0, 0.0],
-                    (RadialKind.HANKEL1, RadialKind.HANKEL2)),
-        PartialWave(ModeIndex(3, -2), [0.0, 0.0], [1.0 - 2.0j, 0.25],
-                    (RadialKind.BESSEL_J, RadialKind.BESSEL_Y)),
-    ]
-    path = tmp_path / "waves.json"
-    write_waves_json(waves, str(path))
-    got = read_waves_json(str(path))
-    assert len(got) == 2
-    for w, g in zip(waves, got):
-        assert (g.mode.l, g.mode.m) == (w.mode.l, w.mode.m)
-        assert np.array_equal(g.c1, w.c1)
-        assert np.array_equal(g.c2, w.c2)
-        assert g.kinds == w.kinds
+# wave entries and profiles are read from the JSON of a config
+
+
+def test_waves_json_round_trip():
+    text = json.dumps([
+        {"l": 1, "m": 0, "c1": [[1.0, 0.0], [0.0, 0.5]], "c2": [[0.0, 0.0], [0.0, 0.0]],
+         "kinds": ["hankel1", "hankel2"]},
+        {"l": 3, "m": -2, "c1": [[0.0, 0.0], [0.0, 0.0]], "c2": [[1.0, -2.0], [0.25, 0.0]],
+         "kinds": ["bessel_j", "bessel_y"]},
+    ])
+    got = _waves_from_config(json.loads(text))
+    assert [(w.mode.l, w.mode.m) for w in got] == [(1, 0), (3, -2)]
+    assert np.array_equal(got[0].c1, [1.0, 0.5j])
+    assert np.array_equal(got[1].c2, [1.0 - 2.0j, 0.25])
+    assert got[1].kinds == (RadialKind.BESSEL_J, RadialKind.BESSEL_Y)
 
 
 def test_waves_json_c2_defaults_to_zero():
-    doc = {"waves": [{"l": 2, "m": 1, "c1": [[1, 0], [0, 1]],
-                      "kinds": ["hankel1", "hankel2"]}]}
-    (w,) = read_waves_json(io.StringIO(json.dumps(doc)))
-    assert np.all(np.asarray(w.c2) == 0)
+    rec = json.loads('{"l": 2, "m": 1, "c1": [[1, 0], [0, 1]], '
+                     '"kinds": ["hankel1", "hankel2"]}')
+    assert np.all(_wave_from_dict(rec).c2 == 0)
 
 
 def test_waves_json_rejects_unknown_and_missing_keys():
     base = {"l": 1, "m": 0, "c1": [[1, 0], [0, 0]],
             "kinds": ["bessel_j", "bessel_y"]}
-    bad = dict(base, amplitude=3)
     with pytest.raises(ValueError, match="amplitude"):
-        read_waves_json(io.StringIO(json.dumps({"waves": [bad]})))
+        _wave_from_dict(dict(base, amplitude=3))
     missing = {k: v for k, v in base.items() if k != "kinds"}
     with pytest.raises(ValueError, match="kinds"):
-        read_waves_json(io.StringIO(json.dumps({"waves": [missing]})))
+        _wave_from_dict(missing)
 
 
 def test_waves_json_rejects_bad_kind_name():
-    doc = {"waves": [{"l": 1, "m": 0, "c1": [[1, 0], [0, 0]],
-                      "kinds": ["bessel_j", "bogus"]}]}
+    rec = {"l": 1, "m": 0, "c1": [[1, 0], [0, 0]], "kinds": ["bessel_j", "bogus"]}
     with pytest.raises(ValueError, match="bogus"):
-        read_waves_json(io.StringIO(json.dumps(doc)))
+        _wave_from_dict(rec)
 
 
 def test_waves_json_rejects_wrong_top_level():
-    with pytest.raises(ValueError, match="waves"):
-        read_waves_json(io.StringIO("{}"))
+    for doc in ({}, []):
+        with pytest.raises(ValueError, match="waves"):
+            _waves_from_config(doc)
 
 
-def test_profile_json_round_trip(tmp_path):
+def test_profile_json_round_trip():
     profile = RadialProfile(
         (1.0, 2.5),
         (Medium(2.25, 1.0), Medium(1.0 + 0.5j, 1.1), Medium(1.0, 1.0)),
     )
-    path = tmp_path / "profile.json"
-    write_profile_json(profile, str(path))
-    got = read_profile_json(str(path))
+    got = RadialProfile.from_dict(json.loads(json.dumps(profile.to_dict())))
     assert got.boundaries == profile.boundaries
     assert all(
         gm.eps == pm.eps and gm.mu == pm.mu
@@ -182,4 +309,4 @@ def test_profile_json_round_trip(tmp_path):
 def test_profile_json_rejects_unknown_keys():
     doc = {"shells": [], "outer": {"eps": [1, 0], "mu": [1, 0]}, "zaps": 1}
     with pytest.raises(ValueError, match="zaps"):
-        read_profile_json(io.StringIO(json.dumps(doc)))
+        RadialProfile.from_dict(doc)

@@ -62,6 +62,10 @@ def test_ylm_range_check():
         ylm(ModeIndex(1, 0), math.pi + 0.2, 0.0)
     with pytest.raises(ValueError, match="got nan"):
         ylm(ModeIndex(1, 0), np.array([0.5, math.nan]), 0.0)
+    with pytest.raises(ValueError, match="phi must be finite, got nan"):
+        ylm(ModeIndex(1, 1), 1.0, math.nan)
+    with pytest.raises(ValueError, match="phi must be finite, got -inf"):
+        ylm(ModeIndex(2, -1), np.array([0.5, 1.0]), np.array([0.0, -math.inf]))
 
 
 def test_ylm_normalization_all_l_up_to_8():

@@ -10,7 +10,6 @@ from tensorwave.harmonics import QuadratureRule
 from tensorwave.maxwell_radial import Medium
 from tensorwave.specfun import ModeIndex, RadialKind
 from tensorwave.synthesis import (
-    FieldSample,
     PartialWave,
     match_sphere,
     multipole_amplitudes,
@@ -34,14 +33,14 @@ def wave(l, m, c1, c2=(0, 0), kinds=(H1, H2)):
 
 def e_field_fn(waves, k, med):
     def at(r, th, ph):
-        return synthesize(waves, k, med, [[r, th, ph]])[0].e
+        return synthesize(waves, k, med, [[r, th, ph]])[0][0]
 
     return at
 
 
 def h_field_fn(waves, k, med):
     def at(r, th, ph):
-        return synthesize(waves, k, med, [[r, th, ph]])[0].h
+        return synthesize(waves, k, med, [[r, th, ph]])[1][0]
 
     return at
 
@@ -55,15 +54,10 @@ def test_partial_wave_validation():
         PartialWave(ModeIndex(1, 0), [1, 0], [0, 0], ("hankel1", "hankel2"))
 
 
-def test_field_sample_validation():
-    with pytest.raises(ValueError, match="r > 0"):
-        FieldSample(0.0, 1.0, 1.0, np.zeros(3), np.zeros(3))
-
-
 def test_empty_wave_list_gives_zero_field():
-    samples = synthesize([], 1.0, VACUUM, [[1.0, 0.5, 0.5], [2.0, 2.0, 3.0]])
-    for s in samples:
-        assert np.all(s.e == 0) and np.all(s.h == 0)
+    e, h = synthesize([], 1.0, VACUUM, [[1.0, 0.5, 0.5], [2.0, 2.0, 3.0]])
+    assert e.shape == h.shape == (2, 3)
+    assert np.all(e == 0) and np.all(h == 0)
 
 
 @pytest.mark.parametrize(
@@ -104,10 +98,10 @@ def test_grouped_synthesis_matches_point_by_point():
         [3.0, math.pi, 4.0],
     ]
     grouped = synthesize(waves, k, med, pts)
-    for p, s in zip(pts, grouped):
-        single = synthesize(waves, k, med, [p])[0]
-        for got, want in ((s.e, single.e), (s.h, single.h)):
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    for i, p in enumerate(pts):
+        single = synthesize(waves, k, med, [p])
+        for got, want in zip(grouped, single):
+            assert np.max(np.abs(got[i] - want[0])) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_superposition(rng):
@@ -115,13 +109,12 @@ def test_superposition(rng):
     a = [wave(1, 0, (1.0, 0.5j), (0.2, 0.0))]
     b = [wave(2, 1, (0.0, 1.0), (0.0, -0.3j)), wave(3, -2, (0.7, 0.0))]
     pts = [[1.5, 0.8, 0.3], [2.2, 2.1, 4.0]]
-    both = synthesize(a + b, k, VACUUM, pts)
-    only_a = synthesize(a, k, VACUUM, pts)
-    only_b = synthesize(b, k, VACUUM, pts)
-    for s, sa, sb in zip(both, only_a, only_b):
-        scale = max(np.max(np.abs(s.e)), np.max(np.abs(s.h)))
-        assert np.max(np.abs(s.e - sa.e - sb.e)) < 1e-12 * scale
-        assert np.max(np.abs(s.h - sa.h - sb.h)) < 1e-12 * scale
+    both = np.stack(synthesize(a + b, k, VACUUM, pts))
+    only_a = np.stack(synthesize(a, k, VACUUM, pts))
+    only_b = np.stack(synthesize(b, k, VACUUM, pts))
+    for i in range(len(pts)):
+        scale = np.max(np.abs(both[:, i]))
+        assert np.max(np.abs(both[:, i] - only_a[:, i] - only_b[:, i])) < 1e-12 * scale
 
 
 def test_dipole_satisfies_curl_equations():
@@ -185,13 +178,9 @@ def test_projection_round_trip(rng):
             waves.append(PartialWave(ModeIndex(l, m), c1, c2, kinds))
     rule = QuadratureRule.for_degree(5)
     pts = [[r, th, ph] for th in rule.thetas for ph in rule.phis]
-    samples = synthesize(waves, k, med, pts)
-    e_grid = np.array([s.e for s in samples]).reshape(
-        len(rule.cos_nodes), rule.n_phi, 3
-    )
-    h_grid = np.array([s.h for s in samples]).reshape(
-        len(rule.cos_nodes), rule.n_phi, 3
-    )
+    e, h = synthesize(waves, k, med, pts)
+    e_grid = e.reshape(len(rule.cos_nodes), rule.n_phi, 3)
+    h_grid = h.reshape(len(rule.cos_nodes), rule.n_phi, 3)
     modes = [ModeIndex(l, m) for l, m in coeffs]
     hls, els = project_sampled(e_grid, h_grid, modes, rule)
     got = recover_coefficients(hls, els, modes, k, r, med, kinds)
@@ -205,9 +194,9 @@ def test_projection_cross_mode_leakage():
     waves = [wave(2, 1, (1.0, -0.5j), (0.3, 0.1))]
     rule = QuadratureRule.for_degree(4)
     pts = [[r, th, ph] for th in rule.thetas for ph in rule.phis]
-    samples = synthesize(waves, k, med, pts)
-    e_grid = np.array([s.e for s in samples]).reshape(-1, rule.n_phi, 3)
-    h_grid = np.array([s.h for s in samples]).reshape(-1, rule.n_phi, 3)
+    e, h = synthesize(waves, k, med, pts)
+    e_grid = e.reshape(-1, rule.n_phi, 3)
+    h_grid = h.reshape(-1, rule.n_phi, 3)
     others = [ModeIndex(3, 0), ModeIndex(1, 1), ModeIndex(4, -2)]
     for hl, el in zip(*project_sampled(e_grid, h_grid, others, rule)):
         assert np.max(np.abs(hl)) < 1e-10
