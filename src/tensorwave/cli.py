@@ -343,7 +343,8 @@ def _solve_project(cfg: dict, fmt: str):
         i, j = divmod(int(np.argmax(pick < 0)), nphi)
         raise ValueError(
             "field samples do not lie on the quadrature grid for "
-            f"lmax {lq} (missing theta={rule.thetas[i]!r}, phi={rule.phis[j]!r})"
+            f"lmax {lq} (missing theta={float(rule.thetas[i])!r}, "
+            f"phi={float(rule.phis[j])!r})"
         )
     e_grid = e[pick].reshape(nt, nphi, 3)
     h_grid = h[pick].reshape(nt, nphi, 3)

@@ -90,8 +90,11 @@ def read_field_csv(fp) -> tuple:
         # on a bad number, `flat` keeps the cells parsed before it
         flat.extend(map(float, chain.from_iterable(rows[:wide])))
         unparsed = None
-    except ValueError as exc:
-        unparsed = exc
+    except ValueError:
+        i, j = divmod(len(flat), ncol)
+        unparsed = ValueError(
+            f"field CSV line {line_of[i]}: {FIELD_CSV_COLUMNS[j]} is not a number"
+        )
     vals = np.array(flat[: len(flat) // ncol * ncol]).reshape(-1, ncol)
     nonfinite = ~np.isfinite(vals)
     bad = nonfinite.any(axis=1) | ~(vals[:, 0] > 0)
@@ -132,16 +135,20 @@ def read_field_json(fp) -> tuple:
     """(points, e, h) from a field JSON document."""
     with _opened(fp, "r") as handle:
         doc = json.load(handle)
-    if not isinstance(doc, dict) or "fields" not in doc:
+    if not (isinstance(doc, dict) and isinstance(doc.get("fields"), list)):
         raise ValueError("field JSON must be an object with a 'fields' list")
     points, e, h = [], [], []
     for rec in doc["fields"]:
+        if not isinstance(rec, dict):
+            raise ValueError(f"field sample must be an object, got {rec!r}")
         extra = set(rec) - {"r", "theta", "phi", "e", "h"}
         if extra:
             raise ValueError(f"unknown field-sample keys {sorted(extra)}")
         try:
-            e.append([complex_pair(v, "e") for v in rec["e"]])
-            h.append([complex_pair(v, "h") for v in rec["h"]])
+            for name, v in (("e", e), ("h", h)):
+                if not isinstance(rec[name], list):
+                    raise ValueError(f"{name} must have shape (3,)")
+                v.append([complex_pair(p, name) for p in rec[name]])
             points.append([real(rec[key], key) for key in ("r", "theta", "phi")])
         except KeyError as exc:
             raise ValueError(f"field sample missing key {exc}") from None

@@ -176,31 +176,44 @@ def system_matrix(l: int, k, r: float, med: Medium) -> np.ndarray:
     return m
 
 
-def _basis(f1, d1, f2, d2, k: float, r, med: Medium) -> np.ndarray:
-    """The 4x4 solution basis Phi on u = r W from the radial values of two kinds.
+def _tangential(f1, d1, f2, d2, k: float, r, med: Medium, c) -> np.ndarray:
+    """u = r W of the transverse solution with coefficients c, from the
+    radial values of two kinds.
 
     f_i and d_i = d(r f_i)/dr are the kind_i radial function and its
     derivative at argument n k r.  A transverse solution in a homogeneous
-    medium is u = Phi (c1, c2) with constant coefficient 2-vectors c1, c2
-    on (e_theta, e_phi):
+    medium has constant coefficient 2-vectors c1, c2 on (e_theta, e_phi):
 
         H_t = f_i c_theta e_theta - (i/(mu k r)) d_i c_phi e_phi
         E_t = f_i c_phi e_theta + (i/(eps k r)) d_i c_theta e_phi
 
-    summed over i.  Columns correspond to (c1_theta, c1_phi, c2_theta,
-    c2_phi), rows to (rH_theta, rH_phi, rE_theta, rE_phi).  The inputs and
-    r broadcast together; the result has their shape followed by (4, 4).
+    summed over i.  `c` holds (c1_theta, c1_phi, c2_theta, c2_phi) on its
+    last axis; the result holds (rH_theta, rH_phi, rE_theta, rE_phi) on a
+    new last axis, over the broadcast shape of the inputs and c[..., 0].
     """
-    f1, d1, f2, d2, r = np.broadcast_arrays(f1, d1, f2, d2, r)
+    c = np.asarray(c)
     ie, im_ = 1j / (med.eps * k), -1j / (med.mu * k)
-    phi = np.zeros(f1.shape + (4, 4), dtype=complex)
-    phi[..., 0, 0] = phi[..., 2, 1] = r * f1
-    phi[..., 0, 2] = phi[..., 2, 3] = r * f2
-    phi[..., 1, 1] = im_ * d1
-    phi[..., 1, 3] = im_ * d2
-    phi[..., 3, 0] = ie * d1
-    phi[..., 3, 2] = ie * d2
-    return phi
+    return np.stack(
+        [
+            r * (f1 * c[..., 0] + f2 * c[..., 2]),
+            im_ * (d1 * c[..., 1] + d2 * c[..., 3]),
+            r * (f1 * c[..., 1] + f2 * c[..., 3]),
+            ie * (d1 * c[..., 0] + d2 * c[..., 2]),
+        ],
+        axis=-1,
+    )
+
+
+def _basis(f1, d1, f2, d2, k: float, r, med: Medium) -> np.ndarray:
+    """The 4x4 solution basis Phi on u = r W: `_tangential` of the unit
+    coefficient vectors, one per column.
+
+    Columns correspond to (c1_theta, c1_phi, c2_theta, c2_phi), rows to
+    (rH_theta, rH_phi, rE_theta, rE_phi).  The inputs and r broadcast
+    together; the result has their shape followed by (4, 4).
+    """
+    f1, d1, f2, d2, r = (np.asarray(v)[..., None] for v in (f1, d1, f2, d2, r))
+    return np.swapaxes(_tangential(f1, d1, f2, d2, k, r, med, np.eye(4)), -1, -2)
 
 
 def fundamental_matrix(
@@ -215,7 +228,7 @@ def fundamental_matrix(
 
     Columns correspond to the coefficient unit vectors
     (c1_theta, c1_phi, c2_theta, c2_phi); rows to (rH_theta, rH_phi,
-    rE_theta, rE_phi).  See `_basis` for the entries.  `l` may be an
+    rE_theta, rE_phi).  See `_tangential` for the entries.  `l` may be an
     array of degrees; the result then has its shape followed by (4, 4),
     from one `spherical_radial_seq` per kind up to the largest l.
     """
@@ -232,15 +245,36 @@ def fundamental_matrix(
     return _basis(f1[ls], d1[ls], f2[ls], d2[ls], k, r, med)
 
 
-def _scaled_basis(l: int, k: float, r: float, med: Medium) -> np.ndarray:
-    """Phi at r in the (j, h1) basis with e^{-i n k r} taken out of the
-    j columns and e^{+i n k r} out of the h1 columns (Im(n k r) >= 0)."""
-    x = med.n * k * r
+def _transfers(l: int, k: float, shells) -> list:
+    """`transfer_closed_form` across each (r_from, r_to, med) of `shells`,
+    from one scaled sequence per kind for all of their ends."""
+    with np.errstate(over="ignore"):
+        phases = [
+            np.exp(np.array([-1, -1, 1, 1]) * 1j * med.n * k * (b - a))
+            for a, b, med in shells
+        ]
+    for (a, b, _), phase in zip(shells, phases):
+        if not np.all(np.isfinite(phase)):
+            raise OverflowError(f"transfer across [{a}, {b}] overflows")
+    ends = [(r, med) for a, b, med in shells for r in (b, a)]
+    x = np.array([med.n * k * r for r, med in ends])
     f1, d1 = spherical_radial_seq(RadialKind.BESSEL_J, l, x, scaled=True)
     f2, d2 = spherical_radial_seq(RadialKind.HANKEL1, l, x, scaled=True)
-    if not abs(f1[l]) > _TINY:
-        raise OverflowError(f"bessel_j underflowed at l={l}, x={x}")
-    return _basis(f1[l], d1[l], f2[l], d2[l], k, r, med)
+    small = ~(np.abs(f1[l]) > _TINY)
+    if small.any():
+        bad = complex(x[np.argmax(small)])
+        raise OverflowError(f"bessel_j underflowed at l={l}, x={bad}")
+    phis = [
+        _basis(f1[l, i], d1[l, i], f2[l, i], d2[l, i], k, r, med)
+        for i, (r, med) in enumerate(ends)
+    ]
+    out = []
+    for i, (a, _, _) in enumerate(shells):
+        try:
+            out.append(phis[2 * i] * phases[i] @ np.linalg.inv(phis[2 * i + 1]))
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"degenerate radial basis at r={a}") from exc
+    return out
 
 
 def transfer_closed_form(
@@ -262,23 +296,15 @@ def transfer_closed_form(
         raise ValueError("transverse solutions need l >= 1")
     if not (r_from > 0 and r_to > 0):
         raise ValueError("r must be positive")
-    k = _as_k(k)
-    with np.errstate(over="ignore"):
-        phase = np.exp(np.array([-1, -1, 1, 1]) * 1j * med.n * k * (r_to - r_from))
-    if not np.all(np.isfinite(phase)):
-        raise OverflowError(f"transfer across [{r_from}, {r_to}] overflows")
-    phi_to = _scaled_basis(l, k, r_to, med) * phase
-    try:
-        return phi_to @ np.linalg.inv(_scaled_basis(l, k, r_from, med))
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"degenerate radial basis at r={r_from}") from exc
+    return _transfers(l, _as_k(k), [(r_from, r_to, med)])[0]
 
 
-def longitudinal_components(l: int, k, r, med: Medium, w):
+def longitudinal_components(l, k, r, med: Medium, w):
     """Radial field components (E_r, H_r) reconstructed from the tangential state.
 
     `w` holds (H_theta, H_phi, E_theta, E_phi) along its last axis; its
-    leading shape broadcasts against r.
+    leading shape broadcasts against r and the degree l, which may be an
+    array.
 
     E_r = -sqrt(l(l+1))/(eps k r) H_theta,
     H_r = +sqrt(l(l+1))/(mu  k r) E_theta.
@@ -288,7 +314,8 @@ def longitudinal_components(l: int, k, r, med: Medium, w):
         raise ValueError("r must be positive")
     k = _as_k(k)
     w = np.asarray(w, dtype=complex)
-    root = math.sqrt(l * (l + 1))
+    l = np.asarray(l)
+    root = np.sqrt(l * (l + 1.0))
     e_r = -root / (med.eps * k * r) * w[..., 0]
     h_r = root / (med.mu * k * r) * w[..., 2]
     return e_r, h_r
@@ -307,10 +334,10 @@ def propagate(
 
     `profile` may be a RadialProfile or a bare Medium.  The profile is
     piecewise constant, so the exact transfer is the product of one
-    `transfer_closed_form` per shell crossed; W is continuous across
-    every boundary.  Inward propagation (r_to < r_from) is allowed.
-    Raises OverflowError when a radial function or the state leaves the
-    double range.
+    `transfer_closed_form` per shell crossed, from one scaled sequence
+    per kind for every shell; W is continuous across every boundary.
+    Inward propagation (r_to < r_from) is allowed.  Raises OverflowError
+    when a radial function or the state leaves the double range.
     """
     if l < 1:
         raise ValueError(
@@ -332,11 +359,13 @@ def propagate(
     cuts = [b for b in profile.boundaries if lo < b < hi]
     stops = [r_from] + (cuts if r_to > r_from else cuts[::-1]) + [r_to]
 
+    shells = [
+        (a, b, profile.medium_at(0.5 * (a + b))) for a, b in zip(stops, stops[1:])
+    ]
     u = w * r_from
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, b in zip(stops, stops[1:]):
-            med = profile.medium_at(0.5 * (a + b))
-            u = transfer_closed_form(l, k, a, b, med) @ u
+        for t in _transfers(l, k, shells):
+            u = t @ u
     if not np.all(np.isfinite(u)):
         raise OverflowError(f"the state at r={r_to} leaves the double range")
     return u / r_to

@@ -15,14 +15,14 @@ hold exactly, and Y_{l,-m} = (-1)^m conj(Y_lm).
 The Legendre part is evaluated by the fully normalized forward recurrence
 in l at fixed m (seeded from the double-factorial closed form of the
 sectoral term), which is stable for every |m| <= l at the orders handled
-here.  Spherical Bessel functions come as whole sequences in l, from
-downward Miller recursion for j_l and upward recursion for y_l and the
-Hankel functions, valid for complex arguments.
+here.  Spherical Bessel functions come as whole sequences in l for an
+array of arguments at once, from downward Miller recursion for j_l and
+upward recursion for y_l and the Hankel functions, valid for complex
+arguments.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -137,76 +137,160 @@ def ladder_minus(mode: ModeIndex):
 
 
 # --- spherical Bessel machinery -------------------------------------------
+# The recursions run in l, with numpy across a 1-d array of arguments x;
+# entry n of a sequence array holds f_{n-1} at every x.
 
 _RESCALE = 1e250
 
 
-def _upward(f_prev, f_0, lmax: int, x: complex) -> list:
+def _split(v, bits: int):
+    """v rounded to its leading 53 - bits bits (Dekker 1971)."""
+    t = (2.0**bits + 1.0) * v
+    return t - (t - v)
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a*b) and p + e = a*b exactly."""
+    p, ah, bh = a * b, _split(a, 27), _split(b, 27)
+    return p, ((ah * bh - p) + ah * (b - bh) + (a - ah) * bh) + (a - ah) * (b - bh)
+
+
+def _lane(v: np.ndarray):
+    """v as the recursions carry it: a Python complex when it holds one
+    argument (its arithmetic costs a tenth of a numpy call), else v."""
+    return complex(v.ravel()[0]) if v.size == 1 else v
+
+
+def _quotients(ks: np.ndarray, x: np.ndarray):
+    """fl(k/x) for each k of `ks`, rounded afresh at every k, as rows over x.
+
+    k/x rounded from one double 1/x errs alike at every step of a
+    recursion, which acts as an argument error: 4e-13 of |j_l| + |y_l|
+    at x = 1e4.  So 1/x = hi + lo with hi of 33 bits, k*hi exact for
+    k < 2^20, and lo = hi (r + r^2) from the residual r = 1 - x hi in
+    exact products: p1 - p2 is near 1 and p3 + p4 near 0, so both
+    subtract exactly up to the two-sum error es.  Rows are formed about
+    1024 values at a time, to keep the memory of a batch small.
+    """
+    size, x = x.size, _lane(x)
+    hi = 1.0 / x
+    hi = _split(hi.real, 20) + 1j * _split(hi.imag, 20)
+    (p1, e1), (p2, e2), (p3, e3), (p4, e4) = (
+        _two_prod(u, v)
+        for u, v in ((x.real, hi.real), (x.imag, hi.imag),
+                     (x.real, hi.imag), (x.imag, hi.real))
+    )
+    s = p1 - p2
+    bb = s - p1
+    es = (p1 - (s - bb)) - (p2 + bb)
+    r = ((1.0 - s) - es - e1 + e2) - 1j * ((p3 + p4) + (e3 + e4))
+    lo = hi * (r + r * r)
+    rows = max(1, 1024 // size)
+    for i in range(0, len(ks), rows):
+        k = ks[i:i + rows, None]
+        block = k * hi + k * lo
+        yield from block.ravel().tolist() if size == 1 else block
+
+
+def _upward(f_prev, f_0, lmax: int, x: np.ndarray) -> np.ndarray:
     """f_{-1} .. f_lmax from the upward recursion f_{n+1} = (2n+1)/x f_n - f_{n-1}."""
-    f = [f_prev, f_0]
-    for n in range(lmax):
-        f.append((2.0 * n + 1.0) / x * f[-1] - f[-2])
-    return f
+    f = [_lane(f_prev), _lane(f_0)]
+    for q in _quotients(2.0 * np.arange(lmax) + 1.0, x):
+        f.append(q * f[-1] - f[-2])
+    return np.array(f, dtype=complex).reshape((lmax + 2,) + x.shape)
 
 
-def _miller(lmax: int, x: complex, s: complex, c: complex) -> list:
+def _miller(lmax: int, x: np.ndarray, s, c) -> np.ndarray:
     """w j_l(x) for l = -1 .. lmax, given s = w sin x and c = w cos x.
 
-    Downward Miller recursion, started past the turning point l = |x| by
-    a margin growing like |x|^(1/3) so the trial sequence has converged
-    to the minimal solution there (Gautschi 1967, SIAM Rev. 9), and
-    normalized against whichever of the closed forms j_0, j_1 is larger
-    (j_0 vanishes at x = n*pi).
+    Downward Miller recursion, started past the turning point of the
+    largest |x| by a margin growing like |x|^(1/3) so the trial sequence
+    has converged to the minimal solution there (Gautschi 1967, SIAM
+    Rev. 9), and normalized against whichever of the closed forms j_0,
+    j_1 is larger (j_0 vanishes at x = n*pi).  A step grows the trial
+    values by at most |k/x| + 1; that bound decides when to look for
+    values past _RESCALE, and only those rescale.
     """
-    ax = abs(x)
-    n_start = lmax + 16 + math.ceil(ax + 10.0 * (ax / 2.0) ** (1.0 / 3.0))
-    fp, fc = 0j, 1e-30 + 0j  # trial values at n + 2, n + 1
-    trial = [0j] * (lmax + 1)
-    for n in range(n_start, -1, -1):
-        fp, fc = fc, (2.0 * n + 3.0) / x * fc - fp
+    ax = np.abs(x)
+    top = float(ax.max())
+    n_start = lmax + 16 + math.ceil(top + 10.0 * (top / 2.0) ** (1.0 / 3.0))
+    ks = 2.0 * np.arange(n_start, -1, -1) + 3.0
+    growth = np.log2(ks * ((1.0 + 1e-9) / float(ax.min())) + 1.0).tolist()
+    fp, fc = _lane(0.0 * x), _lane(0.0 * x + 1e-30)  # trial values at n + 2, n + 1
+    bound = math.log2(1e-30)  # of the largest |fp|, |fc|
+    trial = np.zeros((lmax + 1,) + x.shape, dtype=complex)
+    for n, q, g in zip(range(n_start, -1, -1), _quotients(ks, x), growth):
+        if bound + g > 1023.0:
+            v = np.where(np.maximum(abs(fp), abs(fc)) > _RESCALE, 1 / _RESCALE, 1.0)
+            fp, fc, trial = _lane(fp * v), _lane(fc * v), trial * v
+            bound = math.log2(_RESCALE)
+        fp, fc = fc, q * fc - fp
+        bound += g
         if n <= lmax:
             trial[n] = fc
-        if abs(fc.real) > _RESCALE or abs(fc.imag) > _RESCALE:
-            fp /= _RESCALE
-            fc /= _RESCALE
-            trial = [v / _RESCALE for v in trial]
-    j0 = s / x
-    j1 = j0 / x - c / x
-    if lmax >= 1 and abs(j1) > abs(j0):
-        scale = j1 / trial[1]
-    else:
-        scale = j0 / trial[0]
-    return [c / x] + [v * scale for v in trial]
+    j0, jm = s / x, c / x
+    j1 = j0 / x - jm
+    scale = j0 / trial[0]
+    if lmax >= 1:
+        scale = np.where(np.abs(j1) > np.abs(j0), j1 / trial[1], scale)
+    return np.concatenate([jm[None], trial * scale])
 
 
-def _scaled_j(lmax: int, x: complex) -> list:
+def _scaled_j(lmax: int, x: np.ndarray) -> np.ndarray:
     """e^{i t x} j_l(x) for l = -1 .. lmax, t = +1 if Im x >= 0 else -1.
 
     The factor has modulus e^{-|Im x|}, so the values stay in the double
-    range for any Im x.
+    range for any Im x; past |Im x| = 300 the seeds come from e^{2itx},
+    of modulus below e^{-600}, with no cancellation.
     """
-    t = 1 if x.imag >= 0 else -1
-    if abs(x.imag) < 300.0:
-        w = cmath.exp(1j * t * x)
-        return _miller(lmax, x, w * cmath.sin(x), w * cmath.cos(x))
-    e2 = cmath.exp(2j * t * x)  # modulus below e^{-600}: no cancellation
-    return _miller(lmax, x, t * (e2 - 1.0) / 2j, (e2 + 1.0) / 2.0)
+    t = np.where(x.imag >= 0, 1.0, -1.0)
+    w, e2 = np.exp(1j * t * x), np.exp(2j * t * x)
+    far = np.abs(x.imag) >= 300.0
+    s = np.where(far, t * (e2 - 1.0) / 2j, w * np.sin(x))
+    c = np.where(far, (e2 + 1.0) / 2.0, w * np.cos(x))
+    return _miller(lmax, x, s, c)
 
 
-def _scaled_hankel(sigma: int, lmax: int, x: complex) -> np.ndarray:
+def _stable_pair(lmax: int, x: np.ndarray) -> tuple:
+    """(t, e^{itx} j_l, e^{-itx} h_l^(t)) for l = -1 .. lmax, t = +1 if
+    Im x >= 0 else -1: j_l by Miller recursion and the Hankel kind that
+    decays into the half plane of x upward from its scaled seeds 1/x and
+    -i t/x, both stable and in range for any Im x."""
+    t = np.where(x.imag >= 0, 1.0, -1.0)
+    return t, _scaled_j(lmax, x), _upward(1.0 / x, -1j * t / x, lmax, x)
+
+
+def _scaled_hankel(sigma: int, lmax: int, x: np.ndarray) -> np.ndarray:
     """e^{-i sigma x} h_l(x) for l = -1 .. lmax; sigma = +1 for h^(1), -1 for h^(2).
 
-    The scaled seeds are 1/x and -i sigma/x.  Upward recursion is stable
-    for the kind that decays into the half plane of x (sigma Im x >= 0):
-    it grows with l relative to the other kind.  The other kind shrinks
-    relative to it by up to e^{2|Im x|}, so its upward recursion would
-    amplify rounding by that much (0.2 relative at l = 40, x = 20+30i);
-    it is 2 j_l - h_l of the stable kind instead.
+    Upward recursion is stable for the kind that decays into the half
+    plane of x (sigma Im x >= 0): it grows with l relative to the other
+    kind.  The other kind shrinks relative to it by up to e^{2|Im x|},
+    so its upward recursion would amplify rounding by that much (0.2
+    relative at l = 40, x = 20+30i); there it is 2 j_l - h_l^(t).
     """
-    if sigma * x.imag >= 0:
-        return np.array(_upward(1.0 / x, -1j * sigma / x, lmax, x))
-    stable = np.array(_upward(1.0 / x, 1j * sigma / x, lmax, x))
-    return 2.0 * np.array(_scaled_j(lmax, x)) - cmath.exp(-2j * sigma * x) * stable
+    g = _upward(1.0 / x, -1j * sigma / x, lmax, x)
+    other = sigma * x.imag < 0
+    if other.any():
+        t, sj, sh = _stable_pair(lmax, x[other])
+        g[:, other] = 2.0 * sj - np.exp(2j * t * x[other]) * sh
+    return g
+
+
+def _bessel_y(lmax: int, x: np.ndarray) -> np.ndarray:
+    """y_l(x) for l = -1 .. lmax, upward from y_0 and y_{-1} while |Im x| <= 1.
+
+    Past that y_l carries the Hankel kind that decays into the half
+    plane, e^{-2|Im x|} below the other at l = 0 but level with it at
+    large l, so upward recursion amplifies rounding by up to e^{2|Im x|}
+    (3.6e-8 of |j_l| + |y_l| at x = 0.5+10i); there y_l = i t (j_l - h_l^(t)).
+    """
+    g = _upward(np.sin(x) / x, -np.cos(x) / x, lmax, x)
+    far = np.abs(x.imag) > 1.0
+    if far.any():
+        (t, sj, sh), xf = _stable_pair(lmax, x[far]), x[far]
+        g[:, far] = 1j * t * (np.exp(-1j * t * xf) * sj - np.exp(1j * t * xf) * sh)
+    return g
 
 
 def spherical_radial_seq(
@@ -217,15 +301,17 @@ def spherical_radial_seq(
     f is j_l, y_l, h_l^(1) = j_l + i y_l, or h_l^(2) = j_l - i y_l.  The
     derivative is of the product x*f(x), the combination entering the
     transverse field solutions; for an argument x = n k r it equals
-    d(r f(n k r))/dr exactly.  Returns two complex arrays of length
-    lmax + 1 from one recursion for every l.
+    d(r f(n k r))/dr exactly.  `x` is a scalar or an array; returns two
+    complex arrays of shape (lmax + 1,) + x.shape from one recursion in l
+    for every l and every x.
 
     j_l comes from downward Miller recursion and y_l from upward
-    recursion, both started from the closed forms of l = 0 and l = -1.
-    The Hankel kinds are never formed as j_l +- i y_l, which cancels to
-    a relative error of e^{2|Im x|}: each comes from upward recursion
-    from h_0, h_{-1} where that is stable, and as 2 j_l minus the other
-    kind where it is not.
+    recursion, both started from the closed forms of l = 0 and l = -1
+    (y_l past |Im x| = 1 from j_l and the stable Hankel kind).  Every
+    x shares the Miller start of the largest |x|.  The Hankel kinds are
+    never formed as j_l +- i y_l, which cancels to a relative error of
+    e^{2|Im x|}: each comes from upward recursion from h_0, h_{-1} where
+    that is stable, and as 2 j_l minus the other kind where it is not.
 
     With `scaled`, both arrays come multiplied by a factor that removes
     the exponential dependence on Im x, so they stay in the double range
@@ -234,53 +320,52 @@ def spherical_radial_seq(
     e^{-ix} otherwise, of modulus e^{-|Im x|}.  y_l has no scaled form.
 
     Raises ValueError at x = 0 for the kinds singular there, and
-    OverflowError when an entry leaves the double range (large l at
-    small |x| for the singular kinds, |Im x| above about 710 unscaled).
+    OverflowError naming the first such x and its l when an entry leaves
+    the double range (large l at small |x| for the singular kinds,
+    |Im x| above about 710 unscaled).
     """
     if lmax < 0:
         raise ValueError(f"l must be >= 0, got {lmax}")
     if scaled and kind is RadialKind.BESSEL_Y:
         raise ValueError("bessel_y has no scaled form")
-    x = complex(x)
-    if x == 0:
+    shape = np.shape(x)
+    xs = np.asarray(x, dtype=complex).ravel()
+    zero = xs == 0
+    has_zero = bool(zero.any())
+    if has_zero:
         if kind is not RadialKind.BESSEL_J:
             raise ValueError(f"{kind.value} is singular at x = 0")
-        # j_0(0) = 1, j_l(0) = 0; x*j_l ~ x^{l+1}/(2l+1)!! near 0
-        f = np.zeros(lmax + 1, dtype=complex)
-        f[0] = 1.0
-        return f, f.copy()
-
+        x = np.where(zero, 1.0, xs)  # a stand-in, overwritten below
+    else:
+        x = xs
     # entry n of g holds f_{n-1}; f_{-1} gives d(x f_0)/dx.  A sequence
     # past the double range holds inf, and inf - inf is nan; both are
-    # caught by the finiteness check.  A closed-form seed past the range
-    # raises from cmath instead
+    # caught by the finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            if kind is RadialKind.BESSEL_J and scaled:
-                g = _scaled_j(lmax, x)
-            elif kind is RadialKind.BESSEL_J:
-                g = _miller(lmax, x, cmath.sin(x), cmath.cos(x))
-            elif kind is RadialKind.BESSEL_Y:
-                g = _upward(cmath.sin(x) / x, -cmath.cos(x) / x, lmax, x)
-            else:
-                sigma = 1 if kind is RadialKind.HANKEL1 else -1
-                g = _scaled_hankel(sigma, lmax, x)
-                if not scaled:
-                    g = g * np.exp(1j * sigma * x)
-        except OverflowError:
-            raise OverflowError(
-                f"{kind.value} overflowed at x={x}: outside double range"
-            ) from None
-        g = np.asarray(g, dtype=complex)
+        if kind is RadialKind.BESSEL_J and scaled:
+            g = _scaled_j(lmax, x)
+        elif kind is RadialKind.BESSEL_J:
+            g = _miller(lmax, x, np.sin(x), np.cos(x))
+        elif kind is RadialKind.BESSEL_Y:
+            g = _bessel_y(lmax, x)
+        else:
+            sigma = 1 if kind is RadialKind.HANKEL1 else -1
+            g = _scaled_hankel(sigma, lmax, x)
+            if not scaled:
+                g = g * np.exp(1j * sigma * x)
         f = g[1:]
-        d_rf = x * g[:-1] - np.arange(lmax + 1) * f
-    bad = ~(np.isfinite(f) & np.isfinite(d_rf))
-    if bad.any():
+        d_rf = x * g[:-1] - np.arange(lmax + 1)[:, None] * f
+    if has_zero:
+        # j_0(0) = 1, j_l(0) = 0; x*j_l ~ x^{l+1}/(2l+1)!! near 0
+        f[:, zero] = d_rf[:, zero] = 0.0
+        f[0, zero] = d_rf[0, zero] = 1.0
+    if not (np.isfinite(f).all() and np.isfinite(d_rf).all()):
+        i, l = np.argwhere(~(np.isfinite(f) & np.isfinite(d_rf)).T)[0]
         raise OverflowError(
-            f"{kind.value} overflowed at l={int(np.argmax(bad))}, x={x}: "
+            f"{kind.value} overflowed at x={complex(xs[i])}, l={l}: "
             "outside double range"
         )
-    return f, d_rf
+    return f.reshape((lmax + 1,) + shape), d_rf.reshape((lmax + 1,) + shape)
 
 
 def spherical_radial(kind: RadialKind, l: int, x) -> tuple[complex, complex]:

@@ -28,7 +28,7 @@ from .harmonics import QuadratureRule, _f_apply, _theta_columns
 from .maxwell_radial import (
     Medium,
     _as_k,
-    _basis,
+    _tangential,
     fundamental_matrix,
     longitudinal_components,
 )
@@ -81,33 +81,20 @@ class MultipoleAmplitudes:
 
 
 def _radial_tables(kind_l, k: float, radii, med: Medium) -> dict:
-    """(f_l, d(x f_l)/dx) at x = n k r for each kind, one sequence per radius.
+    """(f_l, d(x f_l)/dx) at x = n k r for each kind, one sequence for all radii.
 
     `kind_l` yields (kind, l) pairs; each kind's table runs to the largest
     l paired with it, so no kind is evaluated past the entries in use.
-    Returns {kind: array of shape (len(radii), 2, lmax + 1)}.
+    Returns {kind: array of shape (2, lmax + 1, len(radii))}.
     """
     lmax: dict = {}
     for kind, l in kind_l:
         lmax[kind] = max(lmax.get(kind, 0), l)
     xs = med.n * k * np.asarray(radii)
     return {
-        kind: np.array([spherical_radial_seq(kind, top, x) for x in xs])
+        kind: np.array(spherical_radial_seq(kind, top, xs))
         for kind, top in lmax.items()
     }
-
-
-def _radial_vectors(wave: PartialWave, k: float, med: Medium, radii, tables):
-    """(Hl, El) full 3-vectors of one wave, arrays of shape (len(radii), 3)."""
-    l = wave.mode.l
-    (f1, d1), (f2, d2) = (tables[kind][:, :, l].T for kind in wave.kinds)
-    u = _basis(f1, d1, f2, d2, k, radii, med) @ np.concatenate([wave.c1, wave.c2])
-    w = u / radii[:, None]
-    e_r, h_r = longitudinal_components(l, k, radii, med, w)
-    return (
-        np.column_stack([h_r, w[:, 0], w[:, 1]]),
-        np.column_stack([e_r, w[:, 2], w[:, 3]]),
-    )
 
 
 def _by_order(modes) -> dict:
@@ -155,18 +142,22 @@ def synthesize(waves, k, med: Medium, points) -> tuple:
         ((kind, w.mode.l) for w in waves for kind in w.kinds), k, radii, med
     )
     for m, group in _by_order([w.mode for w in waves]).items():
-        lmax = max(waves[i].mode.l for i in group)
-        cols = _theta_columns(m, lmax, rows[:, 1])
-        h_rows = np.zeros((len(rows), 3), dtype=complex)
-        e_rows = np.zeros((len(rows), 3), dtype=complex)
-        for i in group:
-            f = [c[waves[i].mode.l - abs(m)] for c in cols]
-            hl, el = _radial_vectors(waves[i], k, med, radii, tables)
-            h_rows += _f_apply(*f, hl[radius_of])
-            e_rows += _f_apply(*f, el[radius_of])
+        sub = [waves[i] for i in group]
+        ls = np.array([w.mode.l for w in sub])
+        # (f1, d1, f2, d2) of every wave of order m at every radius, and
+        # from them u = r W: shape (len(group), len(radii), 4)
+        fd = np.array([[tables[kind][:, w.mode.l] for kind in w.kinds] for w in sub])
+        c = np.array([np.concatenate([w.c1, w.c2]) for w in sub])[:, None]
+        u = _tangential(fd[:, 0, 0], fd[:, 0, 1], fd[:, 1, 0], fd[:, 1, 1],
+                        k, radii, med, c)
+        w = u[:, radius_of] / rows[:, 0, None]
+        e_r, h_r = longitudinal_components(ls[:, None], k, rows[:, 0], med, w)
+        f = [col[ls - abs(m)] for col in _theta_columns(m, ls.max(), rows[:, 1])]
+        h_rows = _f_apply(*f, np.stack([h_r, w[..., 0], w[..., 1]], axis=-1))
+        e_rows = _f_apply(*f, np.stack([e_r, w[..., 2], w[..., 3]], axis=-1))
         phase = np.exp(1j * m * phis)[phi_of, None]
-        h_out += h_rows[row_of.ravel()] * phase
-        e_out += e_rows[row_of.ravel()] * phase
+        h_out += h_rows.sum(axis=0)[row_of.ravel()] * phase
+        e_out += e_rows.sum(axis=0)[row_of.ravel()] * phase
     return e_out, h_out
 
 

@@ -159,6 +159,26 @@ def spherical_hankel_mp(sign, l, x):
         return complex(j + 1j * sign * y), complex(dj + 1j * sign * dy)
 
 
+def radial_mp(l, x):
+    """{kind value: (f_l, d(x f_l)/dx)} for the four radial kinds, and the
+    envelopes |j_l| + |y_l| and |d(x j_l)/dx| + |d(x y_l)/dx| that errors
+    are measured against, with enough digits for j and y to cancel to
+    e^{-2|Im x|} of their size in the Hankel kinds."""
+    with mpmath.workdps(30 + int(abs(complex(x).imag))):
+        j, dj, y, dy = _jy_mp(l, mpmath.mpc(x))
+        values = {
+            "bessel_j": (j, dj),
+            "bessel_y": (y, dy),
+            "hankel1": (j + 1j * y, dj + 1j * dy),
+            "hankel2": (j - 1j * y, dj - 1j * dy),
+        }
+        return (
+            {kind: (complex(f), complex(d)) for kind, (f, d) in values.items()},
+            float(abs(j) + abs(y)),
+            float(abs(dj) + abs(dy)),
+        )
+
+
 def scaled_radial_mp(kind, l, x):
     """(f_l, d(x f_l)/dx) times the factor of scaled `spherical_radial_seq`:
     e^{i t x} with t = +1 if Im x >= 0 else -1 for "bessel_j", and

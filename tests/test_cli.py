@@ -382,6 +382,44 @@ def test_solve_scatter_builds_one_radial_sequence_per_kind_and_argument(
     ]
 
 
+def test_solve_synthesize_builds_one_radial_sequence_per_kind(
+    tmp_path, capsys, monkeypatch
+):
+    from tensorwave import maxwell_radial, specfun, synthesis
+    from tensorwave.cli import main
+
+    calls = []
+    seq = specfun.spherical_radial_seq
+
+    def counted(kind, lmax, x, *args, **kwargs):
+        calls.append((kind.value, np.shape(x)))
+        return seq(kind, lmax, x, *args, **kwargs)
+
+    for module in (specfun, maxwell_radial, synthesis):
+        monkeypatch.setattr(module, "spherical_radial_seq", counted)
+    # nearfield-shaped: every wave l <= 6 with two of the four kinds, at
+    # 120 points of distinct radii
+    kinds = ["bessel_j", "bessel_y", "hankel1", "hankel2"]
+    waves = [
+        {"l": l, "m": m, "c1": [[1.0, 0.5], [0.0, -1.0]],
+         "c2": [[0.5, 0.0], [0.0, 0.25]],
+         "kinds": [kinds[(l + m) % 4], kinds[(l + m + 1) % 4]]}
+        for l in range(1, 7) for m in range(-l, l + 1)
+    ]
+    rng = np.random.default_rng(3)
+    points = np.column_stack([
+        rng.uniform(1.5, 15.0, 120),
+        np.arccos(rng.uniform(-1.0, 1.0, 120)),
+        rng.uniform(0.0, 2.0 * np.pi, 120),
+    ])
+    cfg = dict(SYNTH, waves=waves, points=points.tolist())
+    cfg = write_config(tmp_path, "s.json", cfg)
+    assert main(["solve", "--config", cfg, "--format", "csv"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 121
+    # one sequence per kind, each over all 120 radii
+    assert sorted(calls) == [(kind, (120,)) for kind in kinds]
+
+
 def test_solve_project_places_samples_by_angle(tmp_path, capsys):
     from tensorwave.cli import main
     from tensorwave.harmonics import QuadratureRule
@@ -411,7 +449,8 @@ def test_solve_project_places_samples_by_angle(tmp_path, capsys):
     assert main(["solve", "--config", proj]) == 2
     rule = QuadratureRule.for_degree(2)
     th, ph = rule.thetas[4 // rule.n_phi], rule.phis[4 % rule.n_phi]
-    assert f"missing theta={th!r}, phi={ph!r}" in capsys.readouterr().err
+    # plain floats, not numpy reprs such as np.float64(...)
+    assert f"missing theta={float(th)!r}, phi={float(ph)!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
@@ -432,6 +471,29 @@ def test_solve_project_rejects_non_finite_field_cell(tmp_path, capsys, cell):
     assert main(["solve", "--config", proj]) == 2
     out = capsys.readouterr()
     assert "field CSV line 4: e_theta_re is not finite" in out.err
+    assert out.out == ""
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"fields": 5}, "field JSON must be an object with a 'fields' list"),
+        ({"fields": [5]}, "field sample must be an object, got 5"),
+        ({"fields": [{"r": 2.0, "theta": 1.0, "phi": 0.5, "e": 5,
+                      "h": [[0.0, 0.0]] * 3}]}, "e must have shape (3,)"),
+        ({"fields": [{"r": 2.0, "theta": 1.0, "phi": 0.5, "e": [[0.0, 0.0]] * 3,
+                      "h": "x"}]}, "h must have shape (3,)"),
+    ],
+)
+def test_solve_project_rejects_malformed_field_json(tmp_path, capsys, doc, message):
+    from tensorwave.cli import main
+
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps(doc))
+    proj = write_config(tmp_path, "p.json", dict(PROJECT, field=str(field)))
+    assert main(["solve", "--config", proj]) == 2
+    out = capsys.readouterr()
+    assert f"error: {message}" in out.err
     assert out.out == ""
 
 

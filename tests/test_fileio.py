@@ -178,7 +178,7 @@ def _with_cell(row, j, value):
         ([GOOD_ROW, _with_cell(GOOD_ROW, 9, "nan"), _with_cell(GOOD_ROW, 2, "x")],
          "line 3: h_r_re is not finite"),
         ([GOOD_ROW, _with_cell(GOOD_ROW, 2, "x"), _with_cell(GOOD_ROW, 9, "nan")],
-         "could not convert string to float: 'x'"),
+         "line 3: phi is not a number"),
         ([GOOD_ROW, _with_cell(GOOD_ROW, 1, "inf"), "1,2"],
          "line 3: theta is not finite"),
         ([GOOD_ROW, "1,2", _with_cell(GOOD_ROW, 1, "inf")], "row has 2 columns"),
@@ -191,6 +191,15 @@ def _with_cell(row, j, value):
 def test_field_csv_reports_the_first_faulty_row(rows, message):
     with pytest.raises(ValueError, match=message):
         read_field_csv(io.StringIO(field_text(*rows)))
+
+
+@pytest.mark.parametrize("j, cell", [(0, "x"), (2, ""), (7, '"1,5"'), (14, "0x10")])
+def test_field_csv_names_the_cell_that_is_no_number(j, cell):
+    # the header is line 1 and the blank line 3, so the bad row is line 5
+    text = field_text(GOOD_ROW, "", GOOD_ROW, _with_cell(GOOD_ROW, j, cell))
+    col = FIELD_CSV_COLUMNS[j]
+    with pytest.raises(ValueError, match=f"^field CSV line 5: {col} is not a number$"):
+        read_field_csv(io.StringIO(text))
 
 
 def test_field_json_round_trip(rng, tmp_path):

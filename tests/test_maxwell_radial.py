@@ -291,6 +291,25 @@ def test_propagate_matches_mpmath_in_absorbing_shells(l, case):
     assert err <= 1e-10
 
 
+def test_propagate_builds_one_scaled_sequence_per_kind(monkeypatch):
+    # every shell boundary of the profile goes into one batch per kind
+    from tensorwave import maxwell_radial
+
+    calls = []
+    seq = maxwell_radial.spherical_radial_seq
+
+    def counted(kind, lmax, x, *args, **kwargs):
+        calls.append((kind.value, np.shape(x), kwargs.get("scaled")))
+        return seq(kind, lmax, x, *args, **kwargs)
+
+    monkeypatch.setattr(maxwell_radial, "spherical_radial_seq", counted)
+    prof, w = _stress_profile(7)
+    got = propagate(8, 1.0, prof, 0.5, 60.0, w)
+    assert sorted(calls) == [("bessel_j", (16,), True), ("hankel1", (16,), True)]
+    ref = propagate_mp(8, 1.0, prof, 0.5, 60.0, w)
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("l", [1, 8, 25, 40])
 @pytest.mark.parametrize("eps", [1 + 3j, -10 + 1j])
 def test_propagate_outgoing_wave_inward_componentwise(l, eps):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    radial_mp,
     scaled_radial_mp,
     spherical_hankel_mp,
     spherical_j_ref,
@@ -280,6 +281,95 @@ def test_overflow_signaled():
         spherical_radial(RadialKind.BESSEL_Y, 80, 1e-4)
     with pytest.raises(OverflowError):
         spherical_radial_seq(RadialKind.HANKEL1, 80, 1e-4)
+
+
+# one batch spanning |x| from 1e-3 to 1e3, real and complex with |Im x| up
+# to 10 on both sides of the real axis: the Miller start comes from the
+# largest |x|, which every other argument must tolerate
+X_BATCH = np.array([
+    1e-3, 0.004 - 0.002j, 0.01 + 0.03j, 0.5 + 10j, 0.7 - 3j, 2.5, 1.7 + 0.2j,
+    10 + 10j, 30 - 10j, 63.1 + 4j, 150.0, 250 - 10j, 500 + 0.5j, 731.1,
+    1e3 - 10j, 1e3 + 10j,
+])
+X_SCALED = np.array(
+    [0.3 + 0.1j, 7.0, 20 + 30j, 3 + 300j, 3 - 300j, 80 - 150j, 250 + 299j]
+)
+
+
+@pytest.fixture(scope="module")
+def batch_mp():
+    return [[radial_mp(l, x) for l in range(41)] for x in X_BATCH]
+
+
+@pytest.mark.parametrize("kind", list(RadialKind))
+def test_sequence_over_an_array_of_arguments_matches_mpmath(kind, batch_mp):
+    # entries are compared against |j| + |y|: below the turning point j_l
+    # and y_l share one envelope.  y_l at x = 0.5+10i was off by 3.6e-8 of
+    # it from upward recursion alone
+    f, d = spherical_radial_seq(kind, 40, X_BATCH)
+    assert f.shape == d.shape == (41, len(X_BATCH))
+    for i, x in enumerate(X_BATCH):
+        fs, ds = spherical_radial_seq(kind, 40, x)
+        for l in range(41):
+            values, env, denv = batch_mp[i][l]
+            want, dwant = values[kind.value]
+            assert abs(f[l, i] - want) <= 1e-13 * env, (x, l)
+            assert abs(d[l, i] - dwant) <= 1e-13 * denv, (x, l)
+            # the batch agrees with the call for its element alone, which
+            # starts Miller recursion from that element's |x|
+            assert abs(f[l, i] - fs[l]) <= 1e-14 * env, (x, l)
+            assert abs(d[l, i] - ds[l]) <= 1e-14 * denv, (x, l)
+
+
+@pytest.mark.parametrize(
+    "kind", [RadialKind.BESSEL_J, RadialKind.HANKEL1, RadialKind.HANKEL2]
+)
+def test_scaled_sequence_over_an_array_of_arguments(kind):
+    f, d = spherical_radial_seq(kind, 20, X_SCALED, scaled=True)
+    for i, x in enumerate(X_SCALED):
+        fs, ds = spherical_radial_seq(kind, 20, x, scaled=True)
+        for l in range(21):
+            g, dg = scaled_radial_mp(kind.value, l, x)
+            assert abs(f[l, i] - g) <= 1e-13 * abs(g), (x, l)
+            assert abs(d[l, i] - dg) <= 1e-13 * abs(dg), (x, l)
+            assert abs(f[l, i] - fs[l]) <= 1e-14 * abs(g), (x, l)
+            assert abs(d[l, i] - ds[l]) <= 1e-14 * abs(dg), (x, l)
+
+
+def test_sequence_keeps_the_shape_of_its_argument():
+    x = np.array([[0.5, 1.0 + 1j, 7.0], [2.0, 30.0, 0.1j]])
+    for kind in RadialKind:
+        f, d = spherical_radial_seq(kind, 5, x)
+        assert f.shape == d.shape == (6, 2, 3)
+        fs, ds = spherical_radial_seq(kind, 5, x[1, 2])
+        assert fs.shape == ds.shape == (6,)
+        assert np.allclose(f[:, 1, 2], fs, rtol=1e-14)
+
+
+def test_sequence_over_an_array_with_zero():
+    f, d = spherical_radial_seq(RadialKind.BESSEL_J, 4, [0.0, 2.0, 0.0])
+    for i in (0, 2):
+        assert f[:, i].tolist() == d[:, i].tolist() == [1, 0, 0, 0, 0]
+    assert np.allclose(f[:, 1], spherical_radial_seq(RadialKind.BESSEL_J, 4, 2.0)[0])
+    for kind in (RadialKind.BESSEL_Y, RadialKind.HANKEL1, RadialKind.HANKEL2):
+        with pytest.raises(ValueError, match=f"{kind.value} is singular"):
+            spherical_radial_seq(kind, 4, [1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "kind, xs, bad",
+    [
+        # large l at small |x|: one element of the batch leaves the range
+        (RadialKind.HANKEL1, [1.0, 2.0 + 1j, 1e-4, 3.0], "(0.0001+0j)"),
+        (RadialKind.BESSEL_Y, [0.5, 1e-4 + 1e-5j, 1e-4], "(0.0001+1e-05j)"),
+        # sin and cos past the double range, unscaled
+        (RadialKind.BESSEL_J, [1.0, 1080 + 720j, 2.0], "(1080+720j)"),
+    ],
+)
+def test_overflow_in_one_element_names_it(kind, xs, bad):
+    with pytest.raises(OverflowError) as info:
+        spherical_radial_seq(kind, 80, np.array(xs))
+    assert str(info.value).startswith(f"{kind.value} overflowed at x={bad}, l=")
 
 
 def test_radial_kind_values():
