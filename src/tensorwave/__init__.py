@@ -27,7 +27,6 @@ from .maxwell_radial import (
     propagate,
     radial_flux,
     system_matrix,
-    transfer_closed_form,
     wtheta_ode_residual,
 )
 from .specfun import (
@@ -35,7 +34,6 @@ from .specfun import (
     RadialKind,
     ladder_minus,
     ladder_plus,
-    spherical_radial,
     spherical_radial_seq,
     ylm,
 )
@@ -79,13 +77,11 @@ __all__ = [
     "propagate",
     "radial_flux",
     "system_matrix",
-    "transfer_closed_form",
     "wtheta_ode_residual",
     "ModeIndex",
     "RadialKind",
     "ladder_minus",
     "ladder_plus",
-    "spherical_radial",
     "spherical_radial_seq",
     "ylm",
     "MultipoleAmplitudes",

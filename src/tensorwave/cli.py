@@ -7,9 +7,7 @@ Three subcommands:
     tensorwave solve   run a task described by a JSON config file
 
 Exit codes: 0 success, 1 numerical or check failure, 2 usage/validation
-error.  Output is deterministic.  The TW_THREADS environment variable
-(default 1) is still validated, a bad value exits 2, but every command
-runs in a single thread whatever its value.
+error.  Output is deterministic.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ import argparse
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -33,7 +30,7 @@ from .maxwell_radial import (
 )
 from .parsing import (
     _csv_table,
-    _pair,
+    _pairs,
     _re_im,
     complex_pairs,
     integer,
@@ -50,17 +47,6 @@ from .synthesis import (
 from .verify import run_suite
 
 __all__ = ["main", "cmd_eval", "cmd_verify", "cmd_solve"]
-
-
-def _check_threads() -> None:
-    """Validate TW_THREADS; it selects nothing, as every command is serial."""
-    raw = os.environ.get("TW_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"TW_THREADS must be a positive integer, got {raw!r}")
 
 
 def _write_text(text: str, out) -> None:
@@ -101,50 +87,26 @@ def cmd_eval(args) -> int:
     nt, nphi = _parse_grid(args.grid)
     thetas = math.pi * (np.arange(nt) + 0.5) / nt
     phis = 2.0 * math.pi * np.arange(nphi) / nphi
-    tt = thetas[:, None]
-    pp = phis[None, :]
-
-    if args.harmonic == "ylm":
-        vals = np.broadcast_to(
-            np.asarray(ylm(mode, tt, pp), dtype=complex), (nt, nphi)
-        ).reshape(nt, nphi, 1)
-    elif args.harmonic == "xlm":
-        vals = np.broadcast_to(xlm(mode, tt, pp), (nt, nphi, 3))
-    else:
-        vals = np.broadcast_to(flm(mode, tt, pp), (nt, nphi, 3, 3)).reshape(
-            nt, nphi, 9
-        )
+    harmonic = {"ylm": ylm, "xlm": xlm, "flm": flm}[args.harmonic]
+    # one row per point, theta-major: shape (points,), (points, 3) or (points, 3, 3)
+    vals = harmonic(mode, thetas[:, None], phis[None, :])
+    vals = vals.reshape((nt * nphi,) + vals.shape[2:])
+    tt, pp = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
 
     if args.format == "csv":
-        tt, pp = np.meshgrid(thetas, phis, indexing="ij")
         text = _csv_table(
-            ["theta", "phi", *_re_im(_EVAL_COLUMNS[args.harmonic])],
-            [tt.ravel(), pp.ravel(), vals.reshape(nt * nphi, -1)],
+            ["theta", "phi", *_re_im(_EVAL_COLUMNS[args.harmonic])], [tt, pp, vals]
         )
     else:
-
-        def point_block(i):
-            pts = []
-            for j in range(nphi):
-                v = vals[i, j]
-                if args.harmonic == "ylm":
-                    payload = _pair(v[0])
-                elif args.harmonic == "xlm":
-                    payload = [_pair(c) for c in v]
-                else:
-                    payload = [[_pair(v[3 * a + b]) for b in range(3)] for a in range(3)]
-                pts.append(
-                    {"theta": thetas[i], "phi": phis[j], "value": payload}
-                )
-            return pts
-
-        points = [p for i in range(nt) for p in point_block(i)]
         doc = {
             "harmonic": args.harmonic,
             "l": mode.l,
             "m": mode.m,
             "grid": {"n_theta": nt, "n_phi": nphi},
-            "points": points,
+            "points": [
+                {"theta": th, "phi": ph, "value": v}
+                for th, ph, v in zip(tt.tolist(), pp.tolist(), _pairs(vals))
+            ],
         }
         text = json.dumps(doc, indent=2) + "\n"
 
@@ -155,16 +117,12 @@ def cmd_eval(args) -> int:
 # --- verify -----------------------------------------------------------------
 
 
-_SUITE_DEFAULT_LMAX = {"ortho": 4, "invariants": 4, "maxwell": 3}
-
-
 def cmd_verify(args) -> int:
-    checks = run_suite(args.suite, lmax=args.lmax, tol=args.tol)
+    lmax, checks = run_suite(args.suite, lmax=args.lmax, tol=args.tol)
     ok = all(c["pass"] for c in checks)
     doc = {
         "suite": args.suite,
-        "lmax": args.lmax if args.lmax is not None
-        else _SUITE_DEFAULT_LMAX[args.suite],
+        "lmax": lmax,
         "checks": checks,
         "pass": ok,
     }
@@ -239,12 +197,8 @@ def _solve_scatter(cfg: dict, fmt: str):
         "radius": radius,
         "lmax": lmax,
         "modes": [
-            {
-                "l": l,
-                "scattered_c1": [_pair(v) for v in sc],
-                "interior_c1": [_pair(v) for v in inr],
-            }
-            for l, sc, inr in zip(ls.tolist(), scattered, interior)
+            {"l": l, "scattered_c1": sc, "interior_c1": inr}
+            for l, sc, inr in zip(ls.tolist(), _pairs(scattered), _pairs(interior))
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -371,10 +325,10 @@ def _solve_project(cfg: dict, fmt: str):
             {
                 "l": modes[i].l,
                 "m": modes[i].m,
-                "h": [_pair(v) for v in hls[i]],
-                "e": [_pair(v) for v in els[i]],
-                "c1": [_pair(v) for v in c1s[i]],
-                "c2": [_pair(v) for v in c2s[i]],
+                "h": _pairs(hls[i]),
+                "e": _pairs(els[i]),
+                "c1": _pairs(c1s[i]),
+                "c2": _pairs(c2s[i]),
             }
             for i in order
         ],
@@ -409,9 +363,9 @@ def _solve_propagate(cfg: dict, fmt: str):
         "k": k,
         "r_from": r_from,
         "r_to": r_to,
-        "w": [_pair(v) for v in w1],
-        "e_r": _pair(e_r),
-        "h_r": _pair(h_r),
+        "w": _pairs(w1),
+        "e_r": _pairs(e_r),
+        "h_r": _pairs(h_r),
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -485,7 +439,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_threads()
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .parsing import (
     _csv_table,
+    _pairs,
     _re_im,
     complex_pair,
     complex_pairs,
@@ -114,15 +115,11 @@ def read_field_csv(fp) -> tuple:
 
 
 def write_field_json(points, e, h, fp) -> None:
-    def pairs(z):
-        z = np.asarray(z, dtype=complex)
-        return np.stack([z.real, z.imag], axis=-1).tolist()
-
     doc = {
         "fields": [
             {"r": r, "theta": theta, "phi": phi, "e": pe, "h": ph}
             for (r, theta, phi), pe, ph in zip(
-                np.reshape(points, (-1, 3)).astype(float).tolist(), pairs(e), pairs(h)
+                np.reshape(points, (-1, 3)).astype(float).tolist(), _pairs(e), _pairs(h)
             )
         ]
     }

@@ -33,6 +33,7 @@ import numpy as np
 
 from .specfun import (
     ModeIndex,
+    _angles,
     _check_theta,
     _norm_legendre,
     ladder_minus,
@@ -98,11 +99,6 @@ class QuadratureRule:
     def phis(self) -> np.ndarray:
         return 2.0 * math.pi * np.arange(self.n_phi) / self.n_phi
 
-    def integrate_grid(self, values: np.ndarray) -> np.ndarray:
-        """Integrate node values of shape (n_theta, n_phi, ...) over the sphere."""
-        w = self.weights * (2.0 * math.pi / self.n_phi)
-        return np.tensordot(w, values.sum(axis=1), axes=(0, 0))
-
 
 # --- theta columns ----------------------------------------------------------
 
@@ -152,18 +148,6 @@ def _f_apply(y, x_theta, x_phi, v):
         ],
         axis=-1,
     )
-
-
-def _angles(theta, phi):
-    """theta, phi as float arrays; theta must lie in [0, pi] (NaN fails)
-    and phi must be finite."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    _check_theta(theta)
-    bad = ~np.isfinite(phi)
-    if np.any(bad):
-        raise ValueError(f"phi must be finite, got {float(phi[bad].flat[0])}")
-    return theta, phi
 
 
 def _mode_parts(mode: ModeIndex, theta, phi):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parsing import _pair, complex_pair, real, require_keys
+from .parsing import complex_pair, real, require_keys
 from .specfun import RadialKind, spherical_radial_seq
 
 # the smallest normal double: below it j_l has lost precision to gradual underflow
@@ -39,7 +39,6 @@ __all__ = [
     "RadialProfile",
     "system_matrix",
     "fundamental_matrix",
-    "transfer_closed_form",
     "longitudinal_components",
     "propagate",
     "wtheta_ode_residual",
@@ -70,9 +69,6 @@ class Medium:
             complex_pair(doc["eps"], f"{what} eps"),
             complex_pair(doc["mu"], f"{what} mu"),
         )
-
-    def to_dict(self) -> dict:
-        return {"eps": _pair(self.eps), "mu": _pair(self.mu)}
 
     @property
     def n(self) -> complex:
@@ -141,15 +137,6 @@ class RadialProfile:
             tuple(Medium.from_dict(shell, extra=("r_out",)) for shell in shells)
             + (Medium.from_dict(doc["outer"]),),
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "shells": [
-                {"r_out": b, **m.to_dict()}
-                for b, m in zip(self.boundaries, self.media)
-            ],
-            "outer": self.media[-1].to_dict(),
-        }
 
     def medium_at(self, r: float) -> Medium:
         if r < 0:
@@ -246,8 +233,20 @@ def fundamental_matrix(
 
 
 def _transfers(l: int, k: float, shells) -> list:
-    """`transfer_closed_form` across each (r_from, r_to, med) of `shells`,
-    from one scaled sequence per kind for all of their ends."""
+    """Transfer matrices T on u = rW across each homogeneous (r_from,
+    r_to, med) of `shells`, from one scaled sequence per kind for all of
+    their ends.
+
+    T = Phi(r_to) Phi(r_from)^-1 for any solution basis Phi.  The basis
+    is the regular and outgoing pair (j, h1), which stays well
+    conditioned for every n k r in the upper half plane: below the
+    turning point h1 ~ i y dominates j, and where the field oscillates
+    in an absorbing medium h1 decays as e^{-Im(n k r)} while j grows as
+    e^{+Im(n k r)}.  The pairs (j, y) and (h1, h2) each become nearly
+    dependent in one of those regions.  The exponential factors are
+    taken out of the basis and applied as the phases e^{-+i n k (r_to -
+    r_from)}, so thick absorbing regions stay in the double range.
+    """
     with np.errstate(over="ignore"):
         phases = [
             np.exp(np.array([-1, -1, 1, 1]) * 1j * med.n * k * (b - a))
@@ -275,28 +274,6 @@ def _transfers(l: int, k: float, shells) -> list:
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"degenerate radial basis at r={a}") from exc
     return out
-
-
-def transfer_closed_form(
-    l: int, k, r_from: float, r_to: float, med: Medium
-) -> np.ndarray:
-    """Closed-form transfer matrix T on u = rW across a homogeneous region.
-
-    T = Phi(r_to) Phi(r_from)^-1 for any solution basis Phi.  The basis
-    is the regular and outgoing pair (j, h1), which stays well
-    conditioned for every n k r in the upper half plane: below the
-    turning point h1 ~ i y dominates j, and where the field oscillates
-    in an absorbing medium h1 decays as e^{-Im(n k r)} while j grows as
-    e^{+Im(n k r)}.  The pairs (j, y) and (h1, h2) each become nearly
-    dependent in one of those regions.  The exponential factors are
-    taken out of the basis and applied as the phases e^{-+i n k (r_to -
-    r_from)}, so thick absorbing regions stay in the double range.
-    """
-    if l < 1:
-        raise ValueError("transverse solutions need l >= 1")
-    if not (r_from > 0 and r_to > 0):
-        raise ValueError("r must be positive")
-    return _transfers(l, _as_k(k), [(r_from, r_to, med)])[0]
 
 
 def longitudinal_components(l, k, r, med: Medium, w):
@@ -334,8 +311,9 @@ def propagate(
 
     `profile` may be a RadialProfile or a bare Medium.  The profile is
     piecewise constant, so the exact transfer is the product of one
-    `transfer_closed_form` per shell crossed, from one scaled sequence
-    per kind for every shell; W is continuous across every boundary.
+    closed-form transfer per shell crossed (`_transfers`), from one
+    scaled sequence per kind for every shell; W is continuous across
+    every boundary.
     Inward propagation (r_to < r_from) is allowed.  Raises OverflowError
     when a radial function or the state leaves the double range.
     """

@@ -3,7 +3,7 @@
 Every number, integer, [re, im] pair and keyed object read from a config
 or artifact goes through these functions, so non-finite and non-integral
 values are rejected alike everywhere, with a ValueError naming the key.
-`_csv_table` and `_pair` are the matching encoders for CSV tables and
+`_csv_table` and `_pairs` are the matching encoders for CSV tables and
 JSON pairs.
 """
 
@@ -40,9 +40,10 @@ def _csv_table(header, columns, ints: int = 0) -> str:
     return ",".join(header) + "\n" + body
 
 
-def _pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
+def _pairs(z) -> list:
+    """A complex scalar as [re, im], or an array as nested lists of them."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack([z.real, z.imag], axis=-1).tolist()
 
 
 def require_keys(doc, required, optional=(), what="config") -> None:

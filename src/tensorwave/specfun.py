@@ -35,7 +35,6 @@ __all__ = [
     "ylm",
     "ladder_plus",
     "ladder_minus",
-    "spherical_radial",
     "spherical_radial_seq",
 ]
 
@@ -98,6 +97,18 @@ def _check_theta(theta: np.ndarray) -> None:
         raise ValueError(f"theta must lie in [0, pi], got {bad}")
 
 
+def _angles(theta, phi):
+    """theta, phi as float arrays; theta must lie in [0, pi] (NaN fails)
+    and phi must be finite."""
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    _check_theta(theta)
+    bad = ~np.isfinite(phi)
+    if np.any(bad):
+        raise ValueError(f"phi must be finite, got {float(phi[bad].flat[0])}")
+    return theta, phi
+
+
 def ylm(mode: ModeIndex, theta, phi):
     """Scalar spherical harmonic Y_lm(theta, phi).
 
@@ -105,12 +116,7 @@ def ylm(mode: ModeIndex, theta, phi):
     lie in [0, pi] and phi be finite.  Returns a complex scalar for scalar
     input, else a complex array.
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    _check_theta(theta)
-    if not np.all(np.isfinite(phi)):
-        bad = float(phi[~np.isfinite(phi)].flat[0])
-        raise ValueError(f"phi must be finite, got {bad}")
+    theta, phi = _angles(theta, phi)
     ma = abs(mode.m)
     p = _norm_legendre(mode.l, ma, np.cos(theta), np.sin(theta))[-1]
     if mode.m < 0:
@@ -319,10 +325,10 @@ def spherical_radial_seq(
     their slowly varying 1/x terms, and for j_l e^{ix} when Im x >= 0 and
     e^{-ix} otherwise, of modulus e^{-|Im x|}.  y_l has no scaled form.
 
-    Raises ValueError at x = 0 for the kinds singular there, and
-    OverflowError naming the first such x and its l when an entry leaves
-    the double range (large l at small |x| for the singular kinds,
-    |Im x| above about 710 unscaled).
+    Raises ValueError at a non-finite x and, for the kinds singular
+    there, at x = 0; OverflowError naming the first such x and its l when
+    an entry leaves the double range (large l at small |x| for the
+    singular kinds, |Im x| above about 710 unscaled).
     """
     if lmax < 0:
         raise ValueError(f"l must be >= 0, got {lmax}")
@@ -330,6 +336,9 @@ def spherical_radial_seq(
         raise ValueError("bessel_y has no scaled form")
     shape = np.shape(x)
     xs = np.asarray(x, dtype=complex).ravel()
+    finite = np.isfinite(xs)
+    if not finite.all():
+        raise ValueError(f"x must be finite, got x={complex(xs[~finite][0])}")
     zero = xs == 0
     has_zero = bool(zero.any())
     if has_zero:
@@ -366,12 +375,3 @@ def spherical_radial_seq(
             "outside double range"
         )
     return f.reshape((lmax + 1,) + shape), d_rf.reshape((lmax + 1,) + shape)
-
-
-def spherical_radial(kind: RadialKind, l: int, x) -> tuple[complex, complex]:
-    """Entry l of `spherical_radial_seq`: f_l(x) and d(x f_l)/dx.
-
-    Raises like `spherical_radial_seq` on every entry up to l.
-    """
-    f, d_rf = spherical_radial_seq(kind, l, x)
-    return complex(f[l]), complex(d_rf[l])

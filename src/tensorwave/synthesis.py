@@ -152,12 +152,15 @@ def synthesize(waves, k, med: Medium, points) -> tuple:
                         k, radii, med, c)
         w = u[:, radius_of] / rows[:, 0, None]
         e_r, h_r = longitudinal_components(ls[:, None], k, rows[:, 0], med, w)
-        f = [col[ls - abs(m)] for col in _theta_columns(m, ls.max(), rows[:, 1])]
-        h_rows = _f_apply(*f, np.stack([h_r, w[..., 0], w[..., 1]], axis=-1))
-        e_rows = _f_apply(*f, np.stack([e_r, w[..., 2], w[..., 3]], axis=-1))
+        cols = _theta_columns(m, ls.max(), rows[:, 1])
+        y, xt, xp = (col[ls - abs(m)] for col in cols)
         phase = np.exp(1j * m * phis)[phi_of, None]
-        h_out += h_rows.sum(axis=0)[row_of.ravel()] * phase
-        e_out += e_rows.sum(axis=0)[row_of.ravel()] * phase
+        # F @ (v_r, a, b) summed over the waves, one component at a time
+        for out, v_r, a, b in ((h_out, h_r, w[..., 0], w[..., 1]),
+                               (e_out, e_r, w[..., 2], w[..., 3])):
+            sums = [(y * v_r).sum(0), (xt * a - xp * b).sum(0),
+                    (xp * a + xt * b).sum(0)]
+            out += np.stack(sums, axis=-1)[row_of.ravel()] * phase
     return e_out, h_out
 
 

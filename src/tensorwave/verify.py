@@ -9,6 +9,7 @@ so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -32,7 +33,7 @@ from .maxwell_radial import (
     system_matrix,
     wtheta_ode_residual,
 )
-from .specfun import ModeIndex, RadialKind, spherical_radial, ylm
+from .specfun import ModeIndex, RadialKind, spherical_radial_seq, ylm
 from .synthesis import PartialWave, synthesize
 from .tensor3 import E_R, IDENTITY, adjoint, det, dual, trace
 
@@ -236,9 +237,7 @@ def maxwell_suite(lmax: int = 3, tol: float = 1e-5) -> list:
         r_mid = max(2.0 * l, 4.0) / (abs(med2.n) * k)
         r = np.linspace(0.95 * r_mid, 1.05 * r_mid, 401)
         for kind in (RadialKind.BESSEL_J, RadialKind.HANKEL1):
-            f = np.array(
-                [spherical_radial(kind, l, med2.n * k * rr)[0] for rr in r]
-            )
+            f = spherical_radial_seq(kind, l, med2.n * k * r)[0][l]
             err_ode = max(err_ode, wtheta_ode_residual(l, k, med2, r, f))
 
     # the closed-form propagator against an independent integration of
@@ -288,17 +287,22 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, lmax: int | None = None, tol: float | None = None) -> list:
-    """Dispatch a named suite with optional overrides of lmax and tolerance."""
+def run_suite(name: str, lmax: int | None = None, tol: float | None = None) -> tuple:
+    """Dispatch a named suite with optional overrides of lmax and tolerance.
+
+    Returns (lmax, entries): the lmax the suite ran at, its own default
+    when none is given, and its report entries.
+    """
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(_SUITES)}")
-    kwargs = {}
-    if lmax is not None:
-        if lmax < 1:
-            raise ValueError("lmax must be >= 1")
-        kwargs["lmax"] = lmax
+    suite = _SUITES[name]
+    if lmax is None:
+        lmax = inspect.signature(suite).parameters["lmax"].default
+    elif lmax < 1:
+        raise ValueError("lmax must be >= 1")
+    kwargs = {"lmax": lmax}
     if tol is not None:
         if not tol > 0:
             raise ValueError("tolerance must be positive")
         kwargs["tol"] = tol
-    return _SUITES[name](**kwargs)
+    return lmax, suite(**kwargs)

@@ -29,7 +29,7 @@ from tensorwave.maxwell_radial import (
     system_matrix,
     wtheta_ode_residual,
 )
-from tensorwave.specfun import ModeIndex, RadialKind, spherical_radial, ylm
+from tensorwave.specfun import ModeIndex, RadialKind, spherical_radial_seq, ylm
 from tensorwave.synthesis import (
     PartialWave,
     match_sphere,
@@ -187,7 +187,7 @@ def test_acceptance_5_radial_consistency(capsys):
         r_mid = max(2.0 * l, 4.0) / (abs(med.n) * k)
         r = np.linspace(0.95 * r_mid, 1.05 * r_mid, 401)
         for kind in (J, H1):
-            f = np.array([spherical_radial(kind, l, med.n * k * rr)[0] for rr in r])
+            f = spherical_radial_seq(kind, l, med.n * k * r)[0][l]
             err_ode = max(err_ode, wtheta_ode_residual(l, k, med, r, f))
 
     err_prop = 0.0

@@ -18,7 +18,6 @@ Y00 = 0.28209479177387814
 
 def run_cli(*argv, env_extra=None, timeout=None):
     env = os.environ.copy()
-    env.pop("TW_THREADS", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -537,11 +536,96 @@ def test_output_is_deterministic_across_runs_and_threads():
     assert first.stdout == second.stdout == threaded.stdout
 
 
-def test_bad_thread_count_is_a_usage_error():
-    res = run_cli("eval", "--harmonic", "ylm", "--l", "0", "--m", "0",
-                  "--grid", "2x2", env_extra={"TW_THREADS": "0"})
-    assert res.returncode == 2
-    assert "TW_THREADS" in res.stderr
+@pytest.mark.parametrize("suite", ["ortho", "invariants", "maxwell"])
+def test_verify_reports_the_suite_default_lmax(tmp_path, suite):
+    import inspect
+
+    from tensorwave import verify
+    from tensorwave.cli import main
+
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", suite, "--out", str(out)]) == 0
+    default = inspect.signature(getattr(verify, f"{suite}_suite"))
+    assert json.loads(out.read_text())["lmax"] == default.parameters["lmax"].default
+
+
+# The JSON outputs against references built element by element from the CSV
+# output of the same command, whose 17 significant digits give back every
+# double exactly
+
+
+def cli_text(capsys, *argv):
+    from tensorwave.cli import main
+
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def csv_floats(text):
+    return [[float(c) for c in row] for row in parse_csv(text)[1]]
+
+
+def cell_pairs(row, start, n):
+    return [[row[start + 2 * i], row[start + 2 * i + 1]] for i in range(n)]
+
+
+def dumped(doc):
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("harmonic", ["ylm", "xlm", "flm"])
+def test_eval_json_matches_element_wise_reference(capsys, harmonic):
+    argv = ["eval", "--harmonic", harmonic, "--l", "3", "--m", "-2", "--grid", "3x4"]
+    points = []
+    for row in csv_floats(cli_text(capsys, *argv)):
+        if harmonic == "ylm":
+            value = cell_pairs(row, 2, 1)[0]
+        elif harmonic == "xlm":
+            value = cell_pairs(row, 2, 3)
+        else:
+            value = [cell_pairs(row, 2 + 6 * a, 3) for a in range(3)]
+        points.append({"theta": row[0], "phi": row[1], "value": value})
+    want = {"harmonic": harmonic, "l": 3, "m": -2,
+            "grid": {"n_theta": 3, "n_phi": 4}, "points": points}
+    assert cli_text(capsys, *argv, "--format", "json") == dumped(want)
+
+
+def test_scatter_json_matches_element_wise_reference(tmp_path, capsys):
+    cfg = write_config(tmp_path, "s.json", dict(SCATTER, lmax=4, radius=1.5))
+    rows = csv_floats(cli_text(capsys, "solve", "--config", cfg, "--format", "csv"))
+    want = {"task": "scatter", "k": 1.0, "radius": 1.5, "lmax": 4, "modes": [
+        {"l": int(row[0]), "scattered_c1": cell_pairs(row, 1, 2),
+         "interior_c1": cell_pairs(row, 5, 2)}
+        for row in rows
+    ]}
+    assert cli_text(capsys, "solve", "--config", cfg) == dumped(want)
+
+
+def test_project_json_matches_element_wise_reference(tmp_path, capsys):
+    field = str(tmp_path / "field.csv")
+    wave = dict(WAVE, l=2, m=1, c2=[[0.1, 0.0], [0.0, 0.2]])
+    grid = {"r": 2.0, "quadrature_lmax": 2}
+    cfg = {key: v for key, v in SYNTH.items() if key != "points"}
+    synth = write_config(tmp_path, "g.json", dict(cfg, waves=[wave], grid=grid))
+    cli_text(capsys, "solve", "--config", synth, "--format", "csv", "--out", field)
+    proj = write_config(tmp_path, "p.json", dict(PROJECT, field=field))
+    rows = csv_floats(cli_text(capsys, "solve", "--config", proj, "--format", "csv"))
+    want = {"task": "project", "k": 1.0, "r": 2.0, "quadrature_lmax": 2, "modes": [
+        {"l": int(row[0]), "m": int(row[1]), "h": cell_pairs(row, 2, 3),
+         "e": cell_pairs(row, 8, 3), "c1": cell_pairs(row, 14, 2),
+         "c2": cell_pairs(row, 18, 2)}
+        for row in rows
+    ]}
+    assert cli_text(capsys, "solve", "--config", proj) == dumped(want)
+
+
+def test_propagate_json_matches_element_wise_reference(tmp_path, capsys):
+    cfg = write_config(tmp_path, "p.json", dict(PROPAGATE, l=2))
+    (row,) = csv_floats(cli_text(capsys, "solve", "--config", cfg, "--format", "csv"))
+    want = {"task": "propagate", "l": 2, "k": 1.0, "r_from": 1.0, "r_to": row[0],
+            "w": cell_pairs(row, 1, 4), "e_r": cell_pairs(row, 9, 1)[0],
+            "h_r": cell_pairs(row, 11, 1)[0]}
+    assert cli_text(capsys, "solve", "--config", cfg) == dumped(want)
 
 
 # one value of a valid config, at any depth, is replaced by one of these

@@ -15,7 +15,6 @@ from tensorwave.fileio import (
     write_field_json,
 )
 from tensorwave.maxwell_radial import Medium, RadialProfile
-from tensorwave.parsing import _pair
 from tensorwave.specfun import RadialKind
 
 EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, 1e-300, 3.0, -2.0, 0.0]
@@ -53,10 +52,12 @@ def reference_csv(points, e, h) -> str:
 
 
 def reference_json(points, e, h) -> str:
+    def pairs(vs):
+        return [[complex(v).real, complex(v).imag] for v in vs]
+
     doc = {
         "fields": [
-            {"r": p[0], "theta": p[1], "phi": p[2],
-             "e": [_pair(v) for v in ei], "h": [_pair(v) for v in hi]}
+            {"r": p[0], "theta": p[1], "phi": p[2], "e": pairs(ei), "h": pairs(hi)}
             for p, ei, hi in zip(points.tolist(), e, h)
         ]
     }
@@ -307,7 +308,16 @@ def test_profile_json_round_trip():
         (1.0, 2.5),
         (Medium(2.25, 1.0), Medium(1.0 + 0.5j, 1.1), Medium(1.0, 1.0)),
     )
-    got = RadialProfile.from_dict(json.loads(json.dumps(profile.to_dict())))
+    def medium(m):
+        return {"eps": [m.eps.real, m.eps.imag], "mu": [m.mu.real, m.mu.imag]}
+
+    text = json.dumps({
+        "shells": [
+            {"r_out": b, **medium(m)} for b, m in zip(profile.boundaries, profile.media)
+        ],
+        "outer": medium(profile.media[-1]),
+    })
+    got = RadialProfile.from_dict(json.loads(text))
     assert got.boundaries == profile.boundaries
     assert all(
         gm.eps == pm.eps and gm.mu == pm.mu

@@ -61,9 +61,10 @@ def test_quadrature_rule_invariants():
     assert np.all(rule.weights > 0)
     fine = rule.refined()
     assert len(fine.cos_nodes) == 16 and fine.n_phi == 32
-    # integrates a known function: area of the unit sphere
-    ones = np.ones((8, 16))
-    assert rule.integrate_grid(ones) == pytest.approx(4 * math.pi, rel=1e-14)
+    # integrates a known function: cos^2 theta over the unit sphere
+    w = rule.weights[:, None] * (2.0 * math.pi / rule.n_phi)
+    values = np.broadcast_to(rule.cos_nodes[:, None] ** 2, (8, 16))
+    assert np.sum(w * values) == pytest.approx(4 * math.pi / 3, rel=1e-14)
 
 
 def test_xlm_l0_is_zero():

@@ -19,10 +19,15 @@ from tensorwave.specfun import (
     RadialKind,
     ladder_minus,
     ladder_plus,
-    spherical_radial,
     spherical_radial_seq,
     ylm,
 )
+
+
+def radial(kind, l, x):
+    """Entry l of `spherical_radial_seq`: f_l(x) and d(x f_l)/dx."""
+    f, d = spherical_radial_seq(kind, l, x)
+    return complex(f[l]), complex(d[l])
 
 modes = st.integers(min_value=0, max_value=12).flatmap(
     lambda l: st.integers(min_value=-l, max_value=l).map(lambda m: ModeIndex(l, m))
@@ -137,40 +142,40 @@ def test_ladder_action_matches_scipy(mode, ang):
 
 
 def test_spherical_radial_closed_forms():
-    f, d = spherical_radial(RadialKind.BESSEL_J, 0, 1.0)
+    f, d = radial(RadialKind.BESSEL_J, 0, 1.0)
     assert f == pytest.approx(math.sin(1.0), rel=1e-15)
     assert f == pytest.approx(0.8414709848, abs=1e-10)
     assert d == pytest.approx(math.cos(1.0), rel=1e-14)
-    f, _ = spherical_radial(RadialKind.BESSEL_Y, 0, 2.0)
+    f, _ = radial(RadialKind.BESSEL_Y, 0, 2.0)
     assert f == pytest.approx(-math.cos(2.0) / 2.0, rel=1e-14)
 
 
 def test_spherical_radial_at_zero():
-    f, d = spherical_radial(RadialKind.BESSEL_J, 0, 0.0)
+    f, d = radial(RadialKind.BESSEL_J, 0, 0.0)
     assert f == 1.0 and d == 1.0
     for l in (1, 2, 7):
-        f, d = spherical_radial(RadialKind.BESSEL_J, l, 0.0)
+        f, d = radial(RadialKind.BESSEL_J, l, 0.0)
         assert f == 0.0 and d == 0.0
     for kind in (RadialKind.BESSEL_Y, RadialKind.HANKEL1, RadialKind.HANKEL2):
         with pytest.raises(ValueError, match="singular"):
-            spherical_radial(kind, 0, 0.0)
+            radial(kind, 0, 0.0)
 
 
 def test_spherical_radial_small_x_regular():
     for l in (1, 3, 6):
-        f, _ = spherical_radial(RadialKind.BESSEL_J, l, 1e-8)
+        f, _ = radial(RadialKind.BESSEL_J, l, 1e-8)
         assert abs(f) < 1e-8
 
 
 @pytest.mark.parametrize("l", range(0, 13))
 @pytest.mark.parametrize("x", [0.5, 1.0, 5.0, 20.0])
 def test_spherical_radial_matches_scipy(l, x):
-    fj, dj = spherical_radial(RadialKind.BESSEL_J, l, x)
-    fy, dy = spherical_radial(RadialKind.BESSEL_Y, l, x)
+    fj, dj = radial(RadialKind.BESSEL_J, l, x)
+    fy, dy = radial(RadialKind.BESSEL_Y, l, x)
     assert fj == pytest.approx(spherical_j_ref(l, x), rel=1e-12, abs=1e-280)
     assert fy == pytest.approx(spherical_y_ref(l, x), rel=1e-12)
-    h1, _ = spherical_radial(RadialKind.HANKEL1, l, x)
-    h2, _ = spherical_radial(RadialKind.HANKEL2, l, x)
+    h1, _ = radial(RadialKind.HANKEL1, l, x)
+    h2, _ = radial(RadialKind.HANKEL2, l, x)
     assert h1 == pytest.approx(fj + 1j * fy, rel=1e-13)
     assert h2 == pytest.approx(fj - 1j * fy, rel=1e-13)
     # derivative combination against scipy's f'
@@ -190,8 +195,8 @@ def test_spherical_radial_matches_scipy(l, x):
 @pytest.mark.parametrize("x", [0.8 + 0.3j, 2.0 + 1.5j, 5.0 + 0.01j])
 @pytest.mark.parametrize("l", [0, 1, 4, 9])
 def test_spherical_radial_complex_argument(l, x):
-    fj, _ = spherical_radial(RadialKind.BESSEL_J, l, x)
-    fy, _ = spherical_radial(RadialKind.BESSEL_Y, l, x)
+    fj, _ = radial(RadialKind.BESSEL_J, l, x)
+    fy, _ = radial(RadialKind.BESSEL_Y, l, x)
     assert fj == pytest.approx(spherical_j_ref(l, x), rel=1e-11)
     assert fy == pytest.approx(spherical_y_ref(l, x), rel=1e-11)
 
@@ -203,9 +208,9 @@ def test_spherical_radial_complex_argument(l, x):
 @pytest.mark.parametrize("x", [0.5, 1.0, 5.0, 20.0])
 def test_recurrence_consistency(kind, x):
     for l in range(1, 12):
-        f_lo, _ = spherical_radial(kind, l - 1, x)
-        f_mid, _ = spherical_radial(kind, l, x)
-        f_hi, _ = spherical_radial(kind, l + 1, x)
+        f_lo, _ = radial(kind, l - 1, x)
+        f_mid, _ = radial(kind, l, x)
+        f_hi, _ = radial(kind, l + 1, x)
         lhs = f_lo + f_hi
         rhs = (2 * l + 1) / x * f_mid
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-280 * abs(f_mid))
@@ -214,8 +219,8 @@ def test_recurrence_consistency(kind, x):
 def test_wronskian_identity():
     x = 2.0
     for l in range(7):
-        fj, dj = spherical_radial(RadialKind.BESSEL_J, l, x)
-        fy, dy = spherical_radial(RadialKind.BESSEL_Y, l, x)
+        fj, dj = radial(RadialKind.BESSEL_J, l, x)
+        fy, dy = radial(RadialKind.BESSEL_Y, l, x)
         # d(xf)/dx = f + x f'  =>  f' = (d - f) / x
         jp = (dj - fj) / x
         yp = (dy - fy) / x
@@ -273,14 +278,38 @@ def test_sequence_entries_agree_for_every_kind():
     for kind in RadialKind:
         f, d = spherical_radial_seq(kind, 9, x)
         for l in (0, 4, 9):
-            assert (f[l], d[l]) == pytest.approx(spherical_radial(kind, l, x), rel=1e-14)
+            assert (f[l], d[l]) == pytest.approx(radial(kind, l, x), rel=1e-14)
 
 
 def test_overflow_signaled():
     with pytest.raises(OverflowError):
-        spherical_radial(RadialKind.BESSEL_Y, 80, 1e-4)
+        radial(RadialKind.BESSEL_Y, 80, 1e-4)
     with pytest.raises(OverflowError):
         spherical_radial_seq(RadialKind.HANKEL1, 80, 1e-4)
+
+
+@pytest.mark.parametrize("kind", list(RadialKind))
+@pytest.mark.parametrize(
+    "x, shown",
+    [
+        (math.nan, "(nan+0j)"),
+        (math.inf, "(inf+0j)"),
+        (-math.inf, "(-inf+0j)"),
+        (complex(1.0, math.inf), "(1+infj)"),
+        (np.array([0.5, 2.0 + 1j, math.nan, 3.0]), "(nan+0j)"),
+    ],
+)
+def test_non_finite_argument_is_rejected(kind, x, shown):
+    # one ValueError naming the argument, for every kind, scaled or not;
+    # before, the Miller start or the overflow check failed on it unevenly
+    want = "x must be finite, got x=" + shown
+    with pytest.raises(ValueError) as info:
+        spherical_radial_seq(kind, 5, x)
+    assert str(info.value) == want
+    if kind is not RadialKind.BESSEL_Y:
+        with pytest.raises(ValueError) as info:
+            spherical_radial_seq(kind, 5, x, scaled=True)
+        assert str(info.value) == want
 
 
 # one batch spanning |x| from 1e-3 to 1e3, real and complex with |Im x| up

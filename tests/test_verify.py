@@ -45,10 +45,11 @@ def test_maxwell_suite_passes():
 
 
 def test_run_suite_dispatch_and_overrides():
-    report = run_suite("ortho", lmax=1)
+    lmax, report = run_suite("ortho", lmax=1)
+    assert lmax == 1
     assert_clean_report(report)
     # an absurdly tight tolerance flips checks to failing without raising
-    strict = run_suite("invariants", lmax=1, tol=1e-30)
+    _, strict = run_suite("invariants", lmax=1, tol=1e-30)
     assert any(entry["pass"] is False for entry in strict)
     by_name = {entry["check"]: entry for entry in strict}
     assert by_name["trace_identity"]["tolerance"] == 1e-30
