@@ -13,6 +13,7 @@ error.  Output is deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -177,6 +178,11 @@ def _solve_scatter(cfg: dict, fmt: str):
     radius = real(cfg["radius"], "radius")
     sphere = Medium.from_dict(cfg["sphere"], "sphere")
     host = Medium.from_dict(cfg["host"], "host")
+    if not np.isfinite([k * radius, sphere.n * k * radius, host.n * k * radius]).all():
+        raise ValueError(
+            "k * radius times the refractive index of sphere and host must be "
+            f"finite, got k={k!r}, radius={radius!r}"
+        )
     if "lmax" in cfg:
         lmax = integer(cfg["lmax"], "lmax")
     else:
@@ -283,13 +289,10 @@ def _solve_project(cfg: dict, fmt: str):
         raise ValueError(f"config r {cfg['r']} does not match file radius {r}")
 
     # each grid cell takes the last sample whose angles agree to 9 digits
+    # (keyed as the complex numbers theta + i phi)
     cells = _quadrature_points(r, rule)[:, 1:]
-    _, key_of = np.unique(
-        np.round(np.concatenate([cells, where[:, 1:]]), 9),
-        axis=0,
-        return_inverse=True,
-    )
-    key_of = key_of.ravel()
+    keys = np.round(np.concatenate([cells, where[:, 1:]]), 9).view(complex)
+    _, key_of = np.unique(keys.ravel(), return_inverse=True)
     sample_of_key = np.full(key_of.max() + 1, -1)
     sample_of_key[key_of[nt * nphi:]] = np.arange(len(where))
     pick = sample_of_key[key_of[: nt * nphi]]
@@ -394,7 +397,10 @@ def cmd_solve(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every call of `main` can share it."""
     parser = argparse.ArgumentParser(
         prog="tensorwave",
         description="Tensor spherical harmonics and radial Maxwell solutions.",

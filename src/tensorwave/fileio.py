@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from contextlib import contextmanager
 from itertools import chain
 
@@ -62,28 +63,61 @@ def write_field_csv(points, e, h, fp) -> None:
         handle.write(text)
 
 
+def _check_header(reader) -> None:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError("empty field CSV") from None
+    if tuple(header) != FIELD_CSV_COLUMNS:
+        raise ValueError(
+            f"unexpected field CSV header {header!r}; "
+            f"expected {','.join(FIELD_CSV_COLUMNS)}"
+        )
+
+
 def read_field_csv(fp) -> tuple:
     """(points, e, h) from a field CSV; blank lines are skipped.
+
+    The body is parsed in C by np.loadtxt.  A body it cannot parse, or
+    whose values are not all finite with r > 0, is read again row by row
+    by `_scan_field_csv`, which accepts the cells Python's float() does
+    and names the first fault.
+    """
+    with _opened(fp, "r") as handle:
+        lines = handle.readlines()
+    body = iter(lines)
+    _check_header(csv.reader(body))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a body with no rows
+            vals = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        vals = None
+    if (
+        vals is None
+        or vals.shape[1] != len(FIELD_CSV_COLUMNS)
+        or not (np.isfinite(vals).all() and (vals[:, 0] > 0).all())
+    ):
+        vals = _scan_field_csv(lines)
+    # (re, im) cell pairs viewed as complex keep signed zeros and infinities
+    eh = np.ascontiguousarray(vals[:, 3:]).view(complex)
+    return vals[:, :3], eh[:, :3], eh[:, 3:]
+
+
+def _scan_field_csv(lines) -> np.ndarray:
+    """The values of a field CSV, given as its lines, as an (N, 15) array
+    read row by row.
 
     Faults are reported for the first row holding one, in the order the
     row is checked: column count, numbers, finiteness, r > 0.
     """
-    with _opened(fp, "r") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty field CSV") from None
-        if tuple(header) != FIELD_CSV_COLUMNS:
-            raise ValueError(
-                f"unexpected field CSV header {header!r}; "
-                f"expected {','.join(FIELD_CSV_COLUMNS)}"
-            )
-        rows, line_of = [], []
-        for row in reader:
-            if row:
-                rows.append(row)
-                line_of.append(reader.line_num)
+    reader = csv.reader(lines)
+    _check_header(reader)
+    rows, line_of = [], []
+    for row in reader:
+        if row:
+            rows.append(row)
+            line_of.append(reader.line_num)
     ncol = len(FIELD_CSV_COLUMNS)
     wide = next((i for i, row in enumerate(rows) if len(row) != ncol), len(rows))
     flat: list = []
@@ -109,9 +143,7 @@ def read_field_csv(fp) -> tuple:
         raise unparsed
     if wide < len(rows):
         raise ValueError(f"field CSV row has {len(rows[wide])} columns")
-    # (re, im) cell pairs viewed as complex keep signed zeros and infinities
-    eh = np.ascontiguousarray(vals[:, 3:]).view(complex)
-    return vals[:, :3], eh[:, :3], eh[:, 3:]
+    return vals
 
 
 def write_field_json(points, e, h, fp) -> None:

@@ -9,11 +9,14 @@ field-space factor and whose column index is the frame factor of each
 dyad, so a field is the plain matrix-vector product F_lm @ v.  It and the
 check `flm_explicit` below are the only places the dense matrix is built.
 Everywhere else F_lm is held as its three independent components
-(Y, X_theta, X_phi), each a theta-part times e^{i m phi}: `_theta_columns`
-builds the theta-parts of every l at one m from a single Legendre
-recurrence.  Every public function here takes angle arrays (theta, phi)
-that broadcast together and returns values of their broadcast shape,
-followed by (3,) or (3, 3) for vectors and tensors.
+(Y, X_theta, X_phi), each a theta-part times e^{i m phi}.  The theta-parts
+come from one all-modes table: `_legendre_table` runs a single Legendre
+recurrence in l for every order at once, and `_theta_columns` slices the
+theta-parts of any set of (l, m) from it, so synthesis, projection and
+the Gram checks make one recurrence per call, not one per order.  Every
+public function here takes angle arrays (theta, phi) that broadcast
+together and returns values of their broadcast shape, followed by (3,)
+or (3, 3) for vectors and tensors.
 
 X_lm comes from the Cartesian ladder route: the three Cartesian components
 of L Y_lm are exact combinations of Y_{l,m} and Y_{l,m+-1}, rotated into
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,59 +107,69 @@ class QuadratureRule:
 # --- theta columns ----------------------------------------------------------
 
 
-def _theta_columns(m: int, lmax: int, theta):
-    """theta-parts of Y_lm, X_lm.e_theta and X_lm.e_phi for l = |m| .. lmax.
+class _Legendre(NamedTuple):
+    """Normalized Legendre values of the orders lo .. lo + p.shape[1] - 1,
+    indexed [l - lo, m - lo] (`specfun._norm_legendre`), with cos and sin
+    of the angles they were evaluated at."""
 
-    Every harmonic of order m is its theta-part times e^{i m phi}.  Returns
-    (y, x_theta, x_phi), each of shape (lmax - |m| + 1,) + theta.shape; y
-    and x_theta are real, x_phi is imaginary.  X comes from the ladder
-    combination of the order m +- 1 columns, so no sin(theta) divides.
-    """
+    lo: int
+    p: np.ndarray
+    ct: np.ndarray
+    st: np.ndarray
+
+
+def _legendre_table(lmax: int, theta, lo: int = 0, hi: int | None = None):
+    """The Legendre table of every order lo .. hi (default lmax) and every
+    l <= lmax at the angles theta, from one recurrence."""
     theta = np.asarray(theta, dtype=float)
     _check_theta(theta)
     ct, st = np.cos(theta), np.sin(theta)
-    ma = abs(m)
+    hi = lmax if hi is None else hi
+    return _Legendre(lo, _norm_legendre(lmax, lo, hi, ct, st), ct, st)
 
-    def column(mm):
-        # Y_{l,mm} theta-parts on the rows l = |m| .. lmax, zero where l < |mm|
-        out = np.zeros((lmax - ma + 1,) + theta.shape)
-        mu = abs(mm)
-        if mu <= lmax:
-            p = _norm_legendre(lmax, mu, ct, st)
-            if mm < 0:
-                # Y_{l,-m} = (-1)^m conj(Y_lm)
-                p = (-1) ** mu * p
-            out[max(mu - ma, 0):] = p[max(ma - mu, 0):]
-        return out
 
-    ls = np.arange(ma, lmax + 1, dtype=float).reshape((-1,) + (1,) * theta.ndim)
-    y = column(m)
-    yp = np.sqrt((ls - m) * (ls + m + 1)) * column(m + 1)  # L+ Y_lm
-    ym = np.sqrt((ls + m) * (ls - m + 1)) * column(m - 1)  # L- Y_lm
-    inv = 1.0 / np.sqrt(np.maximum(ls * (ls + 1), 1.0))  # X_00 = 0 either way
+def _theta_columns(l, m, table: _Legendre):
+    """theta-parts of Y_lm, X_lm.e_theta and X_lm.e_phi for each (l, m).
+
+    Every harmonic of order m is its theta-part times e^{i m phi}.  `l`
+    and `m` are integers or integer arrays that broadcast together, with
+    |m| <= l <= the table's lmax, and each of the orders |m|, |m + 1| and
+    |m - 1| within the table's range of orders or, for the last two,
+    above l.  Returns (y, x_theta, x_phi), each of shape
+    broadcast(l, m).shape + theta.shape, sliced from `table`.  y and
+    x_theta are real, x_phi is imaginary.  X comes from the ladder
+    combination of the orders m +- 1, so no sin(theta) divides.
+    """
+    lo, p, ct, st = table
+    hi = lo + p.shape[1] - 1
+    ls, ms = np.broadcast_arrays(np.asarray(l), np.asarray(m))
+    grid = (...,) + (None,) * ct.ndim  # mode axes first, then the angle axes
+
+    def y_part(mm):
+        # Y_{l,mm} theta-parts, zero where l < |mm|; Y_{l,-m} = (-1)^m conj(Y_lm)
+        mu = np.abs(mm)
+        sign = np.where((mm < 0) & (mu % 2 == 1), -1.0, 1.0)[grid]
+        vals = p[ls - lo, np.minimum(mu, hi) - lo]
+        return np.where((ls >= mu)[grid], sign * vals, 0.0)
+
+    y, yp, ym = y_part(ms), y_part(ms + 1), y_part(ms - 1)
+    l, m = ls[grid], ms[grid]
+    yp = np.sqrt((l - m) * (l + m + 1)) * yp  # L+ Y_lm
+    ym = np.sqrt((l + m) * (l - m + 1)) * ym  # L- Y_lm
+    inv = 1.0 / np.sqrt(np.maximum(l * (l + 1), 1.0))  # X_00 = 0 either way
     x_theta = (0.5 * ct * (yp + ym) - m * st * y) * inv
     x_phi = -0.5j * (yp - ym) * inv
     return y, x_theta, x_phi
 
 
-def _f_apply(y, x_theta, x_phi, v):
-    """F @ v for F held as its components; v carries a last axis of 3."""
-    return np.stack(
-        [
-            y * v[..., 0],
-            x_theta * v[..., 1] - x_phi * v[..., 2],
-            x_phi * v[..., 1] + x_theta * v[..., 2],
-        ],
-        axis=-1,
-    )
-
-
 def _mode_parts(mode: ModeIndex, theta, phi):
     """(Y, X_theta, X_phi) of one mode, broadcast over angle arrays."""
     theta, phi = _angles(theta, phi)
+    ma = abs(mode.m)
+    table = _legendre_table(mode.l, theta, max(ma - 1, 0), ma + 1)
     phase = np.exp(1j * mode.m * phi)
-    cols = _theta_columns(mode.m, mode.l, theta)
-    return np.broadcast_arrays(*(c[-1] * phase for c in cols))
+    cols = _theta_columns(mode.l, mode.m, table)
+    return np.broadcast_arrays(*(c * phase for c in cols))
 
 
 # --- vector harmonic --------------------------------------------------------

@@ -13,12 +13,12 @@ sphere, so the ladder relations
 hold exactly, and Y_{l,-m} = (-1)^m conj(Y_lm).
 
 The Legendre part is evaluated by the fully normalized forward recurrence
-in l at fixed m (seeded from the double-factorial closed form of the
-sectoral term), which is stable for every |m| <= l at the orders handled
-here.  Spherical Bessel functions come as whole sequences in l for an
-array of arguments at once, from downward Miller recursion for j_l and
-upward recursion for y_l and the Hankel functions, valid for complex
-arguments.
+in l, run for a range of orders at once (each seeded from the
+double-factorial closed form of its sectoral term), which is stable for
+every |m| <= l at the orders handled here.  Spherical Bessel functions
+come as whole sequences in l for an array of arguments at once, from
+downward Miller recursion for j_l and upward recursion for y_l and the
+Hankel functions, valid for complex arguments.
 """
 
 from __future__ import annotations
@@ -66,27 +66,32 @@ class RadialKind(Enum):
     HANKEL2 = "hankel2"
 
 
-def _norm_legendre(lmax: int, m: int, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
-    """Fully normalized associated Legendre values for m >= 0, every l.
+def _norm_legendre(lmax: int, lo: int, hi: int, ct, st) -> np.ndarray:
+    """Fully normalized associated Legendre values for orders lo .. hi >= 0.
 
-    Returns N_lm P_l^m(ct) for l = m .. lmax stacked along a new first
-    axis, with N_lm = sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!) and the
-    Condon-Shortley (-1)^m folded in, evaluated elementwise on
-    cos(theta) = ct, sin(theta) = st.
+    Returns N_lm P_l^m(ct) with N_lm = sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!)
+    and the Condon-Shortley (-1)^m folded in, evaluated elementwise on
+    cos(theta) = ct, sin(theta) = st: an array of shape
+    (lmax - lo + 1, hi - lo + 1) + ct.shape whose entry [l - lo, m - lo]
+    holds order m at degree l, and zero where l < m.  One recurrence in l
+    runs for every order at once, each order seeded by its sectoral term.
     """
-    out = np.empty((lmax - m + 1,) + np.shape(ct))
-    # sectoral seed, built multiplicatively so large m cannot overflow
+    out = np.zeros((lmax - lo + 2, hi - lo + 1) + np.shape(ct))  # row 0: l = lo - 1
+    # sectoral seeds, built multiplicatively so large m cannot overflow
     p = np.full_like(ct, 1.0 / math.sqrt(4.0 * math.pi))
-    for k in range(1, m + 1):
-        p = p * (-math.sqrt((2 * k + 1) / (2.0 * k))) * st
-    out[0] = p
-    p_prev = np.zeros_like(p)
-    for ll in range(m + 1, lmax + 1):
-        a = math.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - m * m))
-        b = math.sqrt(((ll - 1.0) ** 2 - m * m) / (4.0 * (ll - 1.0) ** 2 - 1.0))
-        p, p_prev = a * (ct * p - b * p_prev), p
-        out[ll - m] = p
-    return out
+    for k in range(min(hi, lmax) + 1):
+        if k > 0:
+            p = p * (-math.sqrt((2 * k + 1) / (2.0 * k))) * st
+        if k >= lo:
+            out[k - lo + 1, k - lo] = p
+    m = np.arange(lo, hi + 1).reshape((-1,) + (1,) * np.ndim(ct))
+    for ll in range(lo + 1, lmax + 1):
+        n = min(ll, hi + 1) - lo  # the orders m < ll
+        mm, i = m[:n], ll - lo + 1
+        a = np.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - mm * mm))
+        b = np.sqrt(((ll - 1.0) ** 2 - mm * mm) / (4.0 * (ll - 1.0) ** 2 - 1.0))
+        out[i, :n] = a * (ct * out[i - 1, :n] - b * out[i - 2, :n])
+    return out[1:]
 
 
 def _check_theta(theta: np.ndarray) -> None:
@@ -118,7 +123,7 @@ def ylm(mode: ModeIndex, theta, phi):
     """
     theta, phi = _angles(theta, phi)
     ma = abs(mode.m)
-    p = _norm_legendre(mode.l, ma, np.cos(theta), np.sin(theta))[-1]
+    p = _norm_legendre(mode.l, ma, ma, np.cos(theta), np.sin(theta))[-1, 0]
     if mode.m < 0:
         # Y_{l,-m} = (-1)^m conj(Y_lm); p is real, so conjugate the phase
         p = (-1) ** ma * p

@@ -13,8 +13,9 @@ blocks and the radial parts from the longitudinal reconstruction.  Each
 F_lm is a theta-part times e^{i m phi}, so synthesis sums over l at each
 m on the distinct (r, theta) rows and then over m with the phase at each
 point.  Projection inverts this with the angular Gram identity of F_lm:
-for each m one sum over phi, then one contraction over the theta nodes of
-a quadrature sphere at fixed radius.
+one sum over phi for every order at once, then one contraction over the
+theta nodes of a quadrature sphere at fixed radius for every mode.  Both
+slice the theta-parts of every mode from one Legendre table per call.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harmonics import QuadratureRule, _f_apply, _theta_columns
+from .harmonics import QuadratureRule, _legendre_table, _theta_columns
 from .maxwell_radial import (
     Medium,
     _as_k,
@@ -135,12 +136,18 @@ def synthesize(waves, k, med: Medium, points) -> tuple:
     n = len(pts)
     e_out = np.zeros((n, 3), dtype=complex)
     h_out = np.zeros((n, 3), dtype=complex)
-    rows, row_of = np.unique(pts[:, :2], axis=0, return_inverse=True)
+    # distinct (r, theta) rows, keyed as the complex numbers r + i theta
+    keys, row_of = np.unique(
+        np.ascontiguousarray(pts[:, :2]).view(complex).ravel(), return_inverse=True
+    )
+    rows = np.column_stack([keys.real, keys.imag])
     radii, radius_of = np.unique(rows[:, 0], return_inverse=True)
     phis, phi_of = np.unique(pts[:, 2], return_inverse=True)
     tables = _radial_tables(
         ((kind, w.mode.l) for w in waves for kind in w.kinds), k, radii, med
     )
+    lmax = max((w.mode.l for w in waves), default=0)
+    legendre = _legendre_table(lmax, rows[:, 1])
     for m, group in _by_order([w.mode for w in waves]).items():
         sub = [waves[i] for i in group]
         ls = np.array([w.mode.l for w in sub])
@@ -152,15 +159,14 @@ def synthesize(waves, k, med: Medium, points) -> tuple:
                         k, radii, med, c)
         w = u[:, radius_of] / rows[:, 0, None]
         e_r, h_r = longitudinal_components(ls[:, None], k, rows[:, 0], med, w)
-        cols = _theta_columns(m, ls.max(), rows[:, 1])
-        y, xt, xp = (col[ls - abs(m)] for col in cols)
+        y, xt, xp = _theta_columns(ls, m, legendre)
         phase = np.exp(1j * m * phis)[phi_of, None]
         # F @ (v_r, a, b) summed over the waves, one component at a time
         for out, v_r, a, b in ((h_out, h_r, w[..., 0], w[..., 1]),
                                (e_out, e_r, w[..., 2], w[..., 3])):
             sums = [(y * v_r).sum(0), (xt * a - xp * b).sum(0),
                     (xp * a + xt * b).sum(0)]
-            out += np.stack(sums, axis=-1)[row_of.ravel()] * phase
+            out += np.stack(sums, axis=-1)[row_of] * phase
     return e_out, h_out
 
 
@@ -185,19 +191,27 @@ def project_sampled(
             f"field grids must have shape ({nt}, {nphi}, 3) matching the rule"
         )
     modes = list(modes)
-    hl = np.zeros((len(modes), 3), dtype=complex)
-    el = np.zeros((len(modes), 3), dtype=complex)
+    ls = np.array([mode.l for mode in modes], dtype=int)
+    ms = np.array([mode.m for mode in modes], dtype=int)
+    orders, order_of = np.unique(ms, return_inverse=True)
+    # F^H is F with (Y*, X_theta*, -X_phi*) = (Y, X_theta, X_phi), as Y
+    # and X_theta are real and X_phi imaginary
+    table = _legendre_table(ls.max(initial=0), rule.thetas)
+    y, xt, xp = _theta_columns(ls, ms, table)
     w = rule.weights[:, None] * (2.0 * math.pi / nphi)
-    for m, group in _by_order(modes).items():
-        cols = _theta_columns(m, max(modes[i].l for i in group), rule.thetas)
-        rows = [modes[i].l - abs(m) for i in group]
-        # F^H has the same form as F with (Y*, X_theta*, -X_phi*)
-        y, x_theta, x_phi = (c[rows].conj() for c in cols)
-        phase = np.exp(-1j * m * rule.phis)
-        for grid, out in ((h_grid, hl), (e_grid, el)):
-            g = w * np.tensordot(phase, grid, axes=(0, 1))
-            out[group] = _f_apply(y, x_theta, -x_phi, g).sum(axis=1)
-    return hl, el
+    phase = np.exp(-1j * orders[:, None] * rule.phis)
+
+    def dot(a, b):
+        return np.einsum("it,it->i", a, b)
+
+    def project(grid):
+        # one phi transform for every order, then one contraction over
+        # the theta nodes for every mode
+        v = (w * np.tensordot(phase, grid, axes=(1, 1)))[order_of]
+        return np.stack([dot(y, v[..., 0]), dot(xt, v[..., 1]) - dot(xp, v[..., 2]),
+                         dot(xp, v[..., 1]) + dot(xt, v[..., 2])], axis=-1)
+
+    return project(h_grid), project(e_grid)
 
 
 def recover_coefficients(

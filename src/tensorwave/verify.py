@@ -16,6 +16,7 @@ import numpy as np
 
 from .harmonics import (
     QuadratureRule,
+    _legendre_table,
     _theta_columns,
     flm,
     flm_explicit,
@@ -71,14 +72,11 @@ def _grams(lmax: int, rule: QuadratureRule):
     They fill the blocks of the tensor Gram of F_a^dagger F_b:
     [[gy, 0, 0], [0, gx, -gc], [0, gc, gx]].
     """
-    nt, nphi = len(rule.cos_nodes), rule.n_phi
-    y, xt, xp = np.zeros((3, (lmax + 1) ** 2, nt, nphi), dtype=complex)
-    for m in range(-lmax, lmax + 1):
-        rows = [l * l + l + m for l in range(abs(m), lmax + 1)]
-        phase = np.exp(1j * m * rule.phis)
-        for stack, col in zip((y, xt, xp), _theta_columns(m, lmax, rule.thetas)):
-            stack[rows] = col[:, :, None] * phase
-    w = rule.weights[:, None] * (2.0 * math.pi / nphi)
+    ls, ms = np.array([(mode.l, mode.m) for mode in _modes(0, lmax)]).T
+    phase = np.exp(1j * ms[:, None] * rule.phis)[:, None, :]
+    cols = _theta_columns(ls, ms, _legendre_table(lmax, rule.thetas))
+    y, xt, xp = (col[:, :, None] * phase for col in cols)
+    w = rule.weights[:, None] * (2.0 * math.pi / rule.n_phi)
 
     def inner(u, v):
         return np.einsum("tp,atp,btp->ab", w, u.conj(), v)

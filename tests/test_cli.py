@@ -521,19 +521,53 @@ def test_solve_rejects_unknown_keys(tmp_path):
     assert "wavelength" in res.stderr
 
 
+@pytest.mark.parametrize("extra", [{}, {"lmax": 3}])
+def test_solve_scatter_rejects_a_non_finite_size_parameter(tmp_path, capsys, extra):
+    # k * radius = 1e310 is past the double range, with the default lmax
+    # rule and with an explicit lmax alike
+    from tensorwave.cli import main
+
+    cfg = write_config(tmp_path, "s.json", dict(SCATTER, k=1e10, radius=1e300, **extra))
+    assert main(["solve", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: k * radius times the refractive index of sphere and host "
+        "must be finite, got k=10000000000.0, radius=1e+300\n"
+    )
+
+
 def test_solve_missing_config_file():
     res = run_cli("solve", "--config", "/no/such/file.json")
     assert res.returncode == 2
 
 
-def test_output_is_deterministic_across_runs_and_threads():
-    argv = ("eval", "--harmonic", "flm", "--l", "4", "--m", "-2",
-            "--grid", "6x8")
-    first = run_cli(*argv)
-    second = run_cli(*argv)
-    threaded = run_cli(*argv, env_extra={"TW_THREADS": "3"})
-    assert first.returncode == second.returncode == threaded.returncode == 0
-    assert first.stdout == second.stdout == threaded.stdout
+def test_output_is_deterministic_across_runs_and_threads(tmp_path):
+    # the third run lets BLAS use two threads: the projection contracts
+    # every mode in one tensordot, which must not depend on that
+    eval_argv = ("eval", "--harmonic", "flm", "--l", "4", "--m", "-2",
+                 "--grid", "6x8")
+    waves = [dict(WAVE, l=l, m=m, c1=[[1.0, 0.5 * m], [0.25 * l, -1.0]])
+             for l in range(1, 5) for m in range(-l, l + 1)]
+    synth = write_config(tmp_path, "synth.json", {
+        "task": "synthesize", "k": 1.3, "medium": HOST, "waves": waves,
+        "grid": {"r": 6.0, "quadrature_lmax": 4}})
+    outputs = []
+    for i, env in enumerate(
+        (None, None, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"})
+    ):
+        field = tmp_path / f"field{i}.csv"
+        project = write_config(tmp_path, f"project{i}.json", dict(
+            PROJECT, k=1.3, quadrature_lmax=4, field=str(field)))
+        runs = [
+            run_cli(*eval_argv, env_extra=env),
+            run_cli("solve", "--config", synth, "--format", "csv",
+                    "--out", str(field), env_extra=env),
+            run_cli("solve", "--config", project, "--format", "csv", env_extra=env),
+        ]
+        assert [res.returncode for res in runs] == [0, 0, 0], runs
+        outputs.append((runs[0].stdout, field.read_bytes(), runs[2].stdout))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 @pytest.mark.parametrize("suite", ["ortho", "invariants", "maxwell"])

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from tensorwave.cli import _waves_from_config
 from tensorwave.fileio import (
     FIELD_CSV_COLUMNS,
+    _scan_field_csv,
     _wave_from_dict,
     read_field_csv,
     read_field_json,
@@ -201,6 +203,73 @@ def test_field_csv_names_the_cell_that_is_no_number(j, cell):
     col = FIELD_CSV_COLUMNS[j]
     with pytest.raises(ValueError, match=f"^field CSV line 5: {col} is not a number$"):
         read_field_csv(io.StringIO(text))
+
+
+def scanned_or_message(text):
+    """What the row scanner makes of a field CSV: its arrays, or its message."""
+    try:
+        vals = _scan_field_csv(io.StringIO(text))
+    except ValueError as exc:
+        return str(exc)
+    eh = np.ascontiguousarray(vals[:, 3:]).view(complex)
+    return vals[:, :3], eh[:, :3], eh[:, 3:]
+
+
+def read_or_message(text):
+    try:
+        return read_field_csv(io.StringIO(text))
+    except ValueError as exc:
+        return str(exc)
+
+
+READER_CASES = {
+    "header only": field_text(),
+    "crlf": field_text(GOOD_ROW, GOOD_ROW).replace("\n", "\r\n"),
+    "blank lines": field_text("", GOOD_ROW, "", "", GOOD_ROW, ""),
+    "whitespace-only line": field_text(GOOD_ROW, "   ", GOOD_ROW),
+    "tab-only line": field_text(GOOD_ROW, "\t"),
+    "spaced cells": field_text(_with_cell(_with_cell(GOOD_ROW, 1, " 0.5 "), 4, "  2")),
+    "tab cells": field_text(_with_cell(GOOD_ROW, 6, "\t0.125\t")),
+    "quoted cells": field_text(_with_cell(GOOD_ROW, 2, '"0.25"')),
+    "quoted header": field_text(GOOD_ROW).replace("theta", '"theta"', 1),
+    "underscore": field_text(GOOD_ROW, _with_cell(GOOD_ROW, 5, "0_125")),
+    "+inf": field_text(GOOD_ROW, _with_cell(GOOD_ROW, 7, "+inf")),
+    "1e400": field_text(_with_cell(GOOD_ROW, 0, "1e400")),
+    "hash": field_text(GOOD_ROW, _with_cell(GOOD_ROW, 3, "#1")),
+    "non-ascii digits": field_text(_with_cell(GOOD_ROW, 8, "\u0661\u0662")),
+    "wide digits": field_text(_with_cell(GOOD_ROW, 0, "\uff12")),
+    "short row": field_text(GOOD_ROW, "1,2,3"),
+    "trailing comma": field_text(GOOD_ROW + ","),
+    "empty cell": field_text(_with_cell(GOOD_ROW, 9, "")),
+    "r = -0": field_text(_with_cell(GOOD_ROW, 0, "-0")),
+    "edge values": reference_csv(*edge_fields()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_field_csv_reader_agrees_with_the_row_scanner(case):
+    text = READER_CASES[case]
+    want = scanned_or_message(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = read_or_message(text)
+    assert caught == []  # loadtxt's "input contained no data" stays inside
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_fields_equal(got, want)
+
+
+def test_field_csv_reader_agrees_with_the_row_scanner_on_disk(tmp_path):
+    # CRLF endings and a blank line as a file on disk, the way the CLI reads it
+    path = tmp_path / "field.csv"
+    good = field_text(GOOD_ROW, "", GOOD_ROW).replace("\n", "\r\n")
+    path.write_bytes(good.encode())
+    assert_fields_equal(read_field_csv(str(path)), scanned_or_message(good))
+    bad = field_text(GOOD_ROW, "", _with_cell(GOOD_ROW, 4, "x")).replace("\n", "\r\n")
+    path.write_bytes(bad.encode())
+    with pytest.raises(ValueError, match="^field CSV line 4: e_r_im is not a number$"):
+        read_field_csv(str(path))
 
 
 def test_field_json_round_trip(rng, tmp_path):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from oracles import ylm_ref
 from tensorwave.harmonics import (
     QuadratureRule,
+    _legendre_table,
+    _theta_columns,
     flm,
     flm_explicit,
     l_dot_er_cross_xlm_residual,
@@ -113,6 +115,73 @@ def test_xlm_against_scipy_composition():
             got = xlm(mode, th, ph)
             assert got[1] == pytest.approx(v_theta, abs=1e-13)
             assert got[2] == pytest.approx(v_phi, abs=1e-13)
+
+
+def per_order_theta_part(l, m, theta):
+    """theta-part of Y_lm from its own sectoral seed and recurrence in l at
+    fixed m, step for step as ylm computed it before the all-orders table."""
+    ct, st = np.cos(theta), np.sin(theta)
+    ma = abs(m)
+    p = np.full_like(ct, 1.0 / math.sqrt(4.0 * math.pi))
+    for k in range(1, ma + 1):
+        p = p * (-math.sqrt((2 * k + 1) / (2.0 * k))) * st
+    p_prev = np.zeros_like(p)
+    for ll in range(ma + 1, l + 1):
+        a = math.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - ma * ma))
+        b = math.sqrt(((ll - 1.0) ** 2 - ma * ma) / (4.0 * (ll - 1.0) ** 2 - 1.0))
+        p, p_prev = a * (ct * p - b * p_prev), p
+    return (-1) ** ma * p if m < 0 else p
+
+
+TABLE_THETAS = np.array([0.0, 1e-9, 0.4, 1.0, math.pi / 2, 1.9, 2.8, math.pi])
+ALL_MODES_24 = np.array([(l, m) for l in range(25) for m in range(-l, l + 1)]).T
+
+
+def test_all_modes_table_matches_scipy_for_every_l_and_m():
+    table = _legendre_table(24, TABLE_THETAS)
+    # every order 0..24 of every degree 0..24, exactly zero where l < m
+    assert table.p.shape == (25, 25, len(TABLE_THETAS))
+    below = np.arange(25)[:, None] < np.arange(25)[None, :]
+    assert np.all(table.p[below] == 0.0)
+    ls, ms = ALL_MODES_24
+    y, x_theta, x_phi = _theta_columns(ls, ms, table)
+    assert y.shape == x_theta.shape == x_phi.shape == (625, len(TABLE_THETAS))
+    th = TABLE_THETAS[None, :]
+    l, m = ls[:, None], ms[:, None]
+    np.testing.assert_allclose(y, ylm_ref(l, m, th, 0.0).real, rtol=0, atol=1e-13)
+    # X from scipy's Y by the explicit forms, off the poles
+    th = TABLE_THETAS[None, 1:-1]
+    norm = np.sqrt(np.maximum(l * (l + 1), 1))
+    up, down = np.minimum(m + 1, l), np.maximum(m - 1, -l)
+    yp = np.where(m < l, np.sqrt((l - m) * (l + m + 1)) * ylm_ref(l, up, th, 0.0), 0)
+    ym = np.where(m > -l, np.sqrt((l + m) * (l - m + 1)) * ylm_ref(l, down, th, 0.0), 0)
+    want_theta = (-m * ylm_ref(l, m, th, 0.0) / (np.sin(th) * norm)).real
+    want_phi = -1j * (yp - ym) / 2.0 / norm
+    np.testing.assert_allclose(x_theta[:, 1:-1], want_theta, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(x_phi[:, 1:-1], want_phi, rtol=0, atol=1e-12)
+    # at the poles only m = 0 has Y and only m = +-1 has X; sin(0) is 0,
+    # but sin(pi) is 1.2e-16, so that pole is zero only to rounding
+    for pole, tol in ((0, 0.0), (-1, 1e-13)):
+        assert np.all(np.abs(y[ms != 0, pole]) <= tol)
+        assert np.all(np.abs(x_theta[np.abs(ms) != 1, pole]) <= tol)
+        assert np.all(np.abs(x_phi[np.abs(ms) != 1, pole]) <= tol)
+        assert np.all(np.abs(x_theta[np.abs(ms) == 1, pole]) > 0.1)
+
+
+def test_table_slices_and_single_order_ylm_equal_the_per_order_recurrence():
+    table = _legendre_table(24, TABLE_THETAS)
+    ls, ms = ALL_MODES_24
+    y = _theta_columns(ls, ms, table)[0]
+    phi = 0.7
+    for i, (l, m) in enumerate(zip(ls.tolist(), ms.tolist())):
+        want = per_order_theta_part(l, m, TABLE_THETAS)
+        assert y[i].tobytes() == want.tobytes()
+        got = ylm(ModeIndex(l, m), TABLE_THETAS, phi)
+        ref = np.asarray(want * np.exp(1j * m * phi), dtype=complex)
+        assert got.tobytes() == ref.tobytes()
+        assert ylm(ModeIndex(l, m), 1.0, phi) == complex(
+            per_order_theta_part(l, m, np.float64(1.0)) * np.exp(1j * m * phi)
+        )
 
 
 def test_xlm_finite_at_poles():

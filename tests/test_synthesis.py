@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import curl_fd, div_fd, mie_ab, mie_ab_mp
-from tensorwave.harmonics import QuadratureRule
+from tensorwave.harmonics import QuadratureRule, flm
 from tensorwave.maxwell_radial import Medium
 from tensorwave.specfun import ModeIndex, RadialKind
 from tensorwave.synthesis import (
@@ -201,6 +201,24 @@ def test_projection_cross_mode_leakage():
     for hl, el in zip(*project_sampled(e_grid, h_grid, others, rule)):
         assert np.max(np.abs(hl)) < 1e-10
         assert np.max(np.abs(el)) < 1e-10
+
+
+def test_project_sampled_equals_the_quadrature_sum_of_each_mode(rng):
+    # the reference: sum over every node of w F_lm^H @ field, mode by mode,
+    # with F_lm from `flm`; modes unsorted, repeated, and l = 0 among them
+    rule = QuadratureRule.for_degree(5)
+    shape = (len(rule.cos_nodes), rule.n_phi, 3)
+    e_grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    h_grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    modes = [ModeIndex(*lm) for lm in
+             ((3, -2), (1, 1), (5, 5), (0, 0), (3, -2), (4, 0), (2, -1), (5, -4))]
+    hls, els = project_sampled(e_grid, h_grid, modes, rule)
+    w = rule.weights[:, None] * (2.0 * math.pi / rule.n_phi)
+    for mode, hl, el in zip(modes, hls, els):
+        f_h = flm(mode, rule.thetas[:, None], rule.phis[None, :]).conj().swapaxes(-1, -2)
+        for got, grid in ((hl, h_grid), (el, e_grid)):
+            want = np.einsum("tp,tpij,tpj->i", w, f_h, grid)
+            assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
 def test_project_sampled_shape_validation():
