@@ -16,7 +16,6 @@ from .harmonics import (
     l_dot_xlm_residual,
     l_squared_check,
     lz_check,
-    ortho_matrix,
     xlm,
 )
 from .maxwell_radial import (
@@ -68,7 +67,6 @@ __all__ = [
     "l_dot_xlm_residual",
     "l_squared_check",
     "lz_check",
-    "ortho_matrix",
     "xlm",
     "Medium",
     "RadialProfile",

@@ -30,10 +30,12 @@ from .maxwell_radial import (
     propagate,
 )
 from .parsing import (
+    MAX_DEGREE,
     _csv_table,
     _pairs,
     _re_im,
     complex_pairs,
+    degree,
     integer,
     real,
     require_keys,
@@ -184,10 +186,17 @@ def _solve_scatter(cfg: dict, fmt: str):
             f"finite, got k={k!r}, radius={radius!r}"
         )
     if "lmax" in cfg:
-        lmax = integer(cfg["lmax"], "lmax")
+        lmax = degree(cfg["lmax"], "lmax")
     else:
-        x = k * radius
+        # a k or radius <= 0 gets lmax 4 here and is rejected by match_sphere
+        x = max(k * radius, 0.0)
         lmax = max(4, math.ceil(x + 4.0 * x ** (1.0 / 3.0) + 2.0))
+        if lmax > MAX_DEGREE:
+            raise ValueError(
+                f"lmax must be at most {MAX_DEGREE}, got {lmax} from the "
+                f"default rule at k * radius = {x!r}; give a smaller radius "
+                "or an explicit lmax"
+            )
     inc_c1 = complex_pairs(
         cfg.get("incident_c1", [[1.0, 0.0], [1.0, 0.0]]), 2, "incident_c1"
     )
@@ -229,9 +238,10 @@ def _solve_synthesize(cfg: dict, fmt: str):
     else:
         grid = cfg["grid"]
         require_keys(grid, ("r", "quadrature_lmax"), what="grid spec")
-        rule = QuadratureRule.for_degree(
-            integer(grid["quadrature_lmax"], "quadrature_lmax")
-        )
+        lq = integer(grid["quadrature_lmax"], "quadrature_lmax")
+        if lq < 0:
+            raise ValueError(f"quadrature_lmax must be >= 0, got {lq}")
+        rule = QuadratureRule.for_degree(lq)
         pts = _quadrature_points(real(grid["r"], "r"), rule)
     e, h = synthesize(waves, k, med, pts)
     buf = io.StringIO()
@@ -262,7 +272,7 @@ def _solve_project(cfg: dict, fmt: str):
             if not (isinstance(lm, list) and len(lm) == 2):
                 raise ValueError(f"modes entry must be an [l, m] pair, got {lm!r}")
         modes = [
-            ModeIndex(integer(lm[0], "modes l"), integer(lm[1], "modes m"))
+            ModeIndex(degree(lm[0], "modes l"), integer(lm[1], "modes m"))
             for lm in raw
         ]
     else:
@@ -345,7 +355,7 @@ def _solve_propagate(cfg: dict, fmt: str):
         ("task", "l", "k", "profile", "r_from", "r_to", "w"),
         what="propagate config",
     )
-    l = integer(cfg["l"], "l")
+    l = degree(cfg["l"], "l")
     k = real(cfg["k"], "k")
     profile = RadialProfile.from_dict(cfg["profile"])
     r_from = real(cfg["r_from"], "r_from")

@@ -25,6 +25,7 @@ from .parsing import (
     _re_im,
     complex_pair,
     complex_pairs,
+    degree,
     integer,
     real,
     require_keys,
@@ -201,7 +202,7 @@ def _wave_from_dict(rec: dict) -> PartialWave:
     c1 = complex_pairs(rec["c1"], 2, "c1")
     c2 = complex_pairs(rec.get("c2", [[0.0, 0.0], [0.0, 0.0]]), 2, "c2")
     return PartialWave(
-        ModeIndex(integer(rec["l"], "l"), integer(rec["m"], "m")),
+        ModeIndex(degree(rec["l"], "l"), integer(rec["m"], "m")),
         c1,
         c2,
         (RadialKind(kinds[0]), RadialKind(kinds[1])),

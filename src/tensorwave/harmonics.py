@@ -50,7 +50,6 @@ __all__ = [
     "xlm",
     "flm",
     "flm_explicit",
-    "ortho_matrix",
     "l_squared_check",
     "lz_check",
     "l_dot_xlm_residual",
@@ -235,46 +234,6 @@ def flm_explicit(mode: ModeIndex, theta, phi) -> np.ndarray:
     vt = -m * y / st * inv
     vp = -1j * dy_dtheta * inv
     return _assemble_f(*np.broadcast_arrays(y, vt, vp))
-
-
-# --- orthonormality quadrature ----------------------------------------------
-
-
-def _gram(mode_a: ModeIndex, mode_b: ModeIndex, rule: QuadratureRule) -> np.ndarray:
-    thetas = rule.thetas[:, None]
-    phis = rule.phis[None, :]
-    fa = flm(mode_a, thetas, phis)
-    fb = flm(mode_b, thetas, phis)
-    w = rule.weights[:, None] * (2.0 * math.pi / rule.n_phi)
-    w = np.broadcast_to(w, fa.shape[:2])
-    return np.einsum("tp,tpki,tpkj->ij", w, fa.conj(), fb)
-
-
-def ortho_matrix(
-    mode_a: ModeIndex,
-    mode_b: ModeIndex,
-    rule: QuadratureRule | None = None,
-) -> np.ndarray:
-    """Angular Gram tensor of two tensor harmonics.
-
-    Computes the integral of F_a^dagger F_b over the sphere with the frame
-    vectors held fixed.  For l >= 1 modes the exact value is the identity
-    when the modes coincide and zero otherwise; the (0,0) harmonic has only
-    its longitudinal dyad, so its self-Gram is dyad(e_r, e_r).
-
-    The rule is doubled once and a RuntimeError is raised if the two
-    results differ by more than 1e-12 (under-resolved quadrature).
-    """
-    if rule is None:
-        rule = QuadratureRule.for_degree(max(mode_a.l, mode_b.l, 1))
-    g = _gram(mode_a, mode_b, rule)
-    g2 = _gram(mode_a, mode_b, rule.refined())
-    if np.max(np.abs(g - g2)) > 1e-12:
-        raise RuntimeError(
-            f"quadrature under-resolved for modes {mode_a}, {mode_b}: "
-            f"refinement moved the result by {np.max(np.abs(g - g2)):.3e}"
-        )
-    return g
 
 
 # --- ladder-operator identities ---------------------------------------------

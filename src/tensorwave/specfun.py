@@ -16,9 +16,11 @@ The Legendre part is evaluated by the fully normalized forward recurrence
 in l, run for a range of orders at once (each seeded from the
 double-factorial closed form of its sectoral term), which is stable for
 every |m| <= l at the orders handled here.  Spherical Bessel functions
-come as whole sequences in l for an array of arguments at once, from
-downward Miller recursion for j_l and upward recursion for y_l and the
-Hankel functions, valid for complex arguments.
+come as whole sequences in l for an array of arguments at once, valid for
+complex arguments, from one pair: j_l by downward Miller recursion and
+h_l^(t), the Hankel kind that decays into the half plane of x, by upward
+recursion.  Every kind is a fixed combination a j_l + b h_l^(t) of that
+pair, read from the one table `_PAIR`.
 """
 
 from __future__ import annotations
@@ -262,46 +264,18 @@ def _scaled_j(lmax: int, x: np.ndarray) -> np.ndarray:
     return _miller(lmax, x, s, c)
 
 
-def _stable_pair(lmax: int, x: np.ndarray) -> tuple:
-    """(t, e^{itx} j_l, e^{-itx} h_l^(t)) for l = -1 .. lmax, t = +1 if
-    Im x >= 0 else -1: j_l by Miller recursion and the Hankel kind that
-    decays into the half plane of x upward from its scaled seeds 1/x and
-    -i t/x, both stable and in range for any Im x."""
-    t = np.where(x.imag >= 0, 1.0, -1.0)
-    return t, _scaled_j(lmax, x), _upward(1.0 / x, -1j * t / x, lmax, x)
-
-
-def _scaled_hankel(sigma: int, lmax: int, x: np.ndarray) -> np.ndarray:
-    """e^{-i sigma x} h_l(x) for l = -1 .. lmax; sigma = +1 for h^(1), -1 for h^(2).
-
-    Upward recursion is stable for the kind that decays into the half
-    plane of x (sigma Im x >= 0): it grows with l relative to the other
-    kind.  The other kind shrinks relative to it by up to e^{2|Im x|},
-    so its upward recursion would amplify rounding by that much (0.2
-    relative at l = 40, x = 20+30i); there it is 2 j_l - h_l^(t).
-    """
-    g = _upward(1.0 / x, -1j * sigma / x, lmax, x)
-    other = sigma * x.imag < 0
-    if other.any():
-        t, sj, sh = _stable_pair(lmax, x[other])
-        g[:, other] = 2.0 * sj - np.exp(2j * t * x[other]) * sh
-    return g
-
-
-def _bessel_y(lmax: int, x: np.ndarray) -> np.ndarray:
-    """y_l(x) for l = -1 .. lmax, upward from y_0 and y_{-1} while |Im x| <= 1.
-
-    Past that y_l carries the Hankel kind that decays into the half
-    plane, e^{-2|Im x|} below the other at l = 0 but level with it at
-    large l, so upward recursion amplifies rounding by up to e^{2|Im x|}
-    (3.6e-8 of |j_l| + |y_l| at x = 0.5+10i); there y_l = i t (j_l - h_l^(t)).
-    """
-    g = _upward(np.sin(x) / x, -np.cos(x) / x, lmax, x)
-    far = np.abs(x.imag) > 1.0
-    if far.any():
-        (t, sj, sh), xf = _stable_pair(lmax, x[far]), x[far]
-        g[:, far] = 1j * t * (np.exp(-1j * t * xf) * sj - np.exp(1j * t * xf) * sh)
-    return g
+# f_l = a j_l + b h_l^(t) for every kind, t = +1 where Im x >= 0 and -1
+# elsewhere: h^(t) is the Hankel kind that decays into the half plane of x,
+# y_l = i t (j_l - h_l^(t)) and h_l^(-t) = 2 j_l - h_l^(t).  Entry [0] holds
+# (a, b) for t = +1, entry [1] for t = -1.
+_PAIR = {
+    RadialKind.BESSEL_J: ((1, 0), (1, 0)),
+    RadialKind.BESSEL_Y: ((1j, -1j), (-1j, 1j)),
+    RadialKind.HANKEL1: ((0, 1), (2, -1)),
+    RadialKind.HANKEL2: ((2, -1), (0, 1)),
+}
+# the scaled form of h^(s) is e^{-isx} h^(s)
+_SIGMA = {RadialKind.HANKEL1: -1.0, RadialKind.HANKEL2: 1.0}
 
 
 def spherical_radial_seq(
@@ -313,16 +287,18 @@ def spherical_radial_seq(
     derivative is of the product x*f(x), the combination entering the
     transverse field solutions; for an argument x = n k r it equals
     d(r f(n k r))/dr exactly.  `x` is a scalar or an array; returns two
-    complex arrays of shape (lmax + 1,) + x.shape from one recursion in l
-    for every l and every x.
+    complex arrays of shape (lmax + 1,) + x.shape for every l and every x.
 
-    j_l comes from downward Miller recursion and y_l from upward
-    recursion, both started from the closed forms of l = 0 and l = -1
-    (y_l past |Im x| = 1 from j_l and the stable Hankel kind).  Every
-    x shares the Miller start of the largest |x|.  The Hankel kinds are
-    never formed as j_l +- i y_l, which cancels to a relative error of
-    e^{2|Im x|}: each comes from upward recursion from h_0, h_{-1} where
-    that is stable, and as 2 j_l minus the other kind where it is not.
+    At most two recursions run, both stable for complex x: j_l by
+    downward Miller recursion, every x sharing the start of the largest
+    |x|, and h_l^(t) upward from its scaled closed forms, where t = +1 if
+    Im x >= 0 else -1 picks the Hankel kind that decays into the half
+    plane of x.  Every other kind is a fixed combination of those two
+    from the table `_PAIR`: h^(-t) = 2 j - h^(t) and y = i t (j - h^(t)),
+    so no kind is formed as j_l +- i y_l, which cancels to a relative
+    error of e^{2|Im x|}, or by an upward recursion that amplifies
+    rounding against a growing companion.  j_l runs only at the x where
+    the kind needs it, and h_l^(t) only where it does.
 
     With `scaled`, both arrays come multiplied by a factor that removes
     the exponential dependence on Im x, so they stay in the double range
@@ -352,21 +328,29 @@ def spherical_radial_seq(
         x = np.where(zero, 1.0, xs)  # a stand-in, overwritten below
     else:
         x = xs
+    t = np.where(x.imag >= 0, 1.0, -1.0)
+    a, b = (np.where(t > 0, *ab) for ab in zip(*_PAIR[kind]))
     # entry n of g holds f_{n-1}; f_{-1} gives d(x f_0)/dx.  A sequence
     # past the double range holds inf, and inf - inf is nan; both are
     # caught by the finiteness check
+    g = np.zeros((lmax + 2,) + x.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        if kind is RadialKind.BESSEL_J and scaled:
-            g = _scaled_j(lmax, x)
-        elif kind is RadialKind.BESSEL_J:
-            g = _miller(lmax, x, np.sin(x), np.cos(x))
-        elif kind is RadialKind.BESSEL_Y:
-            g = _bessel_y(lmax, x)
-        else:
-            sigma = 1 if kind is RadialKind.HANKEL1 else -1
-            g = _scaled_hankel(sigma, lmax, x)
-            if not scaled:
-                g = g * np.exp(1j * sigma * x)
+        on = a != 0
+        if on.any():
+            xj = x[on]
+            if scaled:
+                j = _scaled_j(lmax, xj)
+            else:
+                j = _miller(lmax, xj, np.sin(xj), np.cos(xj))
+            g[:, on] = a[on] * j
+        on = b != 0
+        if on.any():
+            # e^{-itx} h^(t), times e^{itx} unscaled and e^{i(t - s)x} for
+            # the scaled h^(s)
+            xh, th = x[on], t[on]
+            h = _upward(1.0 / xh, -1j * th / xh, lmax, xh)
+            shift = th + _SIGMA[kind] if scaled else th
+            g[:, on] += h * (b[on] * np.exp(1j * shift * xh))
         f = g[1:]
         d_rf = x * g[:-1] - np.arange(lmax + 1)[:, None] * f
     if has_zero:

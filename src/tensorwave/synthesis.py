@@ -9,9 +9,12 @@ two radial function kinds.  Fields are assembled as
     H(r, theta, phi) = sum_waves  F_lm(theta, phi) @ Hl(r)
 
 where the tangential parts of El, Hl come from the closed-form radial
-blocks and the radial parts from the longitudinal reconstruction.  Each
-F_lm is a theta-part times e^{i m phi}, so synthesis sums over l at each
-m on the distinct (r, theta) rows and then over m with the phase at each
+blocks and the radial parts from the longitudinal reconstruction.  Every
+radial kind is a fixed combination of the pair (j_l, h1_l) from the table
+`specfun._PAIR`, so each wave's (c1, c2) is mapped once onto that pair and
+only j and h1 are evaluated, each once for every distinct radius.  Each
+F_lm is a theta-part times e^{i m phi}, so synthesis sums over l at each m
+on the distinct (r, theta) rows and then over m with the phase at each
 point.  Projection inverts this with the angular Gram identity of F_lm:
 one sum over phi for every order at once, then one contraction over the
 theta nodes of a quadrature sphere at fixed radius for every mode.  Both
@@ -33,7 +36,7 @@ from .maxwell_radial import (
     fundamental_matrix,
     longitudinal_components,
 )
-from .specfun import ModeIndex, RadialKind, spherical_radial_seq
+from .specfun import _PAIR, ModeIndex, RadialKind, spherical_radial_seq
 
 __all__ = [
     "PartialWave",
@@ -81,21 +84,30 @@ class MultipoleAmplitudes:
     a_m: dict = field(default_factory=dict)
 
 
-def _radial_tables(kind_l, k: float, radii, med: Medium) -> dict:
-    """(f_l, d(x f_l)/dx) at x = n k r for each kind, one sequence for all radii.
+def _pair_tables(waves, ls, k: float, radii, med: Medium) -> tuple:
+    """The waves on the (j, h1) pair, and that pair at x = n k r for all radii.
 
-    `kind_l` yields (kind, l) pairs; each kind's table runs to the largest
-    l paired with it, so no kind is evaluated past the entries in use.
-    Returns {kind: array of shape (2, lmax + 1, len(radii))}.
+    `ls` holds the degree of each wave.  Every kind is a j_l + b h1_l
+    with (a, b) = `_PAIR[kind][0]`, as Im(n k r) >= 0, so a wave with
+    coefficients (c1, c2) on its kinds (K1, K2) has (a1 c1 + a2 c2,
+    b1 c1 + b2 c2) on (j, h1).  Returns those
+    as an array of shape (len(waves), 4) and the radial values as one of
+    shape (2, 2, lmax + 1, len(radii)): [part, (f, d(x f)/dx), l, radius]
+    for the parts (j, h1).  A part runs to the largest l of a wave whose
+    kinds use it and holds zeros past that; a part no wave uses is never
+    evaluated.
     """
-    lmax: dict = {}
-    for kind, l in kind_l:
-        lmax[kind] = max(lmax.get(kind, 0), l)
+    ab = np.array([[_PAIR[kind][0] for kind in w.kinds] for w in waves],
+                  dtype=complex).reshape(-1, 2, 2)
+    c = np.array([[w.c1, w.c2] for w in waves]).reshape(-1, 2, 2)
     xs = med.n * k * np.asarray(radii)
-    return {
-        kind: np.array(spherical_radial_seq(kind, top, xs))
-        for kind, top in lmax.items()
-    }
+    tables = np.zeros((2, 2, ls.max(initial=0) + 1, len(xs)), dtype=complex)
+    for p, kind in enumerate((RadialKind.BESSEL_J, RadialKind.HANKEL1)):
+        used = (ab[:, :, p] != 0).any(axis=1)
+        if used.any():
+            top = int(ls[used].max())
+            tables[p, :, :top + 1] = spherical_radial_seq(kind, top, xs)
+    return np.einsum("wkp,wkc->wpc", ab, c).reshape(-1, 4), tables
 
 
 def _by_order(modes) -> dict:
@@ -114,6 +126,8 @@ def synthesize(waves, k, med: Medium, points) -> tuple:
     synthesized region by region with the coefficient sets belonging to
     each region).  Returns (e, h), the full E and H vectors in the local
     spherical frame: complex arrays of shape (N, 3) in input order.
+    A radial value past the double range raises OverflowError naming the
+    sequence it came from, bessel_j or hankel1.
     """
     k = _as_k(k)
     try:
@@ -143,20 +157,15 @@ def synthesize(waves, k, med: Medium, points) -> tuple:
     rows = np.column_stack([keys.real, keys.imag])
     radii, radius_of = np.unique(rows[:, 0], return_inverse=True)
     phis, phi_of = np.unique(pts[:, 2], return_inverse=True)
-    tables = _radial_tables(
-        ((kind, w.mode.l) for w in waves for kind in w.kinds), k, radii, med
-    )
-    lmax = max((w.mode.l for w in waves), default=0)
-    legendre = _legendre_table(lmax, rows[:, 1])
+    all_ls = np.array([w.mode.l for w in waves], dtype=int)
+    coeffs, tables = _pair_tables(waves, all_ls, k, radii, med)
+    legendre = _legendre_table(all_ls.max(initial=0), rows[:, 1])
     for m, group in _by_order([w.mode for w in waves]).items():
-        sub = [waves[i] for i in group]
-        ls = np.array([w.mode.l for w in sub])
-        # (f1, d1, f2, d2) of every wave of order m at every radius, and
+        ls = all_ls[group]
+        # (j, d_j, h1, d_h1) of every wave of order m at every radius, and
         # from them u = r W: shape (len(group), len(radii), 4)
-        fd = np.array([[tables[kind][:, w.mode.l] for kind in w.kinds] for w in sub])
-        c = np.array([np.concatenate([w.c1, w.c2]) for w in sub])[:, None]
-        u = _tangential(fd[:, 0, 0], fd[:, 0, 1], fd[:, 1, 0], fd[:, 1, 1],
-                        k, radii, med, c)
+        (j, dj), (h, dh) = tables[:, :, ls]
+        u = _tangential(j, dj, h, dh, k, radii, med, coeffs[group][:, None])
         w = u[:, radius_of] / rows[:, 0, None]
         e_r, h_r = longitudinal_components(ls[:, None], k, rows[:, 0], med, w)
         y, xt, xp = _theta_columns(ls, m, legendre)

@@ -346,6 +346,18 @@ PROPAGATE = {"task": "propagate", "l": 1, "k": 1.0, "profile": {"outer": HOST},
         (dict(PROJECT, modes=[5]), "modes entry"),
         (dict(PROJECT, modes=[[1]]), "modes entry"),
         (dict(SYNTH, points=[[2.0, 1.0, {}]]), "points"),
+        (dict(SYNTH, points=None, grid={"r": 2.0, "quadrature_lmax": -1}),
+         "quadrature_lmax"),
+        # degrees past parsing.MAX_DEGREE: numpy could not allocate their
+        # arrays, and the run ended in a traceback
+        (dict(SCATTER, lmax=10**12), "lmax"),
+        (dict(PROPAGATE, l=10**12), "l"),
+        (dict(SYNTH, waves=[dict(WAVE, l=10**12)]), "l"),
+        (dict(PROJECT, modes=[[10**12, 0]]), "modes l"),
+        # the default lmax rule took x^(1/3) of a negative k * radius: a
+        # TypeError traceback
+        (dict(SCATTER, radius=-1.0), "sphere radius"),
+        (dict(SCATTER, k=-1.0), "wavenumber"),
     ],
 )
 def test_solve_rejects_non_finite_and_non_integral_values(tmp_path, capsys, cfg, key):
@@ -355,6 +367,21 @@ def test_solve_rejects_non_finite_and_non_integral_values(tmp_path, capsys, cfg,
     assert main(["solve", "--config", write_config(tmp_path, "c.json", cfg)]) == 2
     err = capsys.readouterr().err
     assert f"error: {key} must be" in err
+
+
+def test_solve_scatter_rejects_a_default_lmax_past_the_cap(tmp_path, capsys):
+    # the default rule would size lmax 1000000040002
+    from tensorwave.cli import main
+    from tensorwave.parsing import MAX_DEGREE, degree
+
+    assert degree(MAX_DEGREE, "lmax") == MAX_DEGREE == 200_000
+    cfg = write_config(tmp_path, "s.json", dict(SCATTER, radius=1e12))
+    assert main(["solve", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(
+        "error: lmax must be at most 200000, got 1000000040002 from the "
+        "default rule at k * radius = 1000000000000.0"
+    )
 
 
 def test_solve_scatter_builds_one_radial_sequence_per_kind_and_argument(
@@ -381,7 +408,7 @@ def test_solve_scatter_builds_one_radial_sequence_per_kind_and_argument(
     ]
 
 
-def test_solve_synthesize_builds_one_radial_sequence_per_kind(
+def test_solve_synthesize_builds_only_the_j_and_h1_sequences(
     tmp_path, capsys, monkeypatch
 ):
     from tensorwave import maxwell_radial, specfun, synthesis
@@ -415,8 +442,9 @@ def test_solve_synthesize_builds_one_radial_sequence_per_kind(
     cfg = write_config(tmp_path, "s.json", cfg)
     assert main(["solve", "--config", cfg, "--format", "csv"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 121
-    # one sequence per kind, each over all 120 radii
-    assert sorted(calls) == [(kind, (120,)) for kind in kinds]
+    # every kind is a combination of j and h1, each built once over all
+    # 120 radii
+    assert sorted(calls) == [("bessel_j", (120,)), ("hankel1", (120,))]
 
 
 def test_solve_project_places_samples_by_angle(tmp_path, capsys):

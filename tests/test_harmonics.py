@@ -16,7 +16,6 @@ from tensorwave.harmonics import (
     l_dot_xlm_residual,
     l_squared_check,
     lz_check,
-    ortho_matrix,
     xlm,
 )
 from tensorwave.specfun import ModeIndex, ladder_minus, ladder_plus, ylm
@@ -289,20 +288,6 @@ def test_grid_functions_match_pointwise():
                 assert grid[i, j] == pytest.approx(check(mode, th, ph), abs=1e-14)
 
 
-def test_ortho_matrix_identity_and_zero():
-    got = ortho_matrix(ModeIndex(1, 0), ModeIndex(1, 0))
-    assert np.max(np.abs(got - np.eye(3))) < 1e-10
-    got = ortho_matrix(ModeIndex(2, 1), ModeIndex(3, 1))
-    assert np.max(np.abs(got)) < 1e-10
-    got = ortho_matrix(ModeIndex(4, -2), ModeIndex(4, 2))
-    assert np.max(np.abs(got)) < 1e-10
-
-
-def test_ortho_matrix_l0_gram_is_rank_one():
-    got = ortho_matrix(ModeIndex(0, 0), ModeIndex(0, 0))
-    assert np.max(np.abs(got - dyad(E_R, E_R))) < 1e-12
-
-
 def test_x_cross_product_integral_vanishes():
     rule = QuadratureRule.for_degree(4)
     w_full = rule.weights[:, None] * (2 * math.pi / rule.n_phi)
@@ -318,12 +303,6 @@ def test_x_cross_product_integral_vanishes():
         w_full * (xa[..., 1].conj() * xb[..., 2] - xa[..., 2].conj() * xb[..., 1])
     )
     assert abs(integral) < 1e-12
-
-
-def test_ortho_matrix_flags_under_resolved_rule():
-    rule = QuadratureRule.with_counts(3, 6)
-    with pytest.raises(RuntimeError, match="under-resolved"):
-        ortho_matrix(ModeIndex(5, 3), ModeIndex(5, 3), rule=rule)
 
 
 def test_eigenrelation_checks():

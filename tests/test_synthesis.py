@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pathlib
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 
 from oracles import curl_fd, div_fd, mie_ab, mie_ab_mp
+from tensorwave import synthesis
 from tensorwave.harmonics import QuadratureRule, flm
-from tensorwave.maxwell_radial import Medium
-from tensorwave.specfun import ModeIndex, RadialKind
+from tensorwave.maxwell_radial import Medium, _tangential, longitudinal_components
+from tensorwave.specfun import ModeIndex, RadialKind, spherical_radial_seq
 from tensorwave.synthesis import (
     PartialWave,
     match_sphere,
@@ -102,6 +104,49 @@ def test_grouped_synthesis_matches_point_by_point():
         single = synthesize(waves, k, med, [p])
         for got, want in zip(grouped, single):
             assert np.max(np.abs(got[i] - want[0])) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kinds", list(itertools.product(RadialKind, repeat=2)))
+def test_synthesize_matches_the_kinds_of_the_wave_evaluated_directly(kinds):
+    # synthesize builds every kind from j and h1; the reference evaluates
+    # the two kinds of the wave themselves, in an absorbing medium
+    k, med, l = 1.3, Medium(2.25 + 0.4j, 1.0), 3
+    w = wave(l, -2, (0.7, -0.2j), (0.3j, 0.5), kinds=kinds)
+    pts = np.array([[0.8, 0.4, 1.1], [2.5, 2.0, 5.0], [6.0, 1.3, 0.2]])
+    e, h = synthesize([w], k, med, pts)
+    for i, (r, th, ph) in enumerate(pts):
+        (f1, d1), (f2, d2) = (
+            (f[l], d[l])
+            for f, d in (spherical_radial_seq(kind, l, med.n * k * r) for kind in kinds)
+        )
+        u = _tangential(f1, d1, f2, d2, k, r, med, np.concatenate([w.c1, w.c2]))
+        e_r, h_r = longitudinal_components(l, k, r, med, u / r)
+        f = flm(w.mode, th, ph)
+        for got, want in ((h[i], f @ [h_r, u[0] / r, u[1] / r]),
+                          (e[i], f @ [e_r, u[2] / r, u[3] / r])):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_synthesize_runs_each_radial_part_only_as_far_as_its_waves(monkeypatch):
+    # h1_80 at x = 1e-3 is past the double range, but only the l = 2 wave
+    # uses h1; a superposition of j waves alone builds j alone
+    calls = []
+    seq = synthesis.spherical_radial_seq
+
+    def counted(kind, lmax, x, *args, **kwargs):
+        calls.append((kind, lmax, np.shape(x)))
+        return seq(kind, lmax, x, *args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "spherical_radial_seq", counted)
+    waves = [wave(80, 3, (1.0, 0.5), (0.2j, 0.0), kinds=(J, J)),
+             wave(2, 1, (0.3, 0.0), (0.0, 0.7), kinds=(J, H1))]
+    pts = [[1e-3, 0.9, 0.4], [1e-3, 2.0, 1.0], [2e-3, 2.0, 1.0]]
+    e, h = synthesize(waves, 1.0, VACUUM, pts)
+    assert np.isfinite(e).all() and np.isfinite(h).all()
+    assert calls == [(J, 80, (2,)), (H1, 2, (2,))]
+    calls.clear()
+    synthesize(waves[:1], 1.0, VACUUM, pts)
+    assert calls == [(J, 80, (2,))]
 
 
 def test_superposition(rng):
