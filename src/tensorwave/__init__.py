@@ -37,10 +37,9 @@ from .specfun import (
     ylm,
 )
 from .synthesis import (
-    MultipoleAmplitudes,
-    PartialWave,
+    KINDS,
+    WaveTable,
     match_sphere,
-    multipole_amplitudes,
     project_sampled,
     recover_coefficients,
     synthesize,
@@ -82,10 +81,9 @@ __all__ = [
     "ladder_plus",
     "spherical_radial_seq",
     "ylm",
-    "MultipoleAmplitudes",
-    "PartialWave",
+    "KINDS",
+    "WaveTable",
     "match_sphere",
-    "multipole_amplitudes",
     "project_sampled",
     "recover_coefficients",
     "synthesize",

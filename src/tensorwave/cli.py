@@ -18,6 +18,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -37,11 +38,14 @@ from .parsing import (
     complex_pairs,
     degree,
     integer,
+    quadrature_degree,
     real,
     require_keys,
 )
 from .specfun import ModeIndex, RadialKind, ylm
 from .synthesis import (
+    KINDS,
+    WaveTable,
     match_sphere,
     project_sampled,
     recover_coefficients,
@@ -147,10 +151,39 @@ def cmd_verify(args) -> int:
 # --- solve ------------------------------------------------------------------
 
 
-def _waves_from_config(entries) -> list:
+def _wave_table(entries) -> WaveTable:
+    """The WaveTable of config wave entries in one pass, which takes only
+    what `fileio._wave_from_dict` takes, to the same values: numbers as
+    JSON gives them, checked finite, integral and in range before any
+    cast.  Anything else raises, with no message to show."""
+    if not all(type(rec) is dict and rec.keys() - {"c2"} == {"l", "m", "c1", "kinds"}
+               and type(rec["kinds"]) is list for rec in entries):
+        raise ValueError
+    codes = [[KINDS.index(RadialKind(a)), KINDS.index(RadialKind(b))]
+             for a, b in (rec["kinds"] for rec in entries)]
+    lm = np.array([(rec["l"], rec["m"]) for rec in entries])
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    c = np.array([(rec["c1"], rec.get("c2", zero)) for rec in entries])
+    if lm.shape != (len(entries), 2) or c.shape != (len(entries), 2, 2, 2) or not (
+        {lm.dtype.kind, c.dtype.kind} <= {"i", "f"} and np.isfinite(c).all()
+        and np.isfinite(lm).all() and (lm == np.trunc(lm)).all()
+        and (lm[:, 0] <= MAX_DEGREE).all() and (abs(lm[:, 1]) <= lm[:, 0]).all()
+    ):
+        raise ValueError
+    # (re, im) pairs viewed as complex keep signed zeros
+    c = np.ascontiguousarray(c, dtype=float).view(complex)[..., 0]
+    return WaveTable(lm[:, 0].astype(int), lm[:, 1].astype(int), c, codes)
+
+
+def _waves_from_config(entries) -> WaveTable:
     if not isinstance(entries, list) or not entries:
         raise ValueError("'waves' must be a non-empty list")
-    return [fileio._wave_from_dict(rec) for rec in entries]
+    try:
+        return _wave_table(entries)
+    except (ValueError, TypeError, KeyError, OverflowError):
+        # wave by wave, so that the first faulty wave gets its own message
+        rows = [astuple(fileio._wave_from_dict(rec)) for rec in entries]
+        return WaveTable(*map(np.concatenate, zip(*rows)))
 
 
 def _kinds_from(raw) -> tuple:
@@ -238,10 +271,7 @@ def _solve_synthesize(cfg: dict, fmt: str):
     else:
         grid = cfg["grid"]
         require_keys(grid, ("r", "quadrature_lmax"), what="grid spec")
-        lq = integer(grid["quadrature_lmax"], "quadrature_lmax")
-        if lq < 0:
-            raise ValueError(f"quadrature_lmax must be >= 0, got {lq}")
-        rule = QuadratureRule.for_degree(lq)
+        rule = QuadratureRule.for_degree(quadrature_degree(grid["quadrature_lmax"], 0))
         pts = _quadrature_points(real(grid["r"], "r"), rule)
     e, h = synthesize(waves, k, med, pts)
     buf = io.StringIO()
@@ -259,9 +289,7 @@ def _solve_project(cfg: dict, fmt: str):
     )
     k = real(cfg["k"], "k")
     med = Medium.from_dict(cfg["medium"])
-    lq = integer(cfg["quadrature_lmax"], "quadrature_lmax")
-    if lq < 1:
-        raise ValueError("quadrature_lmax must be >= 1")
+    lq = quadrature_degree(cfg["quadrature_lmax"], 1)
     rule = QuadratureRule.for_degree(lq)
     kinds = _kinds_from(cfg.get("kinds", ["hankel1", "hankel2"]))
     if "modes" in cfg:

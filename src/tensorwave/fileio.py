@@ -5,8 +5,8 @@ A field travels as three arrays: `points`, real of shape (N, 3) holding
 spherical frame.  On disk it is CSV (one row per point, complex values
 split into _re/_im columns, 17 significant digits) or JSON with complex
 numbers encoded as [re, im] pairs.  Writers are deterministic: same
-inputs, same bytes.  The JSON wave entries of a config are read by
-`_wave_from_dict`.
+inputs, same bytes.  `_wave_from_dict` reads one JSON wave entry of a
+config and names its first fault.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .parsing import (
     require_keys,
 )
 from .specfun import ModeIndex, RadialKind
-from .synthesis import PartialWave
+from .synthesis import KINDS, WaveTable
 
 __all__ = [
     "FIELD_CSV_COLUMNS",
@@ -194,16 +194,14 @@ def read_field_json(fp) -> tuple:
     )
 
 
-def _wave_from_dict(rec: dict) -> PartialWave:
+def _wave_from_dict(rec: dict) -> WaveTable:
+    """The one-wave table of a config's wave entry, each fault named."""
     require_keys(rec, ("l", "m", "c1", "kinds"), ("c2",), what="wave")
     kinds = rec["kinds"]
     if not (isinstance(kinds, (list, tuple)) and len(kinds) == 2):
         raise ValueError("wave 'kinds' must be a pair of kind names")
     c1 = complex_pairs(rec["c1"], 2, "c1")
     c2 = complex_pairs(rec.get("c2", [[0.0, 0.0], [0.0, 0.0]]), 2, "c2")
-    return PartialWave(
-        ModeIndex(degree(rec["l"], "l"), integer(rec["m"], "m")),
-        c1,
-        c2,
-        (RadialKind(kinds[0]), RadialKind(kinds[1])),
-    )
+    mode = ModeIndex(degree(rec["l"], "l"), integer(rec["m"], "m"))
+    codes = [KINDS.index(RadialKind(kind)) for kind in kinds]
+    return WaveTable([mode.l], [mode.m], [[c1, c2]], [codes])

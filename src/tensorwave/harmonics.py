@@ -12,11 +12,11 @@ Everywhere else F_lm is held as its three independent components
 (Y, X_theta, X_phi), each a theta-part times e^{i m phi}.  The theta-parts
 come from one all-modes table: `_legendre_table` runs a single Legendre
 recurrence in l for every order at once, and `_theta_columns` slices the
-theta-parts of any set of (l, m) from it, so synthesis, projection and
-the Gram checks make one recurrence per call, not one per order.  Every
-public function here takes angle arrays (theta, phi) that broadcast
-together and returns values of their broadcast shape, followed by (3,)
-or (3, 3) for vectors and tensors.
+theta-parts of any set of (l, m) from it, so projection and the Gram
+checks make one recurrence per call and synthesis one per block of
+orders, not one per order.  Every public function here takes angle arrays
+(theta, phi) that broadcast together and returns values of their
+broadcast shape, followed by (3,) or (3, 3) for vectors and tensors.
 
 X_lm comes from the Cartesian ladder route: the three Cartesian components
 of L Y_lm are exact combinations of Y_{l,m} and Y_{l,m+-1}, rotated into

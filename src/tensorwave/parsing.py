@@ -3,7 +3,8 @@
 Every number, integer, [re, im] pair and keyed object read from a config
 or artifact goes through these functions, so non-finite and non-integral
 values are rejected alike everywhere, with a ValueError naming the key.
-`degree` also caps a degree l at MAX_DEGREE.  `_csv_table` and `_pairs`
+`degree` also caps a degree l at MAX_DEGREE, and `quadrature_degree` a
+quadrature grid at MAX_GRID_POINTS.  `_csv_table` and `_pairs`
 are the matching encoders for CSV tables and JSON pairs.
 """
 
@@ -19,6 +20,11 @@ import numpy as np
 # to the cap stay in seconds, and a degree whose arrays could not be
 # allocated is rejected before anything is
 MAX_DEGREE = 200_000
+
+# the most points, (2L + 2)(4L + 4), a quadrature grid of degree L may
+# hold: np.polynomial.legendre.leggauss builds a dense (2L + 2)^2 matrix,
+# in 0.07 s at the cap (L = 352), where a field CSV is about 0.3 GB
+MAX_GRID_POINTS = 1_000_000
 
 
 def _re_im(names) -> list:
@@ -91,6 +97,17 @@ def degree(v, key: str) -> int:
     if l > MAX_DEGREE:
         raise ValueError(f"{key} must be at most {MAX_DEGREE}, got {l}")
     return l
+
+
+def quadrature_degree(v, least: int) -> int:
+    """An integral quadrature_lmax >= least within MAX_GRID_POINTS."""
+    lq = integer(v, "quadrature_lmax")
+    if lq < least or (2 * lq + 2) * (4 * lq + 4) > MAX_GRID_POINTS:
+        raise ValueError(
+            f"quadrature_lmax must be >= {least} and give at most {MAX_GRID_POINTS} "
+            f"grid points (2L + 2)(4L + 4), got {lq}"
+        )
+    return lq
 
 
 def complex_pair(v, key: str) -> complex:

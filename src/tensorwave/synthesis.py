@@ -1,9 +1,10 @@
-"""Partial-wave synthesis, angular projection, multipole amplitudes, and
-the homogeneous-sphere boundary match.
+"""Partial-wave synthesis, angular projection, and the homogeneous-sphere
+boundary match.
 
 A partial wave is one (l, m) term of the field expansion: a pair of
 constant coefficient 2-vectors (c1, c2) over (e_theta, e_phi) attached to
-two radial function kinds.  Fields are assembled as
+two radial function kinds.  A set of waves travels as one columnar
+`WaveTable`.  Fields are assembled as
 
     E(r, theta, phi) = sum_waves  F_lm(theta, phi) @ El(r)
     H(r, theta, phi) = sum_waves  F_lm(theta, phi) @ Hl(r)
@@ -13,18 +14,21 @@ blocks and the radial parts from the longitudinal reconstruction.  Every
 radial kind is a fixed combination of the pair (j_l, h1_l) from the table
 `specfun._PAIR`, so each wave's (c1, c2) is mapped once onto that pair and
 only j and h1 are evaluated, each once for every distinct radius.  Each
-F_lm is a theta-part times e^{i m phi}, so synthesis sums over l at each m
-on the distinct (r, theta) rows and then over m with the phase at each
-point.  Projection inverts this with the angular Gram identity of F_lm:
-one sum over phi for every order at once, then one contraction over the
-theta nodes of a quadrature sphere at fixed radius for every mode.  Both
-slice the theta-parts of every mode from one Legendre table per call.
+F_lm is a theta-part times e^{i m phi}, so synthesis sorts the waves by
+order once and, in one vectorized pass over the distinct (r, theta) rows,
+forms every wave's state and theta-parts and sums them per order with one
+`np.add.reduceat`; only the sum over m with the phase at each point loops
+over the orders.  Waves go in blocks of whole orders of bounded size, each
+with its own Legendre table of just its orders.  Projection inverts this
+with the angular Gram identity of F_lm: one sum over phi for every order
+at once, then one contraction over the theta nodes of a quadrature sphere
+at fixed radius for every mode, from one Legendre table per call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,98 +40,103 @@ from .maxwell_radial import (
     fundamental_matrix,
     longitudinal_components,
 )
-from .specfun import _PAIR, ModeIndex, RadialKind, spherical_radial_seq
+from .specfun import _PAIR, RadialKind, _check_theta, spherical_radial_seq
 
 __all__ = [
-    "PartialWave",
-    "MultipoleAmplitudes",
+    "KINDS",
+    "WaveTable",
     "synthesize",
     "project_sampled",
     "recover_coefficients",
-    "multipole_amplitudes",
     "match_sphere",
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class PartialWave:
-    """Coefficients (c1, c2) and radial kinds of a single (l, m) wave."""
+KINDS = tuple(RadialKind)  # kind code i stands for KINDS[i]
 
-    mode: ModeIndex
-    c1: np.ndarray
-    c2: np.ndarray
-    kinds: tuple
+# the most wave x row entries `synthesize` holds at once (a single order
+# may hold more), at about 0.3 kB each
+_BLOCK = 1 << 17
+
+
+@dataclass(frozen=True, eq=False)
+class WaveTable:
+    """Partial waves as read-only columns, entry i belonging to wave i.
+
+    `l`, `m` are integers of shape (W,) with 1 <= l and |m| <= l; `c` is
+    complex of shape (W, 2, 2) holding (c1, c2), each a 2-vector on
+    (e_theta, e_phi), on the radial kinds KINDS[kinds[i, 0]] and
+    KINDS[kinds[i, 1]] of the integer codes `kinds`, shape (W, 2).
+    """
+
+    l: np.ndarray
+    m: np.ndarray
+    c: np.ndarray
+    kinds: np.ndarray
 
     def __post_init__(self):
-        if self.mode.l < 1:
+        l, m, c, kinds = map(np.asarray, (self.l, self.m, self.c, self.kinds))
+        n = len(l) if l.ndim == 1 else -1
+        if m.shape != (n,) or not all(v.dtype.kind in "iu" or not v.size
+                                      for v in (l, m, kinds)):
+            raise ValueError("mode indices l, m must be integer arrays of shape (W,)")
+        if c.shape != (n, 2, 2):
+            raise ValueError("c1 and c2 must be 2-vectors on (e_theta, e_phi)")
+        if kinds.shape != (n, 2) or np.any((kinds < 0) | (kinds >= len(KINDS))):
+            raise ValueError("kinds must be a pair of RadialKind codes")
+        low, wide = l < 1, np.abs(m) > l
+        if np.any(low | wide):  # the first faulty wave
+            i = np.argmax(low | wide)
             raise ValueError(
+                f"|m| <= l required, got l={l[i]}, m={m[i]}" if not low[i] else
                 "partial waves need l >= 1; the (0,0) harmonic carries no "
                 "transverse field"
             )
-        for name in ("c1", "c2"):
-            v = np.array(getattr(self, name), dtype=complex)
-            if v.shape != (2,):
-                raise ValueError(f"{name} must be a 2-vector on (e_theta, e_phi)")
+        for name, v, dtype in zip(("l", "m", "c", "kinds"), (l, m, c, kinds),
+                                  (int, int, complex, int)):
+            v = v.astype(dtype)
             v.setflags(write=False)
             object.__setattr__(self, name, v)
-        kinds = tuple(self.kinds)
-        if len(kinds) != 2 or not all(isinstance(kk, RadialKind) for kk in kinds):
-            raise ValueError("kinds must be a pair of RadialKind values")
-        object.__setattr__(self, "kinds", kinds)
+
+    def __len__(self) -> int:
+        return len(self.l)
 
 
-@dataclass(frozen=True)
-class MultipoleAmplitudes:
-    """Electric/magnetic multipole strengths keyed by (l, m)."""
-
-    a_e: dict = field(default_factory=dict)
-    a_m: dict = field(default_factory=dict)
-
-
-def _pair_tables(waves, ls, k: float, radii, med: Medium) -> tuple:
+def _pair_tables(waves: WaveTable, k: float, radii, med: Medium) -> tuple:
     """The waves on the (j, h1) pair, and that pair at x = n k r for all radii.
 
-    `ls` holds the degree of each wave.  Every kind is a j_l + b h1_l
-    with (a, b) = `_PAIR[kind][0]`, as Im(n k r) >= 0, so a wave with
-    coefficients (c1, c2) on its kinds (K1, K2) has (a1 c1 + a2 c2,
-    b1 c1 + b2 c2) on (j, h1).  Returns those
+    Every kind is a j_l + b h1_l with (a, b) = `_PAIR[kind][0]`, as
+    Im(n k r) >= 0, so a wave with coefficients (c1, c2) on its kinds
+    (K1, K2) has (a1 c1 + a2 c2, b1 c1 + b2 c2) on (j, h1).  Returns those
     as an array of shape (len(waves), 4) and the radial values as one of
     shape (2, 2, lmax + 1, len(radii)): [part, (f, d(x f)/dx), l, radius]
     for the parts (j, h1).  A part runs to the largest l of a wave whose
     kinds use it and holds zeros past that; a part no wave uses is never
     evaluated.
     """
-    ab = np.array([[_PAIR[kind][0] for kind in w.kinds] for w in waves],
-                  dtype=complex).reshape(-1, 2, 2)
-    c = np.array([[w.c1, w.c2] for w in waves]).reshape(-1, 2, 2)
+    ab = np.array([_PAIR[kind][0] for kind in KINDS], dtype=complex)[waves.kinds]
     xs = med.n * k * np.asarray(radii)
-    tables = np.zeros((2, 2, ls.max(initial=0) + 1, len(xs)), dtype=complex)
+    tables = np.zeros((2, 2, waves.l.max(initial=0) + 1, len(xs)), dtype=complex)
     for p, kind in enumerate((RadialKind.BESSEL_J, RadialKind.HANKEL1)):
         used = (ab[:, :, p] != 0).any(axis=1)
         if used.any():
-            top = int(ls[used].max())
+            top = int(waves.l[used].max())
             tables[p, :, :top + 1] = spherical_radial_seq(kind, top, xs)
-    return np.einsum("wkp,wkc->wpc", ab, c).reshape(-1, 4), tables
+    return np.einsum("wkp,wkc->wpc", ab, waves.c).reshape(-1, 4), tables
 
 
-def _by_order(modes) -> dict:
-    """Indices of `modes` grouped by m, in increasing m."""
-    groups: dict = {}
-    for i, mode in enumerate(modes):
-        groups.setdefault(mode.m, []).append(i)
-    return dict(sorted(groups.items()))
-
-
-def synthesize(waves, k, med: Medium, points) -> tuple:
+def synthesize(waves: WaveTable, k, med: Medium, points) -> tuple:
     """Evaluate the summed field of `waves` at the given (r, theta, phi) points.
 
-    `points` is an (N, 3) array-like of finite positions with r > 0 and
-    theta in [0, pi]; the medium is homogeneous (layered problems are
-    synthesized region by region with the coefficient sets belonging to
-    each region).  Returns (e, h), the full E and H vectors in the local
-    spherical frame: complex arrays of shape (N, 3) in input order.
-    A radial value past the double range raises OverflowError naming the
-    sequence it came from, bessel_j or hankel1.
+    `waves` is a WaveTable; `points` is an (N, 3) array-like of finite
+    positions with r > 0 and theta in [0, pi]; the medium is homogeneous
+    (layered problems are synthesized region by region with the
+    coefficient sets belonging to each region).  Returns (e, h), the full
+    E and H vectors in the local spherical frame: complex arrays of shape
+    (N, 3) in input order.  A radial value past the double range raises
+    OverflowError naming the sequence it came from, bessel_j or hankel1.
+    Waves go in blocks of whole orders of at most `_BLOCK` wave x row
+    entries, so memory stays bounded.
     """
     k = _as_k(k)
     try:
@@ -146,10 +155,8 @@ def synthesize(waves, k, med: Medium, points) -> tuple:
         )
     if np.any(pts[:, 0] <= 0):
         raise ValueError("synthesis points require r > 0")
-    waves = list(waves)
-    n = len(pts)
-    e_out = np.zeros((n, 3), dtype=complex)
-    h_out = np.zeros((n, 3), dtype=complex)
+    _check_theta(pts[:, 1])
+    out = np.zeros((len(pts), 6), dtype=complex)  # (E, H) per point
     # distinct (r, theta) rows, keyed as the complex numbers r + i theta
     keys, row_of = np.unique(
         np.ascontiguousarray(pts[:, :2]).view(complex).ravel(), return_inverse=True
@@ -157,26 +164,46 @@ def synthesize(waves, k, med: Medium, points) -> tuple:
     rows = np.column_stack([keys.real, keys.imag])
     radii, radius_of = np.unique(rows[:, 0], return_inverse=True)
     phis, phi_of = np.unique(pts[:, 2], return_inverse=True)
-    all_ls = np.array([w.mode.l for w in waves], dtype=int)
-    coeffs, tables = _pair_tables(waves, all_ls, k, radii, med)
-    legendre = _legendre_table(all_ls.max(initial=0), rows[:, 1])
-    for m, group in _by_order([w.mode for w in waves]).items():
-        ls = all_ls[group]
-        # (j, d_j, h1, d_h1) of every wave of order m at every radius, and
-        # from them u = r W: shape (len(group), len(radii), 4)
-        (j, dj), (h, dh) = tables[:, :, ls]
-        u = _tangential(j, dj, h, dh, k, radii, med, coeffs[group][:, None])
-        w = u[:, radius_of] / rows[:, 0, None]
-        e_r, h_r = longitudinal_components(ls[:, None], k, rows[:, 0], med, w)
-        y, xt, xp = _theta_columns(ls, m, legendre)
-        phase = np.exp(1j * m * phis)[phi_of, None]
-        # F @ (v_r, a, b) summed over the waves, one component at a time
-        for out, v_r, a, b in ((h_out, h_r, w[..., 0], w[..., 1]),
-                               (e_out, e_r, w[..., 2], w[..., 3])):
-            sums = [(y * v_r).sum(0), (xt * a - xp * b).sum(0),
-                    (xp * a + xt * b).sum(0)]
-            out += np.stack(sums, axis=-1)[row_of] * phase
-    return e_out, h_out
+    by_order = np.lexsort((waves.m, np.abs(waves.m)))
+    ls, ms = waves.l[by_order], waves.m[by_order]
+    coeffs, tables = _pair_tables(waves, k, radii, med)
+    coeffs = coeffs[by_order]
+    tables[:, 1] /= radii  # d(x f)/dx / r
+    # the first wave of each order, and of each block of whole orders
+    starts = np.flatnonzero(np.diff(ms, prepend=ms[:1] - 1))
+    blocks = []
+    for a, b in zip(starts, [*starts[1:], len(ms)]):
+        if not blocks or (b - blocks[-1]) * len(rows) > _BLOCK:
+            blocks.append(a)
+    edges = [*blocks, len(ms)]
+    for a, b in zip(edges, edges[1:]):
+        l, m = ls[a:b], ms[a:b]
+        # (j, d_j / r, h1, d_h1 / r) of every wave on every row give the
+        # state W = u / r as `_tangential` at r = 1: shape (b - a, rows, 4)
+        w = _tangential(
+            *tables[:, :, l[:, None], radius_of].reshape(4, b - a, len(rows)),
+            k, 1.0, med, coeffs[a:b, None],
+        )
+        e_r, h_r = longitudinal_components(l[:, None], k, rows[:, 0], med, w)
+        table = _legendre_table(
+            int(l.max()), rows[:, 1], max(abs(int(m[0])) - 1, 0), abs(int(m[-1])) + 1
+        )
+        y, xt, xp = _theta_columns(l, m, table)
+        # per order: the sums of X_theta W, X_phi W and Y (E_r, H_r), and
+        # from them F @ (v_r, a, b) = (Y v_r, X_theta a - X_phi b,
+        # X_phi a + X_theta b) for E then H, on (r, theta) rows
+        first = starts[(starts >= a) & (starts < b)]
+        w = np.swapaxes(w, 1, 2)
+        t, p, v = (np.add.reduceat(f[:, None] * g, first - a) for f, g in
+                   ((xt, w), (xp, w), (y, np.stack([e_r, h_r], axis=1))))
+        sums = np.stack(
+            [v[:, 0], t[:, 2] - p[:, 3], p[:, 2] + t[:, 3],
+             v[:, 1], t[:, 0] - p[:, 1], p[:, 0] + t[:, 1]],
+            axis=-1,
+        )
+        for s, phase in zip(sums, np.exp(1j * ms[first, None] * phis)):
+            out += s[row_of] * phase[phi_of, None]
+    return out[:, :3], out[:, 3:]
 
 
 def project_sampled(
@@ -253,32 +280,6 @@ def recover_coefficients(
             "coefficients"
         ) from exc
     return c[:, 0:2], c[:, 2:4]
-
-
-def multipole_amplitudes(waves) -> MultipoleAmplitudes:
-    """Read off a_E = c1 . e_theta and a_M = c1 . e_phi per mode.
-
-    Requires every wave to be in multipole form: outgoing Hankel-1 first
-    kind and c2 = 0.  Duplicate modes are rejected.
-    """
-    a_e: dict = {}
-    a_m: dict = {}
-    for wave in waves:
-        key = (wave.mode.l, wave.mode.m)
-        if key in a_e:
-            raise ValueError(f"duplicate mode {key} in multipole set")
-        if wave.kinds[0] is not RadialKind.HANKEL1:
-            raise ValueError(
-                f"mode {key}: multipole amplitudes need kind1 = hankel1, "
-                f"got {wave.kinds[0].value}"
-            )
-        if np.any(wave.c2 != 0):
-            raise ValueError(
-                f"mode {key}: multipole amplitudes need c2 = 0 (pure outgoing)"
-            )
-        a_e[key] = complex(wave.c1[0])
-        a_m[key] = complex(wave.c1[1])
-    return MultipoleAmplitudes(a_e, a_m)
 
 
 def match_sphere(

@@ -35,7 +35,7 @@ from .maxwell_radial import (
     wtheta_ode_residual,
 )
 from .specfun import ModeIndex, RadialKind, spherical_radial_seq, ylm
-from .synthesis import PartialWave, synthesize
+from .synthesis import KINDS, WaveTable, synthesize
 from .tensor3 import E_R, IDENTITY, adjoint, det, dual, trace
 
 __all__ = ["ortho_suite", "invariants_suite", "maxwell_suite", "run_suite"]
@@ -207,17 +207,14 @@ def maxwell_suite(lmax: int = 3, tol: float = 1e-5) -> list:
     """Field-level checks: curl equations, radial ODE, propagator agreement."""
     k = 1.1
     med = Medium(1.0, 1.0)
-    waves = []
-    for l in range(1, lmax + 1):
-        m = min(1, l - 1)
-        waves.append(
-            PartialWave(
-                ModeIndex(l, m),
-                np.array([1.0, 0.5j]) / l,
-                np.array([0.3, -0.2j]) / l,
-                (RadialKind.HANKEL1, RadialKind.HANKEL2),
-            )
-        )
+    ls = np.arange(1, lmax + 1)
+    waves = WaveTable(
+        ls,
+        np.minimum(1, ls - 1),
+        np.array([[1.0, 0.5j], [0.3, -0.2j]]) / ls[:, None, None],
+        np.tile([KINDS.index(RadialKind.HANKEL1), KINDS.index(RadialKind.HANKEL2)],
+                (lmax, 1)),
+    )
     err_curl = 0.0
     for r, th, ph in [(1.7, 1.0, 0.7), (2.4, 2.0, 4.0)]:
         e0, h0, ce, ch = _curl_fd(waves, k, med, r, th, ph)
@@ -239,22 +236,29 @@ def maxwell_suite(lmax: int = 3, tol: float = 1e-5) -> list:
             err_ode = max(err_ode, wtheta_ode_residual(l, k, med2, r, f))
 
     # the closed-form propagator against an independent integration of
-    # d(rW)/dr = i k M (rW) by DOP853, restarted at the shell boundary;
-    # scipy is imported here so that nothing else pays for it
-    from scipy.integrate import solve_ivp
-
+    # d(rW)/dr = i k M (rW) by classical Runge-Kutta, restarted at the shell
+    # boundary.  A step spans 0.01 of the local scale max(|n| k, (l + 1) / r),
+    # times (r / r_t)^((2l + 1) / 5) below r_t = (l + 1) / (|n| k), where an
+    # error in the j_l direction grows as (r_t / r)^(2l + 1) against y_l
     def integrate(l, profile, a, b, w):
         stops = [a] + [r for r in profile.boundaries if a < r < b] + [b]
-        u = w * a
+        u, one = w * a, np.eye(4)
         for lo, hi in zip(stops, stops[1:]):
             med = profile.medium_at(0.5 * (lo + hi))
-            sol = solve_ivp(
-                lambda r, uu: 1j * k * (system_matrix(l, k, r, med) @ uu),
-                (lo, hi), u, method="DOP853", rtol=3e-14, atol=1e-15,
-            )
-            if not sol.success:
-                raise RuntimeError(f"reference integration failed: {sol.message}")
-            u = sol.y[:, -1]
+            nk = abs(med.n) * k
+            rs = [lo]
+            while rs[-1] < hi:
+                shrink = min(1.0, rs[-1] * nk / (l + 1)) ** ((2 * l + 1) / 5)
+                rs.append(rs[-1] + 0.01 * shrink / max(nk, (l + 1) / rs[-1]))
+            rs[-1] = hi
+            # i k M at every node and midpoint, and the map of each step
+            half = np.interp(np.arange(2 * len(rs) - 1) / 2, np.arange(len(rs)), rs)
+            m = 1j * k * np.array([system_matrix(l, k, r, med) for r in half])
+            m1, m2, m3, h = m[:-1:2], m[1::2], m[2::2], np.diff(rs)[:, None, None]
+            k2 = m2 @ (one + h / 2 * m1)
+            k3 = m2 @ (one + h / 2 * k2)
+            for step in one + h / 6 * (m1 + 2 * k2 + 2 * k3 + m3 @ (one + h * k3)):
+                u = step @ u
         return u / b
 
     err_prop = 0.0

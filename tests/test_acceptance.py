@@ -31,7 +31,8 @@ from tensorwave.maxwell_radial import (
 )
 from tensorwave.specfun import ModeIndex, RadialKind, spherical_radial_seq, ylm
 from tensorwave.synthesis import (
-    PartialWave,
+    KINDS,
+    WaveTable,
     match_sphere,
     project_sampled,
     recover_coefficients,
@@ -62,6 +63,17 @@ def _report(capsys, label, pairs, extra=""):
 
 def _modes(lmin, lmax):
     return [ModeIndex(l, m) for l in range(lmin, lmax + 1) for m in range(-l, l + 1)]
+
+
+def _table(modes, c, kinds):
+    """The WaveTable of `modes` with coefficients c[i] = (c1, c2), all
+    on the same pair of kinds."""
+    return WaveTable(
+        [mode.l for mode in modes],
+        [mode.m for mode in modes],
+        c,
+        [[KINDS.index(kind) for kind in kinds]] * len(modes),
+    )
 
 
 def _weights_grid(rule):
@@ -215,11 +227,12 @@ def test_acceptance_6_curl_equations_random_fields(capsys, rng):
     k = 1.0
     err = 0.0
     for _ in range(5):
-        waves = []
+        c = []
         for mode in _modes(1, 3):
             c1 = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / mode.l
             c2 = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / mode.l
-            waves.append(PartialWave(mode, c1, c2, (H1, H2)))
+            c.append([c1, c2])
+        waves = _table(_modes(1, 3), c, (H1, H2))
 
         def e_at(r, th, ph):
             return synthesize(waves, k, VACUUM, [[r, th, ph]])[0][0]
@@ -251,12 +264,11 @@ def test_acceptance_7_projection_round_trip(capsys, rng):
     kinds = (H1, H2)
     modes = _modes(1, 5)
     coeffs = {}
-    waves = []
     for mode in modes:
         c1 = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / mode.l
         c2 = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / mode.l
         coeffs[mode] = (c1, c2)
-        waves.append(PartialWave(mode, c1, c2, kinds))
+    waves = _table(modes, list(coeffs.values()), kinds)
 
     rule = QuadratureRule.for_degree(7)
     pts = [[r, th, ph] for th in rule.thetas for ph in rule.phis]

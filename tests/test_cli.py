@@ -358,6 +358,11 @@ PROPAGATE = {"task": "propagate", "l": 1, "k": 1.0, "profile": {"outer": HOST},
         # TypeError traceback
         (dict(SCATTER, radius=-1.0), "sphere radius"),
         (dict(SCATTER, k=-1.0), "wavenumber"),
+        # leggauss was asked for a 2,000,002 x 2,000,002 matrix: a numpy
+        # allocation traceback
+        (dict(SYNTH, points=None, grid={"r": 2.0, "quadrature_lmax": 10**6}),
+         "quadrature_lmax"),
+        (dict(PROJECT, quadrature_lmax=10**6), "quadrature_lmax"),
     ],
 )
 def test_solve_rejects_non_finite_and_non_integral_values(tmp_path, capsys, cfg, key):
@@ -692,6 +697,49 @@ def test_propagate_json_matches_element_wise_reference(tmp_path, capsys):
 
 # one value of a valid config, at any depth, is replaced by one of these
 FUZZ_VALUES = [None, "x", [], [1.0, 0.0], {}, {"eps": [1, 0]}, -1, 0, 2.7, 3]
+
+
+def _synth_error(tmp_path, capsys, waves) -> str:
+    from tensorwave.cli import main
+
+    cfg = write_config(tmp_path, "w.json", dict(SYNTH, waves=waves))
+    code = main(["solve", "--config", cfg])
+    out, err = capsys.readouterr()
+    assert (code == 0) == (err == "") and (code == 0) != (out == "")
+    return err
+
+
+@pytest.mark.parametrize("key", ["l", "m", "c1", "c2", "kinds"])
+def test_synthesize_names_a_bad_wave_as_the_wave_parser_does(tmp_path, capsys, key):
+    # the one-pass parse of the wave table falls back to the per-wave
+    # parser on anything it does not take, so each fault keeps its message
+    from tensorwave.fileio import _wave_from_dict
+
+    wave2 = dict(WAVE, l=2, m=-1, c2=[[0.0, 0.5], [1.0, 0.0]],
+                 kinds=["bessel_j", "hankel1"])
+    for value in FUZZ_VALUES:
+        bad = dict(wave2, **{key: value})
+        try:
+            _wave_from_dict(bad)
+            want = ""
+        except ValueError as exc:
+            want = f"error: {exc}\n"
+        assert _synth_error(tmp_path, capsys, [WAVE, bad, WAVE]) == want, value
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"l": 1e300}, f"l must be at most 200000, got {int(1e300)}"),
+    ({"l": 2.5}, "l must be an integer, got 2.5"),
+    ({"l": 3, "m": 1e300}, f"|m| <= l required, got l=3, m={int(1e300)}"),
+    ({"l": 0}, "partial waves need l >= 1; the (0,0) harmonic carries no "
+               "transverse field"),
+    ({"l": -3}, "l must be >= 0, got l=-3"),
+])
+def test_synthesize_rejects_a_bad_degree_without_a_warning(tmp_path, capsys, bad,
+                                                           message):
+    # a cast of 1e300 to int would warn; pytest makes a RuntimeWarning an error
+    waves = [WAVE, dict(WAVE, l=2), dict(WAVE, **bad)]
+    assert _synth_error(tmp_path, capsys, waves) == f"error: {message}\n"
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tensorwave import fileio
 from tensorwave.cli import _waves_from_config
 from tensorwave.fileio import (
     FIELD_CSV_COLUMNS,
@@ -18,6 +19,7 @@ from tensorwave.fileio import (
 )
 from tensorwave.maxwell_radial import Medium, RadialProfile
 from tensorwave.specfun import RadialKind
+from tensorwave.synthesis import KINDS
 
 EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, 1e-300, 3.0, -2.0, 0.0]
 
@@ -330,24 +332,30 @@ def test_field_json_rejects_wrong_top_level():
 # wave entries and profiles are read from the JSON of a config
 
 
-def test_waves_json_round_trip():
+def test_waves_json_round_trip(monkeypatch):
     text = json.dumps([
-        {"l": 1, "m": 0, "c1": [[1.0, 0.0], [0.0, 0.5]], "c2": [[0.0, 0.0], [0.0, 0.0]],
+        {"l": 1, "m": 0, "c1": [[1.0, -0.0], [0.0, 0.5]], "c2": [[0.0, 0.0], [-0.0, 0.0]],
          "kinds": ["hankel1", "hankel2"]},
         {"l": 3, "m": -2, "c1": [[0.0, 0.0], [0.0, 0.0]], "c2": [[1.0, -2.0], [0.25, 0.0]],
          "kinds": ["bessel_j", "bessel_y"]},
     ])
+    slow = [_wave_from_dict(rec) for rec in json.loads(text)]
+    # valid entries are parsed in one pass, to the same bytes
+    monkeypatch.setattr(fileio, "_wave_from_dict", None)
     got = _waves_from_config(json.loads(text))
-    assert [(w.mode.l, w.mode.m) for w in got] == [(1, 0), (3, -2)]
-    assert np.array_equal(got[0].c1, [1.0, 0.5j])
-    assert np.array_equal(got[1].c2, [1.0 - 2.0j, 0.25])
-    assert got[1].kinds == (RadialKind.BESSEL_J, RadialKind.BESSEL_Y)
+    for name in ("l", "m", "c", "kinds"):
+        want = np.concatenate([getattr(t, name) for t in slow])
+        assert getattr(got, name).tobytes() == want.tobytes()
+    assert got.l.tolist() == [1, 3] and got.m.tolist() == [0, -2]
+    assert np.array_equal(got.c[0, 0], [1.0, 0.5j])
+    assert np.array_equal(got.c[1, 1], [1.0 - 2.0j, 0.25])
+    assert [KINDS[i] for i in got.kinds[1]] == [RadialKind.BESSEL_J, RadialKind.BESSEL_Y]
 
 
 def test_waves_json_c2_defaults_to_zero():
     rec = json.loads('{"l": 2, "m": 1, "c1": [[1, 0], [0, 1]], '
                      '"kinds": ["hankel1", "hankel2"]}')
-    assert np.all(_wave_from_dict(rec).c2 == 0)
+    assert np.all(_wave_from_dict(rec).c[:, 1] == 0)
 
 
 def test_waves_json_rejects_unknown_and_missing_keys():

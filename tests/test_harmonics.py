@@ -167,6 +167,14 @@ def test_all_modes_table_matches_scipy_for_every_l_and_m():
         assert np.all(np.abs(x_theta[np.abs(ms) == 1, pole]) > 0.1)
 
 
+def test_a_table_of_some_orders_is_the_slice_of_the_full_table():
+    # synthesize builds one table per block of orders, up to the block's l
+    full = _legendre_table(24, TABLE_THETAS).p
+    for lmax, lo, hi in ((7, 3, 8), (24, 11, 13), (5, 5, 6), (24, 0, 24)):
+        part = _legendre_table(lmax, TABLE_THETAS, lo, hi).p
+        assert part.tobytes() == full[lo:lmax + 1, lo:hi + 1].tobytes()
+
+
 def test_table_slices_and_single_order_ylm_equal_the_per_order_recurrence():
     table = _legendre_table(24, TABLE_THETAS)
     ls, ms = ALL_MODES_24

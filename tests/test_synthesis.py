@@ -12,9 +12,9 @@ from tensorwave.harmonics import QuadratureRule, flm
 from tensorwave.maxwell_radial import Medium, _tangential, longitudinal_components
 from tensorwave.specfun import ModeIndex, RadialKind, spherical_radial_seq
 from tensorwave.synthesis import (
-    PartialWave,
+    KINDS,
+    WaveTable,
     match_sphere,
-    multipole_amplitudes,
     project_sampled,
     recover_coefficients,
     synthesize,
@@ -30,34 +30,55 @@ VACUUM = Medium(1.0, 1.0)
 
 
 def wave(l, m, c1, c2=(0, 0), kinds=(H1, H2)):
-    return PartialWave(ModeIndex(l, m), c1, c2, kinds)
+    """One wave as a row (l, m, (c1, c2), kind codes) of a WaveTable."""
+    return l, m, (c1, c2), [KINDS.index(kind) for kind in kinds]
+
+
+def table(waves):
+    """The WaveTable of rows made by `wave`."""
+    l, m, c, kinds = zip(*waves) if waves else ([],) * 4
+    return WaveTable(
+        np.array(l, dtype=int),
+        np.array(m, dtype=int),
+        np.reshape(np.array(c, dtype=complex), (-1, 2, 2)),
+        np.reshape(np.array(kinds, dtype=int), (-1, 2)),
+    )
 
 
 def e_field_fn(waves, k, med):
     def at(r, th, ph):
-        return synthesize(waves, k, med, [[r, th, ph]])[0][0]
+        return synthesize(table(waves), k, med, [[r, th, ph]])[0][0]
 
     return at
 
 
 def h_field_fn(waves, k, med):
     def at(r, th, ph):
-        return synthesize(waves, k, med, [[r, th, ph]])[1][0]
+        return synthesize(table(waves), k, med, [[r, th, ph]])[1][0]
 
     return at
 
 
 def test_partial_wave_validation():
+    # the first faulty wave is named, with its first fault
     with pytest.raises(ValueError, match="l >= 1"):
-        wave(0, 0, (1, 0))
+        table([wave(1, 0, (1, 0)), wave(0, 0, (1, 0))])
+    with pytest.raises(ValueError, match=r"\|m\| <= l required, got l=2, m=3"):
+        table([wave(1, 0, (1, 0)), wave(2, 3, (1, 0)), wave(0, 0, (1, 0))])
     with pytest.raises(ValueError, match="2-vector"):
-        PartialWave(ModeIndex(1, 0), [1, 0, 0], [0, 0], (J, Y))
-    with pytest.raises(ValueError, match="RadialKind"):
-        PartialWave(ModeIndex(1, 0), [1, 0], [0, 0], ("hankel1", "hankel2"))
+        WaveTable([1], [0], [[1, 0, 0], [0, 0, 0]], [[0, 1]])
+    with pytest.raises(ValueError, match="RadialKind codes"):
+        WaveTable([1], [0], [[[1, 0], [0, 0]]], [[0, len(KINDS)]])
+    with pytest.raises(ValueError, match="integer"):
+        WaveTable([1.5], [0], [[[1, 0], [0, 0]]], [[0, 1]])
+    w = table([wave(2, -1, (1, 0.5j), (0, 1), (J, Y))])
+    assert len(w) == 1 and w.kinds.tolist() == [[0, 1]]
+    with pytest.raises(ValueError, match="read-only"):
+        w.c[0, 0, 0] = 2.0
 
 
 def test_empty_wave_list_gives_zero_field():
-    e, h = synthesize([], 1.0, VACUUM, [[1.0, 0.5, 0.5], [2.0, 2.0, 3.0]])
+    e, h = synthesize(table([]), 1.0, VACUUM, [[1.0, 0.5, 0.5], [2.0, 2.0, 3.0]])
     assert e.shape == h.shape == (2, 3)
     assert np.all(e == 0) and np.all(h == 0)
 
@@ -76,20 +97,13 @@ def test_empty_wave_list_gives_zero_field():
 )
 def test_synthesize_rejects_origin(point, message):
     with pytest.raises(ValueError, match=message):
-        synthesize([wave(1, 0, (1, 0))], 1.0, VACUUM, [[1.5, 0.5, 0.5], point])
+        synthesize(table([wave(1, 0, (1, 0))]), 1.0, VACUUM, [[1.5, 0.5, 0.5], point])
 
 
-def test_grouped_synthesis_matches_point_by_point():
+def test_grouped_synthesis_matches_point_by_point(monkeypatch):
     # shared theta across radii, shared r across thetas and shared phi
     # exercise the (r, theta)-row and phi grouping
     k, med = 1.3, Medium(1.44, 1.1)
-    waves = [
-        wave(1, 0, (1.0, 0.5j), (0.2, 0.0), kinds=(J, H1)),
-        wave(2, -1, (0.3, -0.7), (0.0, 0.4j)),
-        wave(3, -1, (0.1j, 0.2), kinds=(Y, H2)),
-        wave(3, 2, (0.6, 0.0), (0.0, -0.5)),
-        wave(2, -1, (0.2, 0.1), (0.3j, 0.0), kinds=(J, Y)),
-    ]
     pts = [
         [1.5, 0.7, 0.3],
         [2.5, 0.7, 1.9],
@@ -99,11 +113,89 @@ def test_grouped_synthesis_matches_point_by_point():
         [1.5, 0.7, 5.1],
         [3.0, math.pi, 4.0],
     ]
-    grouped = synthesize(waves, k, med, pts)
-    for i, p in enumerate(pts):
-        single = synthesize(waves, k, med, [p])
-        for got, want in zip(grouped, single):
-            assert np.max(np.abs(got[i] - want[0])) <= 1e-14 * np.max(np.abs(want))
+    few = [
+        wave(1, 0, (1.0, 0.5j), (0.2, 0.0), kinds=(J, H1)),
+        wave(2, -1, (0.3, -0.7), (0.0, 0.4j)),
+        wave(3, -1, (0.1j, 0.2), kinds=(Y, H2)),
+        wave(3, 2, (0.6, 0.0), (0.0, -0.5)),
+        wave(2, -1, (0.2, 0.1), (0.3j, 0.0), kinds=(J, Y)),
+    ]
+    # every mode l <= 4 in shuffled order, (3, -2) twice with other kinds;
+    # at 20 entries per block the 5 rows take blocks of whole orders
+    modes = [(l, m) for l in range(1, 5) for m in range(-l, l + 1)] + [(3, -2)]
+    order = np.random.default_rng(7).permutation(len(modes))
+    kinds = list(itertools.product(RadialKind, repeat=2))
+    many = [
+        wave(*modes[i], (1.0 / (1 + i), 0.5j), (0.1 * i, -0.3), kinds=kinds[i % 16])
+        for i in order
+    ]
+    tables = []
+    seq = synthesis._legendre_table
+    monkeypatch.setattr(synthesis, "_legendre_table",
+                        lambda *a, **kw: tables.append(a[0]) or seq(*a, **kw))
+    for waves, block, tol in ((few, synthesis._BLOCK, 1e-14), (many, 20, 1e-15)):
+        monkeypatch.setattr(synthesis, "_BLOCK", block)
+        tables.clear()
+        grouped = synthesize(table(waves), k, med, pts)
+        if waves is many:
+            assert len(tables) > 3
+        for i, p in enumerate(pts):
+            single = synthesize(table(waves), k, med, [p])
+            for got, want in zip(grouped, single):
+                assert np.max(np.abs(got[i] - want[0])) <= tol * np.max(np.abs(want))
+
+
+def test_blocks_hold_whole_orders_and_at_most_the_block_entries(monkeypatch):
+    # 5,000 rows at L = 24 once held every wave x row entry at once
+    seen = []
+    cols = synthesis._theta_columns
+
+    def counted(l, m, table):
+        seen.append(m.tolist())
+        return cols(l, m, table)
+
+    monkeypatch.setattr(synthesis, "_theta_columns", counted)
+    monkeypatch.setattr(synthesis, "_BLOCK", 300)
+    rng = np.random.default_rng(11)
+    modes = [(l, m) for l in range(1, 7) for m in range(-l, l + 1)]
+    pts = np.column_stack([rng.uniform(1.0, 3.0, 30), rng.uniform(0.1, 3.0, 30),
+                           rng.uniform(0.0, 6.0, 30)])
+    waves = table([wave(l, m, (1.0, 0.5)) for l, m in modes])
+    synthesize(waves, 1.0, VACUUM, pts)
+    assert sorted(m for block in seen for m in block) == sorted(m for _, m in modes)
+    for block in seen:
+        assert len(block) * 30 <= 300 or len(set(block)) == 1
+        # whole orders, sorted by (|m|, m), none shared between blocks
+        assert block == sorted(block, key=lambda m: (abs(m), m))
+    orders = [set(block) for block in seen]
+    assert sum(map(len, orders)) == len(set().union(*orders)) == 13
+    assert len(seen) > 3
+
+
+@pytest.mark.parametrize("shape", ["roundtrip", "nearfield"])
+def test_one_pass_makes_one_call_of_each_table_layer(monkeypatch, shape):
+    # the benchmark's shapes fit in one block: one Legendre table, one set
+    # of theta columns and one tangential state for all of their waves
+    calls = []
+    for name in ("_legendre_table", "_theta_columns", "_tangential"):
+        fn = getattr(synthesis, name)
+        monkeypatch.setattr(synthesis, name, lambda *a, _fn=fn, _name=name, **kw:
+                            calls.append(_name) or _fn(*a, **kw))
+    if shape == "roundtrip":
+        lmax, kinds = 16, (J, H1)
+        rule = QuadratureRule.for_degree(16)
+        pts = [[24.0, th, ph] for th in rule.thetas for ph in rule.phis]
+    else:
+        lmax, kinds = 6, (Y, H2)
+        rng = np.random.default_rng(2)
+        pts = np.column_stack([rng.uniform(1.5, 15.0, 120),
+                               np.arccos(rng.uniform(-1.0, 1.0, 120)),
+                               rng.uniform(0.0, 2.0 * np.pi, 120)])
+    waves = table([wave(l, m, (1.0, 0.5j), (0.25, 0.0), kinds)
+                   for l in range(1, lmax + 1) for m in range(-l, l + 1)])
+    e, h = synthesize(waves, 1.0, VACUUM, pts)
+    assert np.isfinite(e).all() and np.isfinite(h).all()
+    assert sorted(calls) == ["_legendre_table", "_tangential", "_theta_columns"]
 
 
 @pytest.mark.parametrize("kinds", list(itertools.product(RadialKind, repeat=2)))
@@ -111,17 +203,17 @@ def test_synthesize_matches_the_kinds_of_the_wave_evaluated_directly(kinds):
     # synthesize builds every kind from j and h1; the reference evaluates
     # the two kinds of the wave themselves, in an absorbing medium
     k, med, l = 1.3, Medium(2.25 + 0.4j, 1.0), 3
-    w = wave(l, -2, (0.7, -0.2j), (0.3j, 0.5), kinds=kinds)
+    c = np.array([(0.7, -0.2j), (0.3j, 0.5)])
     pts = np.array([[0.8, 0.4, 1.1], [2.5, 2.0, 5.0], [6.0, 1.3, 0.2]])
-    e, h = synthesize([w], k, med, pts)
+    e, h = synthesize(table([wave(l, -2, *c, kinds=kinds)]), k, med, pts)
     for i, (r, th, ph) in enumerate(pts):
         (f1, d1), (f2, d2) = (
             (f[l], d[l])
             for f, d in (spherical_radial_seq(kind, l, med.n * k * r) for kind in kinds)
         )
-        u = _tangential(f1, d1, f2, d2, k, r, med, np.concatenate([w.c1, w.c2]))
+        u = _tangential(f1, d1, f2, d2, k, r, med, c.ravel())
         e_r, h_r = longitudinal_components(l, k, r, med, u / r)
-        f = flm(w.mode, th, ph)
+        f = flm(ModeIndex(l, -2), th, ph)
         for got, want in ((h[i], f @ [h_r, u[0] / r, u[1] / r]),
                           (e[i], f @ [e_r, u[2] / r, u[3] / r])):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -141,11 +233,11 @@ def test_synthesize_runs_each_radial_part_only_as_far_as_its_waves(monkeypatch):
     waves = [wave(80, 3, (1.0, 0.5), (0.2j, 0.0), kinds=(J, J)),
              wave(2, 1, (0.3, 0.0), (0.0, 0.7), kinds=(J, H1))]
     pts = [[1e-3, 0.9, 0.4], [1e-3, 2.0, 1.0], [2e-3, 2.0, 1.0]]
-    e, h = synthesize(waves, 1.0, VACUUM, pts)
+    e, h = synthesize(table(waves), 1.0, VACUUM, pts)
     assert np.isfinite(e).all() and np.isfinite(h).all()
     assert calls == [(J, 80, (2,)), (H1, 2, (2,))]
     calls.clear()
-    synthesize(waves[:1], 1.0, VACUUM, pts)
+    synthesize(table(waves[:1]), 1.0, VACUUM, pts)
     assert calls == [(J, 80, (2,))]
 
 
@@ -154,9 +246,9 @@ def test_superposition(rng):
     a = [wave(1, 0, (1.0, 0.5j), (0.2, 0.0))]
     b = [wave(2, 1, (0.0, 1.0), (0.0, -0.3j)), wave(3, -2, (0.7, 0.0))]
     pts = [[1.5, 0.8, 0.3], [2.2, 2.1, 4.0]]
-    both = np.stack(synthesize(a + b, k, VACUUM, pts))
-    only_a = np.stack(synthesize(a, k, VACUUM, pts))
-    only_b = np.stack(synthesize(b, k, VACUUM, pts))
+    both = np.stack(synthesize(table(a + b), k, VACUUM, pts))
+    only_a = np.stack(synthesize(table(a), k, VACUUM, pts))
+    only_b = np.stack(synthesize(table(b), k, VACUUM, pts))
     for i in range(len(pts)):
         scale = np.max(np.abs(both[:, i]))
         assert np.max(np.abs(both[:, i] - only_a[:, i] - only_b[:, i])) < 1e-12 * scale
@@ -220,10 +312,10 @@ def test_projection_round_trip(rng):
             c1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             c2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             coeffs[(l, m)] = (c1, c2)
-            waves.append(PartialWave(ModeIndex(l, m), c1, c2, kinds))
+            waves.append(wave(l, m, c1, c2, kinds))
     rule = QuadratureRule.for_degree(5)
     pts = [[r, th, ph] for th in rule.thetas for ph in rule.phis]
-    e, h = synthesize(waves, k, med, pts)
+    e, h = synthesize(table(waves), k, med, pts)
     e_grid = e.reshape(len(rule.cos_nodes), rule.n_phi, 3)
     h_grid = h.reshape(len(rule.cos_nodes), rule.n_phi, 3)
     modes = [ModeIndex(l, m) for l, m in coeffs]
@@ -236,7 +328,7 @@ def test_projection_round_trip(rng):
 
 def test_projection_cross_mode_leakage():
     k, med, r = 1.0, VACUUM, 1.7
-    waves = [wave(2, 1, (1.0, -0.5j), (0.3, 0.1))]
+    waves = table([wave(2, 1, (1.0, -0.5j), (0.3, 0.1))])
     rule = QuadratureRule.for_degree(4)
     pts = [[r, th, ph] for th in rule.thetas for ph in rule.phis]
     e, h = synthesize(waves, k, med, pts)
@@ -272,28 +364,6 @@ def test_project_sampled_shape_validation():
         project_sampled(
             np.zeros((2, 2, 3)), np.zeros((2, 2, 3)), [ModeIndex(1, 0)], rule
         )
-
-
-def test_multipole_amplitudes_cases():
-    amps = multipole_amplitudes(
-        [
-            wave(1, 0, (1.0, 0.0), kinds=(H1, H2)),
-            wave(2, 1, (0.0, 1j), kinds=(H1, Y)),
-            wave(3, -3, (0.0, 0.0), kinds=(H1, H2)),
-        ]
-    )
-    assert amps.a_e[(1, 0)] == 1.0 and amps.a_m[(1, 0)] == 0.0
-    assert amps.a_e[(2, 1)] == 0.0 and amps.a_m[(2, 1)] == 1j
-    assert amps.a_e[(3, -3)] == 0.0 and amps.a_m[(3, -3)] == 0.0
-
-
-def test_multipole_amplitudes_rejects_non_multipole():
-    with pytest.raises(ValueError, match="hankel1"):
-        multipole_amplitudes([wave(1, 0, (1, 0), kinds=(J, Y))])
-    with pytest.raises(ValueError, match="c2 = 0"):
-        multipole_amplitudes([wave(1, 0, (1, 0), (0.1, 0))])
-    with pytest.raises(ValueError, match="duplicate"):
-        multipole_amplitudes([wave(1, 0, (1, 0)), wave(1, 0, (0, 1))])
 
 
 def test_match_sphere_no_contrast():
