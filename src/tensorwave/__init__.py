@@ -8,93 +8,21 @@ assembles, projects and boundary-matches full vector fields from
 partial waves.
 """
 
-from .harmonics import (
-    QuadratureRule,
-    flm,
-    flm_explicit,
-    l_dot_er_cross_xlm_residual,
-    l_dot_xlm_residual,
-    l_squared_check,
-    lz_check,
-    xlm,
-)
-from .maxwell_radial import (
-    Medium,
-    RadialProfile,
-    fundamental_matrix,
-    longitudinal_components,
-    propagate,
-    radial_flux,
-    system_matrix,
-    wtheta_ode_residual,
-)
-from .specfun import (
-    ModeIndex,
-    RadialKind,
-    ladder_minus,
-    ladder_plus,
-    spherical_radial_seq,
-    ylm,
-)
-from .synthesis import (
-    KINDS,
-    WaveTable,
-    match_sphere,
-    project_sampled,
-    recover_coefficients,
-    synthesize,
-)
-from .tensor3 import (
-    E_PHI,
-    E_R,
-    E_THETA,
-    IDENTITY,
-    adjoint,
-    det,
-    dual,
-    dyad,
-    trace,
-)
+from . import harmonics, maxwell_radial, specfun, synthesis, tensor3
+from .harmonics import *  # noqa: F403
+from .maxwell_radial import *  # noqa: F403
+from .specfun import *  # noqa: F403
+from .synthesis import *  # noqa: F403
+from .tensor3 import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# each module's public names, re-exported
 __all__ = [
-    "QuadratureRule",
-    "flm",
-    "flm_explicit",
-    "l_dot_er_cross_xlm_residual",
-    "l_dot_xlm_residual",
-    "l_squared_check",
-    "lz_check",
-    "xlm",
-    "Medium",
-    "RadialProfile",
-    "fundamental_matrix",
-    "longitudinal_components",
-    "propagate",
-    "radial_flux",
-    "system_matrix",
-    "wtheta_ode_residual",
-    "ModeIndex",
-    "RadialKind",
-    "ladder_minus",
-    "ladder_plus",
-    "spherical_radial_seq",
-    "ylm",
-    "KINDS",
-    "WaveTable",
-    "match_sphere",
-    "project_sampled",
-    "recover_coefficients",
-    "synthesize",
-    "E_PHI",
-    "E_R",
-    "E_THETA",
-    "IDENTITY",
-    "adjoint",
-    "det",
-    "dual",
-    "dyad",
-    "trace",
+    *harmonics.__all__,
+    *maxwell_radial.__all__,
+    *specfun.__all__,
+    *synthesis.__all__,
+    *tensor3.__all__,
     "__version__",
 ]

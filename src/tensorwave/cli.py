@@ -32,6 +32,7 @@ from .maxwell_radial import (
 )
 from .parsing import (
     MAX_DEGREE,
+    MAX_GRID_POINTS,
     _csv_table,
     _pairs,
     _re_im,
@@ -75,6 +76,8 @@ def _parse_grid(spec: str):
         raise ValueError(f"grid must look like '8x16', got {spec!r}") from None
     if len(parts) != 2 or nt < 1 or nphi < 1:
         raise ValueError(f"grid must be two positive counts, got {spec!r}")
+    if nt * nphi > MAX_GRID_POINTS:
+        raise ValueError(f"grid must hold at most {MAX_GRID_POINTS} points, got {spec}")
     return nt, nphi
 
 
@@ -90,8 +93,11 @@ _EVAL_COLUMNS = {
 
 
 def cmd_eval(args) -> int:
-    mode = ModeIndex(args.l, args.m)
+    mode = ModeIndex(degree(args.l, "--l"), args.m)
     nt, nphi = _parse_grid(args.grid)
+    if (mode.l + 1) * nt > MAX_GRID_POINTS:  # about 3 Legendre values each
+        raise ValueError(f"--l {mode.l} on {nt} thetas: (l + 1) n_theta must be at "
+                         f"most {MAX_GRID_POINTS}")
     thetas = math.pi * (np.arange(nt) + 0.5) / nt
     phis = 2.0 * math.pi * np.arange(nphi) / nphi
     harmonic = {"ylm": ylm, "xlm": xlm, "flm": flm}[args.harmonic]
@@ -151,6 +157,9 @@ def cmd_verify(args) -> int:
 # --- solve ------------------------------------------------------------------
 
 
+_KIND_CODES = {kind.value: code for code, kind in enumerate(KINDS)}
+
+
 def _wave_table(entries) -> WaveTable:
     """The WaveTable of config wave entries in one pass, which takes only
     what `fileio._wave_from_dict` takes, to the same values: numbers as
@@ -159,8 +168,7 @@ def _wave_table(entries) -> WaveTable:
     if not all(type(rec) is dict and rec.keys() - {"c2"} == {"l", "m", "c1", "kinds"}
                and type(rec["kinds"]) is list for rec in entries):
         raise ValueError
-    codes = [[KINDS.index(RadialKind(a)), KINDS.index(RadialKind(b))]
-             for a, b in (rec["kinds"] for rec in entries)]
+    codes = [[_KIND_CODES[a], _KIND_CODES[b]] for a, b in (r["kinds"] for r in entries)]
     lm = np.array([(rec["l"], rec["m"]) for rec in entries])
     zero = [[0.0, 0.0], [0.0, 0.0]]
     c = np.array([(rec["c1"], rec.get("c2", zero)) for rec in entries])

@@ -163,7 +163,7 @@ def system_matrix(l: int, k, r: float, med: Medium) -> np.ndarray:
     return m
 
 
-def _tangential(f1, d1, f2, d2, k: float, r, med: Medium, c) -> np.ndarray:
+def _tangential(f1, d1, f2, d2, k: float, r, med: Medium, c) -> tuple:
     """u = r W of the transverse solution with coefficients c, from the
     radial values of two kinds.
 
@@ -175,19 +175,16 @@ def _tangential(f1, d1, f2, d2, k: float, r, med: Medium, c) -> np.ndarray:
         E_t = f_i c_phi e_theta + (i/(eps k r)) d_i c_theta e_phi
 
     summed over i.  `c` holds (c1_theta, c1_phi, c2_theta, c2_phi) on its
-    last axis; the result holds (rH_theta, rH_phi, rE_theta, rE_phi) on a
-    new last axis, over the broadcast shape of the inputs and c[..., 0].
+    last axis; the result is the four arrays (rH_theta, rH_phi, rE_theta,
+    rE_phi), over the broadcast shape of the inputs and c[..., 0].
     """
     c = np.asarray(c)
     ie, im_ = 1j / (med.eps * k), -1j / (med.mu * k)
-    return np.stack(
-        [
-            r * (f1 * c[..., 0] + f2 * c[..., 2]),
-            im_ * (d1 * c[..., 1] + d2 * c[..., 3]),
-            r * (f1 * c[..., 1] + f2 * c[..., 3]),
-            ie * (d1 * c[..., 0] + d2 * c[..., 2]),
-        ],
-        axis=-1,
+    return (
+        r * (f1 * c[..., 0] + f2 * c[..., 2]),
+        im_ * (d1 * c[..., 1] + d2 * c[..., 3]),
+        r * (f1 * c[..., 1] + f2 * c[..., 3]),
+        ie * (d1 * c[..., 0] + d2 * c[..., 2]),
     )
 
 
@@ -200,7 +197,7 @@ def _basis(f1, d1, f2, d2, k: float, r, med: Medium) -> np.ndarray:
     together; the result has their shape followed by (4, 4).
     """
     f1, d1, f2, d2, r = (np.asarray(v)[..., None] for v in (f1, d1, f2, d2, r))
-    return np.swapaxes(_tangential(f1, d1, f2, d2, k, r, med, np.eye(4)), -1, -2)
+    return np.stack(_tangential(f1, d1, f2, d2, k, r, med, np.eye(4)), axis=-2)
 
 
 def fundamental_matrix(

@@ -19,8 +19,10 @@ every |m| <= l at the orders handled here.  Spherical Bessel functions
 come as whole sequences in l for an array of arguments at once, valid for
 complex arguments, from one pair: j_l by downward Miller recursion and
 h_l^(t), the Hankel kind that decays into the half plane of x, by upward
-recursion.  Every kind is a fixed combination a j_l + b h_l^(t) of that
-pair, read from the one table `_PAIR`.
+recursion, both built by one `_radial_pair` pass that shares the check
+of x, the sign t and the split of 1/x.  Every kind is a fixed
+combination a j_l + b h_l^(t) of that pair, read from the one table
+`_PAIR`.
 """
 
 from __future__ import annotations
@@ -174,18 +176,17 @@ def _lane(v: np.ndarray):
     return complex(v.ravel()[0]) if v.size == 1 else v
 
 
-def _quotients(ks: np.ndarray, x: np.ndarray):
-    """fl(k/x) for each k of `ks`, rounded afresh at every k, as rows over x.
+def _inverse(x: np.ndarray):
+    """1/x = hi + lo, as arrays of x's shape, for `_quotients`.
 
     k/x rounded from one double 1/x errs alike at every step of a
-    recursion, which acts as an argument error: 4e-13 of |j_l| + |y_l|
-    at x = 1e4.  So 1/x = hi + lo with hi of 33 bits, k*hi exact for
-    k < 2^20, and lo = hi (r + r^2) from the residual r = 1 - x hi in
-    exact products: p1 - p2 is near 1 and p3 + p4 near 0, so both
-    subtract exactly up to the two-sum error es.  Rows are formed about
-    1024 values at a time, to keep the memory of a batch small.
+    recursion, which acts as an argument error: 4e-13 of |j_l| + |y_l| at
+    x = 1e4.  So hi has 33 bits, k*hi is exact for k < 2^20, and
+    lo = hi (r + r^2) comes from the residual r = 1 - x hi in exact
+    products: p1 - p2 is near 1 and p3 + p4 near 0, so both subtract
+    exactly up to the two-sum error es.
     """
-    size, x = x.size, _lane(x)
+    shape, x = x.shape, _lane(x)
     hi = 1.0 / x
     hi = _split(hi.real, 20) + 1j * _split(hi.imag, 20)
     (p1, e1), (p2, e2), (p3, e3), (p4, e4) = (
@@ -197,7 +198,13 @@ def _quotients(ks: np.ndarray, x: np.ndarray):
     bb = s - p1
     es = (p1 - (s - bb)) - (p2 + bb)
     r = ((1.0 - s) - es - e1 + e2) - 1j * ((p3 + p4) + (e3 + e4))
-    lo = hi * (r + r * r)
+    return np.reshape(hi, shape), np.reshape(hi * (r + r * r), shape)
+
+
+def _quotients(ks: np.ndarray, inv):
+    """fl(k/x) for each k of `ks` from the split `inv` of 1/x, as rows
+    over x formed about 1024 values at a time (a batch stays small)."""
+    size, (hi, lo) = inv[0].size, map(_lane, inv)
     rows = max(1, 1024 // size)
     for i in range(0, len(ks), rows):
         k = ks[i:i + rows, None]
@@ -205,16 +212,18 @@ def _quotients(ks: np.ndarray, x: np.ndarray):
         yield from block.ravel().tolist() if size == 1 else block
 
 
-def _upward(f_prev, f_0, lmax: int, x: np.ndarray) -> np.ndarray:
-    """f_{-1} .. f_lmax from the upward recursion f_{n+1} = (2n+1)/x f_n - f_{n-1}."""
+def _upward(f_prev, f_0, lmax: int, inv) -> np.ndarray:
+    """f_{-1} .. f_lmax from the upward recursion f_{n+1} = (2n+1)/x f_n -
+    f_{n-1}, given the split `inv` of 1/x."""
     f = [_lane(f_prev), _lane(f_0)]
-    for q in _quotients(2.0 * np.arange(lmax) + 1.0, x):
+    for q in _quotients(2.0 * np.arange(lmax) + 1.0, inv):
         f.append(q * f[-1] - f[-2])
-    return np.array(f, dtype=complex).reshape((lmax + 2,) + x.shape)
+    return np.array(f, dtype=complex).reshape((lmax + 2,) + np.shape(f_prev))
 
 
-def _miller(lmax: int, x: np.ndarray, s, c) -> np.ndarray:
-    """w j_l(x) for l = -1 .. lmax, given s = w sin x and c = w cos x.
+def _miller(lmax: int, x: np.ndarray, s, c, inv) -> np.ndarray:
+    """w j_l(x) for l = -1 .. lmax, given s = w sin x, c = w cos x and the
+    split `inv` of 1/x.
 
     Downward Miller recursion, started past the turning point of the
     largest |x| by a margin growing like |x|^(1/3) so the trial sequence
@@ -232,7 +241,7 @@ def _miller(lmax: int, x: np.ndarray, s, c) -> np.ndarray:
     fp, fc = _lane(0.0 * x), _lane(0.0 * x + 1e-30)  # trial values at n + 2, n + 1
     bound = math.log2(1e-30)  # of the largest |fp|, |fc|
     trial = np.zeros((lmax + 1,) + x.shape, dtype=complex)
-    for n, q, g in zip(range(n_start, -1, -1), _quotients(ks, x), growth):
+    for n, q, g in zip(range(n_start, -1, -1), _quotients(ks, inv), growth):
         if bound + g > 1023.0:
             v = np.where(np.maximum(abs(fp), abs(fc)) > _RESCALE, 1 / _RESCALE, 1.0)
             fp, fc, trial = _lane(fp * v), _lane(fc * v), trial * v
@@ -249,19 +258,64 @@ def _miller(lmax: int, x: np.ndarray, s, c) -> np.ndarray:
     return np.concatenate([jm[None], trial * scale])
 
 
-def _scaled_j(lmax: int, x: np.ndarray) -> np.ndarray:
-    """e^{i t x} j_l(x) for l = -1 .. lmax, t = +1 if Im x >= 0 else -1.
+def _radial_pair(xs: np.ndarray, tops, scaled: bool = False) -> tuple:
+    """j_l and h_l^(t) at the 1-d complex array xs, from one check of xs,
+    one sign t (+1 where Im x >= 0, else -1) and one split of 1/x that
+    both recursions share.
 
-    The factor has modulus e^{-|Im x|}, so the values stay in the double
-    range for any Im x; past |Im x| = 300 the seeds come from e^{2itx},
-    of modulus below e^{-600}, with no cancellation.
+    `tops` holds, for each part (j, h^(t)), the largest l wanted where
+    t = +1 and where t = -1, or -1 for none.
+    Returns t and, per part, None or (at, seq): the mask of the x where
+    it runs and its values there for l = -1 .. its top.  j comes times
+    e^{itx} with `scaled`, of modulus e^{-|Im x|} (past |Im x| = 300 from
+    seeds in e^{2itx}, with no cancellation), h^(t) times e^{-itx} either
+    way; a value past the double range is inf or nan.  An x = 0 runs as
+    1, for the caller to replace; a non-finite x raises ValueError.
     """
+    finite = np.isfinite(xs)
+    if not finite.all():
+        raise ValueError(f"x must be finite, got x={complex(xs[~finite][0])}")
+    x = np.where(xs == 0, 1.0, xs)
     t = np.where(x.imag >= 0, 1.0, -1.0)
-    w, e2 = np.exp(1j * t * x), np.exp(2j * t * x)
-    far = np.abs(x.imag) >= 300.0
-    s = np.where(far, t * (e2 - 1.0) / 2j, w * np.sin(x))
-    c = np.where(far, (e2 + 1.0) / 2.0, w * np.cos(x))
-    return _miller(lmax, x, s, c)
+    parts = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = _inverse(x)
+        for p, (up, down) in enumerate(tops):
+            top = np.where(t > 0, up, down)
+            at = top >= 0
+            if not at.any():
+                parts.append(None)
+                continue
+            xa, ta, lmax = x[at], t[at], int(top.max())
+            inv_at = tuple(v[at] for v in inv)
+            if p == 1:
+                seq = _upward(1.0 / xa, -1j * ta / xa, lmax, inv_at)
+            elif scaled:
+                w, e2 = np.exp(1j * ta * xa), np.exp(2j * ta * xa)
+                far = np.abs(xa.imag) >= 300.0
+                s = np.where(far, ta * (e2 - 1.0) / 2j, w * np.sin(xa))
+                c = np.where(far, (e2 + 1.0) / 2.0, w * np.cos(xa))
+                seq = _miller(lmax, xa, s, c, inv_at)
+            else:
+                seq = _miller(lmax, xa, np.sin(xa), np.cos(xa), inv_at)
+            parts.append((at, seq))
+    return t, *parts
+
+
+def _f_and_d(name: str, xs: np.ndarray, g: np.ndarray) -> tuple:
+    """(f_l, d(x f_l)/dx) for l = 0 .. from g, whose entry n holds f_{n-1}
+    at xs, or OverflowError naming `name`, the first x past the double
+    range and its l (inf - inf is nan, so both are caught)."""
+    f = g[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_rf = xs * g[:-1] - np.arange(len(f))[:, None] * f
+    ok = np.isfinite(f) & np.isfinite(d_rf)
+    if not ok.all():
+        i, l = np.argwhere(~ok.T)[0]
+        raise OverflowError(
+            f"{name} overflowed at x={complex(xs[i])}, l={l}: outside double range"
+        )
+    return f, d_rf
 
 
 # f_l = a j_l + b h_l^(t) for every kind, t = +1 where Im x >= 0 and -1
@@ -289,16 +343,11 @@ def spherical_radial_seq(
     d(r f(n k r))/dr exactly.  `x` is a scalar or an array; returns two
     complex arrays of shape (lmax + 1,) + x.shape for every l and every x.
 
-    At most two recursions run, both stable for complex x: j_l by
-    downward Miller recursion, every x sharing the start of the largest
-    |x|, and h_l^(t) upward from its scaled closed forms, where t = +1 if
-    Im x >= 0 else -1 picks the Hankel kind that decays into the half
-    plane of x.  Every other kind is a fixed combination of those two
-    from the table `_PAIR`: h^(-t) = 2 j - h^(t) and y = i t (j - h^(t)),
-    so no kind is formed as j_l +- i y_l, which cancels to a relative
-    error of e^{2|Im x|}, or by an upward recursion that amplifies
-    rounding against a growing companion.  j_l runs only at the x where
-    the kind needs it, and h_l^(t) only where it does.
+    f = a j + b h^(t) with (a, b) from `_PAIR`, the pair coming from one
+    `_radial_pair` that runs j only at the x where a != 0 and h^(t) only
+    where b != 0.  So no kind is formed as j_l +- i y_l, which cancels to
+    a relative error of e^{2|Im x|}, or by an upward recursion that
+    amplifies rounding against a growing companion.
 
     With `scaled`, both arrays come multiplied by a factor that removes
     the exponential dependence on Im x, so they stay in the double range
@@ -317,50 +366,22 @@ def spherical_radial_seq(
         raise ValueError("bessel_y has no scaled form")
     shape = np.shape(x)
     xs = np.asarray(x, dtype=complex).ravel()
-    finite = np.isfinite(xs)
-    if not finite.all():
-        raise ValueError(f"x must be finite, got x={complex(xs[~finite][0])}")
+    t, j, h = _radial_pair(xs, np.where(np.array(_PAIR[kind]) != 0, lmax, -1).T, scaled)
     zero = xs == 0
-    has_zero = bool(zero.any())
-    if has_zero:
-        if kind is not RadialKind.BESSEL_J:
-            raise ValueError(f"{kind.value} is singular at x = 0")
-        x = np.where(zero, 1.0, xs)  # a stand-in, overwritten below
-    else:
-        x = xs
-    t = np.where(x.imag >= 0, 1.0, -1.0)
+    if zero.any() and kind is not RadialKind.BESSEL_J:
+        raise ValueError(f"{kind.value} is singular at x = 0")
     a, b = (np.where(t > 0, *ab) for ab in zip(*_PAIR[kind]))
-    # entry n of g holds f_{n-1}; f_{-1} gives d(x f_0)/dx.  A sequence
-    # past the double range holds inf, and inf - inf is nan; both are
-    # caught by the finiteness check
-    g = np.zeros((lmax + 2,) + x.shape, dtype=complex)
+    g = np.zeros((lmax + 2,) + xs.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        on = a != 0
-        if on.any():
-            xj = x[on]
-            if scaled:
-                j = _scaled_j(lmax, xj)
-            else:
-                j = _miller(lmax, xj, np.sin(xj), np.cos(xj))
-            g[:, on] = a[on] * j
-        on = b != 0
-        if on.any():
+        if j is not None:
+            g[:, j[0]] = a[j[0]] * j[1]
+        if h is not None:
             # e^{-itx} h^(t), times e^{itx} unscaled and e^{i(t - s)x} for
             # the scaled h^(s)
-            xh, th = x[on], t[on]
-            h = _upward(1.0 / xh, -1j * th / xh, lmax, xh)
-            shift = th + _SIGMA[kind] if scaled else th
-            g[:, on] += h * (b[on] * np.exp(1j * shift * xh))
-        f = g[1:]
-        d_rf = x * g[:-1] - np.arange(lmax + 1)[:, None] * f
-    if has_zero:
-        # j_0(0) = 1, j_l(0) = 0; x*j_l ~ x^{l+1}/(2l+1)!! near 0
-        f[:, zero] = d_rf[:, zero] = 0.0
-        f[0, zero] = d_rf[0, zero] = 1.0
-    if not (np.isfinite(f).all() and np.isfinite(d_rf).all()):
-        i, l = np.argwhere(~(np.isfinite(f) & np.isfinite(d_rf)).T)[0]
-        raise OverflowError(
-            f"{kind.value} overflowed at x={complex(xs[i])}, l={l}: "
-            "outside double range"
-        )
+            on, shift = h[0], t + _SIGMA[kind] if scaled else t
+            g[:, on] += h[1] * (b[on] * np.exp(1j * shift[on] * xs[on]))
+    f, d_rf = _f_and_d(kind.value, xs, g)
+    # j_0(0) = 1, j_l(0) = 0; x*j_l ~ x^{l+1}/(2l+1)!! near 0
+    f[:, zero] = d_rf[:, zero] = 0.0
+    f[0, zero] = d_rf[0, zero] = 1.0
     return f.reshape((lmax + 1,) + shape), d_rf.reshape((lmax + 1,) + shape)

@@ -12,17 +12,20 @@ two radial function kinds.  A set of waves travels as one columnar
 where the tangential parts of El, Hl come from the closed-form radial
 blocks and the radial parts from the longitudinal reconstruction.  Every
 radial kind is a fixed combination of the pair (j_l, h1_l) from the table
-`specfun._PAIR`, so each wave's (c1, c2) is mapped once onto that pair and
-only j and h1 are evaluated, each once for every distinct radius.  Each
-F_lm is a theta-part times e^{i m phi}, so synthesis sorts the waves by
-order once and, in one vectorized pass over the distinct (r, theta) rows,
-forms every wave's state and theta-parts and sums them per order with one
-`np.add.reduceat`; only the sum over m with the phase at each point loops
-over the orders.  Waves go in blocks of whole orders of bounded size, each
-with its own Legendre table of just its orders.  Projection inverts this
-with the angular Gram identity of F_lm: one sum over phi for every order
-at once, then one contraction over the theta nodes of a quadrature sphere
-at fixed radius for every mode, from one Legendre table per call.
+`specfun._PAIR`, so each wave's (c1, c2) is mapped once onto that pair,
+and one radial pass (`specfun._radial_pair`) builds j and h1 for every
+distinct radius.  Each F_lm is a theta-part times e^{i m phi}, so
+synthesis sorts the waves by order once and, in one vectorized pass over
+the distinct (r, theta) rows, forms every wave's state and theta-parts
+and sums them per order with one `np.add.reduceat`.  The phase stage
+then sums over the orders without a pass per order: points on a product
+grid of rows and angles phi take one `np.tensordot` into that (phi, row)
+grid, scattered points one contraction point by point.  Waves go in
+blocks of whole orders of bounded size, each with its own Legendre table
+of just its orders.  Projection inverts this with the angular Gram
+identity of F_lm: one sum over phi for every order at once, then one
+contraction over the theta nodes of a quadrature sphere at fixed radius
+for every mode, from one Legendre table per call.
 """
 
 from __future__ import annotations
@@ -38,9 +41,8 @@ from .maxwell_radial import (
     _as_k,
     _tangential,
     fundamental_matrix,
-    longitudinal_components,
 )
-from .specfun import _PAIR, RadialKind, _check_theta, spherical_radial_seq
+from .specfun import _PAIR, RadialKind, _check_theta, _f_and_d, _radial_pair
 
 __all__ = [
     "KINDS",
@@ -55,7 +57,7 @@ __all__ = [
 KINDS = tuple(RadialKind)  # kind code i stands for KINDS[i]
 
 # the most wave x row entries `synthesize` holds at once (a single order
-# may hold more), at about 0.3 kB each
+# may hold more), at about 0.35 kB each
 _BLOCK = 1 << 17
 
 
@@ -108,20 +110,23 @@ def _pair_tables(waves: WaveTable, k: float, radii, med: Medium) -> tuple:
     Every kind is a j_l + b h1_l with (a, b) = `_PAIR[kind][0]`, as
     Im(n k r) >= 0, so a wave with coefficients (c1, c2) on its kinds
     (K1, K2) has (a1 c1 + a2 c2, b1 c1 + b2 c2) on (j, h1).  Returns those
-    as an array of shape (len(waves), 4) and the radial values as one of
-    shape (2, 2, lmax + 1, len(radii)): [part, (f, d(x f)/dx), l, radius]
-    for the parts (j, h1).  A part runs to the largest l of a wave whose
-    kinds use it and holds zeros past that; a part no wave uses is never
-    evaluated.
+    as an array of shape (len(waves), 4) and, for j then h1, (f, d(x f)/dx
+    / r) over [l, radius] from one `_radial_pair`.  A part runs to the
+    largest l of a wave whose kinds use it; a part no wave uses is a
+    single row of zeros.
     """
     ab = np.array([_PAIR[kind][0] for kind in KINDS], dtype=complex)[waves.kinds]
-    xs = med.n * k * np.asarray(radii)
-    tables = np.zeros((2, 2, waves.l.max(initial=0) + 1, len(xs)), dtype=complex)
-    for p, kind in enumerate((RadialKind.BESSEL_J, RadialKind.HANKEL1)):
-        used = (ab[:, :, p] != 0).any(axis=1)
-        if used.any():
-            top = int(waves.l[used].max())
-            tables[p, :, :top + 1] = spherical_radial_seq(kind, top, xs)
+    tops = [waves.l[used].max(initial=-1) for used in (ab != 0).any(axis=1).T]
+    xs = med.n * k * np.asarray(radii, dtype=complex)
+    t, *parts = _radial_pair(xs, [(top, top) for top in tops])
+    tables = []
+    for name, part in zip(("bessel_j", "hankel1"), parts):
+        if part is None:
+            tables.append(np.zeros((2, 1, len(xs))))
+            continue
+        seq = part[1] * np.exp(1j * t * xs) if name == "hankel1" else part[1]
+        f, d = _f_and_d(name, xs, seq)
+        tables.append((f, d / radii))
     return np.einsum("wkp,wkc->wpc", ab, waves.c).reshape(-1, 4), tables
 
 
@@ -134,7 +139,8 @@ def synthesize(waves: WaveTable, k, med: Medium, points) -> tuple:
     coefficient sets belonging to each region).  Returns (e, h), the full
     E and H vectors in the local spherical frame: complex arrays of shape
     (N, 3) in input order.  A radial value past the double range raises
-    OverflowError naming the sequence it came from, bessel_j or hankel1.
+    OverflowError naming the sequence it came from, bessel_j or hankel1,
+    and a field past it OverflowError naming the first such point.
     Waves go in blocks of whole orders of at most `_BLOCK` wave x row
     entries, so memory stays bounded.
     """
@@ -156,7 +162,6 @@ def synthesize(waves: WaveTable, k, med: Medium, points) -> tuple:
     if np.any(pts[:, 0] <= 0):
         raise ValueError("synthesis points require r > 0")
     _check_theta(pts[:, 1])
-    out = np.zeros((len(pts), 6), dtype=complex)  # (E, H) per point
     # distinct (r, theta) rows, keyed as the complex numbers r + i theta
     keys, row_of = np.unique(
         np.ascontiguousarray(pts[:, :2]).view(complex).ravel(), return_inverse=True
@@ -164,11 +169,12 @@ def synthesize(waves: WaveTable, k, med: Medium, points) -> tuple:
     rows = np.column_stack([keys.real, keys.imag])
     radii, radius_of = np.unique(rows[:, 0], return_inverse=True)
     phis, phi_of = np.unique(pts[:, 2], return_inverse=True)
+    # points on a product grid of rows and angles phi take the phase sum
+    # on that (phi, row) grid, scattered points one by one
+    grid = len(rows) * len(phis) <= 2 * len(pts)
+    out = np.zeros((len(phis), 6, len(rows)) if grid else (len(pts), 6), dtype=complex)
     by_order = np.lexsort((waves.m, np.abs(waves.m)))
     ls, ms = waves.l[by_order], waves.m[by_order]
-    coeffs, tables = _pair_tables(waves, k, radii, med)
-    coeffs = coeffs[by_order]
-    tables[:, 1] /= radii  # d(x f)/dx / r
     # the first wave of each order, and of each block of whole orders
     starts = np.flatnonzero(np.diff(ms, prepend=ms[:1] - 1))
     blocks = []
@@ -176,33 +182,55 @@ def synthesize(waves: WaveTable, k, med: Medium, points) -> tuple:
         if not blocks or (b - blocks[-1]) * len(rows) > _BLOCK:
             blocks.append(a)
     edges = [*blocks, len(ms)]
-    for a, b in zip(edges, edges[1:]):
-        l, m = ls[a:b], ms[a:b]
-        # (j, d_j / r, h1, d_h1 / r) of every wave on every row give the
-        # state W = u / r as `_tangential` at r = 1: shape (b - a, rows, 4)
-        w = _tangential(
-            *tables[:, :, l[:, None], radius_of].reshape(4, b - a, len(rows)),
-            k, 1.0, med, coeffs[a:b, None],
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs, tables = _pair_tables(waves, k, radii, med)
+        coeffs = coeffs[by_order]
+        for a, b in zip(edges, edges[1:]):
+            l, m = ls[a:b], ms[a:b]
+            first = starts[(starts >= a) & (starts < b)]
+            # the state W = u / r of every wave on every row, as
+            # `_tangential` at r = 1 from (f, d / r) of j and h1
+            w = _tangential(
+                *(v[np.minimum(l, len(v) - 1)[:, None], radius_of]
+                  for f_d in tables for v in f_d),
+                k, 1.0, med, coeffs[a:b, None],
+            )
+            lo, hi = max(abs(int(m[0])) - 1, 0), abs(int(m[-1])) + 1
+            y, xt, xp = _theta_columns(
+                l, m, _legendre_table(int(l.max()), rows[:, 1], lo, hi)
+            )
+            # F @ (v_r, p, q) = (Y v_r, X_theta p - X_phi q, X_phi p +
+            # X_theta q) for E = (E_r, W_2, W_3) and H = (H_r, W_0, W_1) of
+            # every wave into one buffer, summed per order.  Y takes the
+            # factor sqrt(l(l+1)) / (k r) of `longitudinal_components`:
+            # E_r = -Y' W_0 / eps, H_r = Y' W_2 / mu
+            y = y * (np.sqrt(l * (l + 1.0))[:, None] / (k * rows[:, 0]))
+            xt = xt.astype(complex)  # else each product casts it anew
+            f = np.empty((b - a, 6, len(rows)), dtype=complex)
+            for i, (c, v, p, q) in enumerate(((-1 / med.eps, w[0], w[2], w[3]),
+                                              (1 / med.mu, w[2], w[0], w[1]))):
+                np.multiply(y * c, v, out=f[:, 3 * i])
+                np.subtract(xt * p, xp * q, out=f[:, 3 * i + 1])
+                np.add(xp * p, xt * q, out=f[:, 3 * i + 2])
+            sums = np.add.reduceat(f, first - a)
+            phase = np.exp(1j * ms[first, None] * phis)
+            if grid:
+                out += np.tensordot(phase, sums, axes=(0, 0))
+            else:
+                step = max(1, _BLOCK // len(first))
+                for i in range(0, len(pts), step):
+                    at = slice(i, i + step)
+                    out[at] += np.einsum("mcp,mp->pc", sums[:, :, row_of[at]],
+                                         phase[:, phi_of[at]])
+    if grid:
+        out = out[phi_of, :, row_of]
+    bad = ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise OverflowError(
+            f"the field at point {i} (r, theta, phi) = {tuple(pts[i].tolist())} "
+            "leaves the double range"
         )
-        e_r, h_r = longitudinal_components(l[:, None], k, rows[:, 0], med, w)
-        table = _legendre_table(
-            int(l.max()), rows[:, 1], max(abs(int(m[0])) - 1, 0), abs(int(m[-1])) + 1
-        )
-        y, xt, xp = _theta_columns(l, m, table)
-        # per order: the sums of X_theta W, X_phi W and Y (E_r, H_r), and
-        # from them F @ (v_r, a, b) = (Y v_r, X_theta a - X_phi b,
-        # X_phi a + X_theta b) for E then H, on (r, theta) rows
-        first = starts[(starts >= a) & (starts < b)]
-        w = np.swapaxes(w, 1, 2)
-        t, p, v = (np.add.reduceat(f[:, None] * g, first - a) for f, g in
-                   ((xt, w), (xp, w), (y, np.stack([e_r, h_r], axis=1))))
-        sums = np.stack(
-            [v[:, 0], t[:, 2] - p[:, 3], p[:, 2] + t[:, 3],
-             v[:, 1], t[:, 0] - p[:, 1], p[:, 0] + t[:, 1]],
-            axis=-1,
-        )
-        for s, phase in zip(sums, np.exp(1j * ms[first, None] * phis)):
-            out += s[row_of] * phase[phi_of, None]
     return out[:, :3], out[:, 3:]
 
 

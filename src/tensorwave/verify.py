@@ -282,10 +282,13 @@ def maxwell_suite(lmax: int = 3, tol: float = 1e-5) -> list:
     ]
 
 
+# each suite with the largest lmax it takes: ortho's Gram einsum grows as
+# lmax^6 (5 s and 64 MB at 12), invariants as lmax^3 (7 s at 24), and
+# maxwell's ODE-residual grid needs |n| k h <= 0.05, so l <= 99
 _SUITES = {
-    "ortho": ortho_suite,
-    "invariants": invariants_suite,
-    "maxwell": maxwell_suite,
+    "ortho": (ortho_suite, 12),
+    "invariants": (invariants_suite, 24),
+    "maxwell": (maxwell_suite, 99),
 }
 
 
@@ -293,15 +296,16 @@ def run_suite(name: str, lmax: int | None = None, tol: float | None = None) -> t
     """Dispatch a named suite with optional overrides of lmax and tolerance.
 
     Returns (lmax, entries): the lmax the suite ran at, its own default
-    when none is given, and its report entries.
+    when none is given, and its report entries.  An lmax outside 1 .. the
+    suite's cap raises ValueError before anything runs.
     """
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(_SUITES)}")
-    suite = _SUITES[name]
+    suite, cap = _SUITES[name]
     if lmax is None:
         lmax = inspect.signature(suite).parameters["lmax"].default
-    elif lmax < 1:
-        raise ValueError("lmax must be >= 1")
+    elif not 1 <= lmax <= cap:
+        raise ValueError(f"lmax for suite {name} must be in 1 .. {cap}, got {lmax}")
     kwargs = {"lmax": lmax}
     if tol is not None:
         if not tol > 0:

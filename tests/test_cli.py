@@ -17,7 +17,8 @@ Y00 = 0.28209479177387814
 
 
 def run_cli(*argv, env_extra=None, timeout=None):
-    env = os.environ.copy()
+    # pyproject's filterwarnings does not reach the subprocess
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -119,6 +120,37 @@ def test_verify_failure_exits_nonzero():
     assert "verify failed" in res.stderr
     doc = json.loads(res.stdout)
     assert doc["pass"] is False
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--harmonic", "ylm", "--l", "200001", "--m", "0", "--grid", "1x1"],
+     "--l must be at most 200000, got 200001"),
+    (["eval", "--harmonic", "flm", "--l", "1", "--m", "0", "--grid", "1000x1001"],
+     "grid must hold at most 1000000 points, got 1000x1001"),
+    (["eval", "--harmonic", "xlm", "--l", "999", "--m", "0", "--grid", "1001x1"],
+     "--l 999 on 1001 thetas: (l + 1) n_theta must be at most 1000000"),
+    (["verify", "--suite", "ortho", "--lmax", "13"],
+     "lmax for suite ortho must be in 1 .. 12, got 13"),
+    (["verify", "--suite", "invariants", "--lmax", "25"],
+     "lmax for suite invariants must be in 1 .. 24, got 25"),
+    (["verify", "--suite", "maxwell", "--lmax", "100"],
+     "lmax for suite maxwell must be in 1 .. 99, got 100"),
+])
+def test_eval_and_verify_past_their_size_caps_exit_2_before_allocating(
+    capsys, argv, message
+):
+    import tracemalloc
+
+    from tensorwave.cli import main
+
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def write_config(tmp_path, name, cfg):
@@ -402,7 +434,7 @@ def test_solve_scatter_builds_one_radial_sequence_per_kind_and_argument(
         calls.append((kind.value, complex(x)))
         return seq(kind, lmax, x, *args, **kwargs)
 
-    for module in (specfun, maxwell_radial, synthesis):
+    for module in (specfun, maxwell_radial):
         monkeypatch.setattr(module, "spherical_radial_seq", counted)
     cfg = write_config(tmp_path, "s.json", dict(SCATTER, lmax=40))
     assert main(["solve", "--config", cfg]) == 0
@@ -420,14 +452,20 @@ def test_solve_synthesize_builds_only_the_j_and_h1_sequences(
     from tensorwave.cli import main
 
     calls = []
-    seq = specfun.spherical_radial_seq
+    pair = specfun._radial_pair
 
     def counted(kind, lmax, x, *args, **kwargs):
         calls.append((kind.value, np.shape(x)))
         return seq(kind, lmax, x, *args, **kwargs)
 
-    for module in (specfun, maxwell_radial, synthesis):
+    def counted_pair(xs, tops, *args, **kwargs):
+        calls.append(("pair", np.shape(xs), np.asarray(tops).tolist()))
+        return pair(xs, tops, *args, **kwargs)
+
+    seq = specfun.spherical_radial_seq
+    for module in (specfun, maxwell_radial):
         monkeypatch.setattr(module, "spherical_radial_seq", counted)
+    monkeypatch.setattr(synthesis, "_radial_pair", counted_pair)
     # nearfield-shaped: every wave l <= 6 with two of the four kinds, at
     # 120 points of distinct radii
     kinds = ["bessel_j", "bessel_y", "hankel1", "hankel2"]
@@ -447,9 +485,25 @@ def test_solve_synthesize_builds_only_the_j_and_h1_sequences(
     cfg = write_config(tmp_path, "s.json", cfg)
     assert main(["solve", "--config", cfg, "--format", "csv"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 121
-    # every kind is a combination of j and h1, each built once over all
-    # 120 radii
-    assert sorted(calls) == [("bessel_j", (120,)), ("hankel1", (120,))]
+    # every kind is a combination of j and h1, both built by one pair
+    # call over all 120 radii, and no kind is built by itself
+    assert calls == [("pair", (120,), [[6, 6], [6, 6]])]
+
+
+def test_solve_synthesize_with_a_non_finite_field_exits_1(tmp_path):
+    # finite coefficients near the double range overflow in the
+    # contraction: no RuntimeWarning (an error in run_cli) and no nan cells
+    big = [[1e308, 1e308], [1e308, -1e308]]
+    wave = {"l": 1, "m": 0, "c1": big, "c2": [[1e308, 1e308], [0, 0]],
+            "kinds": ["bessel_y", "hankel2"]}
+    cfg = dict(SYNTH, waves=[wave], points=[[0.5, 1.0, 0.3], [3.0, 2.0, 1.0]])
+    res = run_cli("solve", "--config", write_config(tmp_path, "big.json", cfg),
+                  "--format", "csv")
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr == (
+        "error: the field at point 0 (r, theta, phi) = (0.5, 1.0, 0.3) leaves "
+        "the double range\n"
+    )
 
 
 def test_solve_project_places_samples_by_angle(tmp_path, capsys):

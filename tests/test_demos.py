@@ -11,7 +11,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    env = os.environ.copy()
+    # pyproject's filterwarnings does not reach the subprocess
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )

@@ -17,6 +17,8 @@ from oracles import (
 from tensorwave.specfun import (
     ModeIndex,
     RadialKind,
+    _f_and_d,
+    _radial_pair,
     ladder_minus,
     ladder_plus,
     spherical_radial_seq,
@@ -348,6 +350,21 @@ def test_sequence_over_an_array_of_arguments_matches_mpmath(kind, batch_mp):
             # starts Miller recursion from that element's |x|
             assert abs(f[l, i] - fs[l]) <= 1e-14 * env, (x, l)
             assert abs(d[l, i] - ds[l]) <= 1e-14 * denv, (x, l)
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_radial_pair_is_bessel_j_and_hankel1_bit_for_bit(scaled):
+    # in the upper half plane the pair (j, h^(t)) is (j, h1); one call
+    # builds both, and each matches its own kind exactly, past |Im x| = 300
+    xs = np.array([0.3 + 0.1j, 7.0, 20 + 30j, 3 + 300j, 250 + 299j, 40 + 310j,
+                   1e3 + 10j, 5 + 650j])
+    t, (j_at, j), (h_at, h) = _radial_pair(xs, [(30, 30), (30, 30)], scaled)
+    assert t.tolist() == [1.0] * len(xs) and j_at.all() and h_at.all()
+    h = h if scaled else h * np.exp(1j * t * xs)
+    for kind, seq in ((RadialKind.BESSEL_J, j), (RadialKind.HANKEL1, h)):
+        got = _f_and_d(kind.value, xs, seq)
+        want = spherical_radial_seq(kind, 30, xs, scaled=scaled)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize(

@@ -223,22 +223,57 @@ def test_synthesize_runs_each_radial_part_only_as_far_as_its_waves(monkeypatch):
     # h1_80 at x = 1e-3 is past the double range, but only the l = 2 wave
     # uses h1; a superposition of j waves alone builds j alone
     calls = []
-    seq = synthesis.spherical_radial_seq
+    pair = synthesis._radial_pair
 
-    def counted(kind, lmax, x, *args, **kwargs):
-        calls.append((kind, lmax, np.shape(x)))
-        return seq(kind, lmax, x, *args, **kwargs)
+    def counted(xs, tops, *args, **kwargs):
+        calls.append((np.shape(xs), np.asarray(tops).tolist()))
+        return pair(xs, tops, *args, **kwargs)
 
-    monkeypatch.setattr(synthesis, "spherical_radial_seq", counted)
+    monkeypatch.setattr(synthesis, "_radial_pair", counted)
     waves = [wave(80, 3, (1.0, 0.5), (0.2j, 0.0), kinds=(J, J)),
              wave(2, 1, (0.3, 0.0), (0.0, 0.7), kinds=(J, H1))]
     pts = [[1e-3, 0.9, 0.4], [1e-3, 2.0, 1.0], [2e-3, 2.0, 1.0]]
     e, h = synthesize(table(waves), 1.0, VACUUM, pts)
     assert np.isfinite(e).all() and np.isfinite(h).all()
-    assert calls == [(J, 80, (2,)), (H1, 2, (2,))]
+    assert calls == [((2,), [[80, 80], [2, 2]])]
     calls.clear()
     synthesize(table(waves[:1]), 1.0, VACUUM, pts)
-    assert calls == [(J, 80, (2,))]
+    assert calls == [((2,), [[80, 80], [-1, -1]])]
+
+
+def test_product_grid_and_scattered_points_agree(monkeypatch, rng):
+    # the quadrature grid takes the phase sum on its (phi, row) grid, a
+    # scattered subset of its points takes it point by point
+    contractions = []
+    tensordot = np.tensordot
+    monkeypatch.setattr(np, "tensordot", lambda *a, **kw: contractions.append(1)
+                        or tensordot(*a, **kw))
+    rule = QuadratureRule.for_degree(8)
+    pts = np.array([[2.5, th, ph] for th in rule.thetas for ph in rule.phis])
+    waves = table([wave(l, m, *rng.standard_normal((2, 2)), kinds=(J, H1))
+                   for l in range(1, 9) for m in range(-l, l + 1)])
+    grid = np.hstack(synthesize(waves, 1.2, VACUUM, pts))
+    assert contractions == [1]
+    pick = rng.choice(len(pts), 25, replace=False)
+    scattered = np.hstack(synthesize(waves, 1.2, VACUUM, pts[pick]))
+    assert contractions == [1]
+    assert np.max(np.abs(scattered - grid[pick])) <= 1e-15 * np.max(np.abs(grid))
+    # one order per block and chunks of 8 points give the same sums
+    monkeypatch.setattr(synthesis, "_BLOCK", 8)
+    chunked = np.hstack(synthesize(waves, 1.2, VACUUM, pts[pick]))
+    assert np.max(np.abs(chunked - scattered)) <= 1e-15 * np.max(np.abs(grid))
+
+
+def test_non_finite_field_names_its_point():
+    # large but finite coefficients overflow in the contraction
+    big = [wave(1, 0, (1e308 + 1e308j, 1e308 - 1e308j), (1e308 + 1e308j, 0.0),
+                kinds=(Y, H2))]
+    with np.errstate(all="raise"), pytest.raises(OverflowError) as info:
+        synthesize(table(big), 1.0, VACUUM, [[0.5, 1.0, 0.3], [3.0, 2.0, 1.0]])
+    assert str(info.value) == (
+        "the field at point 0 (r, theta, phi) = (0.5, 1.0, 0.3) leaves the "
+        "double range"
+    )
 
 
 def test_superposition(rng):
