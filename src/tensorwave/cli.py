@@ -328,9 +328,9 @@ def _solve_project(cfg: dict, fmt: str):
             f"field file has {len(where)} samples; quadrature grid "
             f"for lmax {lq} needs {nt * nphi}"
         )
-    if len(np.unique(np.round(where[:, 0], 12))) != 1:
-        raise ValueError("field samples must share a single radius")
     r = float(where[0, 0])
+    if np.ptp(where[:, 0]) > 1e-12 * np.max(np.abs(where[:, 0])):
+        raise ValueError("field samples must share a single radius")
     if "r" in cfg and not math.isclose(real(cfg["r"], "r"), r, rel_tol=1e-12):
         raise ValueError(f"config r {cfg['r']} does not match file radius {r}")
 

@@ -40,9 +40,6 @@ from .specfun import (
     _angles,
     _check_theta,
     _norm_legendre,
-    ladder_minus,
-    ladder_plus,
-    ylm,
 )
 
 __all__ = [
@@ -217,144 +214,95 @@ def flm_explicit(mode: ModeIndex, theta, phi) -> np.ndarray:
     dY/dtheta = (e^{-i phi} L+ Y - e^{+i phi} L- Y) / 2.
     Valid away from the poles; serves as a cross-check on `flm`.
     """
-    l, m = mode.l, mode.m
-    theta, phi = _angles(theta, phi)
-    y = ylm(mode, theta, phi)
+    l, m, i = mode.l, mode.m, mode.l + mode.m
+    theta, phi = np.broadcast_arrays(*_angles(theta, phi))
+    y = _ylm_row(l, theta, phi)
     if l == 0:
-        return _assemble_f(y, 0.0, 0.0)
+        return _assemble_f(y[0], 0.0, 0.0)
     st = np.sin(theta)
     if np.any(st == 0.0):
         raise ValueError("explicit form is singular at the poles; use flm")
-    cp, up = ladder_plus(mode)
-    cm, dn = ladder_minus(mode)
-    yp = ylm(up, theta, phi) if up is not None else 0.0
-    ym = ylm(dn, theta, phi) if dn is not None else 0.0
-    dy_dtheta = 0.5 * (cp * np.exp(-1j * phi) * yp - cm * np.exp(1j * phi) * ym)
+    yp, ym, _ = np.tensordot(_ladder(l)[:, :, i], y, 1)  # L+ Y, L- Y, Lz Y
+    dy_dtheta = 0.5 * (np.exp(-1j * phi) * yp - np.exp(1j * phi) * ym)
     inv = 1.0 / math.sqrt(l * (l + 1))
-    vt = -m * y / st * inv
+    vt = -m * y[i] / st * inv
     vp = -1j * dy_dtheta * inv
-    return _assemble_f(*np.broadcast_arrays(y, vt, vp))
+    return _assemble_f(y[i], vt, vp)
 
 
 # --- ladder-operator identities ---------------------------------------------
 #
-# A "combo" is a dict mapping ModeIndex -> coefficient, representing an
-# exact finite combination of scalar harmonics.  The angular momentum
-# components map combos to combos with no numerical differentiation.  Each
-# check takes angle arrays and returns the residual at every angle.
+# L+, L- and Lz keep l, so on the harmonics Y_{l,-l} .. Y_{l,l} of one
+# degree they are (2l+1)-square matrices over the coefficients, and an exact
+# finite combination of harmonics is a coefficient vector contracted with
+# `_ylm_row`.  No numerical differentiation enters.  Each check takes angle
+# arrays and returns the residual at every angle.
 
 
-def _combo_add(acc: dict, mode: ModeIndex, coeff: complex) -> None:
-    if coeff != 0.0:
-        acc[mode] = acc.get(mode, 0.0 + 0.0j) + coeff
+def _ladder(l: int) -> np.ndarray:
+    """L+, L- and Lz on the coefficients of Y_{l,-l} .. Y_{l,l}, stacked:
+    entry [., m' + l, m + l] is the Y_{l,m'} coefficient of the operator on
+    Y_lm, so L+ holds sqrt((l - m)(l + m + 1)) at [0, m + 1 + l, m + l]."""
+    m = np.arange(-l, l + 1.0)
+    lp = np.diag(np.sqrt((l - m[:-1]) * (l + m[:-1] + 1)), -1)
+    return np.array([lp, lp.T, np.diag(m)])
 
 
-def _op_z(combo: dict) -> dict:
-    out: dict = {}
-    for mode, coeff in combo.items():
-        _combo_add(out, mode, coeff * mode.m)
-    return out
+# (Lx, Ly, Lz) from the stack (L+, L-, Lz): Lx = (L+ + L-)/2, Ly = (L+ - L-)/2i
+_CARTESIAN = np.array([[0.5, 0.5, 0.0], [-0.5j, 0.5j, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _op_plus(combo: dict) -> dict:
-    out: dict = {}
-    for mode, coeff in combo.items():
-        c, up = ladder_plus(mode)
-        if up is not None:
-            _combo_add(out, up, coeff * c)
-    return out
+def _ylm_row(l: int, theta, phi) -> np.ndarray:
+    """Y_{l,-l} .. Y_{l,l} along a first axis, at the broadcast angles,
+    from one table."""
+    theta, phi = np.broadcast_arrays(*_angles(theta, phi))
+    m = np.arange(-l, l + 1)
+    y = _theta_columns(l, m, _legendre_table(l, theta))[0]
+    return y * np.exp(1j * np.multiply.outer(m, phi))
 
 
-def _op_minus(combo: dict) -> dict:
-    out: dict = {}
-    for mode, coeff in combo.items():
-        c, dn = ladder_minus(mode)
-        if dn is not None:
-            _combo_add(out, dn, coeff * c)
-    return out
-
-
-def _op_x(combo: dict) -> dict:
-    out = _op_plus(combo)
-    for mode, coeff in _op_minus(combo).items():
-        _combo_add(out, mode, coeff)
-    return {mode: 0.5 * c for mode, c in out.items()}
-
-
-def _op_y(combo: dict) -> dict:
-    out = {mode: c for mode, c in _op_plus(combo).items()}
-    for mode, coeff in _op_minus(combo).items():
-        _combo_add(out, mode, -coeff)
-    return {mode: c / 2j for mode, c in out.items()}
-
-
-def _eval_combo(combo: dict, theta, phi):
-    return sum(
-        (coeff * ylm(mode, theta, phi) for mode, coeff in combo.items()),
-        start=0.0 + 0.0j,
-    )
+def _eigen_residual(op: np.ndarray, mode: ModeIndex, theta, phi, value):
+    """|op Y_lm - value Y_lm| for a ladder matrix op of degree mode.l."""
+    y = _ylm_row(mode.l, theta, phi)
+    i = mode.l + mode.m
+    return np.abs(np.tensordot(op[:, i], y, 1) - value * y[i])
 
 
 def l_squared_check(mode: ModeIndex, theta, phi):
-    """|L^2 Y_lm - l(l+1) Y_lm| with L^2 = Lz^2 + (L+L- + L-L+)/2."""
-    theta, phi = _angles(theta, phi)
-    base = {mode: 1.0 + 0.0j}
-    total: dict = {}
-    for mode2, coeff in _op_z(_op_z(base)).items():
-        _combo_add(total, mode2, coeff)
-    for mode2, coeff in _op_plus(_op_minus(base)).items():
-        _combo_add(total, mode2, 0.5 * coeff)
-    for mode2, coeff in _op_minus(_op_plus(base)).items():
-        _combo_add(total, mode2, 0.5 * coeff)
-    val = _eval_combo(total, theta, phi)
-    target = mode.l * (mode.l + 1) * ylm(mode, theta, phi)
-    return np.abs(val - target)
+    """|L^2 Y_lm - l(l+1) Y_lm| with L^2 = Lz^2 + (L+L- + L-L+)/2.
+
+    This tests the ladder algebra, not the harmonic values: the matrix
+    product returns l(l+1) on the coefficient of Y_lm alone, whatever Y is.
+    """
+    lp, lm, lz = _ladder(mode.l)
+    l2 = lz @ lz + (lp @ lm + lm @ lp) / 2
+    return _eigen_residual(l2, mode, theta, phi, mode.l * (mode.l + 1))
 
 
 def lz_check(mode: ModeIndex, theta, phi):
-    """|Lz Y_lm - m Y_lm| with Lz realized as the commutator [L+, L-]/2."""
-    theta, phi = _angles(theta, phi)
-    base = {mode: 1.0 + 0.0j}
-    total: dict = {}
-    for mode2, coeff in _op_plus(_op_minus(base)).items():
-        _combo_add(total, mode2, 0.5 * coeff)
-    for mode2, coeff in _op_minus(_op_plus(base)).items():
-        _combo_add(total, mode2, -0.5 * coeff)
-    val = _eval_combo(total, theta, phi)
-    return np.abs(val - mode.m * ylm(mode, theta, phi))
+    """|Lz Y_lm - m Y_lm| with Lz realized as the commutator [L+, L-]/2.
 
-
-def _cartesian_x_combos(mode: ModeIndex):
-    """Cartesian component combos of X_lm (exact ladder combinations)."""
-    base = {mode: 1.0 + 0.0j}
-    inv = 1.0 / math.sqrt(mode.l * (mode.l + 1))
-    return tuple(
-        {m2: c * inv for m2, c in comp.items()}
-        for comp in (_op_x(base), _op_y(base), _op_z(base))
-    )
-
-
-_EPS3 = {
-    (0, 1, 2): 1.0,
-    (1, 2, 0): 1.0,
-    (2, 0, 1): 1.0,
-    (0, 2, 1): -1.0,
-    (2, 1, 0): -1.0,
-    (1, 0, 2): -1.0,
-}
-
-_OPS = (_op_x, _op_y, _op_z)
+    Like `l_squared_check`, this tests the ladder algebra, not the
+    harmonic values.
+    """
+    lp, lm, _ = _ladder(mode.l)
+    return _eigen_residual((lp @ lm - lm @ lp) / 2, mode, theta, phi, mode.m)
 
 
 def l_dot_xlm_residual(mode: ModeIndex, theta, phi):
-    """|L . X_lm - sqrt(l(l+1)) Y_lm| via exact ladder composition."""
-    theta, phi = _angles(theta, phi)
-    if mode.l == 0:
-        return np.zeros(np.broadcast(theta, phi).shape)
-    xc = _cartesian_x_combos(mode)
-    val = sum(_eval_combo(_OPS[i](xc[i]), theta, phi) for i in range(3))
-    target = math.sqrt(mode.l * (mode.l + 1)) * ylm(mode, theta, phi)
-    return np.abs(val - target)
+    """|L . X_lm - sqrt(l(l+1)) Y_lm| via exact ladder composition, with
+    X_lm's Cartesian components L_i Y_lm / sqrt(l(l+1)).
+
+    Like `l_squared_check`, this tests the ladder algebra, not the
+    harmonic values.  X_00 = 0 gives a zero residual.
+    """
+    s = math.sqrt(mode.l * (mode.l + 1))
+    ops = np.tensordot(_CARTESIAN, _ladder(mode.l), 1)  # Lx, Ly, Lz
+    op = (ops @ ops).sum(0) / max(s, 1.0)
+    return _eigen_residual(op, mode, theta, phi, s)
+
+
+_LEVI_CIVITA = np.cross(np.eye(3)[:, None], np.eye(3))  # eps_ijk = (e_i x e_j)_k
 
 
 def l_dot_er_cross_xlm_residual(mode: ModeIndex, theta, phi):
@@ -363,25 +311,19 @@ def l_dot_er_cross_xlm_residual(mode: ModeIndex, theta, phi):
     With V_i = eps_{ijk} rhat_j X_k, each L_i V_i splits into the commutator
     term [L_i, rhat_j] = i eps_{ijm} rhat_m acting multiplicatively plus
     rhat_j (L_i X_k); both pieces are exact ladder evaluations at the point,
-    so the returned residual is pure rounding when the identity holds.
+    so the returned residual is pure rounding when the identity holds.  The
+    two pieces cancel only where rhat . L Y_lm = 0, so unlike the other
+    three checks this one tests the harmonic values themselves.
     """
-    theta, phi = _angles(theta, phi)
-    if mode.l == 0:
-        return np.zeros(np.broadcast(theta, phi).shape)
-    rhat = (
-        np.sin(theta) * np.cos(phi),
-        np.sin(theta) * np.sin(phi),
-        np.cos(theta),
-    )
-    xc = _cartesian_x_combos(mode)
-    x_vals = [_eval_combo(xc[k], theta, phi) for k in range(3)]
-    lx_vals = [
-        [_eval_combo(_OPS[i](xc[k]), theta, phi) for k in range(3)] for i in range(3)
-    ]
-    total = 0.0 + 0.0j
-    for (i, j, k), sign in _EPS3.items():
-        comm = 0.0 + 0.0j
-        for m2 in range(3):
-            comm += _EPS3.get((i, j, m2), 0.0) * rhat[m2]
-        total += sign * (1j * comm * x_vals[k] + rhat[j] * lx_vals[i][k])
+    theta, phi = np.broadcast_arrays(*_angles(theta, phi))
+    y = _ylm_row(mode.l, theta, phi)
+    st = np.sin(theta)
+    rhat = np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
+    ops = np.tensordot(_CARTESIAN, _ladder(mode.l), 1)  # Lx, Ly, Lz
+    x = ops[:, :, mode.l + mode.m] / math.sqrt(max(mode.l * (mode.l + 1), 1))
+    x_vals = np.tensordot(x, y, 1)  # X_k
+    lx_vals = np.tensordot(np.einsum("iab,kb->ika", ops, x), y, 1)  # L_i X_k
+    comm = 1j * np.tensordot(_LEVI_CIVITA, rhat, 1)  # [L_i, rhat_j]
+    total = np.einsum("ijk,ij...,k...->...", _LEVI_CIVITA, comm, x_vals)
+    total += np.einsum("ijk,j...,ik...->...", _LEVI_CIVITA, rhat, lx_vals)
     return np.abs(total)

@@ -1,5 +1,5 @@
-"""Special functions: scalar spherical harmonics, angular momentum ladder
-coefficients, and spherical Bessel/Hankel functions for complex arguments.
+"""Special functions: scalar spherical harmonics and spherical
+Bessel/Hankel functions for complex arguments.
 
 Conventions
 -----------
@@ -37,8 +37,6 @@ __all__ = [
     "ModeIndex",
     "RadialKind",
     "ylm",
-    "ladder_plus",
-    "ladder_minus",
     "spherical_radial_seq",
 ]
 
@@ -135,27 +133,9 @@ def ylm(mode: ModeIndex, theta, phi):
     return complex(out[()]) if out.ndim == 0 else out
 
 
-def ladder_plus(mode: ModeIndex):
-    """Coefficient and shifted mode for L+; (0.0, None) at the ladder top."""
-    if mode.m == mode.l:
-        return 0.0, None
-    c = math.sqrt((mode.l - mode.m) * (mode.l + mode.m + 1))
-    return c, ModeIndex(mode.l, mode.m + 1)
-
-
-def ladder_minus(mode: ModeIndex):
-    """Coefficient and shifted mode for L-; (0.0, None) at the ladder bottom."""
-    if mode.m == -mode.l:
-        return 0.0, None
-    c = math.sqrt((mode.l + mode.m) * (mode.l - mode.m + 1))
-    return c, ModeIndex(mode.l, mode.m - 1)
-
-
 # --- spherical Bessel machinery -------------------------------------------
 # The recursions run in l, with numpy across a 1-d array of arguments x;
 # entry n of a sequence array holds f_{n-1} at every x.
-
-_RESCALE = 1e250
 
 
 def _split(v, bits: int):
@@ -228,10 +208,11 @@ def _miller(lmax: int, x: np.ndarray, s, c, inv) -> np.ndarray:
     Downward Miller recursion, started past the turning point of the
     largest |x| by a margin growing like |x|^(1/3) so the trial sequence
     has converged to the minimal solution there (Gautschi 1967, SIAM
-    Rev. 9), and normalized against whichever of the closed forms j_0,
-    j_1 is larger (j_0 vanishes at x = n*pi).  A step grows the trial
-    values by at most |k/x| + 1; that bound decides when to look for
-    values past _RESCALE, and only those rescale.
+    Rev. 9), and normalized against j_0, or against j_1 where larger and
+    |x| >= 1 (j_0 vanishes at x = n*pi, never with |x| < pi, and j_1 =
+    j_0/x - cos(x)/x cancels at small x).  A step grows the trial values
+    by at most |k/x| + 1; where that bound would pass the double range,
+    each x's values are scaled exactly by the power of two of their size.
     """
     ax = np.abs(x)
     top = float(ax.max())
@@ -243,9 +224,9 @@ def _miller(lmax: int, x: np.ndarray, s, c, inv) -> np.ndarray:
     trial = np.zeros((lmax + 1,) + x.shape, dtype=complex)
     for n, q, g in zip(range(n_start, -1, -1), _quotients(ks, inv), growth):
         if bound + g > 1023.0:
-            v = np.where(np.maximum(abs(fp), abs(fc)) > _RESCALE, 1 / _RESCALE, 1.0)
-            fp, fc, trial = _lane(fp * v), _lane(fc * v), trial * v
-            bound = math.log2(_RESCALE)
+            v = np.ldexp(1.0, -np.frexp(np.maximum(abs(fp), abs(fc)))[1])
+            fp, fc = _lane(np.multiply(fp, v)), _lane(np.multiply(fc, v))
+            trial, bound = trial * v, 0.0
         fp, fc = fc, q * fc - fp
         bound += g
         if n <= lmax:
@@ -254,7 +235,7 @@ def _miller(lmax: int, x: np.ndarray, s, c, inv) -> np.ndarray:
     j1 = j0 / x - jm
     scale = j0 / trial[0]
     if lmax >= 1:
-        scale = np.where(np.abs(j1) > np.abs(j0), j1 / trial[1], scale)
+        scale = np.where((ax >= 1) & (np.abs(j1) > np.abs(j0)), j1 / trial[1], scale)
     return np.concatenate([jm[None], trial * scale])
 
 

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import mie_ab_mp
+
 Y00 = 0.28209479177387814
 
 
@@ -332,6 +334,25 @@ def test_solve_scatter_names_the_overflowing_function(tmp_path):
     assert res.stdout == ""
 
 
+def test_solve_scatter_at_a_tiny_radius_matches_mpmath(tmp_path):
+    # j_1 at the tiny interior argument came from a cancelled j_0/x - cos/x:
+    # interior l=1 c1 read (-6.8e34, -4.3e34) where radius 1e-10 gives
+    # (18/17, 2/3)
+    docs = {}
+    for radius in (1e-25, 1e-10):
+        cfg = dict(SCATTER, radius=radius, lmax=2)
+        res = run_cli("solve", "--config", write_config(tmp_path, "s.json", cfg))
+        assert res.returncode == 0, res.stderr
+        docs[radius] = json.loads(res.stdout)["modes"]
+    for mode, ref in zip(docs[1e-25], docs[1e-10]):
+        want = mie_ab_mp(1.5, 1e-25, mode["l"])
+        got = [-complex(*pair) for pair in mode["scattered_c1"]]
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-9 * max(map(abs, want))
+        for g, w in zip(mode["interior_c1"], ref["interior_c1"]):
+            assert complex(*g) == pytest.approx(complex(*w), rel=1e-12, abs=1e-12)
+
+
 def test_cli_import_loads_no_scipy():
     code = ("import sys, tensorwave.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -506,9 +527,10 @@ def test_solve_synthesize_with_a_non_finite_field_exits_1(tmp_path):
     )
 
 
-def test_solve_project_places_samples_by_angle(tmp_path, capsys):
+def _grid_field(tmp_path):
+    """A synthesized field CSV on the quadrature grid of lmax 2 at r = 2:
+    its path, header and rows."""
     from tensorwave.cli import main
-    from tensorwave.harmonics import QuadratureRule
 
     syn = {key: v for key, v in SYNTH.items() if key != "points"}
     syn["grid"] = {"r": 2.0, "quadrature_lmax": 2}
@@ -516,6 +538,14 @@ def test_solve_project_places_samples_by_angle(tmp_path, capsys):
     assert main(["solve", "--config", write_config(tmp_path, "s.json", syn),
                  "--format", "csv", "--out", str(field)]) == 0
     header, *rows = field.read_text().splitlines()
+    return field, header, rows
+
+
+def test_solve_project_places_samples_by_angle(tmp_path, capsys):
+    from tensorwave.cli import main
+    from tensorwave.harmonics import QuadratureRule
+
+    field, header, rows = _grid_field(tmp_path)
     proj = write_config(tmp_path, "p.json", dict(PROJECT, field=str(field)))
     assert main(["solve", "--config", proj]) == 0
     in_grid_order = capsys.readouterr().out
@@ -539,16 +569,58 @@ def test_solve_project_places_samples_by_angle(tmp_path, capsys):
     assert f"missing theta={float(th)!r}, phi={float(ph)!r}" in capsys.readouterr().err
 
 
+def test_solve_project_rejects_samples_at_two_tiny_radii(tmp_path, capsys):
+    # half the samples at r = 1e-13 and half at 3e-13 agree to 12 decimal
+    # places, so an absolute check took them for one radius
+    from tensorwave.cli import main
+
+    field, header, rows = _grid_field(tmp_path)
+    rows = [",".join(["1e-13" if i % 2 else "3e-13", *row.split(",")[1:]])
+            for i, row in enumerate(rows)]
+    field.write_text("\n".join([header, *rows]) + "\n")
+    proj = write_config(tmp_path, "p.json", dict(PROJECT, field=str(field)))
+    assert main(["solve", "--config", proj]) == 2
+    out = capsys.readouterr()
+    assert out == ("", "error: field samples must share a single radius\n")
+
+
+def test_solve_project_rejects_a_config_radius_off_the_file(tmp_path, capsys):
+    from tensorwave.cli import main
+
+    field, _, _ = _grid_field(tmp_path)
+    proj = write_config(tmp_path, "p.json", dict(PROJECT, field=str(field), r=2.5))
+    assert main(["solve", "--config", proj]) == 2
+    out = capsys.readouterr()
+    assert out == ("", "error: config r 2.5 does not match file radius 2.0\n")
+
+
+NO_POINTS = "'points' must be a non-empty list of [r, theta, phi]"
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"grid": {"r": 2.0, "quadrature_lmax": 2}},
+         "provide exactly one of 'points' or 'grid'"),
+        ({"points": None}, "provide exactly one of 'points' or 'grid'"),
+        ({"points": []}, NO_POINTS),
+        ({"points": {"r": 2.0}}, NO_POINTS),
+    ],
+)
+def test_solve_synthesize_rejects_bad_sample_specs(tmp_path, capsys, change, message):
+    from tensorwave.cli import main
+
+    cfg = {key: v for key, v in dict(SYNTH, **change).items() if v is not None}
+    assert main(["solve", "--config", write_config(tmp_path, "s.json", cfg)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_solve_project_rejects_non_finite_field_cell(tmp_path, capsys, cell):
     from tensorwave.cli import main
 
-    syn = {key: v for key, v in SYNTH.items() if key != "points"}
-    syn["grid"] = {"r": 2.0, "quadrature_lmax": 2}
-    field = tmp_path / "field.csv"
-    assert main(["solve", "--config", write_config(tmp_path, "s.json", syn),
-                 "--format", "csv", "--out", str(field)]) == 0
-    lines = field.read_text().splitlines()
+    field, header, rows = _grid_field(tmp_path)
+    lines = [header, *rows]
     cells = lines[3].split(",")
     cells[5] = cell  # e_theta_re of the third sample
     lines[3] = ",".join(cells)

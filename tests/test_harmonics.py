@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from oracles import ylm_ref
 from tensorwave.harmonics import (
     QuadratureRule,
+    _CARTESIAN,
+    _ladder,
     _legendre_table,
     _theta_columns,
     flm,
@@ -18,7 +20,7 @@ from tensorwave.harmonics import (
     lz_check,
     xlm,
 )
-from tensorwave.specfun import ModeIndex, ladder_minus, ladder_plus, ylm
+from tensorwave.specfun import ModeIndex, ylm
 from tensorwave.tensor3 import E_R, IDENTITY, adjoint, det, dual, dyad, trace
 
 modes = st.integers(min_value=0, max_value=8).flatmap(
@@ -82,16 +84,14 @@ def test_xlm_has_no_radial_part(mode, p):
 @settings(max_examples=60, deadline=None)
 @given(modes, interior_points)
 def test_radial_projection_of_angular_momentum_vanishes(mode, p):
-    # independent ladder reconstruction of L Y_lm; its e_r component
+    # independent ladder reconstruction of L Y_lm from the ladder matrices
+    # and single-mode Y; its e_r component
     # sin(t)cos(f) Lx + sin(t)sin(f) Ly + cos(t) Lz must vanish
     theta, phi = p
-    cp, up = ladder_plus(mode)
-    cm, dn = ladder_minus(mode)
-    yp = cp * ylm(up, theta, phi) if up else 0.0
-    ym = cm * ylm(dn, theta, phi) if dn else 0.0
-    lx = (yp + ym) / 2.0
-    ly = (yp - ym) / 2j
-    lz = mode.m * ylm(mode, theta, phi)
+    l = mode.l
+    y = np.array([ylm(ModeIndex(l, m), theta, phi) for m in range(-l, l + 1)])
+    ops = np.tensordot(_CARTESIAN, _ladder(l), 1)  # Lx, Ly, Lz
+    lx, ly, lz = ops[:, :, l + mode.m] @ y
     st_, ct = math.sin(theta), math.cos(theta)
     sf, cf = math.sin(phi), math.cos(phi)
     radial = st_ * cf * lx + st_ * sf * ly + ct * lz
@@ -328,3 +328,34 @@ def test_eigenrelation_checks():
 def test_l_dot_relations(mode, p):
     assert l_dot_xlm_residual(mode, *p) < 1e-10
     assert l_dot_er_cross_xlm_residual(mode, *p) < 1e-10
+
+
+def test_l_dot_er_cross_check_sees_a_wrong_harmonic(monkeypatch, rng):
+    # negative control: order 2 of every Legendre value scaled by 1 + 1e-6.
+    # The product-rule pieces of L . (e_r x X) cancel only for true
+    # harmonics, so the residual must rise well past rounding; the other
+    # three checks test the ladder algebra alone and stay at rounding
+    from tensorwave import harmonics, specfun
+
+    thetas = rng.uniform(0.05, math.pi - 0.05, 50)
+    phis = rng.uniform(0.0, 2.0 * math.pi, 50)
+
+    def worst():
+        return max(
+            np.max(l_dot_er_cross_xlm_residual(ModeIndex(l, m), thetas, phis))
+            for l in range(5)
+            for m in range(-l, l + 1)
+        )
+
+    assert worst() < 1e-13
+    exact = specfun._norm_legendre
+
+    def skewed(lmax, lo, hi, ct, st):
+        p = exact(lmax, lo, hi, ct, st)
+        if lo <= 2 <= hi:
+            p[:, 2 - lo] *= 1.0 + 1e-6
+        return p
+
+    monkeypatch.setattr(specfun, "_norm_legendre", skewed)
+    monkeypatch.setattr(harmonics, "_norm_legendre", skewed)
+    assert worst() > 1e-9

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,13 +15,12 @@ from oracles import (
     spherical_y_ref,
     ylm_ref,
 )
+from tensorwave.harmonics import _ladder
 from tensorwave.specfun import (
     ModeIndex,
     RadialKind,
     _f_and_d,
     _radial_pair,
-    ladder_minus,
-    ladder_plus,
     spherical_radial_seq,
     ylm,
 )
@@ -110,37 +110,42 @@ def test_ylm_conjugation_symmetry(mode, ang):
 
 
 def test_ladder_explicit_cases():
-    coeff, shifted = ladder_plus(ModeIndex(1, 1))
-    assert coeff == 0.0 and shifted is None
-    coeff, shifted = ladder_plus(ModeIndex(1, 0))
-    assert coeff == pytest.approx(math.sqrt(2.0)) and shifted == ModeIndex(1, 1)
-    coeff, shifted = ladder_minus(ModeIndex(2, -1))
-    assert coeff == pytest.approx(2.0) and shifted == ModeIndex(2, -2)
-    coeff, shifted = ladder_minus(ModeIndex(2, -2))
-    assert coeff == 0.0 and shifted is None
+    # harmonics._ladder: the (2l+1)-square L+, L-, Lz over Y_{l,-l} .. Y_{l,l}
+    lp, lm, lz = _ladder(1)
+    assert lp.shape == (3, 3) and not lp[:, 2].any()  # L+ Y_11 = 0
+    assert lp[2, 1] == pytest.approx(math.sqrt(2.0))  # L+ Y_10 -> Y_11
+    assert np.count_nonzero(lp) == 2 and np.array_equal(lm, lp.T)
+    assert np.array_equal(lz, np.diag([-1.0, 0.0, 1.0]))
+    lp, lm, _ = _ladder(2)
+    assert lm[0, 1] == pytest.approx(2.0)  # L- Y_{2,-1} -> Y_{2,-2}
+    assert not lm[:, 0].any()  # L- Y_{2,-2} = 0
+    assert _ladder(0)[0].shape == (1, 1) and not any(a.any() for a in _ladder(0))
 
 
 @given(modes)
 def test_ladder_round_trip(mode):
     l, m = mode.l, mode.m
-    up, up_mode = ladder_plus(mode)
-    if up_mode is None:
-        assert m == l
-        return
-    down, down_mode = ladder_minus(up_mode)
-    assert down_mode == mode
-    assert up * down == pytest.approx((l - m) * (l + m + 1), rel=1e-13)
+    lp, lm, _ = _ladder(l)
+    down_up = np.diag(lm @ lp)
+    assert down_up[l + m] == pytest.approx((l - m) * (l + m + 1), rel=1e-13, abs=0)
+    # L- L+ is diagonal: each Y_lm comes back to itself
+    assert np.array_equal(lm @ lp, np.diag(down_up))
 
 
 @settings(max_examples=100)
 @given(modes, angles)
 def test_ladder_action_matches_scipy(mode, ang):
     th, ph = ang
-    coeff, shifted = ladder_plus(mode)
-    if shifted is not None:
-        want = coeff * ylm_ref(shifted.l, shifted.m, th, ph)
-        got = coeff * ylm(shifted, th, ph)
-        assert got == pytest.approx(want, abs=1e-12)
+    l = mode.l
+    coeffs = _ladder(l)[0][:, l + mode.m]  # L+ Y_lm over Y_{l,-l} .. Y_{l,l}
+    orders = range(-l, l + 1)
+    want = sum(c * ylm_ref(l, mp, th, ph) for mp, c in zip(orders, coeffs))
+    got = sum(c * ylm(ModeIndex(l, mp), th, ph) for mp, c in zip(orders, coeffs))
+    assert got == pytest.approx(want, abs=1e-12)
+    if mode.m < l:
+        assert coeffs[l + mode.m + 1] == pytest.approx(
+            math.sqrt((l - mode.m) * (l + mode.m + 1)), rel=1e-15
+        )
 
 
 def test_spherical_radial_closed_forms():
@@ -240,6 +245,35 @@ def test_bessel_j_sequence_matches_mpmath_at_large_argument(x):
     for l in (0, 1, 5, 40, 100, 200):
         j, y = spherical_jy_mp(l, x)
         assert abs(f[l] - j) <= 1e-13 * (abs(j) + abs(y))
+
+
+@pytest.mark.parametrize("lmax", [1, 4, 16])
+@pytest.mark.parametrize("complex_arg", [False, True])
+def test_bessel_j_matches_its_series_at_tiny_argument(lmax, complex_arg):
+    # j_1 = j_0/x - cos(x)/x cancels to rounding of size eps/|x| below
+    # |x| ~ 1e-16, and one Miller step grows the trial values by up to
+    # 2^1000 at |x| = 1e-300: normalizing on it gave j_0(1e-42) = -4.6e68,
+    # and a fixed rescale overflowed ("bessel_j overflowed ... l=0")
+    rng = np.random.default_rng(lmax + 100 * complex_arg)
+    x = 10.0 ** rng.uniform(-300.0, -8.0, 300)
+    if complex_arg:
+        x = x * np.exp(1j * rng.uniform(0.0, math.pi / 2, 300))
+    tiny = np.finfo(float).tiny
+
+    def j(v):
+        return spherical_radial_seq(RadialKind.BESSEL_J, lmax, v)[0]
+
+    # one call for every x at once, and single x (a scalar lane)
+    for f in (j(x), np.array([j(v) for v in x[:10]]).T):
+        for xv, col in zip(x, f.T):
+            z = mpmath.mpc(xv)
+            for l, got in enumerate(col):
+                # x^l / (2l+1)!! (1 - x^2 / (2(2l+3))); the next term is below 1e-32
+                want = complex(z**l / mpmath.fac2(2 * l + 1) * (1 - z**2 / (4 * l + 6)))
+                if abs(want) >= tiny:
+                    assert abs(got - want) <= 1e-14 * abs(want), (xv, l)
+                else:
+                    assert abs(got) < tiny, (xv, l)
 
 
 @pytest.mark.parametrize("x", [50 + 11.4j, 20 + 30j, 5 + 40j])

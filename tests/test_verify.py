@@ -1,6 +1,7 @@
 import pytest
 
 from tensorwave.verify import (
+    _SUITES,
     invariants_suite,
     maxwell_suite,
     ortho_suite,
@@ -63,3 +64,14 @@ def test_run_suite_rejects_bad_arguments():
         run_suite("ortho", lmax=0)
     with pytest.raises(ValueError, match="positive"):
         run_suite("ortho", tol=-1.0)
+
+
+@pytest.mark.parametrize("name", sorted(_SUITES))
+def test_every_suite_passes_at_its_cap(name):
+    # maxwell's difference steps once stayed fixed while the fields vary on
+    # the scale r / l: wtheta_ode_residual failed from lmax 12 on and
+    # curl_equations from lmax 20
+    cap = _SUITES[name][1]
+    lmax, report = run_suite(name, lmax=cap)
+    assert lmax == cap
+    assert_clean_report(report)
