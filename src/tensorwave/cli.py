@@ -39,11 +39,12 @@ from .parsing import (
     complex_pairs,
     degree,
     integer,
+    kind_pair,
     quadrature_degree,
     real,
     require_keys,
 )
-from .specfun import ModeIndex, RadialKind, ylm
+from .specfun import ModeIndex, ylm
 from .synthesis import (
     KINDS,
     WaveTable,
@@ -194,16 +195,6 @@ def _waves_from_config(entries) -> WaveTable:
         return WaveTable(*map(np.concatenate, zip(*rows)))
 
 
-def _kinds_from(raw) -> tuple:
-    if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
-        raise ValueError("'kinds' must be a pair of kind names")
-    try:
-        return (RadialKind(raw[0]), RadialKind(raw[1]))
-    except ValueError:
-        valid = sorted(k.value for k in RadialKind)
-        raise ValueError(f"radial kinds must be among {valid}") from None
-
-
 def _quadrature_points(r: float, rule: QuadratureRule) -> np.ndarray:
     """(r, theta, phi) rows of the rule's grid, theta-major."""
     tt, pp = np.meshgrid(rule.thetas, rule.phis, indexing="ij")
@@ -299,7 +290,7 @@ def _solve_project(cfg: dict, fmt: str):
     med = Medium.from_dict(cfg["medium"])
     lq = quadrature_degree(cfg["quadrature_lmax"], 1)
     rule = QuadratureRule.for_degree(lq)
-    kinds = _kinds_from(cfg.get("kinds", ["hankel1", "hankel2"]))
+    kinds = kind_pair(cfg.get("kinds", ["hankel1", "hankel2"]), "'kinds'")
     if "modes" in cfg:
         raw = cfg["modes"]
         if not isinstance(raw, list) or not raw:

@@ -27,10 +27,11 @@ from .parsing import (
     complex_pairs,
     degree,
     integer,
+    kind_pair,
     real,
     require_keys,
 )
-from .specfun import ModeIndex, RadialKind
+from .specfun import ModeIndex
 from .synthesis import KINDS, WaveTable
 
 __all__ = [
@@ -197,11 +198,9 @@ def read_field_json(fp) -> tuple:
 def _wave_from_dict(rec: dict) -> WaveTable:
     """The one-wave table of a config's wave entry, each fault named."""
     require_keys(rec, ("l", "m", "c1", "kinds"), ("c2",), what="wave")
-    kinds = rec["kinds"]
-    if not (isinstance(kinds, (list, tuple)) and len(kinds) == 2):
-        raise ValueError("wave 'kinds' must be a pair of kind names")
+    kinds = kind_pair(rec["kinds"], "wave 'kinds'")
     c1 = complex_pairs(rec["c1"], 2, "c1")
     c2 = complex_pairs(rec.get("c2", [[0.0, 0.0], [0.0, 0.0]]), 2, "c2")
     mode = ModeIndex(degree(rec["l"], "l"), integer(rec["m"], "m"))
-    codes = [KINDS.index(RadialKind(kind)) for kind in kinds]
+    codes = [KINDS.index(kind) for kind in kinds]
     return WaveTable([mode.l], [mode.m], [[c1, c2]], [codes])

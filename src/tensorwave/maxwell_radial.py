@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .parsing import complex_pair, real, require_keys
-from .specfun import RadialKind, spherical_radial_seq
+from .specfun import _PAIR, RadialKind, _f_and_d, _radial_pair
 
 # the smallest normal double: below it j_l has lost precision to gradual underflow
 _TINY = np.finfo(float).tiny
@@ -200,6 +200,25 @@ def _basis(f1, d1, f2, d2, k: float, r, med: Medium) -> np.ndarray:
     return np.stack(_tangential(f1, d1, f2, d2, k, r, med, np.eye(4)), axis=-2)
 
 
+def _pair_seqs(xs: np.ndarray, tops, scaled: bool = False) -> list:
+    """(f, d(x f)/dx) over [l, x] of j_l, then of h1_l, to the largest l of
+    `tops` each (-1: one row of zeros), from one `_radial_pair` pass at
+    the 1-d array xs = n k r, where Im x >= 0 makes every kind a j + b h1
+    with (a, b) = `_PAIR[kind][0]`.  With `scaled` the pair is e^{ix} j_l
+    and e^{-ix} h1_l, in the double range for any Im x.
+    """
+    t, *parts = _radial_pair(xs, [(top, top) for top in tops], scaled)
+    out = []
+    for name, part in zip(("bessel_j", "hankel1"), parts):
+        if part is None:
+            out.append((np.zeros((1, len(xs))),) * 2)
+        elif name == "hankel1" and not scaled:  # e^{-ix} h1_l times e^{ix}
+            out.append(_f_and_d(name, xs, part[1] * np.exp(1j * t * xs)))
+        else:
+            out.append(_f_and_d(name, xs, part[1]))
+    return out
+
+
 def fundamental_matrix(
     l,
     kind1: RadialKind,
@@ -214,7 +233,7 @@ def fundamental_matrix(
     (c1_theta, c1_phi, c2_theta, c2_phi); rows to (rH_theta, rH_phi,
     rE_theta, rE_phi).  See `_tangential` for the entries.  `l` may be an
     array of degrees; the result then has its shape followed by (4, 4),
-    from one `spherical_radial_seq` per kind up to the largest l.
+    from one `_pair_seqs` pass; a kind's zero weight skips its part.
     """
     ls = np.asarray(l)
     if np.any(ls < 1):
@@ -222,17 +241,20 @@ def fundamental_matrix(
     if not r > 0:
         raise ValueError("r must be positive")
     k = _as_k(k)
-    x = med.n * k * r
-    lmax = int(ls.max())
-    f1, d1 = spherical_radial_seq(kind1, lmax, x)
-    f2, d2 = (f1, d1) if kind2 is kind1 else spherical_radial_seq(kind2, lmax, x)
-    return _basis(f1[ls], d1[ls], f2[ls], d2[ls], k, r, med)
+    weights = [_PAIR[kind][0] for kind in (kind1, kind2)]
+    tops = np.where(np.any(weights, axis=0), int(ls.max()), -1)
+    pair = _pair_seqs(np.array([med.n * k * r]), tops)
+    f_d = [
+        sum(w * seq[i][ls, 0] for w, seq in zip(ab, pair) if w)
+        for ab in weights for i in (0, 1)
+    ]
+    return _basis(*f_d, k, r, med)
 
 
 def _transfers(l: int, k: float, shells) -> list:
     """Transfer matrices T on u = rW across each homogeneous (r_from,
-    r_to, med) of `shells`, from one scaled sequence per kind for all of
-    their ends.
+    r_to, med) of `shells`, from one scaled pair pass (`_pair_seqs`) for
+    all of their ends.
 
     T = Phi(r_to) Phi(r_from)^-1 for any solution basis Phi.  The basis
     is the regular and outgoing pair (j, h1), which stays well
@@ -254,8 +276,7 @@ def _transfers(l: int, k: float, shells) -> list:
             raise OverflowError(f"transfer across [{a}, {b}] overflows")
     ends = [(r, med) for a, b, med in shells for r in (b, a)]
     x = np.array([med.n * k * r for r, med in ends])
-    f1, d1 = spherical_radial_seq(RadialKind.BESSEL_J, l, x, scaled=True)
-    f2, d2 = spherical_radial_seq(RadialKind.HANKEL1, l, x, scaled=True)
+    (f1, d1), (f2, d2) = _pair_seqs(x, (l, l), scaled=True)
     small = ~(np.abs(f1[l]) > _TINY)
     if small.any():
         bad = complex(x[np.argmax(small)])
@@ -309,8 +330,8 @@ def propagate(
     `profile` may be a RadialProfile or a bare Medium.  The profile is
     piecewise constant, so the exact transfer is the product of one
     closed-form transfer per shell crossed (`_transfers`), from one
-    scaled sequence per kind for every shell; W is continuous across
-    every boundary.
+    scaled pair pass for every shell; W is continuous across every
+    boundary.
     Inward propagation (r_to < r_from) is allowed.  Raises OverflowError
     when a radial function or the state leaves the double range.
     """

@@ -2,7 +2,8 @@
 
 Every number, integer, [re, im] pair and keyed object read from a config
 or artifact goes through these functions, so non-finite and non-integral
-values are rejected alike everywhere, with a ValueError naming the key.
+values are rejected alike everywhere, with a ValueError naming the key;
+`kind_pair` reads a pair of radial kind names.
 `degree` also caps a degree l at MAX_DEGREE, and `quadrature_degree` a
 quadrature grid at MAX_GRID_POINTS.  `_csv_table` and `_pairs`
 are the matching encoders for CSV tables and JSON pairs.
@@ -13,6 +14,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .specfun import RadialKind
 
 # the largest degree l a config may ask for: radial sequences and angular
 # tables grow linearly with it.  A scatter at k * radius = 1e5 (default
@@ -122,3 +125,14 @@ def complex_pairs(v, n: int, key: str) -> list:
     if not (isinstance(v, (list, tuple)) and len(v) == n):
         raise ValueError(f"{key} must be a list of {n} [re, im] pairs, got {v!r}")
     return [complex_pair(p, key) for p in v]
+
+
+def kind_pair(v, key: str) -> tuple:
+    """Two RadialKind from a list of two kind names."""
+    if not (isinstance(v, (list, tuple)) and len(v) == 2):
+        raise ValueError(f"{key} must be a pair of kind names, got {v!r}")
+    valid = [kind.value for kind in RadialKind]
+    for name in v:
+        if name not in valid:
+            raise ValueError(f"{key} entry {name!r} must be one of {valid}")
+    return RadialKind(v[0]), RadialKind(v[1])

@@ -251,7 +251,7 @@ def _radial_pair(xs: np.ndarray, tops, scaled: bool = False) -> tuple:
     e^{itx} with `scaled`, of modulus e^{-|Im x|} (past |Im x| = 300 from
     seeds in e^{2itx}, with no cancellation), h^(t) times e^{-itx} either
     way; a value past the double range is inf or nan.  An x = 0 runs as
-    1, for the caller to replace; a non-finite x raises ValueError.
+    1, for `_f_and_d` to replace; a non-finite x raises ValueError.
     """
     finite = np.isfinite(xs)
     if not finite.all():
@@ -285,11 +285,18 @@ def _radial_pair(xs: np.ndarray, tops, scaled: bool = False) -> tuple:
 
 def _f_and_d(name: str, xs: np.ndarray, g: np.ndarray) -> tuple:
     """(f_l, d(x f_l)/dx) for l = 0 .. from g, whose entry n holds f_{n-1}
-    at xs, or OverflowError naming `name`, the first x past the double
-    range and its l (inf - inf is nan, so both are caught)."""
+    at xs, with the limits of j_l at an x = 0; ValueError there for any
+    other kind, and OverflowError naming `name`, the first x past the
+    double range and its l (inf - inf is nan, so both are caught)."""
+    zero = xs == 0
+    if zero.any() and name != "bessel_j":
+        raise ValueError(f"{name} is singular at x = 0")
     f = g[1:]
     with np.errstate(over="ignore", invalid="ignore"):
         d_rf = xs * g[:-1] - np.arange(len(f))[:, None] * f
+    # j_0(0) = 1, j_l(0) = 0; x*j_l ~ x^{l+1}/(2l+1)!! near 0
+    f[:, zero] = d_rf[:, zero] = 0.0
+    f[0, zero] = d_rf[0, zero] = 1.0
     ok = np.isfinite(f) & np.isfinite(d_rf)
     if not ok.all():
         i, l = np.argwhere(~ok.T)[0]
@@ -309,13 +316,7 @@ _PAIR = {
     RadialKind.HANKEL1: ((0, 1), (2, -1)),
     RadialKind.HANKEL2: ((2, -1), (0, 1)),
 }
-# the scaled form of h^(s) is e^{-isx} h^(s)
-_SIGMA = {RadialKind.HANKEL1: -1.0, RadialKind.HANKEL2: 1.0}
-
-
-def spherical_radial_seq(
-    kind: RadialKind, lmax: int, x, scaled: bool = False
-) -> tuple:
+def spherical_radial_seq(kind: RadialKind, lmax: int, x) -> tuple:
     """Spherical radial functions f_l(x) and d(x f_l)/dx for l = 0 .. lmax.
 
     f is j_l, y_l, h_l^(1) = j_l + i y_l, or h_l^(2) = j_l - i y_l.  The
@@ -330,39 +331,23 @@ def spherical_radial_seq(
     a relative error of e^{2|Im x|}, or by an upward recursion that
     amplifies rounding against a growing companion.
 
-    With `scaled`, both arrays come multiplied by a factor that removes
-    the exponential dependence on Im x, so they stay in the double range
-    for any Im x: e^{-ix} for h^(1) and e^{+ix} for h^(2), which leaves
-    their slowly varying 1/x terms, and for j_l e^{ix} when Im x >= 0 and
-    e^{-ix} otherwise, of modulus e^{-|Im x|}.  y_l has no scaled form.
-
     Raises ValueError at a non-finite x and, for the kinds singular
     there, at x = 0; OverflowError naming the first such x and its l when
     an entry leaves the double range (large l at small |x| for the
-    singular kinds, |Im x| above about 710 unscaled).
+    singular kinds, |Im x| above about 710).
     """
     if lmax < 0:
         raise ValueError(f"l must be >= 0, got {lmax}")
-    if scaled and kind is RadialKind.BESSEL_Y:
-        raise ValueError("bessel_y has no scaled form")
     shape = np.shape(x)
     xs = np.asarray(x, dtype=complex).ravel()
-    t, j, h = _radial_pair(xs, np.where(np.array(_PAIR[kind]) != 0, lmax, -1).T, scaled)
-    zero = xs == 0
-    if zero.any() and kind is not RadialKind.BESSEL_J:
-        raise ValueError(f"{kind.value} is singular at x = 0")
+    t, j, h = _radial_pair(xs, np.where(np.array(_PAIR[kind]) != 0, lmax, -1).T)
     a, b = (np.where(t > 0, *ab) for ab in zip(*_PAIR[kind]))
     g = np.zeros((lmax + 2,) + xs.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         if j is not None:
             g[:, j[0]] = a[j[0]] * j[1]
         if h is not None:
-            # e^{-itx} h^(t), times e^{itx} unscaled and e^{i(t - s)x} for
-            # the scaled h^(s)
-            on, shift = h[0], t + _SIGMA[kind] if scaled else t
-            g[:, on] += h[1] * (b[on] * np.exp(1j * shift[on] * xs[on]))
+            on = h[0]  # e^{-itx} h^(t), times e^{itx}
+            g[:, on] += h[1] * (b[on] * np.exp(1j * t[on] * xs[on]))
     f, d_rf = _f_and_d(kind.value, xs, g)
-    # j_0(0) = 1, j_l(0) = 0; x*j_l ~ x^{l+1}/(2l+1)!! near 0
-    f[:, zero] = d_rf[:, zero] = 0.0
-    f[0, zero] = d_rf[0, zero] = 1.0
     return f.reshape((lmax + 1,) + shape), d_rf.reshape((lmax + 1,) + shape)

@@ -13,19 +13,20 @@ where the tangential parts of El, Hl come from the closed-form radial
 blocks and the radial parts from the longitudinal reconstruction.  Every
 radial kind is a fixed combination of the pair (j_l, h1_l) from the table
 `specfun._PAIR`, so each wave's (c1, c2) is mapped once onto that pair,
-and one radial pass (`specfun._radial_pair`) builds j and h1 for every
-distinct radius.  Each F_lm is a theta-part times e^{i m phi}, so
-synthesis sorts the waves by order once and, in one vectorized pass over
-the distinct (r, theta) rows, forms every wave's state and theta-parts
-and sums them per order with one `np.add.reduceat`.  The phase stage
-then sums over the orders without a pass per order: points on a product
-grid of rows and angles phi take one `np.tensordot` into that (phi, row)
-grid, scattered points one contraction point by point.  Waves go in
-blocks of whole orders of bounded size, each with its own Legendre table
-of just its orders.  Projection inverts this with the angular Gram
-identity of F_lm: one sum over phi for every order at once, then one
-contraction over the theta nodes of a quadrature sphere at fixed radius
-for every mode, from one Legendre table per call.
+and one radial pass (`maxwell_radial._pair_seqs`, the builder every
+radial basis shares) makes j and h1 for every distinct radius.  Each
+F_lm is a theta-part times e^{i m phi}, so synthesis sorts the waves by
+order once and, in one vectorized pass over the distinct (r, theta)
+rows, forms every wave's state and theta-parts and sums them per order
+with one `np.add.reduceat`.  The phase stage then sums over the orders
+without a pass per order: points on a product grid of rows and angles
+phi take one `np.tensordot` into that (phi, row) grid, scattered points
+one contraction point by point.  Waves go in blocks of whole orders of
+bounded size, each with its own Legendre table of just its orders.
+Projection inverts this with the angular Gram identity of F_lm: one sum
+over phi for every order at once, then one contraction over the theta
+nodes of a quadrature sphere at fixed radius for every mode, from one
+Legendre table per call.
 """
 
 from __future__ import annotations
@@ -39,10 +40,11 @@ from .harmonics import QuadratureRule, _legendre_table, _theta_columns
 from .maxwell_radial import (
     Medium,
     _as_k,
+    _pair_seqs,
     _tangential,
     fundamental_matrix,
 )
-from .specfun import _PAIR, RadialKind, _check_theta, _f_and_d, _radial_pair
+from .specfun import _PAIR, RadialKind, _check_theta
 
 __all__ = [
     "KINDS",
@@ -104,32 +106,6 @@ class WaveTable:
         return len(self.l)
 
 
-def _pair_tables(waves: WaveTable, k: float, radii, med: Medium) -> tuple:
-    """The waves on the (j, h1) pair, and that pair at x = n k r for all radii.
-
-    Every kind is a j_l + b h1_l with (a, b) = `_PAIR[kind][0]`, as
-    Im(n k r) >= 0, so a wave with coefficients (c1, c2) on its kinds
-    (K1, K2) has (a1 c1 + a2 c2, b1 c1 + b2 c2) on (j, h1).  Returns those
-    as an array of shape (len(waves), 4) and, for j then h1, (f, d(x f)/dx
-    / r) over [l, radius] from one `_radial_pair`.  A part runs to the
-    largest l of a wave whose kinds use it; a part no wave uses is a
-    single row of zeros.
-    """
-    ab = np.array([_PAIR[kind][0] for kind in KINDS], dtype=complex)[waves.kinds]
-    tops = [waves.l[used].max(initial=-1) for used in (ab != 0).any(axis=1).T]
-    xs = med.n * k * np.asarray(radii, dtype=complex)
-    t, *parts = _radial_pair(xs, [(top, top) for top in tops])
-    tables = []
-    for name, part in zip(("bessel_j", "hankel1"), parts):
-        if part is None:
-            tables.append(np.zeros((2, 1, len(xs))))
-            continue
-        seq = part[1] * np.exp(1j * t * xs) if name == "hankel1" else part[1]
-        f, d = _f_and_d(name, xs, seq)
-        tables.append((f, d / radii))
-    return np.einsum("wkp,wkc->wpc", ab, waves.c).reshape(-1, 4), tables
-
-
 def synthesize(waves: WaveTable, k, med: Medium, points) -> tuple:
     """Evaluate the summed field of `waves` at the given (r, theta, phi) points.
 
@@ -183,8 +159,15 @@ def synthesize(waves: WaveTable, k, med: Medium, points) -> tuple:
             blocks.append(a)
     edges = [*blocks, len(ms)]
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs, tables = _pair_tables(waves, k, radii, med)
-        coeffs = coeffs[by_order]
+        # every kind is a j_l + b h1_l with (a, b) = `_PAIR[kind][0]`, as
+        # Im(n k r) >= 0, so a wave's (c1, c2) on its kinds (K1, K2) is (a1
+        # c1 + a2 c2, b1 c1 + b2 c2) on (j, h1), and each of j and h1 runs
+        # to the largest l of a wave whose kinds use it
+        ab = np.array([_PAIR[kind][0] for kind in KINDS], dtype=complex)[waves.kinds]
+        coeffs = np.einsum("wkp,wkc->wpc", ab, waves.c).reshape(-1, 4)[by_order]
+        tops = [waves.l[used].max(initial=-1) for used in (ab != 0).any(axis=1).T]
+        xs = med.n * k * np.asarray(radii, dtype=complex)
+        tables = [(f, d / radii) for f, d in _pair_seqs(xs, tops)]
         for a, b in zip(edges, edges[1:]):
             l, m = ls[a:b], ms[a:b]
             first = starts[(starts >= a) & (starts < b)]
@@ -293,8 +276,12 @@ def recover_coefficients(
     for `modes`; only their tangential parts enter (the radial parts are
     determined by them and serve as a consistency check elsewhere).
     Returns (c1, c2), arrays of shape (len(modes), 2) in the order of
-    `modes`.
+    `modes`.  One kind twice, a singular basis, raises ValueError.
     """
+    if kinds[0] is kinds[1]:
+        raise ValueError(
+            f"kinds must name two different kinds, got {kinds[0].value} twice"
+        )
     ls = np.array([mode.l for mode in modes])
     hl = np.asarray(hl, dtype=complex)
     el = np.asarray(el, dtype=complex)
@@ -304,8 +291,8 @@ def recover_coefficients(
         c = np.linalg.solve(phi, u[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
-            f"radial basis {kinds} is degenerate at r={r}; cannot recover "
-            "coefficients"
+            f"radial basis {tuple(kind.value for kind in kinds)} is degenerate "
+            f"at r={r}; cannot recover coefficients"
         ) from exc
     return c[:, 0:2], c[:, 2:4]
 

@@ -180,9 +180,10 @@ def radial_mp(l, x):
 
 
 def scaled_radial_mp(kind, l, x):
-    """(f_l, d(x f_l)/dx) times the factor of scaled `spherical_radial_seq`:
-    e^{i t x} with t = +1 if Im x >= 0 else -1 for "bessel_j", and
-    e^{-i sign x} for the Hankel kinds (sign +1 for "hankel1")."""
+    """(f_l, d(x f_l)/dx) times the factor of the scaled radial pair
+    (`specfun._radial_pair` with `scaled`): e^{i t x} with t = +1 if
+    Im x >= 0 else -1 for "bessel_j", and e^{-i sign x} for the Hankel
+    kinds (sign +1 for "hankel1")."""
     with mpmath.workdps(30 + int(abs(complex(x).imag))):
         z = mpmath.mpc(x)
         j, dj, y, dy = _jy_mp(l, z)

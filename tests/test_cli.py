@@ -18,9 +18,18 @@ from oracles import mie_ab_mp
 Y00 = 0.28209479177387814
 
 
+def src_env(**extra) -> dict:
+    """The environment of a subprocess that imports tensorwave from this
+    checkout: pyproject's pythonpath does not reach it."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def run_cli(*argv, env_extra=None, timeout=None):
     # pyproject's filterwarnings does not reach the subprocess
-    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
+    env = src_env(PYTHONWARNINGS="error::RuntimeWarning")
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -357,7 +366,7 @@ def test_cli_import_loads_no_scipy():
     code = ("import sys, tensorwave.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, timeout=60)
+                         text=True, timeout=60, env=src_env())
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
 
@@ -442,51 +451,46 @@ def test_solve_scatter_rejects_a_default_lmax_past_the_cap(tmp_path, capsys):
     )
 
 
+def _count_radial_passes(monkeypatch, calls):
+    """Record (args, tops, scaled) of every `specfun._radial_pair` pass,
+    through the per-kind function and the pair builder alike."""
+    from tensorwave import maxwell_radial, specfun
+
+    pair = specfun._radial_pair
+
+    def counted(xs, tops, scaled=False):
+        calls.append((np.asarray(xs).tolist(), np.asarray(tops).tolist(), scaled))
+        return pair(xs, tops, scaled)
+
+    for module in (specfun, maxwell_radial):
+        monkeypatch.setattr(module, "_radial_pair", counted)
+
+
 def test_solve_scatter_builds_one_radial_sequence_per_kind_and_argument(
     tmp_path, capsys, monkeypatch
 ):
-    from tensorwave import maxwell_radial, specfun, synthesis
     from tensorwave.cli import main
 
     calls = []
-    seq = specfun.spherical_radial_seq
-
-    def counted(kind, lmax, x, *args, **kwargs):
-        calls.append((kind.value, complex(x)))
-        return seq(kind, lmax, x, *args, **kwargs)
-
-    for module in (specfun, maxwell_radial):
-        monkeypatch.setattr(module, "spherical_radial_seq", counted)
+    _count_radial_passes(monkeypatch, calls)
     cfg = write_config(tmp_path, "s.json", dict(SCATTER, lmax=40))
     assert main(["solve", "--config", cfg]) == 0
     assert len(json.loads(capsys.readouterr().out)["modes"]) == 40
-    # j_l inside the sphere, j_l and h1_l in the host, each once for every l
-    assert sorted(calls, key=str) == [
-        ("bessel_j", 1.0 + 0j), ("bessel_j", 1.5 + 0j), ("hankel1", 1.0 + 0j)
+    # one pass of j_l inside the sphere, one of j_l and h1_l in the host,
+    # each for every l
+    assert calls == [
+        ([1.5 + 0j], [[40, 40], [-1, -1]], False),
+        ([1.0 + 0j], [[40, 40], [40, 40]], False),
     ]
 
 
 def test_solve_synthesize_builds_only_the_j_and_h1_sequences(
     tmp_path, capsys, monkeypatch
 ):
-    from tensorwave import maxwell_radial, specfun, synthesis
     from tensorwave.cli import main
 
     calls = []
-    pair = specfun._radial_pair
-
-    def counted(kind, lmax, x, *args, **kwargs):
-        calls.append((kind.value, np.shape(x)))
-        return seq(kind, lmax, x, *args, **kwargs)
-
-    def counted_pair(xs, tops, *args, **kwargs):
-        calls.append(("pair", np.shape(xs), np.asarray(tops).tolist()))
-        return pair(xs, tops, *args, **kwargs)
-
-    seq = specfun.spherical_radial_seq
-    for module in (specfun, maxwell_radial):
-        monkeypatch.setattr(module, "spherical_radial_seq", counted)
-    monkeypatch.setattr(synthesis, "_radial_pair", counted_pair)
+    _count_radial_passes(monkeypatch, calls)
     # nearfield-shaped: every wave l <= 6 with two of the four kinds, at
     # 120 points of distinct radii
     kinds = ["bessel_j", "bessel_y", "hankel1", "hankel2"]
@@ -506,9 +510,11 @@ def test_solve_synthesize_builds_only_the_j_and_h1_sequences(
     cfg = write_config(tmp_path, "s.json", cfg)
     assert main(["solve", "--config", cfg, "--format", "csv"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 121
-    # every kind is a combination of j and h1, both built by one pair
-    # call over all 120 radii, and no kind is built by itself
-    assert calls == [("pair", (120,), [[6, 6], [6, 6]])]
+    # every kind is a combination of j and h1, both built by one pass over
+    # all 120 radii, and no kind is built by itself
+    assert [(len(xs), tops, scaled) for xs, tops, scaled in calls] == [
+        (120, [[6, 6], [6, 6]], False)
+    ]
 
 
 def test_solve_synthesize_with_a_non_finite_field_exits_1(tmp_path):
@@ -539,6 +545,40 @@ def _grid_field(tmp_path):
                  "--format", "csv", "--out", str(field)]) == 0
     header, *rows = field.read_text().splitlines()
     return field, header, rows
+
+
+@pytest.mark.parametrize("kind", ["hankel2", "bessel_j"])
+def test_solve_project_rejects_one_kind_twice(tmp_path, capsys, kind):
+    # the basis of one kind twice is singular: hankel2 twice printed c1 of
+    # about 1e15 with exit 0, as rounding hid it, and bessel_j twice
+    # exited 1 naming the kinds by their enum reprs
+    from tensorwave.cli import main
+
+    field, _, _ = _grid_field(tmp_path)
+    cfg = dict(PROJECT, field=str(field), kinds=[kind, kind])
+    assert main(["solve", "--config", write_config(tmp_path, "p.json", cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: kinds must name two different kinds, got {kind} twice\n"
+
+
+@pytest.mark.parametrize("task", ["synthesize", "project"])
+def test_a_bad_kind_name_gets_one_message_for_waves_and_project(tmp_path, capsys,
+                                                                 task):
+    # one kind-pair parser: a wave said "'foo' is not a valid RadialKind",
+    # the project kinds "radial kinds must be among [...]"
+    from tensorwave.cli import main
+
+    if task == "synthesize":
+        cfg = dict(SYNTH, waves=[dict(WAVE, kinds=["foo", "hankel1"])])
+        key = "wave 'kinds'"
+    else:
+        cfg, key = dict(PROJECT, kinds=["foo", "hankel1"]), "'kinds'"
+    assert main(["solve", "--config", write_config(tmp_path, "c.json", cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {key} entry 'foo' must be one of "
+        "['bessel_j', 'bessel_y', 'hankel1', 'hankel2']\n"
+    )
 
 
 def test_solve_project_places_samples_by_angle(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from oracles import propagate_mp, propagate_rk
 from tensorwave.maxwell_radial import (
     Medium,
     RadialProfile,
+    _basis,
     fundamental_matrix,
     longitudinal_components,
     propagate,
@@ -291,21 +293,54 @@ def test_propagate_matches_mpmath_in_absorbing_shells(l, case):
     assert err <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "med",
+    [Medium(1.0, 1.0), Medium(2.25 + 0.4j, 1.0), Medium(-10 + 1j, 1.0),
+     Medium(1.7689, 1.21)],
+    ids=["vacuum", "absorbing", "metal", "magnetic"],
+)
+def test_fundamental_matrix_matches_the_per_kind_route(med):
+    # every kind is a j + b h1 of one pair pass; the reference is `_basis`
+    # of each kind evaluated by itself through `spherical_radial_seq`
+    k, ls = 1.0, np.arange(1, 41)
+    for r in (1e-3, 0.3, 1.0, 7.0, 60.0):
+        seqs = {kind: spherical_radial_seq(kind, 40, med.n * k * r)
+                for kind in RadialKind}
+        for kind1, kind2 in itertools.product(RadialKind, repeat=2):
+            (f1, d1), (f2, d2) = seqs[kind1], seqs[kind2]
+            want = _basis(f1[ls], d1[ls], f2[ls], d2[ls], k, r, med)
+            got = fundamental_matrix(ls, kind1, kind2, k, r, med)
+            if {kind1, kind2} <= {J, H1}:
+                assert got.tobytes() == want.tobytes(), (r, kind1, kind2)
+            else:
+                scale = np.abs(want).max(axis=-2, keepdims=True)
+                assert np.all(np.abs(got - want) <= 1e-15 * scale), (r, kind1, kind2)
+
+
+def test_fundamental_matrix_where_n_k_r_underflows_to_zero():
+    # the pair pass runs x = 0 as 1: j_l and x j_l must still take their
+    # limits there, 0 for l >= 1, and h1 must be reported singular
+    vacuum = Medium(1.0, 1.0)
+    assert not fundamental_matrix([1, 3], J, J, 1e-200, 1e-200, vacuum).any()
+    with pytest.raises(ValueError, match="hankel1 is singular at x = 0"):
+        fundamental_matrix(1, J, H1, 1e-200, 1e-200, vacuum)
+
+
 def test_propagate_builds_one_scaled_sequence_per_kind(monkeypatch):
-    # every shell boundary of the profile goes into one batch per kind
+    # every shell end of the profile goes into one scaled pass of j and h1
     from tensorwave import maxwell_radial
 
     calls = []
-    seq = maxwell_radial.spherical_radial_seq
+    pair = maxwell_radial._radial_pair
 
-    def counted(kind, lmax, x, *args, **kwargs):
-        calls.append((kind.value, np.shape(x), kwargs.get("scaled")))
-        return seq(kind, lmax, x, *args, **kwargs)
+    def counted(xs, tops, scaled=False):
+        calls.append((np.shape(xs), np.asarray(tops).tolist(), scaled))
+        return pair(xs, tops, scaled)
 
-    monkeypatch.setattr(maxwell_radial, "spherical_radial_seq", counted)
+    monkeypatch.setattr(maxwell_radial, "_radial_pair", counted)
     prof, w = _stress_profile(7)
     got = propagate(8, 1.0, prof, 0.5, 60.0, w)
-    assert sorted(calls) == [("bessel_j", (16,), True), ("hankel1", (16,), True)]
+    assert calls == [((16,), [[8, 8], [8, 8]], True)]
     ref = propagate_mp(8, 1.0, prof, 0.5, 60.0, w)
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 

@@ -16,6 +16,7 @@ from oracles import (
     ylm_ref,
 )
 from tensorwave.harmonics import _ladder
+from tensorwave.maxwell_radial import _pair_seqs
 from tensorwave.specfun import (
     ModeIndex,
     RadialKind,
@@ -290,22 +291,31 @@ def test_hankel_sequence_matches_mpmath_at_complex_argument(kind, sign, x):
         assert abs(d[l] - dh) <= 1e-13 * abs(dh)
 
 
-@pytest.mark.parametrize("x", [0.3 + 0.1j, 7.0, 20 + 30j, 3 + 800j, 3 - 800j])
-@pytest.mark.parametrize(
-    "kind", [RadialKind.BESSEL_J, RadialKind.HANKEL1, RadialKind.HANKEL2]
-)
+def scaled_pair(x, lmax):
+    """t and (f_l, d(x f_l)/dx) of the scaled pair e^{itx} j_l and
+    e^{-itx} h_l^(t) for l = 0 .. lmax at the array x, from one pass."""
+    xs = np.atleast_1d(np.asarray(x, dtype=complex))
+    t, (_, j), (_, h) = _radial_pair(xs, [(lmax, lmax)] * 2, scaled=True)
+    return t, _f_and_d("bessel_j", xs, j), _f_and_d("hankel", xs, h)
+
+
+X_UPPER = [0.3 + 0.1j, 7.0, 20 + 30j, 3 + 800j]
+
+
+@pytest.mark.parametrize("kind, x", [
+    *((RadialKind.BESSEL_J, x) for x in [*X_UPPER, 3 - 800j]),
+    *((RadialKind.HANKEL1, x) for x in X_UPPER),
+    (RadialKind.HANKEL2, 3 - 800j),
+])
 def test_scaled_sequence_matches_mpmath(kind, x):
-    # the factor keeps every value in range, even where e^{|Im x|} is not
-    f, d = spherical_radial_seq(kind, 10, x, scaled=True)
+    # the factor keeps every value in range, even where e^{|Im x|} is not;
+    # h^(t) is h1 in the upper half plane and h2 in the lower
+    _, j, h = scaled_pair(x, 10)
+    f, d = j if kind is RadialKind.BESSEL_J else h
     for l in (0, 1, 5, 10):
         g, dg = scaled_radial_mp(kind.value, l, x)
-        assert abs(f[l] - g) <= 1e-13 * abs(g)
-        assert abs(d[l] - dg) <= 1e-13 * abs(dg)
-
-
-def test_scaled_sequence_rejects_bessel_y():
-    with pytest.raises(ValueError, match="no scaled form"):
-        spherical_radial_seq(RadialKind.BESSEL_Y, 3, 1.0, scaled=True)
+        assert abs(f[l, 0] - g) <= 1e-13 * abs(g)
+        assert abs(d[l, 0] - dg) <= 1e-13 * abs(dg)
 
 
 def test_sequence_entries_agree_for_every_kind():
@@ -336,16 +346,15 @@ def test_overflow_signaled():
     ],
 )
 def test_non_finite_argument_is_rejected(kind, x, shown):
-    # one ValueError naming the argument, for every kind, scaled or not;
+    # one ValueError naming the argument, for every kind and the scaled pair;
     # before, the Miller start or the overflow check failed on it unevenly
     want = "x must be finite, got x=" + shown
     with pytest.raises(ValueError) as info:
         spherical_radial_seq(kind, 5, x)
     assert str(info.value) == want
-    if kind is not RadialKind.BESSEL_Y:
-        with pytest.raises(ValueError) as info:
-            spherical_radial_seq(kind, 5, x, scaled=True)
-        assert str(info.value) == want
+    with pytest.raises(ValueError) as info:
+        scaled_pair(x, 5)
+    assert str(info.value) == want
 
 
 # one batch spanning |x| from 1e-3 to 1e3, real and complex with |Im x| up
@@ -388,32 +397,40 @@ def test_sequence_over_an_array_of_arguments_matches_mpmath(kind, batch_mp):
 
 @pytest.mark.parametrize("scaled", [False, True])
 def test_radial_pair_is_bessel_j_and_hankel1_bit_for_bit(scaled):
-    # in the upper half plane the pair (j, h^(t)) is (j, h1); one call
-    # builds both, and each matches its own kind exactly, past |Im x| = 300
+    # in the upper half plane the pair (j, h^(t)) is (j, h1); one pass of
+    # the builder every radial basis uses makes both, each exactly as a
+    # pass for it alone and, unscaled, as its own kind, past |Im x| = 300
     xs = np.array([0.3 + 0.1j, 7.0, 20 + 30j, 3 + 300j, 250 + 299j, 40 + 310j,
                    1e3 + 10j, 5 + 650j])
-    t, (j_at, j), (h_at, h) = _radial_pair(xs, [(30, 30), (30, 30)], scaled)
-    assert t.tolist() == [1.0] * len(xs) and j_at.all() and h_at.all()
-    h = h if scaled else h * np.exp(1j * t * xs)
-    for kind, seq in ((RadialKind.BESSEL_J, j), (RadialKind.HANKEL1, h)):
-        got = _f_and_d(kind.value, xs, seq)
-        want = spherical_radial_seq(kind, 30, xs, scaled=scaled)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    pair = _pair_seqs(xs, (30, 30), scaled)
+    for i, kind in enumerate((RadialKind.BESSEL_J, RadialKind.HANKEL1)):
+        wants = [_pair_seqs(xs, (30, -1) if i == 0 else (-1, 30), scaled)[i]]
+        if not scaled:
+            wants.append(spherical_radial_seq(kind, 30, xs))
+        for want in wants:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(pair[i], want))
 
 
 @pytest.mark.parametrize(
     "kind", [RadialKind.BESSEL_J, RadialKind.HANKEL1, RadialKind.HANKEL2]
 )
 def test_scaled_sequence_over_an_array_of_arguments(kind):
-    f, d = spherical_radial_seq(kind, 20, X_SCALED, scaled=True)
-    for i, x in enumerate(X_SCALED):
-        fs, ds = spherical_radial_seq(kind, 20, x, scaled=True)
+    # h^(t) is checked where it is `kind`: h1 above the real axis, h2 below
+    t, j, h = scaled_pair(X_SCALED, 20)
+    if kind is RadialKind.BESSEL_J:
+        (f, d), part, at = j, 1, t != 0
+    else:
+        (f, d), part, at = h, 2, t == (1 if kind is RadialKind.HANKEL1 else -1)
+    assert at.any()
+    for i in np.flatnonzero(at):
+        x = X_SCALED[i]
+        fs, ds = scaled_pair(x, 20)[part]
         for l in range(21):
             g, dg = scaled_radial_mp(kind.value, l, x)
             assert abs(f[l, i] - g) <= 1e-13 * abs(g), (x, l)
             assert abs(d[l, i] - dg) <= 1e-13 * abs(dg), (x, l)
-            assert abs(f[l, i] - fs[l]) <= 1e-14 * abs(g), (x, l)
-            assert abs(d[l, i] - ds[l]) <= 1e-14 * abs(dg), (x, l)
+            assert abs(f[l, i] - fs[l, 0]) <= 1e-14 * abs(g), (x, l)
+            assert abs(d[l, i] - ds[l, 0]) <= 1e-14 * abs(dg), (x, l)
 
 
 def test_sequence_keeps_the_shape_of_its_argument():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import curl_fd, div_fd, mie_ab, mie_ab_mp
-from tensorwave import synthesis
+from tensorwave import maxwell_radial, synthesis
 from tensorwave.harmonics import QuadratureRule, flm
 from tensorwave.maxwell_radial import Medium, _tangential, longitudinal_components
 from tensorwave.specfun import ModeIndex, RadialKind, spherical_radial_seq
@@ -223,13 +223,13 @@ def test_synthesize_runs_each_radial_part_only_as_far_as_its_waves(monkeypatch):
     # h1_80 at x = 1e-3 is past the double range, but only the l = 2 wave
     # uses h1; a superposition of j waves alone builds j alone
     calls = []
-    pair = synthesis._radial_pair
+    pair = maxwell_radial._radial_pair
 
     def counted(xs, tops, *args, **kwargs):
         calls.append((np.shape(xs), np.asarray(tops).tolist()))
         return pair(xs, tops, *args, **kwargs)
 
-    monkeypatch.setattr(synthesis, "_radial_pair", counted)
+    monkeypatch.setattr(maxwell_radial, "_radial_pair", counted)
     waves = [wave(80, 3, (1.0, 0.5), (0.2j, 0.0), kinds=(J, J)),
              wave(2, 1, (0.3, 0.0), (0.0, 0.7), kinds=(J, H1))]
     pts = [[1e-3, 0.9, 0.4], [1e-3, 2.0, 1.0], [2e-3, 2.0, 1.0]]
@@ -359,6 +359,21 @@ def test_projection_round_trip(rng):
     for (c1, c2), got1, got2 in zip(coeffs.values(), *got):
         assert np.max(np.abs(got1 - c1)) < 1e-10
         assert np.max(np.abs(got2 - c2)) < 1e-10
+
+
+def test_recover_coefficients_names_a_degenerate_basis_by_kind_values(monkeypatch):
+    # it named them by their enum reprs, <RadialKind.BESSEL_J: 'bessel_j'>
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(RuntimeError) as info:
+        recover_coefficients(np.ones((1, 3)), np.ones((1, 3)), [ModeIndex(1, 0)],
+                             1.0, 2.0, VACUUM, (J, H1))
+    assert str(info.value) == (
+        "radial basis ('bessel_j', 'hankel1') is degenerate at r=2.0; cannot "
+        "recover coefficients"
+    )
 
 
 def test_projection_cross_mode_leakage():
