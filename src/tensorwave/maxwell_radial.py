@@ -204,18 +204,18 @@ def _pair_seqs(xs: np.ndarray, tops, scaled: bool = False) -> list:
     """(f, d(x f)/dx) over [l, x] of j_l, then of h1_l, to the largest l of
     `tops` each (-1: one row of zeros), from one `_radial_pair` pass at
     the 1-d array xs = n k r, where Im x >= 0 makes every kind a j + b h1
-    with (a, b) = `_PAIR[kind][0]`.  With `scaled` the pair is e^{ix} j_l
-    and e^{-ix} h1_l, in the double range for any Im x.
+    with (a, b) = `_PAIR[kind]`.  With `scaled` the pair is e^{ix} j_l
+    and e^{-ix} h1_l, in the double range for any Im x >= 0.
     """
-    t, *parts = _radial_pair(xs, [(top, top) for top in tops], scaled)
+    parts = _radial_pair(xs, tops, scaled)
     out = []
     for name, part in zip(("bessel_j", "hankel1"), parts):
         if part is None:
             out.append((np.zeros((1, len(xs))),) * 2)
         elif name == "hankel1" and not scaled:  # e^{-ix} h1_l times e^{ix}
-            out.append(_f_and_d(name, xs, part[1] * np.exp(1j * t * xs)))
+            out.append(_f_and_d(name, xs, part * np.exp(1j * xs)))
         else:
-            out.append(_f_and_d(name, xs, part[1]))
+            out.append(_f_and_d(name, xs, part))
     return out
 
 
@@ -241,7 +241,7 @@ def fundamental_matrix(
     if not r > 0:
         raise ValueError("r must be positive")
     k = _as_k(k)
-    weights = [_PAIR[kind][0] for kind in (kind1, kind2)]
+    weights = [_PAIR[kind] for kind in (kind1, kind2)]
     tops = np.where(np.any(weights, axis=0), int(ls.max()), -1)
     pair = _pair_seqs(np.array([med.n * k * r]), tops)
     f_d = [

@@ -17,12 +17,13 @@ in l, run for a range of orders at once (each seeded from the
 double-factorial closed form of its sectoral term), which is stable for
 every |m| <= l at the orders handled here.  Spherical Bessel functions
 come as whole sequences in l for an array of arguments at once, valid for
-complex arguments, from one pair: j_l by downward Miller recursion and
-h_l^(t), the Hankel kind that decays into the half plane of x, by upward
-recursion, both built by one `_radial_pair` pass that shares the check
-of x, the sign t and the split of 1/x.  Every kind is a fixed
-combination a j_l + b h_l^(t) of that pair, read from the one table
-`_PAIR`.
+complex arguments.  An argument below the real axis is served by the
+conjugate symmetry f(x) = conj(f*(conj x)), f* the kind with h1 and h2
+swapped, so the recursions run in the upper half plane only, from one
+pair: j_l by downward Miller recursion and h1_l, which decays there, by
+upward recursion, both built by one `_radial_pair` pass that shares the
+check of x and the split of 1/x.  Every kind is a fixed combination
+a j_l + b h1_l of that pair, read from the one table `_PAIR`.
 """
 
 from __future__ import annotations
@@ -239,48 +240,39 @@ def _miller(lmax: int, x: np.ndarray, s, c, inv) -> np.ndarray:
     return np.concatenate([jm[None], trial * scale])
 
 
-def _radial_pair(xs: np.ndarray, tops, scaled: bool = False) -> tuple:
-    """j_l and h_l^(t) at the 1-d complex array xs, from one check of xs,
-    one sign t (+1 where Im x >= 0, else -1) and one split of 1/x that
-    both recursions share.
+def _radial_pair(xs: np.ndarray, tops, scaled: bool = False) -> list:
+    """j_l and h1_l at the 1-d complex array xs, Im x >= 0, from one check
+    of xs and one split of 1/x that both recursions share.
 
-    `tops` holds, for each part (j, h^(t)), the largest l wanted where
-    t = +1 and where t = -1, or -1 for none.
-    Returns t and, per part, None or (at, seq): the mask of the x where
-    it runs and its values there for l = -1 .. its top.  j comes times
-    e^{itx} with `scaled`, of modulus e^{-|Im x|} (past |Im x| = 300 from
-    seeds in e^{2itx}, with no cancellation), h^(t) times e^{-itx} either
-    way; a value past the double range is inf or nan.  An x = 0 runs as
-    1, for `_f_and_d` to replace; a non-finite x raises ValueError.
+    `tops` holds the largest l wanted of each part (j, h1), or -1 for
+    none.  Returns, per part, None or its values for l = -1 .. its top at
+    every x.  j comes times e^{ix} with `scaled`, of modulus e^{-Im x}
+    (past Im x = 300 from seeds in e^{2ix}, with no cancellation), h1
+    times e^{-ix} either way; a value past the double range is inf or
+    nan.  An x = 0 runs as 1, for `_f_and_d` to replace; a non-finite x
+    raises ValueError.
     """
     finite = np.isfinite(xs)
     if not finite.all():
         raise ValueError(f"x must be finite, got x={complex(xs[~finite][0])}")
     x = np.where(xs == 0, 1.0, xs)
-    t = np.where(x.imag >= 0, 1.0, -1.0)
     parts = []
     with np.errstate(over="ignore", invalid="ignore"):
         inv = _inverse(x)
-        for p, (up, down) in enumerate(tops):
-            top = np.where(t > 0, up, down)
-            at = top >= 0
-            if not at.any():
+        for p, top in enumerate(tops):
+            if top < 0:
                 parts.append(None)
-                continue
-            xa, ta, lmax = x[at], t[at], int(top.max())
-            inv_at = tuple(v[at] for v in inv)
-            if p == 1:
-                seq = _upward(1.0 / xa, -1j * ta / xa, lmax, inv_at)
+            elif p == 1:
+                parts.append(_upward(1.0 / x, -1j / x, top, inv))
             elif scaled:
-                w, e2 = np.exp(1j * ta * xa), np.exp(2j * ta * xa)
-                far = np.abs(xa.imag) >= 300.0
-                s = np.where(far, ta * (e2 - 1.0) / 2j, w * np.sin(xa))
-                c = np.where(far, (e2 + 1.0) / 2.0, w * np.cos(xa))
-                seq = _miller(lmax, xa, s, c, inv_at)
+                w, e2 = np.exp(1j * x), np.exp(2j * x)
+                far = x.imag >= 300.0
+                s = np.where(far, (e2 - 1.0) / 2j, w * np.sin(x))
+                c = np.where(far, (e2 + 1.0) / 2.0, w * np.cos(x))
+                parts.append(_miller(top, x, s, c, inv))
             else:
-                seq = _miller(lmax, xa, np.sin(xa), np.cos(xa), inv_at)
-            parts.append((at, seq))
-    return t, *parts
+                parts.append(_miller(top, x, np.sin(x), np.cos(x), inv))
+    return parts
 
 
 def _f_and_d(name: str, xs: np.ndarray, g: np.ndarray) -> tuple:
@@ -306,16 +298,21 @@ def _f_and_d(name: str, xs: np.ndarray, g: np.ndarray) -> tuple:
     return f, d_rf
 
 
-# f_l = a j_l + b h_l^(t) for every kind, t = +1 where Im x >= 0 and -1
-# elsewhere: h^(t) is the Hankel kind that decays into the half plane of x,
-# y_l = i t (j_l - h_l^(t)) and h_l^(-t) = 2 j_l - h_l^(t).  Entry [0] holds
-# (a, b) for t = +1, entry [1] for t = -1.
+# f_l = a j_l + b h1_l for every kind at Im x >= 0: y_l = i (j_l - h1_l)
+# and h2_l = 2 j_l - h1_l.
 _PAIR = {
-    RadialKind.BESSEL_J: ((1, 0), (1, 0)),
-    RadialKind.BESSEL_Y: ((1j, -1j), (-1j, 1j)),
-    RadialKind.HANKEL1: ((0, 1), (2, -1)),
-    RadialKind.HANKEL2: ((2, -1), (0, 1)),
+    RadialKind.BESSEL_J: (1, 0),
+    RadialKind.BESSEL_Y: (1j, -1j),
+    RadialKind.HANKEL1: (0, 1),
+    RadialKind.HANKEL2: (2, -1),
 }
+# f(x) = conj(f*(conj x)), with f* the kind of f with h1 and h2 swapped
+_MIRROR = {
+    RadialKind.HANKEL1: RadialKind.HANKEL2,
+    RadialKind.HANKEL2: RadialKind.HANKEL1,
+}
+
+
 def spherical_radial_seq(kind: RadialKind, lmax: int, x) -> tuple:
     """Spherical radial functions f_l(x) and d(x f_l)/dx for l = 0 .. lmax.
 
@@ -325,11 +322,13 @@ def spherical_radial_seq(kind: RadialKind, lmax: int, x) -> tuple:
     d(r f(n k r))/dr exactly.  `x` is a scalar or an array; returns two
     complex arrays of shape (lmax + 1,) + x.shape for every l and every x.
 
-    f = a j + b h^(t) with (a, b) from `_PAIR`, the pair coming from one
-    `_radial_pair` that runs j only at the x where a != 0 and h^(t) only
-    where b != 0.  So no kind is formed as j_l +- i y_l, which cancels to
-    a relative error of e^{2|Im x|}, or by an upward recursion that
-    amplifies rounding against a growing companion.
+    An x with Im x < 0 is served as conj(f*(conj x)), f* the kind with h1
+    and h2 swapped (j and y map to themselves), so every x goes to the
+    upper half plane, where f = a j + b h1 with (a, b) from `_PAIR`, the
+    pair coming from one `_radial_pair` pass; a part enters f only at the
+    x where its weight is nonzero.  So no kind is formed as j_l +- i y_l,
+    which cancels to a relative error of e^{2|Im x|}, or by an upward
+    recursion that amplifies rounding against a growing companion.
 
     Raises ValueError at a non-finite x and, for the kinds singular
     there, at x = 0; OverflowError naming the first such x and its l when
@@ -340,14 +339,19 @@ def spherical_radial_seq(kind: RadialKind, lmax: int, x) -> tuple:
         raise ValueError(f"l must be >= 0, got {lmax}")
     shape = np.shape(x)
     xs = np.asarray(x, dtype=complex).ravel()
-    t, j, h = _radial_pair(xs, np.where(np.array(_PAIR[kind]) != 0, lmax, -1).T)
-    a, b = (np.where(t > 0, *ab) for ab in zip(*_PAIR[kind]))
+    low = (xs.imag < 0) & np.isfinite(xs)  # `_radial_pair` names a non-finite x
+    z = np.where(low, xs.conj(), xs)
+    mirror = _PAIR[_MIRROR.get(kind, kind)]
+    a, b = (np.where(low, *ab) for ab in zip(mirror, _PAIR[kind]))
+    j, h1 = _radial_pair(z, [lmax if w.any() else -1 for w in (a, b)])
     g = np.zeros((lmax + 2,) + xs.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         if j is not None:
-            g[:, j[0]] = a[j[0]] * j[1]
-        if h is not None:
-            on = h[0]  # e^{-itx} h^(t), times e^{itx}
-            g[:, on] += h[1] * (b[on] * np.exp(1j * t[on] * xs[on]))
+            on = a != 0
+            g[:, on] = a[on] * j[:, on]
+        if h1 is not None:
+            on = b != 0  # e^{-ix} h1 times e^{ix}
+            g[:, on] += h1[:, on] * (b[on] * np.exp(1j * z[on]))
+    g[:, low] = g[:, low].conj()
     f, d_rf = _f_and_d(kind.value, xs, g)
     return f.reshape((lmax + 1,) + shape), d_rf.reshape((lmax + 1,) + shape)

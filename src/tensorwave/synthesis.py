@@ -159,11 +159,11 @@ def synthesize(waves: WaveTable, k, med: Medium, points) -> tuple:
             blocks.append(a)
     edges = [*blocks, len(ms)]
     with np.errstate(over="ignore", invalid="ignore"):
-        # every kind is a j_l + b h1_l with (a, b) = `_PAIR[kind][0]`, as
+        # every kind is a j_l + b h1_l with (a, b) = `_PAIR[kind]`, as
         # Im(n k r) >= 0, so a wave's (c1, c2) on its kinds (K1, K2) is (a1
         # c1 + a2 c2, b1 c1 + b2 c2) on (j, h1), and each of j and h1 runs
         # to the largest l of a wave whose kinds use it
-        ab = np.array([_PAIR[kind][0] for kind in KINDS], dtype=complex)[waves.kinds]
+        ab = np.array([_PAIR[kind] for kind in KINDS], dtype=complex)[waves.kinds]
         coeffs = np.einsum("wkp,wkc->wpc", ab, waves.c).reshape(-1, 4)[by_order]
         tops = [waves.l[used].max(initial=-1) for used in (ab != 0).any(axis=1).T]
         xs = med.n * k * np.asarray(radii, dtype=complex)

@@ -14,10 +14,7 @@ import numpy as np
 
 __all__ = [
     "E_R",
-    "E_THETA",
-    "E_PHI",
     "IDENTITY",
-    "dyad",
     "dual",
     "trace",
     "det",
@@ -31,15 +28,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 E_R = _frozen(np.array([1.0, 0.0, 0.0], dtype=complex))
-E_THETA = _frozen(np.array([0.0, 1.0, 0.0], dtype=complex))
-E_PHI = _frozen(np.array([0.0, 0.0, 1.0], dtype=complex))
 
 IDENTITY = _frozen(np.eye(3, dtype=complex))
-
-
-def dyad(u, v) -> np.ndarray:
-    """Outer product u (x) v with components u_i v_j."""
-    return np.outer(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
 
 
 def dual(v) -> np.ndarray:

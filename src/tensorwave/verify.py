@@ -91,7 +91,7 @@ def ortho_suite(lmax: int = 4, tol: float = 1e-10) -> list:
     gy, gx, gc = _grams(lmax, rule)
     eye = np.eye(len(gy))
     eye_x = eye.copy()
-    eye_x[0, 0] = 0.0  # X_00 = 0: the (0,0) tensor self-Gram is dyad(e_r, e_r)
+    eye_x[0, 0] = 0.0  # X_00 = 0: the (0,0) tensor self-Gram is e_r(x)e_r
     err_y = np.max(np.abs(gy - eye))
     err_f = max(err_y, np.max(np.abs(gx - eye_x)), np.max(np.abs(gc)))
     err_x = np.max(np.abs(gx[1:, 1:] - eye[1:, 1:]))

@@ -40,11 +40,15 @@ def mie_ab(m, x, nmax):
 
     Riccati-Bessel functions psi, chi from scipy; the logarithmic
     derivative D_n(mx) by downward recurrence, which stays stable below
-    the turning point where upward recursion of psi(mx) does not.
+    the turning point where upward recursion of psi(mx) does not.  It
+    starts past that turning point by a margin growing like |mx|^(1/3),
+    as Miller recursion in `specfun._miller` does: a fixed margin of 16
+    left b_n off by 2.2 relative at m = 1.33, x = 1000.
     """
     m = complex(m)
     x = float(x)
-    nmx = int(max(nmax, abs(m * x)) + 16)
+    top = abs(m * x)
+    nmx = int(max(nmax, top) + 16 + 10.0 * (top / 2.0) ** (1.0 / 3.0))
     d = np.zeros(nmx + 1, dtype=complex)
     for nn in range(nmx, 1, -1):
         d[nn - 1] = nn / (m * x) - 1.0 / (d[nn] + nn / (m * x))
@@ -181,9 +185,10 @@ def radial_mp(l, x):
 
 def scaled_radial_mp(kind, l, x):
     """(f_l, d(x f_l)/dx) times the factor of the scaled radial pair
-    (`specfun._radial_pair` with `scaled`): e^{i t x} with t = +1 if
-    Im x >= 0 else -1 for "bessel_j", and e^{-i sign x} for the Hankel
-    kinds (sign +1 for "hankel1")."""
+    (`specfun._radial_pair` with `scaled`, conjugated below the real
+    axis): for "bessel_j" e^{ix} where Im x >= 0 and e^{-ix} elsewhere,
+    of modulus e^{-|Im x|}, e^{-ix} for "hankel1" and e^{ix} for
+    "hankel2"."""
     with mpmath.workdps(30 + int(abs(complex(x).imag))):
         z = mpmath.mpc(x)
         j, dj, y, dy = _jy_mp(l, z)

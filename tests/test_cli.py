@@ -451,46 +451,27 @@ def test_solve_scatter_rejects_a_default_lmax_past_the_cap(tmp_path, capsys):
     )
 
 
-def _count_radial_passes(monkeypatch, calls):
-    """Record (args, tops, scaled) of every `specfun._radial_pair` pass,
-    through the per-kind function and the pair builder alike."""
-    from tensorwave import maxwell_radial, specfun
-
-    pair = specfun._radial_pair
-
-    def counted(xs, tops, scaled=False):
-        calls.append((np.asarray(xs).tolist(), np.asarray(tops).tolist(), scaled))
-        return pair(xs, tops, scaled)
-
-    for module in (specfun, maxwell_radial):
-        monkeypatch.setattr(module, "_radial_pair", counted)
-
-
 def test_solve_scatter_builds_one_radial_sequence_per_kind_and_argument(
-    tmp_path, capsys, monkeypatch
+    tmp_path, capsys, radial_passes
 ):
     from tensorwave.cli import main
 
-    calls = []
-    _count_radial_passes(monkeypatch, calls)
     cfg = write_config(tmp_path, "s.json", dict(SCATTER, lmax=40))
     assert main(["solve", "--config", cfg]) == 0
     assert len(json.loads(capsys.readouterr().out)["modes"]) == 40
     # one pass of j_l inside the sphere, one of j_l and h1_l in the host,
     # each for every l
-    assert calls == [
-        ([1.5 + 0j], [[40, 40], [-1, -1]], False),
-        ([1.0 + 0j], [[40, 40], [40, 40]], False),
+    assert radial_passes == [
+        ([1.5 + 0j], [40, -1], False),
+        ([1.0 + 0j], [40, 40], False),
     ]
 
 
 def test_solve_synthesize_builds_only_the_j_and_h1_sequences(
-    tmp_path, capsys, monkeypatch
+    tmp_path, capsys, radial_passes
 ):
     from tensorwave.cli import main
 
-    calls = []
-    _count_radial_passes(monkeypatch, calls)
     # nearfield-shaped: every wave l <= 6 with two of the four kinds, at
     # 120 points of distinct radii
     kinds = ["bessel_j", "bessel_y", "hankel1", "hankel2"]
@@ -512,8 +493,8 @@ def test_solve_synthesize_builds_only_the_j_and_h1_sequences(
     assert len(capsys.readouterr().out.splitlines()) == 121
     # every kind is a combination of j and h1, both built by one pass over
     # all 120 radii, and no kind is built by itself
-    assert [(len(xs), tops, scaled) for xs, tops, scaled in calls] == [
-        (120, [[6, 6], [6, 6]], False)
+    assert [(len(xs), tops, scaled) for xs, tops, scaled in radial_passes] == [
+        (120, [6, 6], False)
     ]
 
 

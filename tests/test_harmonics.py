@@ -21,7 +21,7 @@ from tensorwave.harmonics import (
     xlm,
 )
 from tensorwave.specfun import ModeIndex, ylm
-from tensorwave.tensor3 import E_R, IDENTITY, adjoint, det, dual, dyad, trace
+from tensorwave.tensor3 import E_R, IDENTITY, adjoint, det, dual, trace
 
 modes = st.integers(min_value=0, max_value=8).flatmap(
     lambda l: st.integers(min_value=-l, max_value=l).map(lambda m: ModeIndex(l, m))
@@ -213,7 +213,7 @@ def test_xlm_pole_limit_matches_interior_approach():
 def test_flm_l0_is_rank_one():
     for p in SAMPLES:
         f = flm(ModeIndex(0, 0), *p)
-        want = (1.0 / math.sqrt(4 * math.pi)) * dyad(E_R, E_R)
+        want = (1.0 / math.sqrt(4 * math.pi)) * np.outer(E_R, E_R)
         assert np.allclose(f, want, atol=1e-16)
 
 

@@ -326,21 +326,13 @@ def test_fundamental_matrix_where_n_k_r_underflows_to_zero():
         fundamental_matrix(1, J, H1, 1e-200, 1e-200, vacuum)
 
 
-def test_propagate_builds_one_scaled_sequence_per_kind(monkeypatch):
+def test_propagate_builds_one_scaled_sequence_per_kind(radial_passes):
     # every shell end of the profile goes into one scaled pass of j and h1
-    from tensorwave import maxwell_radial
-
-    calls = []
-    pair = maxwell_radial._radial_pair
-
-    def counted(xs, tops, scaled=False):
-        calls.append((np.shape(xs), np.asarray(tops).tolist(), scaled))
-        return pair(xs, tops, scaled)
-
-    monkeypatch.setattr(maxwell_radial, "_radial_pair", counted)
     prof, w = _stress_profile(7)
     got = propagate(8, 1.0, prof, 0.5, 60.0, w)
-    assert calls == [((16,), [[8, 8], [8, 8]], True)]
+    assert [(len(xs), tops, scaled) for xs, tops, scaled in radial_passes] == [
+        (16, [8, 8], True)
+    ]
     ref = propagate_mp(8, 1.0, prof, 0.5, 60.0, w)
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 

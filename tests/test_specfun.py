@@ -292,11 +292,17 @@ def test_hankel_sequence_matches_mpmath_at_complex_argument(kind, sign, x):
 
 
 def scaled_pair(x, lmax):
-    """t and (f_l, d(x f_l)/dx) of the scaled pair e^{itx} j_l and
-    e^{-itx} h_l^(t) for l = 0 .. lmax at the array x, from one pass."""
+    """(f_l, d(x f_l)/dx) for l = 0 .. lmax of e^{ix} j_l and e^{-ix} h1_l
+    at the array x from one pass, and below the real axis their
+    conjugates at conj x: e^{-ix} j_l and e^{ix} h2_l."""
     xs = np.atleast_1d(np.asarray(x, dtype=complex))
-    t, (_, j), (_, h) = _radial_pair(xs, [(lmax, lmax)] * 2, scaled=True)
-    return t, _f_and_d("bessel_j", xs, j), _f_and_d("hankel", xs, h)
+    low = xs.imag < 0
+    z = np.where(low, xs.conj(), xs)
+    j, h1 = _radial_pair(z, [lmax, lmax], scaled=True)
+    return tuple(
+        tuple(np.where(low, v.conj(), v) for v in _f_and_d(name, z, g))
+        for name, g in (("bessel_j", j), ("hankel1", h1))
+    )
 
 
 X_UPPER = [0.3 + 0.1j, 7.0, 20 + 30j, 3 + 800j]
@@ -309,13 +315,28 @@ X_UPPER = [0.3 + 0.1j, 7.0, 20 + 30j, 3 + 800j]
 ])
 def test_scaled_sequence_matches_mpmath(kind, x):
     # the factor keeps every value in range, even where e^{|Im x|} is not;
-    # h^(t) is h1 in the upper half plane and h2 in the lower
-    _, j, h = scaled_pair(x, 10)
+    # below the real axis the conjugated pair is e^{-ix} j and e^{ix} h2
+    j, h = scaled_pair(x, 10)
     f, d = j if kind is RadialKind.BESSEL_J else h
     for l in (0, 1, 5, 10):
         g, dg = scaled_radial_mp(kind.value, l, x)
         assert abs(f[l, 0] - g) <= 1e-13 * abs(g)
         assert abs(d[l, 0] - dg) <= 1e-13 * abs(dg)
+
+
+@pytest.mark.parametrize("kind, xs", [
+    (RadialKind.HANKEL1, [3 + 800j, 1 - 1j]),
+    (RadialKind.HANKEL2, [3 - 800j, 1 + 1j]),
+])
+def test_mixed_half_plane_batch_matches_its_elements(kind, xs):
+    # h1 takes j only below the real axis and h2 only above; j is past the
+    # double range at |Im x| = 800, where neither kind may read it
+    f, d = spherical_radial_seq(kind, 5, xs)
+    assert np.isfinite(f).all() and np.isfinite(d).all()
+    for i, x in enumerate(xs):
+        fs, ds = spherical_radial_seq(kind, 5, x)
+        assert (np.abs(f[:, i] - fs) <= 1e-14 * np.abs(fs)).all(), x
+        assert (np.abs(d[:, i] - ds) <= 1e-14 * np.abs(ds)).all(), x
 
 
 def test_sequence_entries_agree_for_every_kind():
@@ -397,9 +418,9 @@ def test_sequence_over_an_array_of_arguments_matches_mpmath(kind, batch_mp):
 
 @pytest.mark.parametrize("scaled", [False, True])
 def test_radial_pair_is_bessel_j_and_hankel1_bit_for_bit(scaled):
-    # in the upper half plane the pair (j, h^(t)) is (j, h1); one pass of
-    # the builder every radial basis uses makes both, each exactly as a
-    # pass for it alone and, unscaled, as its own kind, past |Im x| = 300
+    # one pass of the builder every radial basis uses makes j and h1, each
+    # exactly as a pass for it alone and, unscaled, as its own kind, past
+    # Im x = 300
     xs = np.array([0.3 + 0.1j, 7.0, 20 + 30j, 3 + 300j, 250 + 299j, 40 + 310j,
                    1e3 + 10j, 5 + 650j])
     pair = _pair_seqs(xs, (30, 30), scaled)
@@ -415,12 +436,14 @@ def test_radial_pair_is_bessel_j_and_hankel1_bit_for_bit(scaled):
     "kind", [RadialKind.BESSEL_J, RadialKind.HANKEL1, RadialKind.HANKEL2]
 )
 def test_scaled_sequence_over_an_array_of_arguments(kind):
-    # h^(t) is checked where it is `kind`: h1 above the real axis, h2 below
-    t, j, h = scaled_pair(X_SCALED, 20)
+    # the Hankel part is checked where it is `kind`: h1 above the real
+    # axis, h2 below
+    j, h = scaled_pair(X_SCALED, 20)
+    low = X_SCALED.imag < 0
     if kind is RadialKind.BESSEL_J:
-        (f, d), part, at = j, 1, t != 0
+        (f, d), part, at = j, 0, np.ones_like(low)
     else:
-        (f, d), part, at = h, 2, t == (1 if kind is RadialKind.HANKEL1 else -1)
+        (f, d), part, at = h, 1, low if kind is RadialKind.HANKEL2 else ~low
     assert at.any()
     for i in np.flatnonzero(at):
         x = X_SCALED[i]

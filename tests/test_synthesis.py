@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import curl_fd, div_fd, mie_ab, mie_ab_mp
-from tensorwave import maxwell_radial, synthesis
+from tensorwave import synthesis
 from tensorwave.harmonics import QuadratureRule, flm
 from tensorwave.maxwell_radial import Medium, _tangential, longitudinal_components
 from tensorwave.specfun import ModeIndex, RadialKind, spherical_radial_seq
@@ -219,26 +219,18 @@ def test_synthesize_matches_the_kinds_of_the_wave_evaluated_directly(kinds):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_synthesize_runs_each_radial_part_only_as_far_as_its_waves(monkeypatch):
+def test_synthesize_runs_each_radial_part_only_as_far_as_its_waves(radial_passes):
     # h1_80 at x = 1e-3 is past the double range, but only the l = 2 wave
     # uses h1; a superposition of j waves alone builds j alone
-    calls = []
-    pair = maxwell_radial._radial_pair
-
-    def counted(xs, tops, *args, **kwargs):
-        calls.append((np.shape(xs), np.asarray(tops).tolist()))
-        return pair(xs, tops, *args, **kwargs)
-
-    monkeypatch.setattr(maxwell_radial, "_radial_pair", counted)
     waves = [wave(80, 3, (1.0, 0.5), (0.2j, 0.0), kinds=(J, J)),
              wave(2, 1, (0.3, 0.0), (0.0, 0.7), kinds=(J, H1))]
     pts = [[1e-3, 0.9, 0.4], [1e-3, 2.0, 1.0], [2e-3, 2.0, 1.0]]
     e, h = synthesize(table(waves), 1.0, VACUUM, pts)
     assert np.isfinite(e).all() and np.isfinite(h).all()
-    assert calls == [((2,), [[80, 80], [2, 2]])]
-    calls.clear()
+    assert [(len(xs), tops) for xs, tops, _ in radial_passes] == [(2, [80, 2])]
+    radial_passes.clear()
     synthesize(table(waves[:1]), 1.0, VACUUM, pts)
-    assert calls == [((2,), [[80, 80], [-1, -1]])]
+    assert [(len(xs), tops) for xs, tops, _ in radial_passes] == [(2, [80, -1])]
 
 
 def test_product_grid_and_scattered_points_agree(monkeypatch, rng):
@@ -467,6 +459,20 @@ def test_match_sphere_matches_mpmath_mie_at_large_x(x, m):
         a, b = mie_ab_mp(m, x, l)
         assert -scattered[l - 1, 0] == pytest.approx(a, rel=1e-9)
         assert -scattered[l - 1, 1] == pytest.approx(b, rel=1e-9)
+
+
+@pytest.mark.parametrize("x", [3.0, 50.0, 1000.0])
+@pytest.mark.parametrize("m", [1.33, 1.5 + 0.1j])
+def test_mie_ab_oracle_matches_mpmath(x, m):
+    # the textbook oracle of acceptance 8: a D_n recurrence started only 16
+    # past |mx| left it off by 1e-5 relative at x = 50 and by 2.2 at
+    # x = 1000 for m = 1.33
+    lmax = math.ceil(x + 4.0 * x ** (1.0 / 3.0) + 2.0)
+    a, b = mie_ab(m, x, lmax)
+    for l in sorted({1, 7, int(x), lmax}):
+        want_a, want_b = mie_ab_mp(m, x, l)
+        assert a[l - 1] == pytest.approx(want_a, rel=1e-10)
+        assert b[l - 1] == pytest.approx(want_b, rel=1e-10)
 
 
 def test_match_sphere_linearity():

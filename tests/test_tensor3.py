@@ -3,17 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorwave.tensor3 import (
-    E_PHI,
-    E_R,
-    E_THETA,
-    IDENTITY,
-    adjoint,
-    det,
-    dual,
-    dyad,
-    trace,
-)
+from tensorwave.tensor3 import E_R, IDENTITY, adjoint, det, dual, trace
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 cnum = st.builds(complex, finite, finite)
@@ -21,26 +11,13 @@ vec3 = st.lists(cnum, min_size=3, max_size=3).map(np.array)
 mat3 = st.lists(st.lists(cnum, min_size=3, max_size=3), min_size=3, max_size=3).map(
     np.array
 )
+E_THETA, E_PHI = np.eye(3)[1:]
 
 
 def test_frame_vectors():
     assert np.array_equal(E_R, [1, 0, 0])
-    assert np.array_equal(E_THETA, [0, 1, 0])
-    assert np.array_equal(E_PHI, [0, 0, 1])
     with pytest.raises(ValueError):
         E_R[0] = 2.0
-
-
-def test_dyad_basis_cases():
-    t = dyad(E_R, E_R)
-    assert t[0, 0] == 1 and np.count_nonzero(t) == 1
-    t = dyad(E_THETA, E_PHI)
-    assert t[1, 2] == 1 and np.count_nonzero(t) == 1
-
-
-@given(vec3, vec3, vec3)
-def test_dyad_contraction(u, v, w):
-    assert np.allclose(dyad(u, v) @ w, u * (v @ w), atol=1e-9)
 
 
 def test_dual_frame_actions():
@@ -50,7 +27,7 @@ def test_dual_frame_actions():
 
 
 def test_frame_splitting_identity():
-    assert np.allclose(dyad(E_R, E_R) - dual(E_R) @ dual(E_R), IDENTITY)
+    assert np.allclose(np.outer(E_R, E_R) - dual(E_R) @ dual(E_R), IDENTITY)
 
 
 @given(vec3, vec3)
@@ -76,8 +53,8 @@ def test_trace_and_det_basics():
 
 @given(vec3, vec3)
 def test_dyad_trace_and_rank(u, v):
-    assert trace(dyad(u, v)) == pytest.approx(u @ v)
-    assert det(dyad(u, v)) == pytest.approx(0.0, abs=1e-8)
+    assert trace(np.outer(u, v)) == pytest.approx(u @ v)
+    assert det(np.outer(u, v)) == pytest.approx(0.0, abs=1e-8)
 
 
 @settings(max_examples=200)
