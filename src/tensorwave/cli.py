@@ -295,13 +295,15 @@ def _solve_project(cfg: dict, fmt: str):
         raw = cfg["modes"]
         if not isinstance(raw, list) or not raw:
             raise ValueError("'modes' must be a non-empty list of [l, m] pairs")
+        modes = []
         for lm in raw:
             if not (isinstance(lm, list) and len(lm) == 2):
                 raise ValueError(f"modes entry must be an [l, m] pair, got {lm!r}")
-        modes = [
-            ModeIndex(degree(lm[0], "modes l"), integer(lm[1], "modes m"))
-            for lm in raw
-        ]
+            l = integer(lm[0], "modes l")
+            if not 1 <= l <= lq:  # l = 0 has no transverse field
+                raise ValueError(f"modes l must be between 1 and quadrature_lmax "
+                                 f"= {lq}, the degrees its grid resolves, got {l}")
+            modes.append(ModeIndex(l, integer(lm[1], "modes m")))
     else:
         modes = [
             ModeIndex(l, m) for l in range(1, lq + 1) for m in range(-l, l + 1)

@@ -10,13 +10,12 @@ dyad, so a field is the plain matrix-vector product F_lm @ v.  It and the
 check `flm_explicit` below are the only places the dense matrix is built.
 Everywhere else F_lm is held as its three independent components
 (Y, X_theta, X_phi), each a theta-part times e^{i m phi}.  The theta-parts
-come from one all-modes table: `_legendre_table` runs a single Legendre
-recurrence in l for every order at once, and `_theta_columns` slices the
-theta-parts of any set of (l, m) from it, so projection and the Gram
-checks make one recurrence per call and synthesis one per block of
-orders, not one per order.  Every public function here takes angle arrays
-(theta, phi) that broadcast together and returns values of their
-broadcast shape, followed by (3,) or (3, 3) for vectors and tensors.
+of any set of (l, m) come from `_theta_columns`, which runs a single
+Legendre recurrence in l for every order the set needs, so projection
+and the Gram checks make one recurrence per call and synthesis one per
+block of orders, not one per order.  Every public function here takes
+angle arrays (theta, phi) that broadcast together and returns values of
+their broadcast shape, followed by (3,) or (3, 3) for vectors and tensors.
 
 X_lm comes from the Cartesian ladder route: the three Cartesian components
 of L Y_lm are exact combinations of Y_{l,m} and Y_{l,m+-1}, rotated into
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -103,42 +101,28 @@ class QuadratureRule:
 # --- theta columns ----------------------------------------------------------
 
 
-class _Legendre(NamedTuple):
-    """Normalized Legendre values of the orders lo .. lo + p.shape[1] - 1,
-    indexed [l - lo, m - lo] (`specfun._norm_legendre`), with cos and sin
-    of the angles they were evaluated at."""
-
-    lo: int
-    p: np.ndarray
-    ct: np.ndarray
-    st: np.ndarray
-
-
-def _legendre_table(lmax: int, theta, lo: int = 0, hi: int | None = None):
-    """The Legendre table of every order lo .. hi (default lmax) and every
-    l <= lmax at the angles theta, from one recurrence."""
-    theta = np.asarray(theta, dtype=float)
-    _check_theta(theta)
-    ct, st = np.cos(theta), np.sin(theta)
-    hi = lmax if hi is None else hi
-    return _Legendre(lo, _norm_legendre(lmax, lo, hi, ct, st), ct, st)
-
-
-def _theta_columns(l, m, table: _Legendre):
+def _theta_columns(l, m, theta):
     """theta-parts of Y_lm, X_lm.e_theta and X_lm.e_phi for each (l, m).
 
     Every harmonic of order m is its theta-part times e^{i m phi}.  `l`
     and `m` are integers or integer arrays that broadcast together, with
-    |m| <= l <= the table's lmax, and each of the orders |m|, |m + 1| and
-    |m - 1| within the table's range of orders or, for the last two,
-    above l.  Returns (y, x_theta, x_phi), each of shape
-    broadcast(l, m).shape + theta.shape, sliced from `table`.  y and
-    x_theta are real, x_phi is imaginary.  X comes from the ladder
-    combination of the orders m +- 1, so no sin(theta) divides.
+    |m| <= l; theta is an array of angles in [0, pi].  One Legendre
+    recurrence (`specfun._norm_legendre`) runs to the largest l for the
+    orders from min|m| - 1 to max|m| + 1, which hold every order |m| and
+    |m +- 1| read here.  Returns (y, x_theta, x_phi), each of shape
+    broadcast(l, m).shape + theta.shape.  y and x_theta are real, x_phi
+    is imaginary.  X comes from the ladder combination of the orders
+    m +- 1, so no sin(theta) divides.
     """
-    lo, p, ct, st = table
-    hi = lo + p.shape[1] - 1
+    theta = np.asarray(theta, dtype=float)
+    _check_theta(theta)
+    ct, st = np.cos(theta), np.sin(theta)
     ls, ms = np.broadcast_arrays(np.asarray(l), np.asarray(m))
+    orders = np.abs(ms)
+    lmax = int(ls.max(initial=0))
+    lo = max(int(orders.min(initial=lmax)) - 1, 0)
+    hi = min(int(orders.max(initial=0)) + 1, lmax)
+    p = _norm_legendre(lmax, lo, hi, ct, st)
     grid = (...,) + (None,) * ct.ndim  # mode axes first, then the angle axes
 
     def y_part(mm):
@@ -161,10 +145,8 @@ def _theta_columns(l, m, table: _Legendre):
 def _mode_parts(mode: ModeIndex, theta, phi):
     """(Y, X_theta, X_phi) of one mode, broadcast over angle arrays."""
     theta, phi = _angles(theta, phi)
-    ma = abs(mode.m)
-    table = _legendre_table(mode.l, theta, max(ma - 1, 0), ma + 1)
     phase = np.exp(1j * mode.m * phi)
-    cols = _theta_columns(mode.l, mode.m, table)
+    cols = _theta_columns(mode.l, mode.m, theta)
     return np.broadcast_arrays(*(c * phase for c in cols))
 
 
@@ -254,10 +236,10 @@ _CARTESIAN = np.array([[0.5, 0.5, 0.0], [-0.5j, 0.5j, 0.0], [0.0, 0.0, 1.0]])
 
 def _ylm_row(l: int, theta, phi) -> np.ndarray:
     """Y_{l,-l} .. Y_{l,l} along a first axis, at the broadcast angles,
-    from one table."""
+    from one recurrence."""
     theta, phi = np.broadcast_arrays(*_angles(theta, phi))
     m = np.arange(-l, l + 1)
-    y = _theta_columns(l, m, _legendre_table(l, theta))[0]
+    y = _theta_columns(l, m, theta)[0]
     return y * np.exp(1j * np.multiply.outer(m, phi))
 
 

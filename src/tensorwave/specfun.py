@@ -240,6 +240,11 @@ def _miller(lmax: int, x: np.ndarray, s, c, inv) -> np.ndarray:
     return np.concatenate([jm[None], trial * scale])
 
 
+# below this |x| the split of 1/x in `_inverse` overflows (from about
+# 2^-997 (1 + 2^-27) down), while j_l(x) = x^l/(2l+1)!! to rounding
+_SMALL = 2.0**-997 * (1.0 + 2.0**-26)
+
+
 def _radial_pair(xs: np.ndarray, tops, scaled: bool = False) -> list:
     """j_l and h1_l at the 1-d complex array xs, Im x >= 0, from one check
     of xs and one split of 1/x that both recursions share.
@@ -249,8 +254,8 @@ def _radial_pair(xs: np.ndarray, tops, scaled: bool = False) -> list:
     every x.  j comes times e^{ix} with `scaled`, of modulus e^{-Im x}
     (past Im x = 300 from seeds in e^{2ix}, with no cancellation), h1
     times e^{-ix} either way; a value past the double range is inf or
-    nan.  An x = 0 runs as 1, for `_f_and_d` to replace; a non-finite x
-    raises ValueError.
+    nan.  An x = 0 runs as 1, and j at an |x| below `_SMALL` as nan, for
+    `_f_and_d` to replace; a non-finite x raises ValueError.
     """
     finite = np.isfinite(xs)
     if not finite.all():
@@ -277,18 +282,19 @@ def _radial_pair(xs: np.ndarray, tops, scaled: bool = False) -> list:
 
 def _f_and_d(name: str, xs: np.ndarray, g: np.ndarray) -> tuple:
     """(f_l, d(x f_l)/dx) for l = 0 .. from g, whose entry n holds f_{n-1}
-    at xs, with the limits of j_l at an x = 0; ValueError there for any
-    other kind, and OverflowError naming `name`, the first x past the
-    double range and its l (inf - inf is nan, so both are caught)."""
-    zero = xs == 0
-    if zero.any() and name != "bessel_j":
+    at xs, with the series of j_l below |x| = `_SMALL`; ValueError at x = 0
+    for any other kind, and OverflowError naming `name`, the first x past
+    the double range and its l (inf - inf is nan, so both are caught)."""
+    if name != "bessel_j" and (xs == 0).any():
         raise ValueError(f"{name} is singular at x = 0")
     f = g[1:]
     with np.errstate(over="ignore", invalid="ignore"):
         d_rf = xs * g[:-1] - np.arange(len(f))[:, None] * f
-    # j_0(0) = 1, j_l(0) = 0; x*j_l ~ x^{l+1}/(2l+1)!! near 0
-    f[:, zero] = d_rf[:, zero] = 0.0
-    f[0, zero] = d_rf[0, zero] = 1.0
+    small = (np.abs(xs) < _SMALL) & (name == "bessel_j")
+    if small.any():  # j_l = x^l/(2l+1)!!, d(x j_l)/dx = (l+1) j_l
+        f[0, small] = 1.0
+        f[1:, small] = np.cumprod(xs[small] / np.arange(3.0, 2 * len(f), 2)[:, None], 0)
+        d_rf[:, small] = np.arange(1.0, len(f) + 1)[:, None] * f[:, small]
     ok = np.isfinite(f) & np.isfinite(d_rf)
     if not ok.all():
         i, l = np.argwhere(~ok.T)[0]

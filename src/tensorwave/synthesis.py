@@ -22,11 +22,11 @@ with one `np.add.reduceat`.  The phase stage then sums over the orders
 without a pass per order: points on a product grid of rows and angles
 phi take one `np.tensordot` into that (phi, row) grid, scattered points
 one contraction point by point.  Waves go in blocks of whole orders of
-bounded size, each with its own Legendre table of just its orders.
-Projection inverts this with the angular Gram identity of F_lm: one sum
-over phi for every order at once, then one contraction over the theta
-nodes of a quadrature sphere at fixed radius for every mode, from one
-Legendre table per call.
+bounded size; `_theta_columns` runs one Legendre recurrence per block,
+over just its orders.  Projection inverts this with the angular Gram
+identity of F_lm: one sum over phi for every order at once, then one
+contraction over the theta nodes of a quadrature sphere at fixed radius
+for every mode, from one Legendre recurrence per call.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import QuadratureRule, _legendre_table, _theta_columns
+from .harmonics import QuadratureRule, _theta_columns
 from .maxwell_radial import (
     Medium,
     _as_k,
@@ -44,7 +44,7 @@ from .maxwell_radial import (
     _tangential,
     fundamental_matrix,
 )
-from .specfun import _PAIR, RadialKind, _check_theta
+from .specfun import _PAIR, _SMALL, RadialKind, _check_theta
 
 __all__ = [
     "KINDS",
@@ -158,7 +158,7 @@ def synthesize(waves: WaveTable, k, med: Medium, points) -> tuple:
         if not blocks or (b - blocks[-1]) * len(rows) > _BLOCK:
             blocks.append(a)
     edges = [*blocks, len(ms)]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # every kind is a j_l + b h1_l with (a, b) = `_PAIR[kind]`, as
         # Im(n k r) >= 0, so a wave's (c1, c2) on its kinds (K1, K2) is (a1
         # c1 + a2 c2, b1 c1 + b2 c2) on (j, h1), and each of j and h1 runs
@@ -168,6 +168,15 @@ def synthesize(waves: WaveTable, k, med: Medium, points) -> tuple:
         tops = [waves.l[used].max(initial=-1) for used in (ab != 0).any(axis=1).T]
         xs = med.n * k * np.asarray(radii, dtype=complex)
         tables = [(f, d / radii) for f, d in _pair_seqs(xs, tops)]
+        # below `_SMALL` only j is finite, 1/(k r) may overflow and x j_l
+        # underflow, so d(r j_l)/dr / r and the E_r, H_r factor f / (k r)
+        # come from n j_l(x) / x = n j_{l-1}(x) / (2l+1) of the series there
+        small = np.abs(xs) < _SMALL
+        near = small[radius_of] & (tops[0] > 0)  # the rows at those radii
+        if near.any():
+            lj = np.arange(1.0, tops[0] + 1)[:, None]
+            j_x = med.n * tables[0][0][:-1] / (2 * lj + 1)
+            tables[0][1][1:, small] = k * ((lj + 1) * j_x)[:, small]
         for a, b in zip(edges, edges[1:]):
             l, m = ls[a:b], ms[a:b]
             first = starts[(starts >= a) & (starts < b)]
@@ -178,16 +187,14 @@ def synthesize(waves: WaveTable, k, med: Medium, points) -> tuple:
                   for f_d in tables for v in f_d),
                 k, 1.0, med, coeffs[a:b, None],
             )
-            lo, hi = max(abs(int(m[0])) - 1, 0), abs(int(m[-1])) + 1
-            y, xt, xp = _theta_columns(
-                l, m, _legendre_table(int(l.max()), rows[:, 1], lo, hi)
-            )
+            y, xt, xp = _theta_columns(l, m, rows[:, 1])
             # F @ (v_r, p, q) = (Y v_r, X_theta p - X_phi q, X_phi p +
             # X_theta q) for E = (E_r, W_2, W_3) and H = (H_r, W_0, W_1) of
             # every wave into one buffer, summed per order.  Y takes the
             # factor sqrt(l(l+1)) / (k r) of `longitudinal_components`:
             # E_r = -Y' W_0 / eps, H_r = Y' W_2 / mu
-            y = y * (np.sqrt(l * (l + 1.0))[:, None] / (k * rows[:, 0]))
+            root = np.sqrt(l * (l + 1.0))[:, None]
+            y, y_near = y * (root / (k * rows[:, 0])), y[:, near] * root
             xt = xt.astype(complex)  # else each product casts it anew
             f = np.empty((b - a, 6, len(rows)), dtype=complex)
             for i, (c, v, p, q) in enumerate(((-1 / med.eps, w[0], w[2], w[3]),
@@ -195,6 +202,9 @@ def synthesize(waves: WaveTable, k, med: Medium, points) -> tuple:
                 np.multiply(y * c, v, out=f[:, 3 * i])
                 np.subtract(xt * p, xp * q, out=f[:, 3 * i + 1])
                 np.add(xp * p, xt * q, out=f[:, 3 * i + 2])
+                if near.any():  # v / (k r) = n j_l(x) / x times the j coefficient
+                    f[:, 3 * i][:, near] = (y_near * c * j_x[l - 1][:, radius_of[near]]
+                                            * coeffs[a:b, i, None])
             sums = np.add.reduceat(f, first - a)
             phase = np.exp(1j * ms[first, None] * phis)
             if grid:
@@ -243,8 +253,7 @@ def project_sampled(
     orders, order_of = np.unique(ms, return_inverse=True)
     # F^H is F with (Y*, X_theta*, -X_phi*) = (Y, X_theta, X_phi), as Y
     # and X_theta are real and X_phi imaginary
-    table = _legendre_table(ls.max(initial=0), rule.thetas)
-    y, xt, xp = _theta_columns(ls, ms, table)
+    y, xt, xp = _theta_columns(ls, ms, rule.thetas)
     w = rule.weights[:, None] * (2.0 * math.pi / nphi)
     phase = np.exp(-1j * orders[:, None] * rule.phis)
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .harmonics import (
     QuadratureRule,
-    _legendre_table,
     _theta_columns,
     flm,
     flm_explicit,
@@ -74,7 +73,7 @@ def _grams(lmax: int, rule: QuadratureRule):
     """
     ls, ms = np.array([(mode.l, mode.m) for mode in _modes(0, lmax)]).T
     phase = np.exp(1j * ms[:, None] * rule.phis)[:, None, :]
-    cols = _theta_columns(ls, ms, _legendre_table(lmax, rule.thetas))
+    cols = _theta_columns(ls, ms, rule.thetas)
     y, xt, xp = (col[:, :, None] * phase for col in cols)
     w = rule.weights[:, None] * (2.0 * math.pi / rule.n_phi)
 

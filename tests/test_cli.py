@@ -425,6 +425,11 @@ PROPAGATE = {"task": "propagate", "l": 1, "k": 1.0, "profile": {"outer": HOST},
         (dict(SYNTH, points=None, grid={"r": 2.0, "quadrature_lmax": 10**6}),
          "quadrature_lmax"),
         (dict(PROJECT, quadrature_lmax=10**6), "quadrature_lmax"),
+        # a degree past quadrature_lmax came back aliased with exit 0 (a
+        # bessel_j wave of l = 10 on the degree-4 grid read c1 = 1.909 for
+        # 1), and l = 0 failed naming no key
+        (dict(PROJECT, modes=[[3, 0]]), "modes l"),
+        (dict(PROJECT, modes=[[0, 0]]), "modes l"),
     ],
 )
 def test_solve_rejects_non_finite_and_non_integral_values(tmp_path, capsys, cfg, key):
@@ -512,6 +517,30 @@ def test_solve_synthesize_with_a_non_finite_field_exits_1(tmp_path):
         "error: the field at point 0 (r, theta, phi) = (0.5, 1.0, 0.3) leaves "
         "the double range\n"
     )
+
+
+@pytest.mark.parametrize("kr", [1e-200, 1e-155])
+def test_solve_synthesize_a_bessel_j_wave_where_k_r_underflows(tmp_path, kr):
+    # 1/(k r) divided by zero at k r = 1e-400 (a RuntimeWarning, then exit 1
+    # with "the field at point 0 ... leaves the double range"), and past
+    # the double range at k r = 1e-310, where j_l also read "bessel_j
+    # overflowed"; E_r and E_theta take their x -> 0 limits from j_l(x) / x
+    wave = dict(WAVE, kinds=["bessel_j", "bessel_j"])
+    cfg = dict(SYNTH, k=kr, waves=[wave], points=[[kr, 1.0, 0.5]])
+    res = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "tensorwave.cli", "solve", "--config",
+         write_config(tmp_path, "tiny.json", cfg), "--format", "csv"],
+        capture_output=True, text=True, env=src_env(),
+    )
+    assert res.returncode == 0, res.stderr
+    row = [float(v) for v in res.stdout.split("\n")[1].split(",")]
+    y10, x_phi = math.sqrt(3 / (4 * math.pi)) * math.cos(1.0), math.sqrt(
+        3 / (8 * math.pi)) * math.sin(1.0)
+    # E_r = -(sqrt(2)/3) Y_10 and E_theta = -X_phi (2i/3) for l = 1, c1_theta = 1
+    assert row[3] == pytest.approx(-math.sqrt(2) / 3 * y10, rel=1e-15, abs=0)
+    assert row[5] == pytest.approx(2 / 3 * x_phi, rel=1e-15, abs=0)
+    # every other component holds j_1(x) = x/3 or less
+    assert all(abs(v) < 1e-300 for v in row[4:5] + row[6:])
 
 
 def _grid_field(tmp_path):

@@ -10,7 +10,6 @@ from tensorwave.harmonics import (
     QuadratureRule,
     _CARTESIAN,
     _ladder,
-    _legendre_table,
     _theta_columns,
     flm,
     flm_explicit,
@@ -20,7 +19,7 @@ from tensorwave.harmonics import (
     lz_check,
     xlm,
 )
-from tensorwave.specfun import ModeIndex, ylm
+from tensorwave.specfun import ModeIndex, _norm_legendre, ylm
 from tensorwave.tensor3 import E_R, IDENTITY, adjoint, det, dual, trace
 
 modes = st.integers(min_value=0, max_value=8).flatmap(
@@ -133,17 +132,18 @@ def per_order_theta_part(l, m, theta):
 
 
 TABLE_THETAS = np.array([0.0, 1e-9, 0.4, 1.0, math.pi / 2, 1.9, 2.8, math.pi])
+TABLE_CS = np.cos(TABLE_THETAS), np.sin(TABLE_THETAS)
 ALL_MODES_24 = np.array([(l, m) for l in range(25) for m in range(-l, l + 1)]).T
 
 
 def test_all_modes_table_matches_scipy_for_every_l_and_m():
-    table = _legendre_table(24, TABLE_THETAS)
+    p = _norm_legendre(24, 0, 24, *TABLE_CS)
     # every order 0..24 of every degree 0..24, exactly zero where l < m
-    assert table.p.shape == (25, 25, len(TABLE_THETAS))
+    assert p.shape == (25, 25, len(TABLE_THETAS))
     below = np.arange(25)[:, None] < np.arange(25)[None, :]
-    assert np.all(table.p[below] == 0.0)
+    assert np.all(p[below] == 0.0)
     ls, ms = ALL_MODES_24
-    y, x_theta, x_phi = _theta_columns(ls, ms, table)
+    y, x_theta, x_phi = _theta_columns(ls, ms, TABLE_THETAS)
     assert y.shape == x_theta.shape == x_phi.shape == (625, len(TABLE_THETAS))
     th = TABLE_THETAS[None, :]
     l, m = ls[:, None], ms[:, None]
@@ -168,17 +168,31 @@ def test_all_modes_table_matches_scipy_for_every_l_and_m():
 
 
 def test_a_table_of_some_orders_is_the_slice_of_the_full_table():
-    # synthesize builds one table per block of orders, up to the block's l
-    full = _legendre_table(24, TABLE_THETAS).p
+    # _theta_columns runs the recurrence for just the orders and degrees
+    # its modes need, so its values equal those of the full table
+    full = _norm_legendre(24, 0, 24, *TABLE_CS)
     for lmax, lo, hi in ((7, 3, 8), (24, 11, 13), (5, 5, 6), (24, 0, 24)):
-        part = _legendre_table(lmax, TABLE_THETAS, lo, hi).p
+        part = _norm_legendre(lmax, lo, hi, *TABLE_CS)
         assert part.tobytes() == full[lo:lmax + 1, lo:hi + 1].tobytes()
 
 
+def test_theta_columns_run_one_recurrence_over_the_window_of_their_orders(
+    monkeypatch,
+):
+    from tensorwave import harmonics
+
+    calls = []
+    exact = harmonics._norm_legendre
+    monkeypatch.setattr(harmonics, "_norm_legendre",
+                        lambda *a: calls.append(a[:3]) or exact(*a))
+    _theta_columns(np.array([3, 5]), np.array([2, -4]), TABLE_THETAS)
+    # orders |m| = 2 .. 4 and their ladder neighbours 1 .. 5, to l = 5
+    assert calls == [(5, 1, 5)]
+
+
 def test_table_slices_and_single_order_ylm_equal_the_per_order_recurrence():
-    table = _legendre_table(24, TABLE_THETAS)
     ls, ms = ALL_MODES_24
-    y = _theta_columns(ls, ms, table)[0]
+    y = _theta_columns(ls, ms, TABLE_THETAS)[0]
     phi = 0.7
     for i, (l, m) in enumerate(zip(ls.tolist(), ms.tolist())):
         want = per_order_theta_part(l, m, TABLE_THETAS)

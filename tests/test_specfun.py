@@ -277,6 +277,26 @@ def test_bessel_j_matches_its_series_at_tiny_argument(lmax, complex_arg):
                     assert abs(got) < tiny, (xv, l)
 
 
+def test_bessel_j_takes_its_series_below_the_split_of_one_over_x():
+    # below |x| = 2^-997 the split of 1/x overflowed, and every j_l read
+    # "bessel_j overflowed at x=(1e-302+0j), l=0" though j_0 = 1 there
+    tiny = [1e-302, 1e-307, 1e-310, 5e-324]
+    f, d = spherical_radial_seq(RadialKind.BESSEL_J, 4, np.array(tiny))
+    for i, x in enumerate(tiny):
+        want = [x**l / math.prod(range(1, 2 * l + 2, 2)) for l in range(5)]
+        np.testing.assert_allclose(f[:, i], want, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(d[:, i], np.arange(1, 6) * f[:, i], rtol=1e-15,
+                                   atol=0)
+    assert f[0].tolist() == d[0].tolist() == [1.0] * 4
+    # arguments above the bound take the recursion, untouched by the tiny
+    # ones in their batch
+    near = [2.0**-996, 1e-300, 1e-20, 0.5 + 0.5j, 30.0]
+    alone = spherical_radial_seq(RadialKind.BESSEL_J, 6, np.array(near))
+    mixed = spherical_radial_seq(RadialKind.BESSEL_J, 6, np.array(near + tiny))
+    for got, want in zip(mixed, alone):
+        assert got[:, :len(near)].tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("x", [50 + 11.4j, 20 + 30j, 5 + 40j])
 @pytest.mark.parametrize(
     "kind, sign", [(RadialKind.HANKEL1, 1), (RadialKind.HANKEL2, -1)]

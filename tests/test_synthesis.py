@@ -129,16 +129,16 @@ def test_grouped_synthesis_matches_point_by_point(monkeypatch):
         wave(*modes[i], (1.0 / (1 + i), 0.5j), (0.1 * i, -0.3), kinds=kinds[i % 16])
         for i in order
     ]
-    tables = []
-    seq = synthesis._legendre_table
-    monkeypatch.setattr(synthesis, "_legendre_table",
-                        lambda *a, **kw: tables.append(a[0]) or seq(*a, **kw))
+    blocks = []
+    cols = synthesis._theta_columns
+    monkeypatch.setattr(synthesis, "_theta_columns",
+                        lambda *a: blocks.append(a[0]) or cols(*a))
     for waves, block, tol in ((few, synthesis._BLOCK, 1e-14), (many, 20, 1e-15)):
         monkeypatch.setattr(synthesis, "_BLOCK", block)
-        tables.clear()
+        blocks.clear()
         grouped = synthesize(table(waves), k, med, pts)
         if waves is many:
-            assert len(tables) > 3
+            assert len(blocks) > 3
         for i, p in enumerate(pts):
             single = synthesize(table(waves), k, med, [p])
             for got, want in zip(grouped, single):
@@ -150,9 +150,9 @@ def test_blocks_hold_whole_orders_and_at_most_the_block_entries(monkeypatch):
     seen = []
     cols = synthesis._theta_columns
 
-    def counted(l, m, table):
+    def counted(l, m, theta):
         seen.append(m.tolist())
-        return cols(l, m, table)
+        return cols(l, m, theta)
 
     monkeypatch.setattr(synthesis, "_theta_columns", counted)
     monkeypatch.setattr(synthesis, "_BLOCK", 300)
@@ -174,12 +174,15 @@ def test_blocks_hold_whole_orders_and_at_most_the_block_entries(monkeypatch):
 
 @pytest.mark.parametrize("shape", ["roundtrip", "nearfield"])
 def test_one_pass_makes_one_call_of_each_table_layer(monkeypatch, shape):
-    # the benchmark's shapes fit in one block: one Legendre table, one set
-    # of theta columns and one tangential state for all of their waves
+    # the benchmark's shapes fit in one block: one Legendre recurrence, one
+    # set of theta columns and one tangential state for all of their waves
+    from tensorwave import harmonics
+
     calls = []
-    for name in ("_legendre_table", "_theta_columns", "_tangential"):
-        fn = getattr(synthesis, name)
-        monkeypatch.setattr(synthesis, name, lambda *a, _fn=fn, _name=name, **kw:
+    for module, name in ((harmonics, "_norm_legendre"), (synthesis, "_theta_columns"),
+                         (synthesis, "_tangential")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _fn=fn, _name=name, **kw:
                             calls.append(_name) or _fn(*a, **kw))
     if shape == "roundtrip":
         lmax, kinds = 16, (J, H1)
@@ -195,7 +198,7 @@ def test_one_pass_makes_one_call_of_each_table_layer(monkeypatch, shape):
                    for l in range(1, lmax + 1) for m in range(-l, l + 1)])
     e, h = synthesize(waves, 1.0, VACUUM, pts)
     assert np.isfinite(e).all() and np.isfinite(h).all()
-    assert sorted(calls) == ["_legendre_table", "_tangential", "_theta_columns"]
+    assert sorted(calls) == ["_norm_legendre", "_tangential", "_theta_columns"]
 
 
 @pytest.mark.parametrize("kinds", list(itertools.product(RadialKind, repeat=2)))
