@@ -13,6 +13,7 @@ error.  Output is deterministic.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import json
@@ -53,7 +54,6 @@ from .synthesis import (
     recover_coefficients,
     synthesize,
 )
-from .verify import run_suite
 
 __all__ = ["main", "cmd_eval", "cmd_verify", "cmd_solve"]
 
@@ -132,6 +132,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite  # only this command needs the suites
     lmax, checks = run_suite(args.suite, lmax=args.lmax, tol=args.tol)
     ok = all(c["pass"] for c in checks)
     doc = {
@@ -201,6 +202,28 @@ def _quadrature_points(r: float, rule: QuadratureRule) -> np.ndarray:
     return np.column_stack([np.full(tt.size, r), tt.ravel(), pp.ravel()])
 
 
+def _check_size(k: float, media, what: str, radii: dict) -> None:
+    """ValueError naming k and `radii` unless k r and n k r are finite for
+    each finite radius r of `radii` and the refractive index n of each of
+    `media`, which `what` names: past the double range the radial
+    functions fail naming no config key.  A radius may be an array of
+    points, named by its first bad entry."""
+    ns = [1.0] + [med.n for med in media]
+    got, ok = "", True
+    for key, r in radii.items():
+        rs = np.ravel(r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = np.isfinite(rs) & ~np.isfinite(np.multiply.outer(rs * k, ns)).all(1)
+        i = int(np.argmax(bad))
+        ok &= not bad[i]
+        got += f", {key}={float(rs[i])!r}" + (f" at point {i}" if np.ndim(r) else "")
+    if not ok:
+        raise ValueError(
+            f"k * {' and k * '.join(radii)} times the refractive index of {what} "
+            f"must be finite, got k={k!r}{got}"
+        )
+
+
 def _solve_scatter(cfg: dict, fmt: str):
     require_keys(
         cfg,
@@ -212,11 +235,7 @@ def _solve_scatter(cfg: dict, fmt: str):
     radius = real(cfg["radius"], "radius")
     sphere = Medium.from_dict(cfg["sphere"], "sphere")
     host = Medium.from_dict(cfg["host"], "host")
-    if not np.isfinite([k * radius, sphere.n * k * radius, host.n * k * radius]).all():
-        raise ValueError(
-            "k * radius times the refractive index of sphere and host must be "
-            f"finite, got k={k!r}, radius={radius!r}"
-        )
+    _check_size(k, (sphere, host), "sphere and host", {"radius": radius})
     if "lmax" in cfg:
         lmax = degree(cfg["lmax"], "lmax")
     else:
@@ -267,11 +286,16 @@ def _solve_synthesize(cfg: dict, fmt: str):
         pts = cfg["points"]
         if not isinstance(pts, list) or not pts:
             raise ValueError("'points' must be a non-empty list of [r, theta, phi]")
+        radii = {}  # a malformed point is left for synthesize to name
+        with contextlib.suppress(TypeError, ValueError, IndexError):
+            radii["r"] = np.asarray(pts, dtype=float)[:, 0]
     else:
         grid = cfg["grid"]
         require_keys(grid, ("r", "quadrature_lmax"), what="grid spec")
         rule = QuadratureRule.for_degree(quadrature_degree(grid["quadrature_lmax"], 0))
-        pts = _quadrature_points(real(grid["r"], "r"), rule)
+        radii = {"grid r": real(grid["r"], "r")}
+        pts = _quadrature_points(radii["grid r"], rule)
+    _check_size(k, (med,), "medium", radii)
     e, h = synthesize(waves, k, med, pts)
     buf = io.StringIO()
     write = fileio.write_field_csv if fmt == "csv" else fileio.write_field_json
@@ -326,6 +350,7 @@ def _solve_project(cfg: dict, fmt: str):
         raise ValueError("field samples must share a single radius")
     if "r" in cfg and not math.isclose(real(cfg["r"], "r"), r, rel_tol=1e-12):
         raise ValueError(f"config r {cfg['r']} does not match file radius {r}")
+    _check_size(k, (med,), "medium", {"r": r})
 
     # each grid cell takes the last sample whose angles agree to 9 digits
     # (keyed as the complex numbers theta + i phi)
@@ -391,6 +416,9 @@ def _solve_propagate(cfg: dict, fmt: str):
     r_to = real(cfg["r_to"], "r_to")
     # (H_theta, H_phi, E_theta, E_phi)
     w0 = complex_pairs(cfg["w"], 4, "w")
+    # every medium of the profile at both radii bounds the n k r it forms
+    radii = {"r_from": r_from, "r_to": r_to}
+    _check_size(k, profile.media, "every profile medium", radii)
     w1 = propagate(l, k, profile, r_from, r_to, w0)
     e_r, h_r = longitudinal_components(l, k, r_to, profile.medium_at(r_to), w1)
 

@@ -15,7 +15,8 @@ Legendre recurrence in l for every order the set needs, so projection
 and the Gram checks make one recurrence per call and synthesis one per
 block of orders, not one per order.  Every public function here takes
 angle arrays (theta, phi) that broadcast together and returns values of
-their broadcast shape, followed by (3,) or (3, 3) for vectors and tensors.
+their broadcast shape, followed by (3,) or (3, 3) for vectors and tensors;
+a function of a degree l puts the orders m = -l .. l on a first axis.
 
 X_lm comes from the Cartesian ladder route: the three Cartesian components
 of L Y_lm are exact combinations of Y_{l,m} and Y_{l,m+-1}, rotated into
@@ -187,8 +188,8 @@ def flm(mode: ModeIndex, theta, phi) -> np.ndarray:
     return _assemble_f(*_mode_parts(mode, theta, phi))
 
 
-def flm_explicit(mode: ModeIndex, theta, phi) -> np.ndarray:
-    """Second construction of F_lm from the explicit component formulas.
+def flm_explicit(l: int, theta, phi) -> np.ndarray:
+    """F_lm of every order of degree l from the explicit component formulas.
 
     Uses X_theta = -m Y_lm / (sin(theta) sqrt(l(l+1))) and
     X_phi = -i (dY_lm/dtheta) / sqrt(l(l+1)) with the theta derivative
@@ -196,20 +197,19 @@ def flm_explicit(mode: ModeIndex, theta, phi) -> np.ndarray:
     dY/dtheta = (e^{-i phi} L+ Y - e^{+i phi} L- Y) / 2.
     Valid away from the poles; serves as a cross-check on `flm`.
     """
-    l, m, i = mode.l, mode.m, mode.l + mode.m
     theta, phi = np.broadcast_arrays(*_angles(theta, phi))
     y = _ylm_row(l, theta, phi)
     if l == 0:
-        return _assemble_f(y[0], 0.0, 0.0)
+        return _assemble_f(y, 0.0, 0.0)
     st = np.sin(theta)
     if np.any(st == 0.0):
         raise ValueError("explicit form is singular at the poles; use flm")
-    yp, ym, _ = np.tensordot(_ladder(l)[:, :, i], y, 1)  # L+ Y, L- Y, Lz Y
+    yp, ym, _ = np.tensordot(_ladder(l).transpose(0, 2, 1), y, 1)  # L+ Y, L- Y, Lz Y
     dy_dtheta = 0.5 * (np.exp(-1j * phi) * yp - np.exp(1j * phi) * ym)
     inv = 1.0 / math.sqrt(l * (l + 1))
-    vt = -m * y[i] / st * inv
+    vt = (-np.arange(-l, l + 1) * y.T).T / st * inv
     vp = -1j * dy_dtheta * inv
-    return _assemble_f(y[i], vt, vp)
+    return _assemble_f(y, vt, vp)
 
 
 # --- ladder-operator identities ---------------------------------------------
@@ -217,8 +217,9 @@ def flm_explicit(mode: ModeIndex, theta, phi) -> np.ndarray:
 # L+, L- and Lz keep l, so on the harmonics Y_{l,-l} .. Y_{l,l} of one
 # degree they are (2l+1)-square matrices over the coefficients, and an exact
 # finite combination of harmonics is a coefficient vector contracted with
-# `_ylm_row`.  No numerical differentiation enters.  Each check takes angle
-# arrays and returns the residual at every angle.
+# `_ylm_row`.  No numerical differentiation enters.  Each check, like
+# `flm_explicit`, takes a degree l and angle arrays and returns its value at
+# every angle for every order m = -l .. l along a first axis, from one row.
 
 
 def _ladder(l: int) -> np.ndarray:
@@ -243,51 +244,50 @@ def _ylm_row(l: int, theta, phi) -> np.ndarray:
     return y * np.exp(1j * np.multiply.outer(m, phi))
 
 
-def _eigen_residual(op: np.ndarray, mode: ModeIndex, theta, phi, value):
-    """|op Y_lm - value Y_lm| for a ladder matrix op of degree mode.l."""
-    y = _ylm_row(mode.l, theta, phi)
-    i = mode.l + mode.m
-    return np.abs(np.tensordot(op[:, i], y, 1) - value * y[i])
+def _eigen_residual(op: np.ndarray, l: int, theta, phi, value):
+    """|op Y_lm - value Y_lm| for a ladder matrix op; value is one or one per m."""
+    y = _ylm_row(l, theta, phi)
+    return np.abs(np.tensordot(op.T, y, 1) - (value * y.T).T)
 
 
-def l_squared_check(mode: ModeIndex, theta, phi):
+def l_squared_check(l: int, theta, phi):
     """|L^2 Y_lm - l(l+1) Y_lm| with L^2 = Lz^2 + (L+L- + L-L+)/2.
 
     This tests the ladder algebra, not the harmonic values: the matrix
     product returns l(l+1) on the coefficient of Y_lm alone, whatever Y is.
     """
-    lp, lm, lz = _ladder(mode.l)
+    lp, lm, lz = _ladder(l)
     l2 = lz @ lz + (lp @ lm + lm @ lp) / 2
-    return _eigen_residual(l2, mode, theta, phi, mode.l * (mode.l + 1))
+    return _eigen_residual(l2, l, theta, phi, l * (l + 1))
 
 
-def lz_check(mode: ModeIndex, theta, phi):
+def lz_check(l: int, theta, phi):
     """|Lz Y_lm - m Y_lm| with Lz realized as the commutator [L+, L-]/2.
 
     Like `l_squared_check`, this tests the ladder algebra, not the
     harmonic values.
     """
-    lp, lm, _ = _ladder(mode.l)
-    return _eigen_residual((lp @ lm - lm @ lp) / 2, mode, theta, phi, mode.m)
+    lp, lm, _ = _ladder(l)
+    return _eigen_residual((lp @ lm - lm @ lp) / 2, l, theta, phi, np.arange(-l, l + 1))
 
 
-def l_dot_xlm_residual(mode: ModeIndex, theta, phi):
+def l_dot_xlm_residual(l: int, theta, phi):
     """|L . X_lm - sqrt(l(l+1)) Y_lm| via exact ladder composition, with
     X_lm's Cartesian components L_i Y_lm / sqrt(l(l+1)).
 
     Like `l_squared_check`, this tests the ladder algebra, not the
     harmonic values.  X_00 = 0 gives a zero residual.
     """
-    s = math.sqrt(mode.l * (mode.l + 1))
-    ops = np.tensordot(_CARTESIAN, _ladder(mode.l), 1)  # Lx, Ly, Lz
+    s = math.sqrt(l * (l + 1))
+    ops = np.tensordot(_CARTESIAN, _ladder(l), 1)  # Lx, Ly, Lz
     op = (ops @ ops).sum(0) / max(s, 1.0)
-    return _eigen_residual(op, mode, theta, phi, s)
+    return _eigen_residual(op, l, theta, phi, s)
 
 
 _LEVI_CIVITA = np.cross(np.eye(3)[:, None], np.eye(3))  # eps_ijk = (e_i x e_j)_k
 
 
-def l_dot_er_cross_xlm_residual(mode: ModeIndex, theta, phi):
+def l_dot_er_cross_xlm_residual(l: int, theta, phi):
     """|L . (e_r x X_lm)| assembled by the exact operator product rule.
 
     With V_i = eps_{ijk} rhat_j X_k, each L_i V_i splits into the commutator
@@ -298,13 +298,13 @@ def l_dot_er_cross_xlm_residual(mode: ModeIndex, theta, phi):
     three checks this one tests the harmonic values themselves.
     """
     theta, phi = np.broadcast_arrays(*_angles(theta, phi))
-    y = _ylm_row(mode.l, theta, phi)
+    y = _ylm_row(l, theta, phi)
     st = np.sin(theta)
     rhat = np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
-    ops = np.tensordot(_CARTESIAN, _ladder(mode.l), 1)  # Lx, Ly, Lz
-    x = ops[:, :, mode.l + mode.m] / math.sqrt(max(mode.l * (mode.l + 1), 1))
-    x_vals = np.tensordot(x, y, 1)  # X_k
-    lx_vals = np.tensordot(np.einsum("iab,kb->ika", ops, x), y, 1)  # L_i X_k
+    ops = np.tensordot(_CARTESIAN, _ladder(l), 1)  # Lx, Ly, Lz
+    x = ops.transpose(0, 2, 1) / math.sqrt(max(l * (l + 1), 1))  # [k, m + l, .]
+    x_vals = np.tensordot(x, y, 1)  # X_k of every order
+    lx_vals = np.tensordot(np.einsum("iab,kmb->ikma", ops, x), y, 1)  # L_i X_k
     comm = 1j * np.tensordot(_LEVI_CIVITA, rhat, 1)  # [L_i, rhat_j]
     total = np.einsum("ijk,ij...,k...->...", _LEVI_CIVITA, comm, x_vals)
     total += np.einsum("ijk,j...,ik...->...", _LEVI_CIVITA, rhat, lx_vals)

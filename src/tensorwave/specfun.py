@@ -254,15 +254,16 @@ def _radial_pair(xs: np.ndarray, tops, scaled: bool = False) -> list:
     every x.  j comes times e^{ix} with `scaled`, of modulus e^{-Im x}
     (past Im x = 300 from seeds in e^{2ix}, with no cancellation), h1
     times e^{-ix} either way; a value past the double range is inf or
-    nan.  An x = 0 runs as 1, and j at an |x| below `_SMALL` as nan, for
-    `_f_and_d` to replace; a non-finite x raises ValueError.
+    nan.  j comes from its series below |x| = `_SMALL`, where the split of
+    1/x overflows, and h1 at x = 0 as at 1, for `_f_and_d` to reject; a
+    non-finite x raises ValueError.
     """
     finite = np.isfinite(xs)
     if not finite.all():
         raise ValueError(f"x must be finite, got x={complex(xs[~finite][0])}")
     x = np.where(xs == 0, 1.0, xs)
     parts = []
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         inv = _inverse(x)
         for p, top in enumerate(tops):
             if top < 0:
@@ -277,23 +278,27 @@ def _radial_pair(xs: np.ndarray, tops, scaled: bool = False) -> list:
                 parts.append(_miller(top, x, s, c, inv))
             else:
                 parts.append(_miller(top, x, np.sin(x), np.cos(x), inv))
+        small = np.abs(xs) < _SMALL  # e^{ix} = 1 to rounding: scaled j is j
+        if tops[0] >= 0 and small.any():  # j_l = x^l/(2l+1)!!, j_-1 = cos(x)/x
+            z = xs[small]
+            f = z / np.arange(1.0, 2 * tops[0] + 2, 2)[:, None]
+            f[0] = 1.0
+            parts[0][:, small] = np.concatenate([[np.cos(z) / z], np.cumprod(f, 0)])
     return parts
 
 
 def _f_and_d(name: str, xs: np.ndarray, g: np.ndarray) -> tuple:
     """(f_l, d(x f_l)/dx) for l = 0 .. from g, whose entry n holds f_{n-1}
-    at xs, with the series of j_l below |x| = `_SMALL`; ValueError at x = 0
-    for any other kind, and OverflowError naming `name`, the first x past
-    the double range and its l (inf - inf is nan, so both are caught)."""
+    at xs, with d(x j_l)/dx = (l + 1) j_l below |x| = `_SMALL`; ValueError
+    at x = 0 for any other kind, and OverflowError naming `name`, the first
+    x past the double range and its l (inf - inf is nan, so both are caught)."""
     if name != "bessel_j" and (xs == 0).any():
         raise ValueError(f"{name} is singular at x = 0")
     f = g[1:]
     with np.errstate(over="ignore", invalid="ignore"):
         d_rf = xs * g[:-1] - np.arange(len(f))[:, None] * f
     small = (np.abs(xs) < _SMALL) & (name == "bessel_j")
-    if small.any():  # j_l = x^l/(2l+1)!!, d(x j_l)/dx = (l+1) j_l
-        f[0, small] = 1.0
-        f[1:, small] = np.cumprod(xs[small] / np.arange(3.0, 2 * len(f), 2)[:, None], 0)
+    if small.any():  # x j_-1 = x (cos(x)/x) is inf or nan below 2^-1024
         d_rf[:, small] = np.arange(1.0, len(f) + 1)[:, None] * f[:, small]
     ok = np.isfinite(f) & np.isfinite(d_rf)
     if not ok.all():

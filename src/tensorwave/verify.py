@@ -108,8 +108,8 @@ def ortho_suite(lmax: int = 4, tol: float = 1e-10) -> list:
 
 
 def invariants_suite(lmax: int = 4, tol: float = 1e-12) -> list:
-    """Pointwise tensor identities and operator eigenrelations, each mode
-    checked on the whole 100-point Fibonacci lattice at once."""
+    """Pointwise tensor identities mode by mode, operator eigenrelations degree
+    by degree, each on the whole 100-point Fibonacci lattice at once."""
     thetas, phis = _fib_lattice(100)
     er_cross = dual(E_R)
     eye = np.eye(3)
@@ -124,7 +124,13 @@ def invariants_suite(lmax: int = 4, tol: float = 1e-12) -> list:
     def worst_entry(a):
         return np.max(np.abs(a), axis=(-2, -1))
 
-    for mode in _modes(0, lmax):
+    for l in range(lmax + 1):
+        err_l2 = worst(err_l2, l_squared_check(l, thetas, phis))
+        err_lz = worst(err_lz, lz_check(l, thetas, phis))
+        err_ldx = worst(err_ldx, l_dot_xlm_residual(l, thetas, phis))
+        err_ldrx = worst(err_ldrx, l_dot_er_cross_xlm_residual(l, thetas, phis))
+    explicit = np.concatenate([flm_explicit(l, thetas, phis) for l in range(lmax + 1)])
+    for mode, f_explicit in zip(_modes(0, lmax), explicit):
         fmat = flm(mode, thetas, phis)
         y = ylm(mode, thetas, phis)
         xv = xlm(mode, thetas, phis)
@@ -148,13 +154,7 @@ def invariants_suite(lmax: int = 4, tol: float = 1e-12) -> list:
         )
         err_comm = worst(err_comm, worst_entry(fmat @ er_cross - er_cross @ fmat), s)
         err_comm = worst(err_comm, worst_entry(fmat @ IDENTITY - IDENTITY @ fmat), s)
-        err_paths = worst(
-            err_paths, worst_entry(fmat - flm_explicit(mode, thetas, phis)), s
-        )
-        err_l2 = worst(err_l2, l_squared_check(mode, thetas, phis))
-        err_lz = worst(err_lz, lz_check(mode, thetas, phis))
-        err_ldx = worst(err_ldx, l_dot_xlm_residual(mode, thetas, phis))
-        err_ldrx = worst(err_ldrx, l_dot_er_cross_xlm_residual(mode, thetas, phis))
+        err_paths = worst(err_paths, worst_entry(fmat - f_explicit), s)
 
     return [
         _entry("trace_identity", err_trace, tol),
@@ -285,7 +285,7 @@ def maxwell_suite(lmax: int = 3, tol: float = 1e-5) -> list:
 
 # each suite with the largest lmax it takes: ortho's Grams take lmax^6 flops
 # in one BLAS product each (0.2-1.5 s, 78 MB traced peak at 12), invariants
-# lmax^3 (4-6 s at 24), and maxwell's steps shrink with l (about 1 s at 99)
+# 1.6-1.9 s at 24, and maxwell's steps shrink with l (about 1 s at 99)
 _SUITES = {
     "ortho": (ortho_suite, 12),
     "invariants": (invariants_suite, 24),

@@ -178,10 +178,10 @@ def test_acceptance_4_ladder_eigenrelations(capsys, rng):
         phis = rng.uniform(0.0, 2.0 * math.pi, 100)
         err = max(
             err,
-            np.max(l_squared_check(mode, thetas, phis)),
-            np.max(lz_check(mode, thetas, phis)),
-            np.max(l_dot_xlm_residual(mode, thetas, phis)),
-            np.max(l_dot_er_cross_xlm_residual(mode, thetas, phis)),
+            np.max(l_squared_check(mode.l, thetas, phis)[mode.l + mode.m]),
+            np.max(lz_check(mode.l, thetas, phis)[mode.l + mode.m]),
+            np.max(l_dot_xlm_residual(mode.l, thetas, phis)[mode.l + mode.m]),
+            np.max(l_dot_er_cross_xlm_residual(mode.l, thetas, phis)[mode.l + mode.m]),
         )
     _report(
         capsys,

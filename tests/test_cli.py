@@ -371,6 +371,14 @@ def test_cli_import_loads_no_scipy():
     assert res.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_the_verify_suites_to_the_verify_command():
+    code = "import sys, tensorwave.cli; print('tensorwave.verify' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, env=src_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 SPHERE = {"eps": [2.25, 0.0], "mu": [1.0, 0.0]}
 HOST = {"eps": [1.0, 0.0], "mu": [1.0, 0.0]}
 SCATTER = {"task": "scatter", "k": 1.0, "radius": 1.0, "sphere": SPHERE, "host": HOST}
@@ -379,6 +387,7 @@ SYNTH = {"task": "synthesize", "k": 1.0, "medium": HOST, "waves": [WAVE],
          "points": [[2.0, 1.0, 0.5]]}
 PROJECT = {"task": "project", "k": 1.0, "medium": HOST, "quadrature_lmax": 2,
            "field": "absent.csv"}
+GRID_FIELD = "grid field"  # stands for the field file of `_grid_field`
 PROPAGATE = {"task": "propagate", "l": 1, "k": 1.0, "profile": {"outer": HOST},
              "r_from": 1.0, "r_to": 2.0, "w": [[1.0, 0.0]] * 4}
 
@@ -430,12 +439,24 @@ PROPAGATE = {"task": "propagate", "l": 1, "k": 1.0, "profile": {"outer": HOST},
         # 1), and l = 0 failed naming no key
         (dict(PROJECT, modes=[[3, 0]]), "modes l"),
         (dict(PROJECT, modes=[[0, 0]]), "modes l"),
+        # n k r = 4e308 with k = 1e308, eps = 4: synthesize and project
+        # exited 2 with "x must be finite, got x=(inf+nanj)", propagate 1
+        # with "transfer across [1.0, 2.0] overflows"
+        (dict(SYNTH, k=1e308, medium=dict(HOST, eps=[4.0, 0.0])),
+         "k * r times the refractive index of medium"),
+        (dict(PROJECT, k=1e308, medium=dict(HOST, eps=[4.0, 0.0]), field=GRID_FIELD),
+         "k * r times the refractive index of medium"),
+        (dict(PROPAGATE, k=1e308, profile={"outer": dict(HOST, eps=[4.0, 0.0])}),
+         "k * r_from and k * r_to times the refractive index of every profile "
+         "medium"),
     ],
 )
 def test_solve_rejects_non_finite_and_non_integral_values(tmp_path, capsys, cfg, key):
     from tensorwave.cli import main
 
     cfg = {name: v for name, v in cfg.items() if v is not None}
+    if cfg.get("field") == GRID_FIELD:
+        cfg["field"] = str(_grid_field(tmp_path)[0])
     assert main(["solve", "--config", write_config(tmp_path, "c.json", cfg)]) == 2
     err = capsys.readouterr().err
     assert f"error: {key} must be" in err
@@ -743,6 +764,26 @@ def test_solve_scatter_rejects_a_non_finite_size_parameter(tmp_path, capsys, ext
     assert err == (
         "error: k * radius times the refractive index of sphere and host "
         "must be finite, got k=10000000000.0, radius=1e+300\n"
+    )
+
+
+@pytest.mark.parametrize("where, got", [
+    ({"points": [[1e-300, 1.0, 0.5], [2.0, 1.0, 0.5]]}, "r=2.0 at point 1"),
+    ({"grid": {"r": 2.0, "quadrature_lmax": 2}}, "grid r=2.0"),
+])
+def test_solve_synthesize_names_the_radius_past_the_double_range(
+    tmp_path, capsys, where, got
+):
+    # the first point whose n k r overflows, or the grid's radius
+    from tensorwave.cli import main
+
+    cfg = {key: v for key, v in SYNTH.items() if key != "points"}
+    cfg.update(where, k=1e308, medium=dict(HOST, eps=[4.0, 0.0]))
+    assert main(["solve", "--config", write_config(tmp_path, "s.json", cfg)]) == 2
+    name = got.split("=")[0]
+    assert capsys.readouterr().err == (
+        f"error: k * {name} times the refractive index of medium must be "
+        f"finite, got k=1e+308, {got}\n"
     )
 
 

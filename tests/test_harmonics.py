@@ -33,27 +33,45 @@ interior_points = st.tuples(
 
 SAMPLES = [(0.4, 0.9), (1.0, 0.3), (1.9, 2.5), (2.8, 5.7)]
 
-ANGLE_FUNCTIONS = [
-    xlm,
-    flm,
-    flm_explicit,
-    l_squared_check,
-    lz_check,
-    l_dot_xlm_residual,
-    l_dot_er_cross_xlm_residual,
+# the four eigenrelation checks, each with the bound of its verify entry
+CHECKS = [
+    (l_squared_check, 1e-10),
+    (lz_check, 1e-10),
+    (l_dot_xlm_residual, 1e-10),
+    (l_dot_er_cross_xlm_residual, 1e-10),
 ]
+# functions of a degree, returning every order along a first axis
+DEGREE_FUNCTIONS = [flm_explicit] + [check for check, _ in CHECKS]
 
 
 def test_angles_are_validated():
     # theta in [0, pi] (NaN fails) and a finite phi, for every angle function
-    mode = ModeIndex(2, 1)
-    for fn in ANGLE_FUNCTIONS:
+    calls = [(xlm, ModeIndex(2, 1)), (flm, ModeIndex(2, 1))]
+    for fn, arg in calls + [(fn, 2) for fn in DEGREE_FUNCTIONS]:
         for theta in (-0.1, math.pi + 0.1, math.nan):
             with pytest.raises(ValueError, match="theta"):
-                fn(mode, np.array([1.0, theta]), 0.3)
+                fn(arg, np.array([1.0, theta]), 0.3)
         for phi in (math.nan, math.inf):
             with pytest.raises(ValueError, match="phi"):
-                fn(mode, 1.0, np.array([0.3, phi]))
+                fn(arg, 1.0, np.array([0.3, phi]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=30),
+    st.lists(st.floats(min_value=0.05, max_value=math.pi - 0.05), min_size=1,
+             max_size=3),
+    st.lists(st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True),
+             min_size=1, max_size=3),
+)
+def test_degree_checks_return_every_order_under_their_bound(l, thetas, phis):
+    thetas, phis = np.array(thetas)[:, None], np.array(phis)[None, :]
+    shape = (2 * l + 1, thetas.size, phis.size)
+    assert flm_explicit(l, thetas, phis).shape == shape + (3, 3)
+    for check, bound in CHECKS:
+        residual = check(l, thetas, phis)
+        assert residual.shape == shape
+        assert np.all(residual < bound)
 
 
 def test_quadrature_rule_invariants():
@@ -280,34 +298,35 @@ def test_commutation_with_frame_tensors(mode, p):
 @given(modes, interior_points)
 def test_two_construction_paths_agree(mode, p):
     a = flm(mode, *p)
-    b = flm_explicit(mode, *p)
+    b = flm_explicit(mode.l, *p)[mode.l + mode.m]
     s = max(float(np.linalg.norm(a)), 1e-30)
     assert np.max(np.abs(a - b)) <= 1e-12 * s
 
 
 def test_flm_explicit_rejects_poles():
     with pytest.raises(ValueError):
-        flm_explicit(ModeIndex(2, 1), 0.0, 0.3)
+        flm_explicit(2, 0.0, 0.3)
     with pytest.raises(ValueError):
-        flm_explicit(ModeIndex(2, 1), np.array([1.0, 0.0]), 0.3)
+        flm_explicit(2, np.array([1.0, 0.0]), 0.3)
 
 
 def test_grid_functions_match_pointwise():
     mode = ModeIndex(3, -2)
+    l, i_m = mode.l, mode.l + mode.m
     thetas = np.array([0.4, 1.2, 2.6])
     phis = np.array([0.0, 2.1])
     fx = xlm(mode, thetas[:, None], phis[None, :])
     ff = flm(mode, thetas[:, None], phis[None, :])
-    fe = flm_explicit(mode, thetas[:, None], phis[None, :])
+    fe = flm_explicit(l, thetas[:, None], phis[None, :])[i_m]
     assert fx.shape == (3, 2, 3) and ff.shape == fe.shape == (3, 2, 3, 3)
     for i, th in enumerate(thetas):
         for j, ph in enumerate(phis):
             assert np.allclose(fx[i, j], xlm(mode, th, ph), atol=1e-15)
             assert np.allclose(ff[i, j], flm(mode, th, ph), atol=1e-15)
-            assert np.allclose(fe[i, j], flm_explicit(mode, th, ph), atol=1e-15)
-            for check in ANGLE_FUNCTIONS[3:]:
-                grid = check(mode, thetas[:, None], phis[None, :])
-                assert grid[i, j] == pytest.approx(check(mode, th, ph), abs=1e-14)
+            assert np.allclose(fe[i, j], flm_explicit(l, th, ph)[i_m], atol=1e-15)
+            for check in DEGREE_FUNCTIONS[1:]:
+                grid = check(l, thetas[:, None], phis[None, :])[i_m]
+                assert grid[i, j] == pytest.approx(check(l, th, ph)[i_m], abs=1e-14)
 
 
 def test_x_cross_product_integral_vanishes():
@@ -328,20 +347,18 @@ def test_x_cross_product_integral_vanishes():
 
 
 def test_eigenrelation_checks():
-    assert l_squared_check(ModeIndex(0, 0), *SAMPLES[0]) == pytest.approx(
-        0.0, abs=1e-15
-    )
+    assert l_squared_check(0, *SAMPLES[0])[0] == pytest.approx(0.0, abs=1e-15)
     for mode in [ModeIndex(3, 2), ModeIndex(5, -5)]:
         for p in SAMPLES:
-            assert l_squared_check(mode, *p) < 1e-12
-            assert lz_check(mode, *p) < 1e-12
+            assert l_squared_check(mode.l, *p)[mode.l + mode.m] < 1e-12
+            assert lz_check(mode.l, *p)[mode.l + mode.m] < 1e-12
 
 
 @settings(max_examples=80, deadline=None)
 @given(modes, interior_points)
 def test_l_dot_relations(mode, p):
-    assert l_dot_xlm_residual(mode, *p) < 1e-10
-    assert l_dot_er_cross_xlm_residual(mode, *p) < 1e-10
+    assert l_dot_xlm_residual(mode.l, *p)[mode.l + mode.m] < 1e-10
+    assert l_dot_er_cross_xlm_residual(mode.l, *p)[mode.l + mode.m] < 1e-10
 
 
 def test_l_dot_er_cross_check_sees_a_wrong_harmonic(monkeypatch, rng):
@@ -356,7 +373,7 @@ def test_l_dot_er_cross_check_sees_a_wrong_harmonic(monkeypatch, rng):
 
     def worst():
         return max(
-            np.max(l_dot_er_cross_xlm_residual(ModeIndex(l, m), thetas, phis))
+            np.max(l_dot_er_cross_xlm_residual(l, thetas, phis)[l + m])
             for l in range(5)
             for m in range(-l, l + 1)
         )

@@ -297,6 +297,29 @@ def test_bessel_j_takes_its_series_below_the_split_of_one_over_x():
         assert got[:, :len(near)].tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("x", [1e-302, 1e-305, 1e-302j, 1e-305j])
+@pytest.mark.parametrize("kind", [RadialKind.BESSEL_Y, RadialKind.HANKEL2])
+def test_singular_kinds_are_finite_below_the_split_of_one_over_x(kind, x):
+    # they read "bessel_y overflowed at x=(1e-302+0j), l=0" though y_0 =
+    # -cos(x)/x is finite there: the j part they are formed from held nan
+    z = mpmath.mpc(x)
+    if kind is RadialKind.BESSEL_Y:
+        want_f, want_d = -mpmath.cos(z) / z, mpmath.sin(z)
+    else:
+        want_f, want_d = 1j * mpmath.exp(-1j * z) / z, mpmath.exp(-1j * z)
+    f, d = spherical_radial_seq(kind, 0, x)
+    assert abs(f[0] - complex(want_f)) <= 1e-15 * abs(complex(want_f))
+    if kind is RadialKind.BESSEL_Y and x.imag:
+        # x y_-1 = x i (j_-1 - h1_-1) cancels at complex x of any small
+        # size, above the bound too, so only finiteness is asked of it
+        assert np.isfinite(d[0])
+    else:
+        assert abs(d[0] - complex(want_d)) <= 1e-15 * abs(complex(want_d))
+    # y_1 and h2_1 are of size 1/x^2, past the double range
+    with pytest.raises(OverflowError, match=f"{kind.value} overflowed at .*, l=1:"):
+        spherical_radial_seq(kind, 1, x)
+
+
 @pytest.mark.parametrize("x", [50 + 11.4j, 20 + 30j, 5 + 40j])
 @pytest.mark.parametrize(
     "kind, sign", [(RadialKind.HANKEL1, 1), (RadialKind.HANKEL2, -1)]

@@ -34,6 +34,21 @@ def test_invariants_suite_passes_at_small_lmax():
     assert {"trace_identity", "det_identity", "l_squared_eigenrelation"} <= names
 
 
+def test_invariants_suite_builds_one_harmonic_row_per_degree_and_check(
+    monkeypatch,
+):
+    # the four eigenrelation checks and flm_explicit take a whole degree:
+    # 5 rows a degree, not 5 a mode
+    from tensorwave import harmonics
+
+    calls = []
+    exact = harmonics._ylm_row
+    monkeypatch.setattr(harmonics, "_ylm_row",
+                        lambda l, *a: calls.append(l) or exact(l, *a))
+    assert_clean_report(invariants_suite(lmax=4))
+    assert sorted(calls) == [l for l in range(5) for _ in range(5)]
+
+
 def test_maxwell_suite_passes():
     report = maxwell_suite(lmax=2)
     assert_clean_report(report)
