@@ -9,14 +9,16 @@ field-space factor and whose column index is the frame factor of each
 dyad, so a field is the plain matrix-vector product F_lm @ v.  It and the
 check `flm_explicit` below are the only places the dense matrix is built.
 Everywhere else F_lm is held as its three independent components
-(Y, X_theta, X_phi), each a theta-part times e^{i m phi}.  The theta-parts
-of any set of (l, m) come from `_theta_columns`, which runs a single
-Legendre recurrence in l for every order the set needs, so projection
-and the Gram checks make one recurrence per call and synthesis one per
-block of orders, not one per order.  Every public function here takes
-angle arrays (theta, phi) that broadcast together and returns values of
-their broadcast shape, followed by (3,) or (3, 3) for vectors and tensors;
-a function of a degree l puts the orders m = -l .. l on a first axis.
+(Y, X_theta, X_phi), each a theta-part times e^{i m phi}.  Those values
+come from the one harmonic table in `specfun`: `_theta_columns` runs a
+single Legendre recurrence in l for every order a set of (l, m) needs,
+and `_parts` multiplies by the phases, so `xlm`, `flm` and the degree
+functions here each make one recurrence per call, as do projection and
+the Gram checks, and synthesis one per block of orders.  Every public
+function here takes angle arrays (theta, phi) that broadcast together and
+returns values of their broadcast shape, followed by (3,) or (3, 3) for
+vectors and tensors; a function of a degree l puts the orders m = -l .. l
+on a first axis.
 
 X_lm comes from the Cartesian ladder route: the three Cartesian components
 of L Y_lm are exact combinations of Y_{l,m} and Y_{l,m+-1}, rotated into
@@ -34,12 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import (
-    ModeIndex,
-    _angles,
-    _check_theta,
-    _norm_legendre,
-)
+from .specfun import ModeIndex, _angles, _parts
 
 __all__ = [
     "QuadratureRule",
@@ -99,58 +96,6 @@ class QuadratureRule:
         return 2.0 * math.pi * np.arange(self.n_phi) / self.n_phi
 
 
-# --- theta columns ----------------------------------------------------------
-
-
-def _theta_columns(l, m, theta):
-    """theta-parts of Y_lm, X_lm.e_theta and X_lm.e_phi for each (l, m).
-
-    Every harmonic of order m is its theta-part times e^{i m phi}.  `l`
-    and `m` are integers or integer arrays that broadcast together, with
-    |m| <= l; theta is an array of angles in [0, pi].  One Legendre
-    recurrence (`specfun._norm_legendre`) runs to the largest l for the
-    orders from min|m| - 1 to max|m| + 1, which hold every order |m| and
-    |m +- 1| read here.  Returns (y, x_theta, x_phi), each of shape
-    broadcast(l, m).shape + theta.shape.  y and x_theta are real, x_phi
-    is imaginary.  X comes from the ladder combination of the orders
-    m +- 1, so no sin(theta) divides.
-    """
-    theta = np.asarray(theta, dtype=float)
-    _check_theta(theta)
-    ct, st = np.cos(theta), np.sin(theta)
-    ls, ms = np.broadcast_arrays(np.asarray(l), np.asarray(m))
-    orders = np.abs(ms)
-    lmax = int(ls.max(initial=0))
-    lo = max(int(orders.min(initial=lmax)) - 1, 0)
-    hi = min(int(orders.max(initial=0)) + 1, lmax)
-    p = _norm_legendre(lmax, lo, hi, ct, st)
-    grid = (...,) + (None,) * ct.ndim  # mode axes first, then the angle axes
-
-    def y_part(mm):
-        # Y_{l,mm} theta-parts, zero where l < |mm|; Y_{l,-m} = (-1)^m conj(Y_lm)
-        mu = np.abs(mm)
-        sign = np.where((mm < 0) & (mu % 2 == 1), -1.0, 1.0)[grid]
-        vals = p[ls - lo, np.minimum(mu, hi) - lo]
-        return np.where((ls >= mu)[grid], sign * vals, 0.0)
-
-    y, yp, ym = y_part(ms), y_part(ms + 1), y_part(ms - 1)
-    l, m = ls[grid], ms[grid]
-    yp = np.sqrt((l - m) * (l + m + 1)) * yp  # L+ Y_lm
-    ym = np.sqrt((l + m) * (l - m + 1)) * ym  # L- Y_lm
-    inv = 1.0 / np.sqrt(np.maximum(l * (l + 1), 1.0))  # X_00 = 0 either way
-    x_theta = (0.5 * ct * (yp + ym) - m * st * y) * inv
-    x_phi = -0.5j * (yp - ym) * inv
-    return y, x_theta, x_phi
-
-
-def _mode_parts(mode: ModeIndex, theta, phi):
-    """(Y, X_theta, X_phi) of one mode, broadcast over angle arrays."""
-    theta, phi = _angles(theta, phi)
-    phase = np.exp(1j * mode.m * phi)
-    cols = _theta_columns(mode.l, mode.m, theta)
-    return np.broadcast_arrays(*(c * phase for c in cols))
-
-
 # --- vector harmonic --------------------------------------------------------
 
 
@@ -160,7 +105,7 @@ def xlm(mode: ModeIndex, theta, phi) -> np.ndarray:
     Returns the components over (e_r, e_theta, e_phi) along a last axis
     of 3; the e_r component is exactly zero.  X_00 is the zero vector.
     """
-    _, vt, vp = _mode_parts(mode, theta, phi)
+    _, vt, vp = _parts(mode.l, mode.m, theta, phi)
     out = np.zeros(vt.shape + (3,), dtype=complex)
     out[..., 1] = vt
     out[..., 2] = vp
@@ -185,7 +130,7 @@ def flm(mode: ModeIndex, theta, phi) -> np.ndarray:
 
     Columns over (e_r, e_theta, e_phi) are Y_lm e_r, X_lm and e_r x X_lm.
     """
-    return _assemble_f(*_mode_parts(mode, theta, phi))
+    return _assemble_f(*_parts(mode.l, mode.m, theta, phi))
 
 
 def flm_explicit(l: int, theta, phi) -> np.ndarray:
@@ -197,8 +142,8 @@ def flm_explicit(l: int, theta, phi) -> np.ndarray:
     dY/dtheta = (e^{-i phi} L+ Y - e^{+i phi} L- Y) / 2.
     Valid away from the poles; serves as a cross-check on `flm`.
     """
+    y = _ylm_row(l, theta, phi)  # recurs over theta's own shape
     theta, phi = np.broadcast_arrays(*_angles(theta, phi))
-    y = _ylm_row(l, theta, phi)
     if l == 0:
         return _assemble_f(y, 0.0, 0.0)
     st = np.sin(theta)
@@ -238,10 +183,7 @@ _CARTESIAN = np.array([[0.5, 0.5, 0.0], [-0.5j, 0.5j, 0.0], [0.0, 0.0, 1.0]])
 def _ylm_row(l: int, theta, phi) -> np.ndarray:
     """Y_{l,-l} .. Y_{l,l} along a first axis, at the broadcast angles,
     from one recurrence."""
-    theta, phi = np.broadcast_arrays(*_angles(theta, phi))
-    m = np.arange(-l, l + 1)
-    y = _theta_columns(l, m, theta)[0]
-    return y * np.exp(1j * np.multiply.outer(m, phi))
+    return _parts(l, np.arange(-l, l + 1), theta, phi)[0]
 
 
 def _eigen_residual(op: np.ndarray, l: int, theta, phi, value):
@@ -297,8 +239,8 @@ def l_dot_er_cross_xlm_residual(l: int, theta, phi):
     two pieces cancel only where rhat . L Y_lm = 0, so unlike the other
     three checks this one tests the harmonic values themselves.
     """
+    y = _ylm_row(l, theta, phi)  # recurs over theta's own shape
     theta, phi = np.broadcast_arrays(*_angles(theta, phi))
-    y = _ylm_row(l, theta, phi)
     st = np.sin(theta)
     rhat = np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
     ops = np.tensordot(_CARTESIAN, _ladder(l), 1)  # Lx, Ly, Lz

@@ -15,7 +15,12 @@ hold exactly, and Y_{l,-m} = (-1)^m conj(Y_lm).
 The Legendre part is evaluated by the fully normalized forward recurrence
 in l, run for a range of orders at once (each seeded from the
 double-factorial closed form of its sectoral term), which is stable for
-every |m| <= l at the orders handled here.  Spherical Bessel functions
+every |m| <= l at the orders handled here.  Its one caller is
+`_theta_columns`, the harmonic table: the theta-parts of Y_lm and of the
+vector harmonic X_lm = L Y_lm / sqrt(l(l+1)) for any set of modes, where
+the rule for negative m above is applied.  `_parts` multiplies them by
+e^{i m phi}, and every angular value of the package, `ylm` included,
+comes from these two.  Spherical Bessel functions
 come as whole sequences in l for an array of arguments at once, valid for
 complex arguments.  An argument below the real axis is served by the
 conjugate symmetry f(x) = conj(f*(conj x)), f* the kind with h1 and h2
@@ -117,6 +122,60 @@ def _angles(theta, phi):
     return theta, phi
 
 
+def _theta_columns(l, m, theta):
+    """theta-parts of Y_lm, X_lm.e_theta and X_lm.e_phi for each (l, m).
+
+    Every harmonic of order m is its theta-part times e^{i m phi}.  `l`
+    and `m` are integers or integer arrays that broadcast together, with
+    |m| <= l; theta is an array of angles in [0, pi].  One Legendre
+    recurrence (`_norm_legendre`, which nothing else calls) runs to the
+    largest l for the orders from min|m| - 1 to max|m| + 1, which hold
+    every order |m| and |m +- 1| read here.  Returns (y, x_theta, x_phi),
+    each of shape broadcast(l, m).shape + theta.shape.  y and x_theta are
+    real, x_phi is imaginary.  X comes from the ladder combination of the
+    orders m +- 1, so no sin(theta) divides.
+    """
+    theta = np.asarray(theta, dtype=float)
+    _check_theta(theta)
+    ct, st = np.cos(theta), np.sin(theta)
+    ls, ms = np.broadcast_arrays(np.asarray(l), np.asarray(m))
+    orders = np.abs(ms)
+    lmax = int(ls.max(initial=0))
+    lo = max(int(orders.min(initial=lmax)) - 1, 0)
+    hi = min(int(orders.max(initial=0)) + 1, lmax)
+    p = _norm_legendre(lmax, lo, hi, ct, st)
+    grid = (...,) + (None,) * ct.ndim  # mode axes first, then the angle axes
+
+    def y_part(mm):
+        # Y_{l,mm} theta-parts, zero where l < |mm|; Y_{l,-m} = (-1)^m conj(Y_lm)
+        mu = np.abs(mm)
+        sign = np.where((mm < 0) & (mu % 2 == 1), -1.0, 1.0)[grid]
+        vals = p[ls - lo, np.minimum(mu, hi) - lo]
+        return np.where((ls >= mu)[grid], sign * vals, 0.0)
+
+    y, yp, ym = y_part(ms), y_part(ms + 1), y_part(ms - 1)
+    l, m = ls[grid], ms[grid]
+    yp = np.sqrt((l - m) * (l + m + 1)) * yp  # L+ Y_lm
+    ym = np.sqrt((l + m) * (l - m + 1)) * ym  # L- Y_lm
+    inv = 1.0 / np.sqrt(np.maximum(l * (l + 1), 1.0))  # X_00 = 0 either way
+    x_theta = (0.5 * ct * (yp + ym) - m * st * y) * inv
+    x_phi = -0.5j * (yp - ym) * inv
+    return y, x_theta, x_phi
+
+
+def _parts(l, m, theta, phi):
+    """(Y, X_theta, X_phi) of each mode (l, m) at angle arrays theta, phi
+    that broadcast together: the `_theta_columns` parts times e^{i m phi},
+    each of shape broadcast(l, m).shape + the broadcast angle shape.  The
+    recurrence runs over theta's own shape, not the broadcast one."""
+    theta, phi = _angles(theta, phi)
+    nd = max(theta.ndim, phi.ndim)
+    theta, phi = (a.reshape((1,) * (nd - a.ndim) + a.shape) for a in (theta, phi))
+    ms = np.broadcast_arrays(np.asarray(l), np.asarray(m))[1]
+    phase = np.exp(1j * ms[(...,) + (None,) * nd] * phi)
+    return tuple(c * phase for c in _theta_columns(l, m, theta))
+
+
 def ylm(mode: ModeIndex, theta, phi):
     """Scalar spherical harmonic Y_lm(theta, phi).
 
@@ -125,12 +184,8 @@ def ylm(mode: ModeIndex, theta, phi):
     input, else a complex array.
     """
     theta, phi = _angles(theta, phi)
-    ma = abs(mode.m)
-    p = _norm_legendre(mode.l, ma, ma, np.cos(theta), np.sin(theta))[-1, 0]
-    if mode.m < 0:
-        # Y_{l,-m} = (-1)^m conj(Y_lm); p is real, so conjugate the phase
-        p = (-1) ** ma * p
-    out = np.asarray(p * np.exp(1j * mode.m * phi), dtype=complex)
+    y = _theta_columns(mode.l, mode.m, theta)[0]
+    out = np.asarray(y * np.exp(1j * mode.m * phi), dtype=complex)
     return complex(out[()]) if out.ndim == 0 else out
 
 
@@ -363,6 +418,8 @@ def spherical_radial_seq(kind: RadialKind, lmax: int, x) -> tuple:
         if h1 is not None:
             on = b != 0  # e^{-ix} h1 times e^{ix}
             g[:, on] += h1[:, on] * (b[on] * np.exp(1j * z[on]))
+    if kind is RadialKind.BESSEL_Y:  # y_-1 = j_0 exactly; i (j_-1 - h1_-1) cancels
+        g[0] = j[1]
     g[:, low] = g[:, low].conj()
     f, d_rf = _f_and_d(kind.value, xs, g)
     return f.reshape((lmax + 1,) + shape), d_rf.reshape((lmax + 1,) + shape)

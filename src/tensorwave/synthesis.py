@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import QuadratureRule, _theta_columns
+from .harmonics import QuadratureRule
 from .maxwell_radial import (
     Medium,
     _as_k,
@@ -44,7 +44,7 @@ from .maxwell_radial import (
     _tangential,
     fundamental_matrix,
 )
-from .specfun import _PAIR, _SMALL, RadialKind, _check_theta
+from .specfun import _PAIR, _SMALL, RadialKind, _check_theta, _theta_columns
 
 __all__ = [
     "KINDS",

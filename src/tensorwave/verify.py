@@ -16,14 +16,12 @@ import numpy as np
 
 from .harmonics import (
     QuadratureRule,
-    _theta_columns,
-    flm,
+    _assemble_f,
     flm_explicit,
     l_dot_er_cross_xlm_residual,
     l_dot_xlm_residual,
     l_squared_check,
     lz_check,
-    xlm,
 )
 from .maxwell_radial import (
     Medium,
@@ -33,7 +31,7 @@ from .maxwell_radial import (
     system_matrix,
     wtheta_ode_residual,
 )
-from .specfun import ModeIndex, RadialKind, spherical_radial_seq, ylm
+from .specfun import RadialKind, _parts, spherical_radial_seq
 from .synthesis import KINDS, WaveTable, synthesize
 from .tensor3 import E_R, IDENTITY, adjoint, det, dual, trace
 
@@ -58,10 +56,11 @@ def _fib_lattice(n: int):
     return theta, phi
 
 
-def _modes(lmin: int, lmax: int):
-    return [
-        ModeIndex(l, m) for l in range(lmin, lmax + 1) for m in range(-l, l + 1)
-    ]
+def _modes(lmax: int):
+    """(l, m) index arrays of every mode l <= lmax, by l, then m = -l .. l."""
+    i = np.arange((lmax + 1) ** 2)
+    ls = np.sqrt(i).astype(int)
+    return ls, i - ls * (ls + 1)
 
 
 def _grams(lmax: int, rule: QuadratureRule):
@@ -71,10 +70,7 @@ def _grams(lmax: int, rule: QuadratureRule):
     They fill the blocks of the tensor Gram of F_a^dagger F_b:
     [[gy, 0, 0], [0, gx, -gc], [0, gc, gx]].
     """
-    ls, ms = np.array([(mode.l, mode.m) for mode in _modes(0, lmax)]).T
-    phase = np.exp(1j * ms[:, None] * rule.phis)[:, None, :]
-    cols = _theta_columns(ls, ms, rule.thetas)
-    y, xt, xp = (col[:, :, None] * phase for col in cols)
+    y, xt, xp = _parts(*_modes(lmax), rule.thetas[:, None], rule.phis)
     w = rule.weights[:, None] * (2.0 * math.pi / rule.n_phi)
 
     def inner(u, v):
@@ -108,66 +104,46 @@ def ortho_suite(lmax: int = 4, tol: float = 1e-10) -> list:
 
 
 def invariants_suite(lmax: int = 4, tol: float = 1e-12) -> list:
-    """Pointwise tensor identities mode by mode, operator eigenrelations degree
-    by degree, each on the whole 100-point Fibonacci lattice at once."""
+    """Pointwise tensor identities over every mode at once, operator
+    eigenrelations degree by degree, each on the whole 100-point Fibonacci
+    lattice at once."""
     thetas, phis = _fib_lattice(100)
     er_cross = dual(E_R)
-    eye = np.eye(3)
+    y, xt, xp = _parts(*_modes(lmax), thetas, phis)  # [mode, point]
+    fmat = _assemble_f(y, xt, xp)
+    explicit = np.concatenate([flm_explicit(l, thetas, phis) for l in range(lmax + 1)])
+    s = np.maximum(np.linalg.norm(fmat, axis=(-2, -1)), 1e-30)
+    xdotx = xt * xt + xp * xp
+    tr, dt, adj = trace(fmat), det(fmat), adjoint(fmat)
+    tr_adj, d = trace(adj), dt[..., None, None] * np.eye(3)
 
-    err_trace = err_det = err_adj = err_tradj = err_trsq = 0.0
-    err_comm = err_paths = 0.0
-    err_l2 = err_lz = err_ldx = err_ldrx = 0.0
+    def worst(scale, *residuals):
+        return max(float(np.max(r / scale)) for r in residuals)
 
-    def worst(err, residual, scale=1.0):
-        return max(err, float(np.max(residual / scale)))
-
-    def worst_entry(a):
+    def entries(a):
         return np.max(np.abs(a), axis=(-2, -1))
 
-    for l in range(lmax + 1):
-        err_l2 = worst(err_l2, l_squared_check(l, thetas, phis))
-        err_lz = worst(err_lz, lz_check(l, thetas, phis))
-        err_ldx = worst(err_ldx, l_dot_xlm_residual(l, thetas, phis))
-        err_ldrx = worst(err_ldrx, l_dot_er_cross_xlm_residual(l, thetas, phis))
-    explicit = np.concatenate([flm_explicit(l, thetas, phis) for l in range(lmax + 1)])
-    for mode, f_explicit in zip(_modes(0, lmax), explicit):
-        fmat = flm(mode, thetas, phis)
-        y = ylm(mode, thetas, phis)
-        xv = xlm(mode, thetas, phis)
-        s = np.maximum(np.linalg.norm(fmat, axis=(-2, -1)), 1e-30)
-        xdotx = np.sum(xv * xv, axis=-1)
-        d = det(fmat)[:, None, None] * eye
-        adj = adjoint(fmat)
-        tr_adj = trace(adj)
+    def degrees(check):
+        return worst(1.0, *(check(l, thetas, phis) for l in range(lmax + 1)))
 
-        err_trace = worst(err_trace, np.abs(trace(fmat) - (y + 2.0 * xv[:, 1])), s)
-        err_det = worst(err_det, np.abs(det(fmat) - y * xdotx), s**3)
-        err_adj = worst(err_adj, worst_entry(adj @ fmat - d), s**3)
-        err_adj = worst(err_adj, worst_entry(fmat @ adj - d), s**3)
-        err_tradj = worst(
-            err_tradj, np.abs(tr_adj - (xdotx + 2.0 * y * xv[:, 1])), s**2
-        )
-        err_trsq = worst(
-            err_trsq,
-            np.abs(trace(fmat @ fmat) - (trace(fmat) ** 2 - 2.0 * tr_adj)),
-            s**2,
-        )
-        err_comm = worst(err_comm, worst_entry(fmat @ er_cross - er_cross @ fmat), s)
-        err_comm = worst(err_comm, worst_entry(fmat @ IDENTITY - IDENTITY @ fmat), s)
-        err_paths = worst(err_paths, worst_entry(fmat - f_explicit), s)
-
+    square = np.abs(trace(fmat @ fmat) - (tr**2 - 2.0 * tr_adj))
     return [
-        _entry("trace_identity", err_trace, tol),
-        _entry("det_identity", err_det, tol),
-        _entry("adjoint_identity", err_adj, tol),
-        _entry("trace_adjoint_identity", err_tradj, tol),
-        _entry("trace_square_identity", err_trsq, tol),
-        _entry("frame_commutation", err_comm, 1e-14),
-        _entry("construction_paths_agree", err_paths, tol),
-        _entry("l_squared_eigenrelation", err_l2, 1e-10),
-        _entry("lz_eigenrelation", err_lz, 1e-10),
-        _entry("l_dot_x_relation", err_ldx, 1e-10),
-        _entry("l_dot_er_cross_x_relation", err_ldrx, 1e-10),
+        _entry("trace_identity", worst(s, np.abs(tr - (y + 2.0 * xt))), tol),
+        _entry("det_identity", worst(s**3, np.abs(dt - y * xdotx)), tol),
+        _entry("adjoint_identity",
+               worst(s**3, entries(adj @ fmat - d), entries(fmat @ adj - d)), tol),
+        _entry("trace_adjoint_identity",
+               worst(s**2, np.abs(tr_adj - (xdotx + 2.0 * y * xt))), tol),
+        _entry("trace_square_identity", worst(s**2, square), tol),
+        _entry("frame_commutation", worst(s, entries(fmat @ er_cross - er_cross @ fmat),
+                                          entries(fmat @ IDENTITY - IDENTITY @ fmat)),
+               1e-14),
+        _entry("construction_paths_agree", worst(s, entries(fmat - explicit)), tol),
+        _entry("l_squared_eigenrelation", degrees(l_squared_check), 1e-10),
+        _entry("lz_eigenrelation", degrees(lz_check), 1e-10),
+        _entry("l_dot_x_relation", degrees(l_dot_xlm_residual), 1e-10),
+        _entry("l_dot_er_cross_x_relation",
+               degrees(l_dot_er_cross_xlm_residual), 1e-10),
     ]
 
 
@@ -285,7 +261,7 @@ def maxwell_suite(lmax: int = 3, tol: float = 1e-5) -> list:
 
 # each suite with the largest lmax it takes: ortho's Grams take lmax^6 flops
 # in one BLAS product each (0.2-1.5 s, 78 MB traced peak at 12), invariants
-# 1.6-1.9 s at 24, and maxwell's steps shrink with l (about 1 s at 99)
+# 0.4-0.6 s at 24, and maxwell's steps shrink with l (about 1 s at 99)
 _SUITES = {
     "ortho": (ortho_suite, 12),
     "invariants": (invariants_suite, 24),
@@ -309,7 +285,7 @@ def run_suite(name: str, lmax: int | None = None, tol: float | None = None) -> t
         raise ValueError(f"lmax for suite {name} must be in 1 .. {cap}, got {lmax}")
     kwargs = {"lmax": lmax}
     if tol is not None:
-        if not tol > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < tol < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         kwargs["tol"] = tol
     return lmax, suite(**kwargs)

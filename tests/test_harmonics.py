@@ -10,7 +10,6 @@ from tensorwave.harmonics import (
     QuadratureRule,
     _CARTESIAN,
     _ladder,
-    _theta_columns,
     flm,
     flm_explicit,
     l_dot_er_cross_xlm_residual,
@@ -19,7 +18,7 @@ from tensorwave.harmonics import (
     lz_check,
     xlm,
 )
-from tensorwave.specfun import ModeIndex, _norm_legendre, ylm
+from tensorwave.specfun import ModeIndex, _norm_legendre, _theta_columns, ylm
 from tensorwave.tensor3 import E_R, IDENTITY, adjoint, det, dual, trace
 
 modes = st.integers(min_value=0, max_value=8).flatmap(
@@ -197,15 +196,31 @@ def test_a_table_of_some_orders_is_the_slice_of_the_full_table():
 def test_theta_columns_run_one_recurrence_over_the_window_of_their_orders(
     monkeypatch,
 ):
-    from tensorwave import harmonics
+    from tensorwave import specfun
 
     calls = []
-    exact = harmonics._norm_legendre
-    monkeypatch.setattr(harmonics, "_norm_legendre",
+    exact = specfun._norm_legendre
+    monkeypatch.setattr(specfun, "_norm_legendre",
                         lambda *a: calls.append(a[:3]) or exact(*a))
     _theta_columns(np.array([3, 5]), np.array([2, -4]), TABLE_THETAS)
     # orders |m| = 2 .. 4 and their ladder neighbours 1 .. 5, to l = 5
     assert calls == [(5, 1, 5)]
+
+
+@pytest.mark.parametrize("fn, tail", [(ylm, ()), (xlm, (3,)), (flm, (3, 3))])
+def test_harmonics_on_a_product_grid_recur_over_theta_alone(monkeypatch, fn, tail):
+    # theta (n, 1) against phi (1, k): the recurrence runs on the n thetas,
+    # not on the n * k points of the grid
+    from tensorwave import specfun
+
+    shapes = []
+    exact = specfun._norm_legendre
+    monkeypatch.setattr(specfun, "_norm_legendre",
+                        lambda *a: shapes.append(np.shape(a[3])) or exact(*a))
+    thetas, phis = TABLE_THETAS[:, None], np.linspace(0.0, 6.0, 5)[None, :]
+    vals = fn(ModeIndex(3, -2), thetas, phis)
+    assert shapes == [(len(TABLE_THETAS), 1)]
+    assert vals.shape == (len(TABLE_THETAS), 5) + tail
 
 
 def test_table_slices_and_single_order_ylm_equal_the_per_order_recurrence():
@@ -366,7 +381,7 @@ def test_l_dot_er_cross_check_sees_a_wrong_harmonic(monkeypatch, rng):
     # The product-rule pieces of L . (e_r x X) cancel only for true
     # harmonics, so the residual must rise well past rounding; the other
     # three checks test the ladder algebra alone and stay at rounding
-    from tensorwave import harmonics, specfun
+    from tensorwave import specfun
 
     thetas = rng.uniform(0.05, math.pi - 0.05, 50)
     phis = rng.uniform(0.0, 2.0 * math.pi, 50)
@@ -388,5 +403,4 @@ def test_l_dot_er_cross_check_sees_a_wrong_harmonic(monkeypatch, rng):
         return p
 
     monkeypatch.setattr(specfun, "_norm_legendre", skewed)
-    monkeypatch.setattr(harmonics, "_norm_legendre", skewed)
     assert worst() > 1e-9

@@ -309,15 +309,20 @@ def test_singular_kinds_are_finite_below_the_split_of_one_over_x(kind, x):
         want_f, want_d = 1j * mpmath.exp(-1j * z) / z, mpmath.exp(-1j * z)
     f, d = spherical_radial_seq(kind, 0, x)
     assert abs(f[0] - complex(want_f)) <= 1e-15 * abs(complex(want_f))
-    if kind is RadialKind.BESSEL_Y and x.imag:
-        # x y_-1 = x i (j_-1 - h1_-1) cancels at complex x of any small
-        # size, above the bound too, so only finiteness is asked of it
-        assert np.isfinite(d[0])
-    else:
-        assert abs(d[0] - complex(want_d)) <= 1e-15 * abs(complex(want_d))
+    assert abs(d[0] - complex(want_d)) <= 1e-15 * abs(complex(want_d))
     # y_1 and h2_1 are of size 1/x^2, past the double range
     with pytest.raises(OverflowError, match=f"{kind.value} overflowed at .*, l=1:"):
         spherical_radial_seq(kind, 1, x)
+
+
+@pytest.mark.parametrize("x", [1e-20j, 1e-300j, 1e-8 * (1 + 1j), 1e-3j,
+                               -1e-20j, 1e-8 * (1 - 1j), -1e-3j])
+def test_bessel_y_derivative_at_small_complex_argument(x):
+    # d(x y_0)/dx = sin(x) came from x y_-1 = x i (j_-1 - h1_-1), two terms
+    # of size 1 that cancel: it read 0 at 1e-20j and 1e-300j
+    want = complex(mpmath.sin(mpmath.mpc(x)))
+    d = spherical_radial_seq(RadialKind.BESSEL_Y, 0, x)[1]
+    assert abs(d[0] - want) <= 1e-15 * abs(want)
 
 
 @pytest.mark.parametrize("x", [50 + 11.4j, 20 + 30j, 5 + 40j])

@@ -176,10 +176,10 @@ def test_blocks_hold_whole_orders_and_at_most_the_block_entries(monkeypatch):
 def test_one_pass_makes_one_call_of_each_table_layer(monkeypatch, shape):
     # the benchmark's shapes fit in one block: one Legendre recurrence, one
     # set of theta columns and one tangential state for all of their waves
-    from tensorwave import harmonics
+    from tensorwave import specfun
 
     calls = []
-    for module, name in ((harmonics, "_norm_legendre"), (synthesis, "_theta_columns"),
+    for module, name in ((specfun, "_norm_legendre"), (synthesis, "_theta_columns"),
                          (synthesis, "_tangential")):
         fn = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, _fn=fn, _name=name, **kw:

@@ -49,6 +49,21 @@ def test_invariants_suite_builds_one_harmonic_row_per_degree_and_check(
     assert sorted(calls) == [l for l in range(5) for _ in range(5)]
 
 
+def test_invariants_suite_runs_one_recurrence_per_row_and_one_for_all_modes(
+    monkeypatch,
+):
+    # 5 (lmax + 1) harmonic rows and one table of every mode l <= lmax for
+    # the tensor identities, where each mode once ran three of its own
+    from tensorwave import specfun
+
+    calls = []
+    exact = specfun._norm_legendre
+    monkeypatch.setattr(specfun, "_norm_legendre",
+                        lambda *a: calls.append(a[:3]) or exact(*a))
+    assert_clean_report(invariants_suite(lmax=4))
+    assert len(calls) == 5 * (4 + 1) + 1
+
+
 def test_maxwell_suite_passes():
     report = maxwell_suite(lmax=2)
     assert_clean_report(report)
@@ -79,6 +94,8 @@ def test_run_suite_rejects_bad_arguments():
         run_suite("ortho", lmax=0)
     with pytest.raises(ValueError, match="positive"):
         run_suite("ortho", tol=-1.0)
+    with pytest.raises(ValueError, match="positive"):
+        run_suite("ortho", tol=float("inf"))
 
 
 @pytest.mark.parametrize("name", sorted(_SUITES))
