@@ -55,7 +55,7 @@ from .synthesis import (
     synthesize,
 )
 
-__all__ = ["main", "cmd_eval", "cmd_verify", "cmd_solve"]
+__all__ = ["main"]
 
 
 def _write_text(text: str, out) -> None:
@@ -162,9 +162,20 @@ def cmd_verify(args) -> int:
 _KIND_CODES = {kind.value: code for code, kind in enumerate(KINDS)}
 
 
+def _wave_from_dict(rec: dict) -> WaveTable:
+    """The one-wave table of a config's wave entry, each fault named."""
+    require_keys(rec, ("l", "m", "c1", "kinds"), ("c2",), what="wave")
+    kinds = kind_pair(rec["kinds"], "wave 'kinds'")
+    c1 = complex_pairs(rec["c1"], 2, "c1")
+    c2 = complex_pairs(rec.get("c2", [[0.0, 0.0], [0.0, 0.0]]), 2, "c2")
+    mode = ModeIndex(degree(rec["l"], "l"), integer(rec["m"], "m"))
+    codes = [_KIND_CODES[kind.value] for kind in kinds]
+    return WaveTable([mode.l], [mode.m], [[c1, c2]], [codes])
+
+
 def _wave_table(entries) -> WaveTable:
     """The WaveTable of config wave entries in one pass, which takes only
-    what `fileio._wave_from_dict` takes, to the same values: numbers as
+    what `_wave_from_dict` takes, to the same values: numbers as
     JSON gives them, checked finite, integral and in range before any
     cast.  Anything else raises, with no message to show."""
     if not all(type(rec) is dict and rec.keys() - {"c2"} == {"l", "m", "c1", "kinds"}
@@ -192,7 +203,7 @@ def _waves_from_config(entries) -> WaveTable:
         return _wave_table(entries)
     except (ValueError, TypeError, KeyError, OverflowError):
         # wave by wave, so that the first faulty wave gets its own message
-        rows = [astuple(fileio._wave_from_dict(rec)) for rec in entries]
+        rows = [astuple(_wave_from_dict(rec)) for rec in entries]
         return WaveTable(*map(np.concatenate, zip(*rows)))
 
 
@@ -370,18 +381,16 @@ def _solve_project(cfg: dict, fmt: str):
     e_grid = e[pick].reshape(nt, nphi, 3)
     h_grid = h[pick].reshape(nt, nphi, 3)
 
+    modes.sort(key=lambda mode: (mode.l, mode.m))
     hls, els = project_sampled(e_grid, h_grid, modes, rule)
     c1s, c2s = recover_coefficients(hls, els, modes, k, r, med, kinds)
-    order = sorted(range(len(modes)), key=lambda i: (modes[i].l, modes[i].m))
 
     if fmt == "csv":
         names = ("h_r", "h_theta", "h_phi", "e_r", "e_theta", "e_phi",
                  "c1_theta", "c1_phi", "c2_theta", "c2_phi")
-        lm = [(modes[i].l, modes[i].m) for i in order]
+        lm = np.array([(mode.l, mode.m) for mode in modes])
         return _csv_table(
-            ["l", "m", *_re_im(names)],
-            [np.array(lm), hls[order], els[order], c1s[order], c2s[order]],
-            ints=2,
+            ["l", "m", *_re_im(names)], [lm, hls, els, c1s, c2s], ints=2
         )
     doc = {
         "task": "project",
@@ -390,14 +399,14 @@ def _solve_project(cfg: dict, fmt: str):
         "quadrature_lmax": lq,
         "modes": [
             {
-                "l": modes[i].l,
-                "m": modes[i].m,
-                "h": _pairs(hls[i]),
-                "e": _pairs(els[i]),
-                "c1": _pairs(c1s[i]),
-                "c2": _pairs(c2s[i]),
+                "l": mode.l,
+                "m": mode.m,
+                "h": _pairs(hl),
+                "e": _pairs(el),
+                "c1": _pairs(c1),
+                "c2": _pairs(c2),
             }
-            for i in order
+            for mode, hl, el, c1, c2 in zip(modes, hls, els, c1s, c2s)
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -496,7 +505,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--lmax", type=int, default=None)
     p_verify.add_argument("--tol", type=float, default=None)
     p_verify.add_argument("--out", default=None)
-    p_verify.add_argument("--format", choices=("json",), default="json")
     p_verify.set_defaults(func=cmd_verify)
 
     p_solve = sub.add_parser("solve", help="run a task from a JSON config")
@@ -513,13 +521,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RuntimeError, OverflowError, ArithmeticError) as exc:
+    except (RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

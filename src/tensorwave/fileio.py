@@ -5,8 +5,7 @@ A field travels as three arrays: `points`, real of shape (N, 3) holding
 spherical frame.  On disk it is CSV (one row per point, complex values
 split into _re/_im columns, 17 significant digits) or JSON with complex
 numbers encoded as [re, im] pairs.  Writers are deterministic: same
-inputs, same bytes.  `_wave_from_dict` reads one JSON wave entry of a
-config and names its first fault.
+inputs, same bytes.
 """
 
 from __future__ import annotations
@@ -19,20 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .parsing import (
-    _csv_table,
-    _pairs,
-    _re_im,
-    complex_pair,
-    complex_pairs,
-    degree,
-    integer,
-    kind_pair,
-    real,
-    require_keys,
-)
-from .specfun import ModeIndex
-from .synthesis import KINDS, WaveTable
+from .parsing import _csv_table, _pairs, _re_im, complex_pair, real
 
 __all__ = [
     "FIELD_CSV_COLUMNS",
@@ -194,13 +180,3 @@ def read_field_json(fp) -> tuple:
         np.array(h, dtype=complex).reshape(-1, 3),
     )
 
-
-def _wave_from_dict(rec: dict) -> WaveTable:
-    """The one-wave table of a config's wave entry, each fault named."""
-    require_keys(rec, ("l", "m", "c1", "kinds"), ("c2",), what="wave")
-    kinds = kind_pair(rec["kinds"], "wave 'kinds'")
-    c1 = complex_pairs(rec["c1"], 2, "c1")
-    c2 = complex_pairs(rec.get("c2", [[0.0, 0.0], [0.0, 0.0]]), 2, "c2")
-    mode = ModeIndex(degree(rec["l"], "l"), integer(rec["m"], "m"))
-    codes = [KINDS.index(kind) for kind in kinds]
-    return WaveTable([mode.l], [mode.m], [[c1, c2]], [codes])

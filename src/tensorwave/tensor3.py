@@ -12,40 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "E_R",
-    "IDENTITY",
-    "dual",
-    "trace",
-    "det",
-    "adjoint",
-]
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-E_R = _frozen(np.array([1.0, 0.0, 0.0], dtype=complex))
-
-IDENTITY = _frozen(np.eye(3, dtype=complex))
-
-
-def dual(v) -> np.ndarray:
-    """Antisymmetric tensor v^x realizing the cross product.
-
-    dual(v) @ a == cross(v, a) and a @ dual(v) == cross(a, v) for any a.
-    """
-    v = np.asarray(v, dtype=complex)
-    z = 0.0 + 0.0j
-    return np.array(
-        [
-            [z, -v[2], v[1]],
-            [v[2], z, -v[0]],
-            [-v[1], v[0], z],
-        ]
-    )
+__all__ = ["trace", "det", "adjoint"]
 
 
 def trace(t):

@@ -903,6 +903,32 @@ def test_project_json_matches_element_wise_reference(tmp_path, capsys):
     assert cli_text(capsys, "solve", "--config", proj) == dumped(want)
 
 
+def test_project_rows_come_in_l_m_order_as_one_mode_requests_give_them(tmp_path,
+                                                                      capsys):
+    field = str(tmp_path / "field.csv")
+    wave = dict(WAVE, l=2, m=1, c2=[[0.1, 0.0], [0.0, 0.2]])
+    grid = {"r": 2.0, "quadrature_lmax": 3}
+    cfg = {key: v for key, v in SYNTH.items() if key != "points"}
+    synth = write_config(tmp_path, "g.json", dict(cfg, waves=[wave], grid=grid))
+    cli_text(capsys, "solve", "--config", synth, "--format", "csv", "--out", field)
+
+    def project(modes, *fmt):
+        proj = write_config(tmp_path, "p.json", dict(
+            PROJECT, field=field, quadrature_lmax=3, modes=modes))
+        return cli_text(capsys, "solve", "--config", proj, *fmt)
+
+    want = [[1, 0], [1, 0], [2, 1], [3, -3]]
+    rows = csv_floats(project([[3, -3], [1, 0], [2, 1], [1, 0]], "--format", "csv"))
+    assert [row[:2] for row in rows] == want and rows[0] == rows[1]
+    # modes projected together share one phi transform and one Legendre
+    # window, so a row matches its one-mode request to rounding only
+    alone = [csv_floats(project([lm], "--format", "csv"))[0] for lm in want]
+    assert np.allclose(rows, alone, rtol=1e-13, atol=1e-15)
+    doc = json.loads(project([[3, -3], [1, 0], [2, 1], [1, 0]]))
+    assert [[row["l"], row["m"]] for row in doc["modes"]] == want
+    assert [row["h"] for row in doc["modes"]] == [cell_pairs(row, 2, 3) for row in rows]
+
+
 def test_propagate_json_matches_element_wise_reference(tmp_path, capsys):
     cfg = write_config(tmp_path, "p.json", dict(PROPAGATE, l=2))
     (row,) = csv_floats(cli_text(capsys, "solve", "--config", cfg, "--format", "csv"))
@@ -930,7 +956,7 @@ def _synth_error(tmp_path, capsys, waves) -> str:
 def test_synthesize_names_a_bad_wave_as_the_wave_parser_does(tmp_path, capsys, key):
     # the one-pass parse of the wave table falls back to the per-wave
     # parser on anything it does not take, so each fault keeps its message
-    from tensorwave.fileio import _wave_from_dict
+    from tensorwave.cli import _wave_from_dict
 
     wave2 = dict(WAVE, l=2, m=-1, c2=[[0.0, 0.5], [1.0, 0.0]],
                  kinds=["bessel_j", "hankel1"])

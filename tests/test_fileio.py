@@ -6,12 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from tensorwave import fileio
-from tensorwave.cli import _waves_from_config
+from tensorwave import cli
+from tensorwave.cli import _wave_from_dict, _waves_from_config
 from tensorwave.fileio import (
     FIELD_CSV_COLUMNS,
     _scan_field_csv,
-    _wave_from_dict,
     read_field_csv,
     read_field_json,
     write_field_csv,
@@ -341,7 +340,7 @@ def test_waves_json_round_trip(monkeypatch):
     ])
     slow = [_wave_from_dict(rec) for rec in json.loads(text)]
     # valid entries are parsed in one pass, to the same bytes
-    monkeypatch.setattr(fileio, "_wave_from_dict", None)
+    monkeypatch.setattr(cli, "_wave_from_dict", None)
     got = _waves_from_config(json.loads(text))
     for name in ("l", "m", "c", "kinds"):
         want = np.concatenate([getattr(t, name) for t in slow])

@@ -19,7 +19,10 @@ from tensorwave.harmonics import (
     xlm,
 )
 from tensorwave.specfun import ModeIndex, _norm_legendre, _theta_columns, ylm
-from tensorwave.tensor3 import E_R, IDENTITY, adjoint, det, dual, trace
+from tensorwave.tensor3 import adjoint, det, trace
+
+E_R = np.eye(3)[0]
+ER_CROSS = np.cross(E_R, np.eye(3)).T  # ER_CROSS @ a == cross(E_R, a)
 
 modes = st.integers(min_value=0, max_value=8).flatmap(
     lambda l: st.integers(min_value=-l, max_value=l).map(lambda m: ModeIndex(l, m))
@@ -271,7 +274,7 @@ def test_flm_columns_are_y_x_and_er_cross_x(rng):
             x = xlm(mode, *p)
             assert np.allclose(f[:, 0], ylm(mode, *p) * E_R, atol=1e-15)
             assert np.allclose(f[:, 1], x, atol=1e-15)
-            assert np.allclose(f[:, 2], dual(E_R) @ x, atol=1e-15)
+            assert np.allclose(f[:, 2], ER_CROSS @ x, atol=1e-15)
 
 
 def test_trace_identity_10_random_points(rng):
@@ -304,9 +307,7 @@ def test_invariant_identities(mode, p):
 def test_commutation_with_frame_tensors(mode, p):
     f = flm(mode, *p)
     s = max(float(np.linalg.norm(f)), 1.0)
-    er_cross = dual(E_R)
-    assert np.max(np.abs(f @ er_cross - er_cross @ f)) <= 1e-14 * s
-    assert np.max(np.abs(f @ IDENTITY - IDENTITY @ f)) <= 1e-14 * s
+    assert np.max(np.abs(f @ ER_CROSS - ER_CROSS @ f)) <= 1e-14 * s
 
 
 @settings(max_examples=100, deadline=None)
