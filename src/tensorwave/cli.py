@@ -382,8 +382,9 @@ def _solve_project(cfg: dict, fmt: str):
     h_grid = h[pick].reshape(nt, nphi, 3)
 
     modes.sort(key=lambda mode: (mode.l, mode.m))
-    hls, els = project_sampled(e_grid, h_grid, modes, rule)
-    c1s, c2s = recover_coefficients(hls, els, modes, k, r, med, kinds)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hls, els = project_sampled(e_grid, h_grid, modes, rule)
+        c1s, c2s = recover_coefficients(hls, els, modes, k, r, med, kinds)
 
     if fmt == "csv":
         names = ("h_r", "h_theta", "h_phi", "e_r", "e_theta", "e_phi",

@@ -21,7 +21,6 @@ import numpy as np
 from .parsing import _csv_table, _pairs, _re_im, complex_pair, real
 
 __all__ = [
-    "FIELD_CSV_COLUMNS",
     "write_field_csv",
     "read_field_csv",
     "write_field_json",

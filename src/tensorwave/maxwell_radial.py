@@ -16,7 +16,10 @@ with k = omega/c, so Hankel-1 radial functions are outgoing.
 
 The two polarizations never couple: (H_theta, E_phi) and (H_phi, E_theta)
 evolve independently, so each column of the solution basis touches only
-one of the two pairs.
+one of the two pairs and the basis is two 2x2 blocks.  For kinds
+f_i = a_i j_l + b_i h1_l and P = a1 b2 - a2 b1, the Wronskian
+W{j_l, y_l} = x^-2 (Abramowitz & Stegun 10.1.6) gives their determinants
+-P / (eps n k^2) and -P / (mu n k^2), the same at every l and r.
 """
 
 from __future__ import annotations
@@ -144,11 +147,6 @@ class RadialProfile:
         return self.media[bisect.bisect_right(self.boundaries, r)]
 
 
-def _tangential_a(l: int, k: float, r: float, med: Medium) -> np.ndarray:
-    q = l * (l + 1) / (med.eps * med.mu * k * k * r * r)
-    return np.array([[0.0, -1.0], [1.0 - q, 0.0]], dtype=complex)
-
-
 def system_matrix(l: int, k, r: float, med: Medium) -> np.ndarray:
     """Coefficient matrix M of the tangential system d(rW)/dr = i k M (rW)."""
     if l < 1:
@@ -156,7 +154,8 @@ def system_matrix(l: int, k, r: float, med: Medium) -> np.ndarray:
     if r <= 0:
         raise ValueError("r must be positive (centrifugal term diverges at 0)")
     k = _as_k(k)
-    a = _tangential_a(l, k, r, med)
+    q = l * (l + 1) / (med.eps * med.mu * k * k * r * r)
+    a = np.array([[0.0, -1.0], [1.0 - q, 0.0]], dtype=complex)
     m = np.zeros((4, 4), dtype=complex)
     m[0:2, 2:4] = med.eps * a
     m[2:4, 0:2] = -med.mu * a
@@ -198,6 +197,22 @@ def _basis(f1, d1, f2, d2, k: float, r, med: Medium) -> np.ndarray:
     """
     f1, d1, f2, d2, r = (np.asarray(v)[..., None] for v in (f1, d1, f2, d2, r))
     return np.stack(_tangential(f1, d1, f2, d2, k, r, med, np.eye(4)), axis=-2)
+
+
+def _block_inv(phi, med: Medium | None = None, k: float = 1.0, p: complex = 1):
+    """Inverse over the last two axes of 4x4 matrices in `_basis`'s layout:
+    adj(B) / det B per polarization block B, rows (rH_theta, rE_phi) on
+    columns (c1_theta, c2_theta) or (rH_phi, rE_theta) on (c1_phi, c2_phi),
+    all else 0.  det B is the closed form of the module docstring for a
+    basis in `med` at k with P = p (1 for the scaled pair), else formed."""
+    out = np.zeros_like(phi)
+    blocks = (((0, 3), (0, 2), med and med.eps), ((1, 2), (1, 3), med and med.mu))
+    for (r0, r1), (c0, c1), em in blocks:
+        a, b, c, d = (phi[..., i, j] for i in (r0, r1) for j in (c0, c1))
+        det = -p / (em * med.n * k * k) if med else a * d - b * c
+        out[..., c0, r0], out[..., c0, r1] = d / det, -b / det
+        out[..., c1, r0], out[..., c1, r1] = -c / det, a / det
+    return out
 
 
 def _pair_seqs(xs: np.ndarray, tops, scaled: bool = False) -> list:
@@ -256,15 +271,16 @@ def _transfers(l: int, k: float, shells) -> list:
     r_to, med) of `shells`, from one scaled pair pass (`_pair_seqs`) for
     all of their ends.
 
-    T = Phi(r_to) Phi(r_from)^-1 for any solution basis Phi.  The basis
-    is the regular and outgoing pair (j, h1), which stays well
-    conditioned for every n k r in the upper half plane: below the
-    turning point h1 ~ i y dominates j, and where the field oscillates
-    in an absorbing medium h1 decays as e^{-Im(n k r)} while j grows as
-    e^{+Im(n k r)}.  The pairs (j, y) and (h1, h2) each become nearly
-    dependent in one of those regions.  The exponential factors are
-    taken out of the basis and applied as the phases e^{-+i n k (r_to -
-    r_from)}, so thick absorbing regions stay in the double range.
+    T = Phi(r_to) Phi(r_from)^-1 for any solution basis Phi, inverted by
+    `_block_inv` with the scaled pair's P = 1.  The basis is the regular
+    and outgoing pair (j, h1), which stays well conditioned for every
+    n k r in the upper half plane: below the turning point h1 ~ i y
+    dominates j, and where the field oscillates in an absorbing medium h1
+    decays as e^{-Im(n k r)} while j grows as e^{+Im(n k r)}.  The pairs
+    (j, y) and (h1, h2) each become nearly dependent in one of those
+    regions.  The exponential factors are taken out of the basis and
+    applied as the phases e^{-+i n k (r_to - r_from)}, so thick absorbing
+    regions stay in the double range.
     """
     with np.errstate(over="ignore"):
         phases = [
@@ -274,23 +290,17 @@ def _transfers(l: int, k: float, shells) -> list:
     for (a, b, _), phase in zip(shells, phases):
         if not np.all(np.isfinite(phase)):
             raise OverflowError(f"transfer across [{a}, {b}] overflows")
-    ends = [(r, med) for a, b, med in shells for r in (b, a)]
-    x = np.array([med.n * k * r for r, med in ends])
+    x = np.array([med.n * k * r for a, b, med in shells for r in (b, a)])
     (f1, d1), (f2, d2) = _pair_seqs(x, (l, l), scaled=True)
     small = ~(np.abs(f1[l]) > _TINY)
     if small.any():
         bad = complex(x[np.argmax(small)])
         raise OverflowError(f"bessel_j underflowed at l={l}, x={bad}")
-    phis = [
-        _basis(f1[l, i], d1[l, i], f2[l, i], d2[l, i], k, r, med)
-        for i, (r, med) in enumerate(ends)
-    ]
     out = []
-    for i, (a, _, _) in enumerate(shells):
-        try:
-            out.append(phis[2 * i] * phases[i] @ np.linalg.inv(phis[2 * i + 1]))
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"degenerate radial basis at r={a}") from exc
+    for i, (phase, (a, b, med)) in enumerate(zip(phases, shells)):
+        rows = (v[l, 2 * i:2 * i + 2] for v in (f1, d1, f2, d2))  # at r = b, a
+        to, start = _basis(*rows, k, np.array([b, a]), med)
+        out.append(to * phase @ _block_inv(start, med, k))
     return out
 
 

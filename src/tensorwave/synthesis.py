@@ -40,6 +40,7 @@ from .harmonics import QuadratureRule
 from .maxwell_radial import (
     Medium,
     _as_k,
+    _block_inv,
     _pair_seqs,
     _tangential,
     fundamental_matrix,
@@ -284,25 +285,25 @@ def recover_coefficients(
     `hl`, `el` are the (len(modes), 3) arrays `project_sampled` returns
     for `modes`; only their tangential parts enter (the radial parts are
     determined by them and serve as a consistency check elsewhere).
-    Returns (c1, c2), arrays of shape (len(modes), 2) in the order of
-    `modes`.  One kind twice, a singular basis, raises ValueError.
-    """
+    The basis is inverted block by block with its closed-form determinants
+    into (c1, c2), arrays of shape (len(modes), 2) in the order of `modes`.
+    One kind twice, a singular basis, raises ValueError; a mode whose values
+    or coefficients leave the double range, OverflowError."""
     if kinds[0] is kinds[1]:
         raise ValueError(
             f"kinds must name two different kinds, got {kinds[0].value} twice"
         )
     ls = np.array([mode.l for mode in modes])
-    hl = np.asarray(hl, dtype=complex)
-    el = np.asarray(el, dtype=complex)
-    u = r * np.column_stack([hl[:, 1], hl[:, 2], el[:, 1], el[:, 2]])
+    hl, el = (np.asarray(v, dtype=complex) for v in (hl, el))
     phi = fundamental_matrix(ls, kinds[0], kinds[1], k, r, med)
-    try:
-        c = np.linalg.solve(phi, u[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"radial basis {tuple(kind.value for kind in kinds)} is degenerate "
-            f"at r={r}; cannot recover coefficients"
-        ) from exc
+    (a1, b1), (a2, b2) = (_PAIR[kind] for kind in kinds)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = r * np.column_stack([hl[:, 1], hl[:, 2], el[:, 1], el[:, 2]])
+        c = (_block_inv(phi, med, k, a1 * b2 - a2 * b1) @ u[..., None])[..., 0]
+    bad = ~np.isfinite(np.column_stack([hl, el, c])).all(axis=1)
+    if bad.any():
+        mode = modes[int(np.argmax(bad))]
+        raise OverflowError(f"mode {(mode.l, mode.m)} at r={r} leaves the double range")
     return c[:, 0:2], c[:, 2:4]
 
 
@@ -326,7 +327,8 @@ def match_sphere(
     regular incident wave (the same for every l), Phi_i[J] are the two
     regular columns of the interior solution basis and Phi_h[J], Phi_h[H1]
     the regular and outgoing columns of the host basis, all at r = radius.
-    The lmax 4x4 systems are one batched solve.
+    The system splits into the two polarization blocks, each solved as
+    adj / det for every l at once, det from the entries as two media mix.
     Returns (scattered, interior), arrays of shape (lmax, 2) whose row
     l - 1 holds the Hankel-1 coefficients of the scattered wave and the
     Bessel-j coefficients of the interior wave of degree l.
@@ -346,10 +348,8 @@ def match_sphere(
     phi_i = fundamental_matrix(ls, J, J, k, radius, sphere)
     phi_h = fundamental_matrix(ls, J, H1, k, radius, host)
     a = np.concatenate([phi_i[..., :2], -phi_h[..., 2:]], axis=-1)
-    try:
-        sol = np.linalg.solve(a, (phi_h[..., :2] @ c)[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"singular matching matrix at k={k}, radius={radius}"
-        ) from exc
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sol = (_block_inv(a) @ (phi_h[..., :2] @ c)[..., None])[..., 0]
+    if not np.isfinite(sol).all():
+        raise RuntimeError(f"singular matching matrix at k={k}, radius={radius}")
     return sol[:, 2:], sol[:, :2]

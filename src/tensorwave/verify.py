@@ -35,7 +35,7 @@ from .specfun import RadialKind, _parts, spherical_radial_seq
 from .synthesis import KINDS, WaveTable, synthesize
 from .tensor3 import adjoint, det, trace
 
-__all__ = ["ortho_suite", "invariants_suite", "maxwell_suite", "run_suite"]
+__all__ = ["run_suite"]
 
 # e_r x in the (r, theta, phi) frame: _ER_CROSS @ a == cross(e_r, a)
 _ER_CROSS = np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=complex)

@@ -665,6 +665,32 @@ def test_solve_project_rejects_a_config_radius_off_the_file(tmp_path, capsys):
     assert out == ("", "error: config r 2.5 does not match file radius 2.0\n")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("column", [None, "h_r_re"])
+def test_solve_project_stops_at_a_mode_past_the_double_range(tmp_path, capsys, fmt,
+                                                              column):
+    # every nonzero field cell, or every h_r_re cell, at 1e308 (finite, so
+    # the reader takes it): project exited 0 with nan and inf rows, and its
+    # JSON held NaN and Infinity, which is not JSON
+    from tensorwave.cli import main
+
+    def big(name, v):
+        if column is None:
+            return v if name in ("r", "theta", "phi") or float(v) == 0 else "1e308"
+        return "1e308" if name == column else v
+
+    field, header, rows = _grid_field(tmp_path)
+    rows = [",".join(map(big, header.split(","), row.split(","))) for row in rows]
+    field.write_text("\n".join([header, *rows]) + "\n")
+    proj = write_config(tmp_path, "p.json", dict(PROJECT, field=str(field)))
+    out = tmp_path / f"out.{fmt}"
+    assert main(["solve", "--config", proj, "--format", fmt, "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: mode (1, -1) at r=2.0 leaves the double range\n"
+    )
+    assert not out.exists()
+
+
 NO_POINTS = "'points' must be a non-empty list of [r, theta, phi]"
 
 

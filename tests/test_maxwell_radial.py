@@ -8,6 +8,8 @@ from tensorwave.maxwell_radial import (
     Medium,
     RadialProfile,
     _basis,
+    _block_inv,
+    _pair_seqs,
     fundamental_matrix,
     longitudinal_components,
     propagate,
@@ -15,7 +17,7 @@ from tensorwave.maxwell_radial import (
     system_matrix,
     wtheta_ode_residual,
 )
-from tensorwave.specfun import RadialKind, spherical_radial_seq
+from tensorwave.specfun import _PAIR, RadialKind, spherical_radial_seq
 
 J, Y, H1, H2 = (
     RadialKind.BESSEL_J,
@@ -23,6 +25,9 @@ J, Y, H1, H2 = (
     RadialKind.HANKEL1,
     RadialKind.HANKEL2,
 )
+# vacuum, absorbing, metal-like and magnetic
+MEDIA = [Medium(1.0, 1.0), Medium(2.25 + 0.4j, 1.0), Medium(-10 + 1j, 1.0),
+         Medium(1.7689, 1.21)]
 
 
 def test_medium_validation_and_index_branch():
@@ -178,6 +183,40 @@ def test_polarization_blocks_det_scales_inverse_square():
             assert np.linalg.det(theta_block) == pytest.approx(want, rel=1e-12)
             dets.append(np.linalg.det(theta_block))
         assert dets[0] / dets[1] == pytest.approx(4.0, rel=1e-12)
+    # both blocks of every ordered pair of distinct kinds f_i = a_i j + b_i
+    # h1: det = -P / (eps n k^2) and -P / (mu n k^2), P = a1 b2 - a2 b1
+    ls = np.arange(1, 41)
+    for med, r in itertools.product(MEDIA, (0.3, 1.0, 7.0, 60.0)):
+        for kind1, kind2 in itertools.permutations(RadialKind, 2):
+            (a1, b1), (a2, b2) = _PAIR[kind1], _PAIR[kind2]
+            phi = fundamental_matrix(ls, kind1, kind2, k, r, med)
+            for rows, cols, em in (([0, 3], [0, 2], med.eps), ([1, 2], [1, 3], med.mu)):
+                block = phi[:, rows][..., cols]
+                want = -(a1 * b2 - a2 * b1) / (em * med.n * k * k)
+                scale = np.prod(np.linalg.norm(block, axis=-2), axis=-1)
+                err = np.abs(np.linalg.det(block) - want)
+                assert np.all(err <= 1e-13 * scale), (med, r, kind1, kind2, rows)
+    # the scaled pair (e^{ix} j, e^{-ix} h1) of `propagate` has P = 1
+    xs = np.array([0.3, 7.0, 60.0, 3 + 4j, 20 + 30j, 9.5 + 190j, 5 + 700j])
+    (f1, d1), (f2, d2) = _pair_seqs(xs, (40, 40), scaled=True)
+    assert np.all(np.abs(xs * (f1 * d2 - f2 * d1) - 1j) <= 1e-14)
+
+
+def test_block_inverse_matches_lu_with_either_determinant():
+    # closed-form determinants, and each formed from its block (as the
+    # two-media matching matrix needs), against np.linalg.inv, whose error
+    # grows with the condition number: up to 6e7 in the metal, where x =
+    # 0.4+8.2i and j grows as h1 decays
+    k, r, ls = 1.3, 2.0, np.arange(1, 5)
+    for med in MEDIA:
+        for kind1, kind2 in ((J, H1), (Y, J), (H1, H2), (H2, Y)):
+            (a1, b1), (a2, b2) = _PAIR[kind1], _PAIR[kind2]
+            phi = fundamental_matrix(ls, kind1, kind2, k, r, med)
+            want = np.linalg.inv(phi)
+            scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+            scale *= np.linalg.cond(phi)[:, None, None]
+            for got in (_block_inv(phi), _block_inv(phi, med, k, a1 * b2 - a2 * b1)):
+                assert np.all(np.abs(got - want) <= 1e-15 * scale), (med, kind1, kind2)
 
 
 def test_longitudinal_components_cases():
@@ -293,12 +332,7 @@ def test_propagate_matches_mpmath_in_absorbing_shells(l, case):
     assert err <= 1e-10
 
 
-@pytest.mark.parametrize(
-    "med",
-    [Medium(1.0, 1.0), Medium(2.25 + 0.4j, 1.0), Medium(-10 + 1j, 1.0),
-     Medium(1.7689, 1.21)],
-    ids=["vacuum", "absorbing", "metal", "magnetic"],
-)
+@pytest.mark.parametrize("med", MEDIA, ids=["vacuum", "absorbing", "metal", "magnetic"])
 def test_fundamental_matrix_matches_the_per_kind_route(med):
     # every kind is a j + b h1 of one pair pass; the reference is `_basis`
     # of each kind evaluated by itself through `spherical_radial_seq`

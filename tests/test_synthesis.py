@@ -356,19 +356,13 @@ def test_projection_round_trip(rng):
         assert np.max(np.abs(got2 - c2)) < 1e-10
 
 
-def test_recover_coefficients_names_a_degenerate_basis_by_kind_values(monkeypatch):
-    # it named them by their enum reprs, <RadialKind.BESSEL_J: 'bessel_j'>
-    def singular(*args):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    with pytest.raises(RuntimeError) as info:
-        recover_coefficients(np.ones((1, 3)), np.ones((1, 3)), [ModeIndex(1, 0)],
-                             1.0, 2.0, VACUUM, (J, H1))
-    assert str(info.value) == (
-        "radial basis ('bessel_j', 'hankel1') is degenerate at r=2.0; cannot "
-        "recover coefficients"
-    )
+def test_recover_coefficients_names_the_first_mode_past_the_double_range():
+    # r h = 2e308 overflows: the coefficients came back nan and inf
+    hl = np.array([[0.0, 1.0, 1.0], [1e308] * 3])
+    modes = [ModeIndex(1, 0), ModeIndex(2, 1)]
+    with pytest.raises(OverflowError) as info:
+        recover_coefficients(hl, np.ones((2, 3)), modes, 1.0, 2.0, VACUUM, (J, H1))
+    assert str(info.value) == "mode (2, 1) at r=2.0 leaves the double range"
 
 
 def test_projection_cross_mode_leakage():
