@@ -199,17 +199,17 @@ def _basis(f1, d1, f2, d2, k: float, r, med: Medium) -> np.ndarray:
     return np.stack(_tangential(f1, d1, f2, d2, k, r, med, np.eye(4)), axis=-2)
 
 
-def _block_inv(phi, med: Medium | None = None, k: float = 1.0, p: complex = 1):
-    """Inverse over the last two axes of 4x4 matrices in `_basis`'s layout:
-    adj(B) / det B per polarization block B, rows (rH_theta, rE_phi) on
-    columns (c1_theta, c2_theta) or (rH_phi, rE_theta) on (c1_phi, c2_phi),
-    all else 0.  det B is the closed form of the module docstring for a
-    basis in `med` at k with P = p (1 for the scaled pair), else formed."""
+def _block_inv(phi, med: Medium, k: float, p: complex = 1):
+    """Inverse over the last two axes of 4x4 matrices in `_basis`'s layout
+    of a basis in `med` at k with P = p: adj(B) / det B per polarization
+    block B, rows (rH_theta, rE_phi) on columns (c1_theta, c2_theta) or
+    (rH_phi, rE_theta) on (c1_phi, c2_phi), all else 0, det B the closed
+    form of the module docstring (P = 1 for (J, H1) and the scaled pair)."""
     out = np.zeros_like(phi)
-    blocks = (((0, 3), (0, 2), med and med.eps), ((1, 2), (1, 3), med and med.mu))
+    blocks = (((0, 3), (0, 2), med.eps), ((1, 2), (1, 3), med.mu))
     for (r0, r1), (c0, c1), em in blocks:
         a, b, c, d = (phi[..., i, j] for i in (r0, r1) for j in (c0, c1))
-        det = -p / (em * med.n * k * k) if med else a * d - b * c
+        det = -p / (em * med.n * k * k)
         out[..., c0, r0], out[..., c0, r1] = d / det, -b / det
         out[..., c1, r0], out[..., c1, r1] = -c / det, a / det
     return out

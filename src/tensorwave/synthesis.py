@@ -321,14 +321,14 @@ def match_sphere(
     r = radius fixes the outgoing scattered coefficients s in the host and
     the regular interior ones d:
 
-        Phi_i[J] d - Phi_h[H1] s = Phi_h[J] c
+        d u_i = Phi_h[J] c + Phi_h[H1] s
 
     where c is `incident_c1`, the (e_theta, e_phi) coefficients of the
-    regular incident wave (the same for every l), Phi_i[J] are the two
-    regular columns of the interior solution basis and Phi_h[J], Phi_h[H1]
-    the regular and outgoing columns of the host basis, all at r = radius.
-    The system splits into the two polarization blocks, each solved as
-    adj / det for every l at once, det from the entries as two media mix.
+    regular incident wave, u_i the interior regular wave's state and Phi_h
+    the host basis (J, H1), whose closed-form inverse reads (v_j, v_h1) of
+    u_i off it per polarization: s = c v_h1 / v_j, d = c e^{ix} / v_j, with
+    u_i from e^{ix} j_l at the interior argument x, finite for Im x >= 0:
+    d is 0 below the double range, and only the host's j_l, h1_l overflow.
     Returns (scattered, interior), arrays of shape (lmax, 2) whose row
     l - 1 holds the Hankel-1 coefficients of the scattered wave and the
     Bessel-j coefficients of the interior wave of degree l.
@@ -343,13 +343,13 @@ def match_sphere(
 
     J, H1 = RadialKind.BESSEL_J, RadialKind.HANKEL1
     ls = np.arange(1, lmax + 1)
-    # the interior basis is (J, J): y_l of the interior argument is never
-    # evaluated, so it cannot overflow where only j_l is needed
-    phi_i = fundamental_matrix(ls, J, J, k, radius, sphere)
     phi_h = fundamental_matrix(ls, J, H1, k, radius, host)
-    a = np.concatenate([phi_i[..., :2], -phi_h[..., 2:]], axis=-1)
+    x = sphere.n * k * radius
+    (f, d), _ = _pair_seqs(np.array([x]), (lmax, -1), scaled=True)
+    u_i = _tangential(f[ls, 0], d[ls, 0], 0, 0, k, radius, sphere, [1, 1, 0, 0])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        sol = (_block_inv(a) @ (phi_h[..., :2] @ c)[..., None])[..., 0]
-    if not np.isfinite(sol).all():
+        v = (_block_inv(phi_h, host, k) @ np.stack(u_i, -1)[..., None])[..., 0]
+        scattered, interior = c * v[:, 2:] / v[:, :2], c * np.exp(1j * x) / v[:, :2]
+    if not np.isfinite([scattered, interior]).all():
         raise RuntimeError(f"singular matching matrix at k={k}, radius={radius}")
-    return sol[:, 2:], sol[:, :2]
+    return scattered, interior

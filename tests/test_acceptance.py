@@ -305,9 +305,11 @@ def test_acceptance_8_mie_equivalence(capsys):
     t0 = time.perf_counter()
     k = 1.0
     err = 0.0
-    for x in (0.5, 3.0):
+    # up to x = 1000 and |Im(m x)| = 10000, past the 710 where j_l of the
+    # interior argument leaves the double range
+    for x in (0.5, 3.0, 50.0, 1000.0):
         lmax = max(4, math.ceil(x + 4.0 * x ** (1.0 / 3.0) + 2.0))
-        for m in (1.33 + 0.0j, 1.5 + 0.1j):
+        for m in (1.33 + 0.0j, 1.5 + 0.1j, 1.5 + 1j, 10 + 10j):
             want_a, want_b = mie_ab(m, x, lmax)
             sphere = Medium(m * m, 1.0)
             scattered, _ = match_sphere(lmax, k, sphere, VACUUM, x, [1.0, 1.0])

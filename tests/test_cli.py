@@ -152,6 +152,7 @@ def test_eval_and_verify_past_their_size_caps_exit_2_before_allocating(
 ):
     import tracemalloc
 
+    import tensorwave.verify  # noqa: F401  its import is not what is measured
     from tensorwave.cli import main
 
     tracemalloc.start()
@@ -333,14 +334,29 @@ def test_solve_propagate_reports_overflow_promptly(tmp_path):
 
 
 def test_solve_scatter_names_the_overflowing_function(tmp_path):
-    # n = 1.5+1i at radius 720: sin and cos of the interior argument
+    # host n = 1.5+1i at radius 720: sin and cos of the host argument
     # 1080+720i are past the double range
-    cfg = dict(SCATTER, radius=720.0, sphere={"eps": [1.25, 3.0], "mu": [1.0, 0.0]})
+    cfg = dict(SCATTER, radius=720.0, host={"eps": [1.25, 3.0], "mu": [1.0, 0.0]})
     res = run_cli("solve", "--config", write_config(tmp_path, "s.json", cfg),
                   "--format", "csv", timeout=5)
     assert res.returncode == 1
     assert "error: bessel_j overflowed at x=(1080+720j)" in res.stderr
     assert res.stdout == ""
+
+
+def test_solve_scatter_past_the_interior_double_range_matches_mpmath(tmp_path):
+    # sphere n = 1.5+1i at radius 720: the interior argument 1080+720i
+    # enters only through e^{ix} j_l, so nothing overflows
+    cfg = dict(SCATTER, radius=720.0, sphere={"eps": [1.25, 3.0], "mu": [1.0, 0.0]})
+    res = run_cli("solve", "--config", write_config(tmp_path, "s.json", cfg),
+                  timeout=30)
+    assert res.returncode == 0, res.stderr
+    modes = json.loads(res.stdout)["modes"]
+    for l in (1, 7, 720):
+        want = mie_ab_mp(1.5 + 1j, 720.0, l)
+        got = [-complex(*pair) for pair in modes[l - 1]["scattered_c1"]]
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-9 * abs(w)
 
 
 def test_solve_scatter_at_a_tiny_radius_matches_mpmath(tmp_path):
@@ -485,11 +501,11 @@ def test_solve_scatter_builds_one_radial_sequence_per_kind_and_argument(
     cfg = write_config(tmp_path, "s.json", dict(SCATTER, lmax=40))
     assert main(["solve", "--config", cfg]) == 0
     assert len(json.loads(capsys.readouterr().out)["modes"]) == 40
-    # one pass of j_l inside the sphere, one of j_l and h1_l in the host,
-    # each for every l
+    # one pass of j_l and h1_l in the host, one of the scaled j_l inside
+    # the sphere, each for every l
     assert radial_passes == [
-        ([1.5 + 0j], [40, -1], False),
         ([1.0 + 0j], [40, 40], False),
+        ([1.5 + 0j], [40, -1], True),
     ]
 
 

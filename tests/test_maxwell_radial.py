@@ -202,11 +202,10 @@ def test_polarization_blocks_det_scales_inverse_square():
     assert np.all(np.abs(xs * (f1 * d2 - f2 * d1) - 1j) <= 1e-14)
 
 
-def test_block_inverse_matches_lu_with_either_determinant():
-    # closed-form determinants, and each formed from its block (as the
-    # two-media matching matrix needs), against np.linalg.inv, whose error
-    # grows with the condition number: up to 6e7 in the metal, where x =
-    # 0.4+8.2i and j grows as h1 decays
+def test_block_inverse_matches_lu_with_the_closed_form_determinant():
+    # the Wronskian determinants against np.linalg.inv, whose error grows
+    # with the condition number: up to 6e7 in the metal, where x = 0.4+8.2i
+    # and j grows as h1 decays
     k, r, ls = 1.3, 2.0, np.arange(1, 5)
     for med in MEDIA:
         for kind1, kind2 in ((J, H1), (Y, J), (H1, H2), (H2, Y)):
@@ -215,8 +214,8 @@ def test_block_inverse_matches_lu_with_either_determinant():
             want = np.linalg.inv(phi)
             scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
             scale *= np.linalg.cond(phi)[:, None, None]
-            for got in (_block_inv(phi), _block_inv(phi, med, k, a1 * b2 - a2 * b1)):
-                assert np.all(np.abs(got - want) <= 1e-15 * scale), (med, kind1, kind2)
+            got = _block_inv(phi, med, k, a1 * b2 - a2 * b1)
+            assert np.all(np.abs(got - want) <= 1e-15 * scale), (med, kind1, kind2)
 
 
 def test_longitudinal_components_cases():

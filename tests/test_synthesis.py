@@ -444,18 +444,52 @@ def test_match_sphere_matches_mie_table():
             )
 
 
-@pytest.mark.parametrize("x", [50.0, 1000.0])
-@pytest.mark.parametrize("m", [1.33, 1.5 + 0.1j])
+@pytest.mark.parametrize("x", [50.0, 72.0, 1000.0])
+@pytest.mark.parametrize("m", [1.33, 1.5 + 0.1j, 1.5 + 1j, 10 + 10j])
 def test_match_sphere_matches_mpmath_mie_at_large_x(x, m):
     # up to the CLI's default lmax, from one batched call; at x = 1000,
     # m = 1.33 a_1 was 37% off while the Bessel sequence started its
-    # Miller recursion too low
+    # Miller recursion too low, and j_l of the interior argument m x
+    # overflowed past |Im(m x)| = 710 (m = 10+10i at x = 72)
     lmax = math.ceil(x + 4.0 * x ** (1.0 / 3.0) + 2.0)
-    scattered, _ = match_sphere(lmax, 1.0, Medium(m * m, 1.0), VACUUM, x, (1.0, 1.0))
+    scattered, interior = match_sphere(
+        lmax, 1.0, Medium(m * m, 1.0), VACUUM, x, (1.0, 1.0)
+    )
+    assert np.isfinite(interior).all()
     for l in sorted({1, 7, int(x), lmax}):
         a, b = mie_ab_mp(m, x, l)
         assert -scattered[l - 1, 0] == pytest.approx(a, rel=1e-9)
         assert -scattered[l - 1, 1] == pytest.approx(b, rel=1e-9)
+
+
+@pytest.mark.parametrize("m, x", [(1.5 + 0.1j, 0.5), (1.5 + 0.1j, 50.0),
+                                  (10 + 10j, 3.0), (1.5 + 1j, 50.0)])
+def test_match_sphere_interior_field_continues_the_host_field(m, x):
+    # tangential E and H at r = a: incident c on j plus scattered s on h1
+    # in the host against interior d on j in the sphere, every order
+    # |m| <= 1 of every l at once
+    host, sphere, c = Medium(1.2, 1.0), Medium(m * m, 1.0), (1.0, 0.4 - 0.3j)
+    lmax = max(4, math.ceil(x + 4.0 * x ** (1.0 / 3.0) + 2.0))
+    scattered, interior = match_sphere(lmax, 1.0, sphere, host, x, c)
+    pts = [[x, th, ph] for th, ph in ((0.3, 0.1), (1.1, 2.0), (2.0, -1.3), (2.9, 4.0))]
+    ls, ms = np.repeat(np.arange(1, lmax + 1), 3), np.tile([-1, 0, 1], lmax)
+    fields = []
+    for med, c1, c2, kinds in ((host, [c] * len(ls), scattered[ls - 1], (J, H1)),
+                               (sphere, interior[ls - 1], [(0, 0)] * len(ls), (J, J))):
+        waves = table([wave(*row, kinds=kinds) for row in zip(ls, ms, c1, c2)])
+        e, h = synthesize(waves, 1.0, med, pts)
+        fields.append(np.hstack([e[:, 1:], h[:, 1:]]))
+    outside, inside = fields
+    assert np.max(np.abs(inside - outside)) <= 1e-12 * np.max(np.abs(outside))
+
+
+def test_match_sphere_interior_below_the_double_range_is_zero():
+    # m x = 10000+10000i: the interior coefficients are about e^-10000;
+    # the scattered ones are checked against mpmath at large x
+    _, interior = match_sphere(
+        1042, 1.0, Medium((10 + 10j) ** 2, 1.0), VACUUM, 1000.0, (1.0, 1.0)
+    )
+    assert interior.shape == (1042, 2) and not interior.any()
 
 
 @pytest.mark.parametrize("x", [3.0, 50.0, 1000.0])
