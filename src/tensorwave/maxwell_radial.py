@@ -15,11 +15,12 @@ on the (theta, phi) tangential pair.  Time dependence is exp(-i*omega*t)
 with k = omega/c, so Hankel-1 radial functions are outgoing.
 
 The two polarizations never couple: (H_theta, E_phi) and (H_phi, E_theta)
-evolve independently, so each column of the solution basis touches only
-one of the two pairs and the basis is two 2x2 blocks.  For kinds
-f_i = a_i j_l + b_i h1_l and P = a1 b2 - a2 b1, the Wronskian
-W{j_l, y_l} = x^-2 (Abramowitz & Stegun 10.1.6) gives their determinants
--P / (eps n k^2) and -P / (mu n k^2), the same at every l and r.
+evolve independently, so each polarization is one 2x2 system in the
+radial values [[f1, f2], [d1, d2]] of two kinds, d = d(x f)/dx at
+x = n k r, of determinant i/x for (j_l, h1_l) by the Wronskian
+W{j_l, y_l} = x^-2 (Abramowitz & Stegun 10.1.6).  `_tangential` and its
+closed-form inverse `_coefficients` are the one pair of maps between
+coefficients and state; any other kind is a j_l + b h1_l (`specfun._PAIR`).
 """
 
 from __future__ import annotations
@@ -187,32 +188,21 @@ def _tangential(f1, d1, f2, d2, k: float, r, med: Medium, c) -> tuple:
     )
 
 
-def _basis(f1, d1, f2, d2, k: float, r, med: Medium) -> np.ndarray:
-    """The 4x4 solution basis Phi on u = r W: `_tangential` of the unit
-    coefficient vectors, one per column.
-
-    Columns correspond to (c1_theta, c1_phi, c2_theta, c2_phi), rows to
-    (rH_theta, rH_phi, rE_theta, rE_phi).  The inputs and r broadcast
-    together; the result has their shape followed by (4, 4).
-    """
-    f1, d1, f2, d2, r = (np.asarray(v)[..., None] for v in (f1, d1, f2, d2, r))
-    return np.stack(_tangential(f1, d1, f2, d2, k, r, med, np.eye(4)), axis=-2)
-
-
-def _block_inv(phi, med: Medium, k: float, p: complex = 1):
-    """Inverse over the last two axes of 4x4 matrices in `_basis`'s layout
-    of a basis in `med` at k with P = p: adj(B) / det B per polarization
-    block B, rows (rH_theta, rE_phi) on columns (c1_theta, c2_theta) or
-    (rH_phi, rE_theta) on (c1_phi, c2_phi), all else 0, det B the closed
-    form of the module docstring (P = 1 for (J, H1) and the scaled pair)."""
-    out = np.zeros_like(phi)
-    blocks = (((0, 3), (0, 2), med.eps), ((1, 2), (1, 3), med.mu))
-    for (r0, r1), (c0, c1), em in blocks:
-        a, b, c, d = (phi[..., i, j] for i in (r0, r1) for j in (c0, c1))
-        det = -p / (em * med.n * k * k)
-        out[..., c0, r0], out[..., c0, r1] = d / det, -b / det
-        out[..., c1, r0], out[..., c1, r1] = -c / det, a / det
-    return out
+def _coefficients(f1, d1, f2, d2, k: float, r, med: Medium, u):
+    """The inverse of `_tangential`: c, on the last axis, with
+    `_tangential(f1, d1, f2, d2, k, r, med, c)` = u, the four arrays
+    (rH_theta, rH_phi, rE_theta, rE_phi), for a pair with f1 d2 - f2 d1 =
+    i/x, x = n k r: (j, h1) or the scaled pair of `_pair_seqs`.  Each
+    polarization is a 2x2 system in [[f1, f2], [d1, d2]], solved by
+    Cramer's rule with 1/W = -i x: c_theta from (rH_theta / r,
+    -i eps k rE_phi), c_phi from (rE_theta / r, i mu k rH_phi)."""
+    s = -1j * med.n * k * r
+    (c1t, c2t), (c1p, c2p) = (
+        (s * (d2 * p - f2 * q), s * (f1 * q - d1 * p))
+        for p, q in ((u[0] / r, -1j * med.eps * k * u[3]),
+                     (u[2] / r, 1j * med.mu * k * u[1]))
+    )
+    return np.stack(np.broadcast_arrays(c1t, c1p, c2t, c2p), axis=-1)
 
 
 def _pair_seqs(xs: np.ndarray, tops, scaled: bool = False) -> list:
@@ -234,6 +224,21 @@ def _pair_seqs(xs: np.ndarray, tops, scaled: bool = False) -> list:
     return out
 
 
+def _pair_at(l, k, r: float, med: Medium, used=(True, True)) -> tuple:
+    """k as a float and [f, d] of j_l, then of h1_l, at x = n k r for the
+    degrees l >= 1 (an int or array) at r > 0, from one `_pair_seqs` pass
+    to the largest l of the parts `used`; a part not used reads 0."""
+    ls = np.asarray(l)
+    if np.any(ls < 1):
+        raise ValueError("transverse solutions need l >= 1")
+    if not r > 0:
+        raise ValueError("r must be positive")
+    k = _as_k(k)
+    tops = np.where(used, int(ls.max()), -1)
+    pair = _pair_seqs(np.array([med.n * k * r]), tops)
+    return k, [v[np.minimum(ls, len(v) - 1), 0] for f_d in pair for v in f_d]
+
+
 def fundamental_matrix(
     l,
     kind1: RadialKind,
@@ -242,66 +247,21 @@ def fundamental_matrix(
     r: float,
     med: Medium,
 ) -> np.ndarray:
-    """4x4 solution basis of the system in the variable u = r W.
+    """4x4 solution basis of the system in the variable u = r W:
+    `_tangential` of the four unit coefficient vectors.
 
-    Columns correspond to the coefficient unit vectors
-    (c1_theta, c1_phi, c2_theta, c2_phi); rows to (rH_theta, rH_phi,
-    rE_theta, rE_phi).  See `_tangential` for the entries.  `l` may be an
-    array of degrees; the result then has its shape followed by (4, 4),
-    from one `_pair_seqs` pass; a kind's zero weight skips its part.
+    Columns correspond to (c1_theta, c1_phi, c2_theta, c2_phi); rows to
+    (rH_theta, rH_phi, rE_theta, rE_phi).  `l` may be an array of
+    degrees; the result then has its shape followed by (4, 4), from one
+    `_pair_at` pass; a kind's zero weight skips its part.
     """
-    ls = np.asarray(l)
-    if np.any(ls < 1):
-        raise ValueError("transverse solutions need l >= 1")
-    if not r > 0:
-        raise ValueError("r must be positive")
-    k = _as_k(k)
     weights = [_PAIR[kind] for kind in (kind1, kind2)]
-    tops = np.where(np.any(weights, axis=0), int(ls.max()), -1)
-    pair = _pair_seqs(np.array([med.n * k * r]), tops)
+    k, pair = _pair_at(l, k, r, med, np.any(weights, axis=0))
     f_d = [
-        sum(w * seq[i][ls, 0] for w, seq in zip(ab, pair) if w)
+        sum(w * v for w, v in zip(ab, pair[i::2]) if w)[..., None]
         for ab in weights for i in (0, 1)
     ]
-    return _basis(*f_d, k, r, med)
-
-
-def _transfers(l: int, k: float, shells) -> list:
-    """Transfer matrices T on u = rW across each homogeneous (r_from,
-    r_to, med) of `shells`, from one scaled pair pass (`_pair_seqs`) for
-    all of their ends.
-
-    T = Phi(r_to) Phi(r_from)^-1 for any solution basis Phi, inverted by
-    `_block_inv` with the scaled pair's P = 1.  The basis is the regular
-    and outgoing pair (j, h1), which stays well conditioned for every
-    n k r in the upper half plane: below the turning point h1 ~ i y
-    dominates j, and where the field oscillates in an absorbing medium h1
-    decays as e^{-Im(n k r)} while j grows as e^{+Im(n k r)}.  The pairs
-    (j, y) and (h1, h2) each become nearly dependent in one of those
-    regions.  The exponential factors are taken out of the basis and
-    applied as the phases e^{-+i n k (r_to - r_from)}, so thick absorbing
-    regions stay in the double range.
-    """
-    with np.errstate(over="ignore"):
-        phases = [
-            np.exp(np.array([-1, -1, 1, 1]) * 1j * med.n * k * (b - a))
-            for a, b, med in shells
-        ]
-    for (a, b, _), phase in zip(shells, phases):
-        if not np.all(np.isfinite(phase)):
-            raise OverflowError(f"transfer across [{a}, {b}] overflows")
-    x = np.array([med.n * k * r for a, b, med in shells for r in (b, a)])
-    (f1, d1), (f2, d2) = _pair_seqs(x, (l, l), scaled=True)
-    small = ~(np.abs(f1[l]) > _TINY)
-    if small.any():
-        bad = complex(x[np.argmax(small)])
-        raise OverflowError(f"bessel_j underflowed at l={l}, x={bad}")
-    out = []
-    for i, (phase, (a, b, med)) in enumerate(zip(phases, shells)):
-        rows = (v[l, 2 * i:2 * i + 2] for v in (f1, d1, f2, d2))  # at r = b, a
-        to, start = _basis(*rows, k, np.array([b, a]), med)
-        out.append(to * phase @ _block_inv(start, med, k))
-    return out
+    return np.stack(_tangential(*f_d, k, r, med, np.eye(4)), axis=-2)
 
 
 def longitudinal_components(l, k, r, med: Medium, w):
@@ -338,12 +298,20 @@ def propagate(
     from r_from to r_to; returns the state at r_to as a (4,) array.
 
     `profile` may be a RadialProfile or a bare Medium.  The profile is
-    piecewise constant, so the exact transfer is the product of one
-    closed-form transfer per shell crossed (`_transfers`), from one
-    scaled pair pass for every shell; W is continuous across every
-    boundary.
-    Inward propagation (r_to < r_from) is allowed.  Raises OverflowError
-    when a radial function or the state leaves the double range.
+    piecewise constant, so the exact transfer is one closed-form step per
+    shell crossed: `_coefficients` reads the state at its start, and
+    `_tangential` of those coefficients is the state at its end; W is
+    continuous across every boundary.  One scaled pair pass covers all
+    shell ends.  The basis (j, h1) stays well conditioned for every n k r
+    in the upper half plane, where (j, y) and (h1, h2) each become nearly
+    dependent in one region: below the turning point h1 ~ i y dominates
+    j, and where an absorbing medium's field oscillates h1 decays as
+    e^{-Im(n k r)} while j grows as e^{+Im(n k r)}.  Those exponentials
+    are taken out of the basis and put on the coefficients as the phases
+    e^{-+i n k (r_to - r_from)} of each shell, so thick absorbing regions
+    stay in the double range.  Inward propagation (r_to < r_from) is
+    allowed.  A non-finite w raises ValueError; a radial function or
+    state past the double range, OverflowError.
     """
     if l < 1:
         raise ValueError(
@@ -358,20 +326,36 @@ def propagate(
     w = np.array(w, dtype=complex)
     if w.shape != (4,):
         raise ValueError("w must be a 4-vector (H_theta, H_phi, E_theta, E_phi)")
+    if not np.isfinite(w).all():
+        raise ValueError(f"w must be finite, got {w.tolist()}")
     if r_from == r_to:
         return w
 
     lo, hi = min(r_from, r_to), max(r_from, r_to)
     cuts = [b for b in profile.boundaries if lo < b < hi]
     stops = [r_from] + (cuts if r_to > r_from else cuts[::-1]) + [r_to]
-
     shells = [
         (a, b, profile.medium_at(0.5 * (a + b))) for a, b in zip(stops, stops[1:])
     ]
+    with np.errstate(over="ignore"):
+        phases = [
+            np.exp(np.array([-1, -1, 1, 1]) * 1j * med.n * k * (b - a))
+            for a, b, med in shells
+        ]
+    for (a, b, _), phase in zip(shells, phases):
+        if not np.all(np.isfinite(phase)):
+            raise OverflowError(f"transfer across [{a}, {b}] overflows")
+    x = np.array([med.n * k * r for a, b, med in shells for r in (a, b)])
+    pair = [v[l] for f_d in _pair_seqs(x, (l, l), scaled=True) for v in f_d]
+    small = ~(np.abs(pair[0]) > _TINY)
+    if small.any():
+        bad = complex(x[np.argmax(small)])
+        raise OverflowError(f"bessel_j underflowed at l={l}, x={bad}")
     u = w * r_from
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in _transfers(l, k, shells):
-            u = t @ u
+        for i, (phase, (a, b, med)) in enumerate(zip(phases, shells)):
+            c = _coefficients(*(v[2 * i] for v in pair), k, a, med, u) * phase
+            u = np.array(_tangential(*(v[2 * i + 1] for v in pair), k, b, med, c))
     if not np.all(np.isfinite(u)):
         raise OverflowError(f"the state at r={r_to} leaves the double range")
     return u / r_to

@@ -40,10 +40,10 @@ from .harmonics import QuadratureRule
 from .maxwell_radial import (
     Medium,
     _as_k,
-    _block_inv,
+    _coefficients,
+    _pair_at,
     _pair_seqs,
     _tangential,
-    fundamental_matrix,
 )
 from .specfun import _PAIR, _SMALL, RadialKind, _check_theta, _theta_columns
 
@@ -280,13 +280,15 @@ def recover_coefficients(
     med: Medium,
     kinds: tuple,
 ):
-    """Invert the radial solution basis at radius r for each mode's (c1, c2).
+    """Read each mode's (c1, c2) off its tangential state at radius r.
 
     `hl`, `el` are the (len(modes), 3) arrays `project_sampled` returns
     for `modes`; only their tangential parts enter (the radial parts are
     determined by them and serve as a consistency check elsewhere).
-    The basis is inverted block by block with its closed-form determinants
-    into (c1, c2), arrays of shape (len(modes), 2) in the order of `modes`.
+    `_coefficients` reads the (j, h1) coefficients (v_j, v_h1) off the
+    state, and the inverse of the kinds' `_PAIR` weights maps them onto
+    the kinds: c1 = (b2 v_j - a2 v_h1) / P, c2 = (a1 v_h1 - b1 v_j) / P,
+    P = a1 b2 - a2 b1.  Returns (c1, c2), (len(modes), 2) arrays in mode order.
     One kind twice, a singular basis, raises ValueError; a mode whose values
     or coefficients leave the double range, OverflowError."""
     if kinds[0] is kinds[1]:
@@ -295,16 +297,18 @@ def recover_coefficients(
         )
     ls = np.array([mode.l for mode in modes])
     hl, el = (np.asarray(v, dtype=complex) for v in (hl, el))
-    phi = fundamental_matrix(ls, kinds[0], kinds[1], k, r, med)
+    k, pair = _pair_at(ls, k, r, med)
     (a1, b1), (a2, b2) = (_PAIR[kind] for kind in kinds)
+    p = a1 * b2 - a2 * b1
     with np.errstate(over="ignore", invalid="ignore"):
-        u = r * np.column_stack([hl[:, 1], hl[:, 2], el[:, 1], el[:, 2]])
-        c = (_block_inv(phi, med, k, a1 * b2 - a2 * b1) @ u[..., None])[..., 0]
-    bad = ~np.isfinite(np.column_stack([hl, el, c])).all(axis=1)
+        u = r * np.stack([hl[:, 1], hl[:, 2], el[:, 1], el[:, 2]])
+        v_j, v_h1 = np.split(_coefficients(*pair, k, r, med, u), 2, axis=1)
+        c1, c2 = (b2 * v_j - a2 * v_h1) / p, (a1 * v_h1 - b1 * v_j) / p
+    bad = ~np.isfinite(np.column_stack([hl, el, c1, c2])).all(axis=1)
     if bad.any():
         mode = modes[int(np.argmax(bad))]
         raise OverflowError(f"mode {(mode.l, mode.m)} at r={r} leaves the double range")
-    return c[:, 0:2], c[:, 2:4]
+    return c1, c2
 
 
 def match_sphere(
@@ -321,17 +325,18 @@ def match_sphere(
     r = radius fixes the outgoing scattered coefficients s in the host and
     the regular interior ones d:
 
-        d u_i = Phi_h[J] c + Phi_h[H1] s
+        d u_i = u[J](c) + u[H1](s)
 
     where c is `incident_c1`, the (e_theta, e_phi) coefficients of the
-    regular incident wave, u_i the interior regular wave's state and Phi_h
-    the host basis (J, H1), whose closed-form inverse reads (v_j, v_h1) of
-    u_i off it per polarization: s = c v_h1 / v_j, d = c e^{ix} / v_j, with
-    u_i from e^{ix} j_l at the interior argument x, finite for Im x >= 0:
-    d is 0 below the double range, and only the host's j_l, h1_l overflow.
-    Returns (scattered, interior), arrays of shape (lmax, 2) whose row
-    l - 1 holds the Hankel-1 coefficients of the scattered wave and the
-    Bessel-j coefficients of the interior wave of degree l.
+    regular incident wave, u_i the interior regular wave's state and u[K]
+    the host's state of kind K.  So matching is recovery: `_coefficients`
+    of the host (j, h1) reads (v_j, v_h1) off u_i: s = c v_h1 / v_j,
+    d = c e^{ix} / v_j, with u_i from e^{ix} j_l at the interior argument
+    x, finite for Im x >= 0: d is 0 below the double range, and only the
+    host's j_l, h1_l overflow.  Returns (scattered, interior), arrays of
+    shape (lmax, 2) whose row l - 1 holds the Hankel-1 coefficients of the
+    scattered wave and the Bessel-j coefficients of the interior wave of
+    degree l.  A non-finite `incident_c1` raises ValueError.
     """
     if lmax < 1:
         raise ValueError(f"lmax must be >= 1 (matching needs l >= 1), got {lmax}")
@@ -340,15 +345,16 @@ def match_sphere(
     c = np.asarray(incident_c1, dtype=complex)
     if c.shape != (2,):
         raise ValueError("incident_c1 must be a 2-vector on (e_theta, e_phi)")
+    if not np.isfinite(c).all():
+        raise ValueError(f"incident_c1 must be finite, got {c.tolist()}")
 
-    J, H1 = RadialKind.BESSEL_J, RadialKind.HANKEL1
     ls = np.arange(1, lmax + 1)
-    phi_h = fundamental_matrix(ls, J, H1, k, radius, host)
+    k, pair = _pair_at(ls, k, radius, host)
     x = sphere.n * k * radius
     (f, d), _ = _pair_seqs(np.array([x]), (lmax, -1), scaled=True)
     u_i = _tangential(f[ls, 0], d[ls, 0], 0, 0, k, radius, sphere, [1, 1, 0, 0])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        v = (_block_inv(phi_h, host, k) @ np.stack(u_i, -1)[..., None])[..., 0]
+        v = _coefficients(*pair, k, radius, host, u_i)
         scattered, interior = c * v[:, 2:] / v[:, :2], c * np.exp(1j * x) / v[:, :2]
     if not np.isfinite([scattered, interior]).all():
         raise RuntimeError(f"singular matching matrix at k={k}, radius={radius}")

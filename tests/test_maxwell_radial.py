@@ -7,9 +7,9 @@ from oracles import propagate_mp, propagate_rk
 from tensorwave.maxwell_radial import (
     Medium,
     RadialProfile,
-    _basis,
-    _block_inv,
+    _coefficients,
     _pair_seqs,
+    _tangential,
     fundamental_matrix,
     longitudinal_components,
     propagate,
@@ -17,7 +17,8 @@ from tensorwave.maxwell_radial import (
     system_matrix,
     wtheta_ode_residual,
 )
-from tensorwave.specfun import _PAIR, RadialKind, spherical_radial_seq
+from tensorwave.specfun import _PAIR, ModeIndex, RadialKind, spherical_radial_seq
+from tensorwave.synthesis import recover_coefficients
 
 J, Y, H1, H2 = (
     RadialKind.BESSEL_J,
@@ -28,6 +29,8 @@ J, Y, H1, H2 = (
 # vacuum, absorbing, metal-like and magnetic
 MEDIA = [Medium(1.0, 1.0), Medium(2.25 + 0.4j, 1.0), Medium(-10 + 1j, 1.0),
          Medium(1.7689, 1.21)]
+# arguments x from the real axis to 5+700i, where raw j and h1 overflow
+SEVEN_X = np.array([0.3, 7.0, 60.0, 3 + 4j, 20 + 30j, 9.5 + 190j, 5 + 700j])
 
 
 def test_medium_validation_and_index_branch():
@@ -197,25 +200,71 @@ def test_polarization_blocks_det_scales_inverse_square():
                 err = np.abs(np.linalg.det(block) - want)
                 assert np.all(err <= 1e-13 * scale), (med, r, kind1, kind2, rows)
     # the scaled pair (e^{ix} j, e^{-ix} h1) of `propagate` has P = 1
-    xs = np.array([0.3, 7.0, 60.0, 3 + 4j, 20 + 30j, 9.5 + 190j, 5 + 700j])
-    (f1, d1), (f2, d2) = _pair_seqs(xs, (40, 40), scaled=True)
-    assert np.all(np.abs(xs * (f1 * d2 - f2 * d1) - 1j) <= 1e-14)
+    (f1, d1), (f2, d2) = _pair_seqs(SEVEN_X, (40, 40), scaled=True)
+    assert np.all(np.abs(SEVEN_X * (f1 * d2 - f2 * d1) - 1j) <= 1e-14)
 
 
-def test_block_inverse_matches_lu_with_the_closed_form_determinant():
-    # the Wronskian determinants against np.linalg.inv, whose error grows
+def test_coefficients_inverts_the_tangential_state(rng):
+    # `_coefficients(_tangential(c)) == c` for every medium's eps / mu, at
+    # each x (up to sign) as n k r with k = r = 1, for (j, h1) and the
+    # scaled pair, measured on columns of unit norm
+    ls = np.arange(1, 41)
+    for med, x in itertools.product(MEDIA, SEVEN_X):
+        at_x = Medium(med.eps * x / med.n, med.mu * x / med.n)
+        for scaled in (False, True):
+            if not scaled and x.imag > 300:  # raw j and h1 leave the double range
+                continue
+            pair = [v[ls, 0] for f_d in _pair_seqs(np.array([at_x.n]), (40, 40), scaled)
+                    for v in f_d]
+            phi = np.stack(_tangential(*(v[..., None] for v in pair), 1.0, 1.0,
+                                       at_x, np.eye(4)), axis=-2)
+            z = rng.standard_normal((40, 4)) + 1j * rng.standard_normal((40, 4))
+            norms = np.linalg.norm(phi, axis=-2)
+            got = _coefficients(*pair, 1.0, 1.0, at_x,
+                                _tangential(*pair, 1.0, 1.0, at_x, z / norms))
+            err = np.abs(got * norms - z)
+            assert np.all(err <= 1e-14 * np.linalg.norm(z, axis=-1, keepdims=True)), (
+                med, x, scaled)
+
+
+def test_coefficients_match_lu_on_the_fundamental_matrix(rng):
+    # the Wronskian inverse against np.linalg.solve, whose error grows
     # with the condition number: up to 6e7 in the metal, where x = 0.4+8.2i
     # and j grows as h1 decays
     k, r, ls = 1.3, 2.0, np.arange(1, 5)
     for med in MEDIA:
-        for kind1, kind2 in ((J, H1), (Y, J), (H1, H2), (H2, Y)):
-            (a1, b1), (a2, b2) = _PAIR[kind1], _PAIR[kind2]
-            phi = fundamental_matrix(ls, kind1, kind2, k, r, med)
-            want = np.linalg.inv(phi)
-            scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
-            scale *= np.linalg.cond(phi)[:, None, None]
-            got = _block_inv(phi, med, k, a1 * b2 - a2 * b1)
-            assert np.all(np.abs(got - want) <= 1e-15 * scale), (med, kind1, kind2)
+        phi = fundamental_matrix(ls, J, H1, k, r, med)
+        u = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        want = np.linalg.solve(phi, u[..., None])[..., 0]
+        scale = np.abs(want).max(axis=-1, keepdims=True)
+        scale *= np.linalg.cond(phi)[:, None]
+        (f1, d1), (f2, d2) = _pair_seqs(np.array([med.n * k * r]), (4, 4))
+        got = _coefficients(*(v[ls, 0] for v in (f1, d1, f2, d2)), k, r, med, u.T)
+        assert np.all(np.abs(got - want) <= 1e-15 * scale), med
+
+
+def test_recover_coefficients_for_every_kind_pair(rng):
+    # every ordered pair of distinct kinds, read off as (j, h1) coefficients
+    # and mapped onto the kinds by the inverse `_PAIR` weights: either
+    # OverflowError or a backward error within rounding of Phi's norm, in
+    # infinity norms, which square no value (c reaches 1e149 where the
+    # kinds are nearly dependent)
+    k, ls = 1.0, np.arange(1, 41)
+    modes = [ModeIndex(int(l), 0) for l in ls]
+    for med, r in itertools.product(MEDIA, (0.3, 1.0, 7.0, 60.0)):
+        for kinds in itertools.permutations(RadialKind, 2):
+            phi = fundamental_matrix(ls, *kinds, k, r, med)
+            c = rng.standard_normal((40, 4)) + 1j * rng.standard_normal((40, 4))
+            u = (phi @ c[..., None])[..., 0]
+            zero = np.zeros((40, 1))
+            hl, el = (np.hstack([zero, u[:, i:i + 2] / r]) for i in (0, 2))
+            try:
+                got = np.hstack(recover_coefficients(hl, el, modes, k, r, med, kinds))
+            except OverflowError:
+                continue
+            err = np.abs((phi @ got[..., None])[..., 0] - u).max(axis=-1)
+            scale = np.abs(phi).sum(axis=-1).max(axis=-1) * np.abs(got).max(axis=-1)
+            assert np.all(err <= 1e-14 * scale), (med, r, kinds)
 
 
 def test_longitudinal_components_cases():
@@ -250,6 +299,13 @@ def test_propagate_rejects_non_finite_radius():
     for r_to in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             propagate(1, 1.0, Medium(1.0, 1.0), 1.0, r_to, w0)
+
+
+def test_propagate_rejects_a_non_finite_state():
+    # a nan was reported as "the state at r=2.0 leaves the double range"
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="w must be finite"):
+            propagate(1, 1.0, Medium(1.0, 1.0), 1.0, 2.0, [bad, 0, 0, 0])
 
 
 def test_propagate_zero_state_and_linearity(rng):
@@ -333,15 +389,17 @@ def test_propagate_matches_mpmath_in_absorbing_shells(l, case):
 
 @pytest.mark.parametrize("med", MEDIA, ids=["vacuum", "absorbing", "metal", "magnetic"])
 def test_fundamental_matrix_matches_the_per_kind_route(med):
-    # every kind is a j + b h1 of one pair pass; the reference is `_basis`
-    # of each kind evaluated by itself through `spherical_radial_seq`
+    # every kind is a j + b h1 of one pair pass; the reference is
+    # `_tangential` of the unit vectors on each kind evaluated by itself
+    # through `spherical_radial_seq`
     k, ls = 1.0, np.arange(1, 41)
     for r in (1e-3, 0.3, 1.0, 7.0, 60.0):
         seqs = {kind: spherical_radial_seq(kind, 40, med.n * k * r)
                 for kind in RadialKind}
         for kind1, kind2 in itertools.product(RadialKind, repeat=2):
             (f1, d1), (f2, d2) = seqs[kind1], seqs[kind2]
-            want = _basis(f1[ls], d1[ls], f2[ls], d2[ls], k, r, med)
+            f_d = (v[ls, None] for v in (f1, d1, f2, d2))
+            want = np.stack(_tangential(*f_d, k, r, med, np.eye(4)), axis=-2)
             got = fundamental_matrix(ls, kind1, kind2, k, r, med)
             if {kind1, kind2} <= {J, H1}:
                 assert got.tobytes() == want.tobytes(), (r, kind1, kind2)

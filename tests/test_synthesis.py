@@ -546,3 +546,10 @@ def test_match_sphere_validation():
     for bad in ([1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]] * 2):
         with pytest.raises(ValueError, match="incident_c1"):
             match_sphere(2, 1.0, VACUUM, VACUUM, 1.0, bad)
+
+
+def test_match_sphere_rejects_a_non_finite_incident_c1():
+    # nan and inf were reported as a "singular matching matrix"
+    for bad in ([math.nan, 1.0], [math.inf, 1.0]):
+        with pytest.raises(ValueError, match="incident_c1 must be finite"):
+            match_sphere(2, 1.0, Medium(2.25, 1.0), VACUUM, 1.0, bad)
