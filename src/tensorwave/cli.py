@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import io
 import json
 import math
 import sys
@@ -34,9 +33,7 @@ from .maxwell_radial import (
 from .parsing import (
     MAX_DEGREE,
     MAX_GRID_POINTS,
-    _csv_table,
-    _pairs,
-    _re_im,
+    _table,
     complex_pairs,
     degree,
     integer,
@@ -107,24 +104,11 @@ def cmd_eval(args) -> int:
     vals = vals.reshape((nt * nphi,) + vals.shape[2:])
     tt, pp = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
 
-    if args.format == "csv":
-        text = _csv_table(
-            ["theta", "phi", *_re_im(_EVAL_COLUMNS[args.harmonic])], [tt, pp, vals]
-        )
-    else:
-        doc = {
-            "harmonic": args.harmonic,
-            "l": mode.l,
-            "m": mode.m,
-            "grid": {"n_theta": nt, "n_phi": nphi},
-            "points": [
-                {"theta": th, "phi": ph, "value": v}
-                for th, ph, v in zip(tt.tolist(), pp.tolist(), _pairs(vals))
-            ],
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-
-    _write_text(text, args.out)
+    meta = {"harmonic": args.harmonic, "l": mode.l, "m": mode.m,
+            "grid": {"n_theta": nt, "n_phi": nphi}}
+    columns = [("theta", ["theta"], tt), ("phi", ["phi"], pp),
+               ("value", _EVAL_COLUMNS[args.harmonic], vals)]
+    _write_text(_table(args.format, columns, meta, "points"), args.out)
     return 0
 
 
@@ -263,22 +247,11 @@ def _solve_scatter(cfg: dict, fmt: str):
         cfg.get("incident_c1", [[1.0, 0.0], [1.0, 0.0]]), 2, "incident_c1"
     )
     scattered, interior = match_sphere(lmax, k, sphere, host, radius, inc_c1)
-    ls = np.arange(1, lmax + 1)
-
-    if fmt == "csv":
-        names = ("scattered_theta", "scattered_phi", "interior_theta", "interior_phi")
-        return _csv_table(["l", *_re_im(names)], [ls, scattered, interior], ints=1)
-    doc = {
-        "task": "scatter",
-        "k": k,
-        "radius": radius,
-        "lmax": lmax,
-        "modes": [
-            {"l": l, "scattered_c1": sc, "interior_c1": inr}
-            for l, sc, inr in zip(ls.tolist(), _pairs(scattered), _pairs(interior))
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    columns = [("l", ["l"], np.arange(1, lmax + 1)),
+               ("scattered_c1", ["scattered_theta", "scattered_phi"], scattered),
+               ("interior_c1", ["interior_theta", "interior_phi"], interior)]
+    meta = {"task": "scatter", "k": k, "radius": radius, "lmax": lmax}
+    return _table(fmt, columns, meta, "modes")
 
 
 def _solve_synthesize(cfg: dict, fmt: str):
@@ -308,10 +281,7 @@ def _solve_synthesize(cfg: dict, fmt: str):
         pts = _quadrature_points(radii["grid r"], rule)
     _check_size(k, (med,), "medium", radii)
     e, h = synthesize(waves, k, med, pts)
-    buf = io.StringIO()
-    write = fileio.write_field_csv if fmt == "csv" else fileio.write_field_json
-    write(pts, e, h, buf)
-    return buf.getvalue()
+    return fileio._field_table(fmt, pts, e, h)
 
 
 def _solve_project(cfg: dict, fmt: str):
@@ -382,35 +352,15 @@ def _solve_project(cfg: dict, fmt: str):
     h_grid = h[pick].reshape(nt, nphi, 3)
 
     modes.sort(key=lambda mode: (mode.l, mode.m))
-    with np.errstate(over="ignore", invalid="ignore"):
-        hls, els = project_sampled(e_grid, h_grid, modes, rule)
-        c1s, c2s = recover_coefficients(hls, els, modes, k, r, med, kinds)
-
-    if fmt == "csv":
-        names = ("h_r", "h_theta", "h_phi", "e_r", "e_theta", "e_phi",
-                 "c1_theta", "c1_phi", "c2_theta", "c2_phi")
-        lm = np.array([(mode.l, mode.m) for mode in modes])
-        return _csv_table(
-            ["l", "m", *_re_im(names)], [lm, hls, els, c1s, c2s], ints=2
-        )
-    doc = {
-        "task": "project",
-        "k": k,
-        "r": r,
-        "quadrature_lmax": lq,
-        "modes": [
-            {
-                "l": mode.l,
-                "m": mode.m,
-                "h": _pairs(hl),
-                "e": _pairs(el),
-                "c1": _pairs(c1),
-                "c2": _pairs(c2),
-            }
-            for mode, hl, el, c1, c2 in zip(modes, hls, els, c1s, c2s)
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    hls, els = project_sampled(e_grid, h_grid, modes, rule)
+    c1s, c2s = recover_coefficients(hls, els, modes, k, r, med, kinds)
+    lm = np.array([(mode.l, mode.m) for mode in modes])
+    columns = [("l", ["l"], lm[:, 0]), ("m", ["m"], lm[:, 1]),
+               ("h", ["h_r", "h_theta", "h_phi"], hls),
+               ("e", ["e_r", "e_theta", "e_phi"], els),
+               ("c1", ["c1_theta", "c1_phi"], c1s), ("c2", ["c2_theta", "c2_phi"], c2s)]
+    meta = {"task": "project", "k": k, "r": r, "quadrature_lmax": lq}
+    return _table(fmt, columns, meta, "modes")
 
 
 def _solve_propagate(cfg: dict, fmt: str):
@@ -431,23 +381,12 @@ def _solve_propagate(cfg: dict, fmt: str):
     _check_size(k, profile.media, "every profile medium", radii)
     w1 = propagate(l, k, profile, r_from, r_to, w0)
     e_r, h_r = longitudinal_components(l, k, r_to, profile.medium_at(r_to), w1)
-
-    if fmt == "csv":
-        names = ("h_theta", "h_phi", "e_theta", "e_phi", "e_r", "h_r")
-        return _csv_table(
-            ["r_to", *_re_im(names)], [[r_to], [[*w1, e_r, h_r]]]
-        )
-    doc = {
-        "task": "propagate",
-        "l": l,
-        "k": k,
-        "r_from": r_from,
-        "r_to": r_to,
-        "w": _pairs(w1),
-        "e_r": _pairs(e_r),
-        "h_r": _pairs(h_r),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    # one row, its keys at the top level of the JSON document
+    columns = [("r_to", ["r_to"], [r_to]),
+               ("w", ["h_theta", "h_phi", "e_theta", "e_phi"], [w1]),
+               ("e_r", ["e_r"], [e_r]), ("h_r", ["h_r"], [h_r])]
+    meta = {"task": "propagate", "l": l, "k": k, "r_from": r_from}
+    return _table(fmt, columns, meta)
 
 
 _TASKS = {

@@ -18,7 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .parsing import _csv_table, _pairs, _re_im, complex_pair, real
+from .parsing import _table, complex_pair, real
 
 __all__ = [
     "write_field_csv",
@@ -26,13 +26,6 @@ __all__ = [
     "write_field_json",
     "read_field_json",
 ]
-
-FIELD_CSV_COLUMNS = (
-    "r",
-    "theta",
-    "phi",
-    *_re_im(("e_r", "e_theta", "e_phi", "h_r", "h_theta", "h_phi")),
-)
 
 
 @contextmanager
@@ -44,10 +37,23 @@ def _opened(fp, mode: str):
         yield fp
 
 
+def _field_table(fmt: str, points, e, h) -> str:
+    """The field file's text, CSV or JSON, for N points and E, H at them."""
+    r, theta, phi = np.reshape(np.asarray(points, dtype=float), (-1, 3)).T
+    e, h = (np.asarray(v, dtype=complex) for v in (e, h))
+    columns = [("r", ["r"], r), ("theta", ["theta"], theta), ("phi", ["phi"], phi),
+               ("e", ["e_r", "e_theta", "e_phi"], e),
+               ("h", ["h_r", "h_theta", "h_phi"], h)]
+    return _table(fmt, columns, {}, "fields")
+
+
+# the header of the empty table
+FIELD_CSV_COLUMNS = tuple(_field_table("csv", [], [], []).rstrip("\n").split(","))
+
+
 def write_field_csv(points, e, h, fp) -> None:
-    text = _csv_table(FIELD_CSV_COLUMNS, [np.reshape(points, (-1, 3)), e, h])
     with _opened(fp, "w") as handle:
-        handle.write(text)
+        handle.write(_field_table("csv", points, e, h))
 
 
 def _check_header(reader) -> None:
@@ -134,17 +140,8 @@ def _scan_field_csv(lines) -> np.ndarray:
 
 
 def write_field_json(points, e, h, fp) -> None:
-    doc = {
-        "fields": [
-            {"r": r, "theta": theta, "phi": phi, "e": pe, "h": ph}
-            for (r, theta, phi), pe, ph in zip(
-                np.reshape(points, (-1, 3)).astype(float).tolist(), _pairs(e), _pairs(h)
-            )
-        ]
-    }
     with _opened(fp, "w") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
+        handle.write(_field_table("json", points, e, h))
 
 
 def read_field_json(fp) -> tuple:

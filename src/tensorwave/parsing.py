@@ -5,12 +5,13 @@ or artifact goes through these functions, so non-finite and non-integral
 values are rejected alike everywhere, with a ValueError naming the key;
 `kind_pair` reads a pair of radial kind names.
 `degree` also caps a degree l at MAX_DEGREE, and `quadrature_degree` a
-quadrature grid at MAX_GRID_POINTS.  `_csv_table` and `_pairs`
-are the matching encoders for CSV tables and JSON pairs.
+quadrature grid at MAX_GRID_POINTS.  `_table` is the matching encoder:
+every result table, CSV or JSON, is rendered from one column list.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -30,36 +31,41 @@ MAX_DEGREE = 200_000
 MAX_GRID_POINTS = 1_000_000
 
 
-def _re_im(names) -> list:
-    """The CSV header cells of complex columns: name_re, name_im each."""
-    return [f"{name}_{part}" for name in names for part in ("re", "im")]
+def _table(fmt: str, columns, meta: dict, rows: str | None = None) -> str:
+    """One result table as CSV or JSON text.
 
-
-def _csv_table(header, columns, ints: int = 0) -> str:
-    """CSV text: the header line, then one line per row of `columns`.
-
-    `columns` are arrays of N rows each, of shape (N,) or (N, ...), real
-    or complex; a complex entry becomes two adjacent cells, re then im.
-    The first `ints` cells of a row are written as integers, every other
-    cell with 17 significant digits, which reproduces a double exactly.
-    The body is formatted in one pass over the flat values.
+    `columns` is a list of (key, names, values): `values` holds N rows of
+    shape (N,) or (N, ...), integer, real or complex, and `names` the CSV
+    header cells of one row's values, each becoming name_re, name_im for a
+    complex column.  CSV is the header line, then one line per row with
+    integer cells as such and every other cell with 17 significant
+    digits, which reproduces a double exactly.  JSON is the `meta` keys,
+    then under `rows` one {key: value} object per row, a complex value as
+    nested [re, im] pairs; with no `rows`, the one row's keys follow `meta`.
     """
-    blocks = []
-    for col in columns:
-        col = np.asarray(col)
-        if np.iscomplexobj(col):
-            col = np.stack([col.real, col.imag], axis=-1)
-        blocks.append(col.reshape(len(col), math.prod(col.shape[1:])).astype(float))
-    table = np.hstack(blocks)
-    row = ",".join(["%d"] * ints + ["%.17g"] * (table.shape[1] - ints)) + "\n"
-    body = (row * len(table)) % tuple(table.ravel().tolist())
-    return ",".join(header) + "\n" + body
-
-
-def _pairs(z) -> list:
-    """A complex scalar as [re, im], or an array as nested lists of them."""
-    z = np.asarray(z, dtype=complex)
-    return np.stack([z.real, z.imag], axis=-1).tolist()
+    keys, header, cells, values = [], [], [], []
+    for key, names, v in columns:
+        v = np.asarray(v)
+        if np.iscomplexobj(v):
+            v = np.stack([v.real, v.imag], axis=-1)
+            names = [f"{name}_{part}" for name in names for part in ("re", "im")]
+        keys.append(key)
+        header += names
+        cells += ["%d" if v.dtype.kind in "iu" else "%.17g"] * len(names)
+        values.append(v.reshape(len(v), len(names)) if fmt == "csv" else v.tolist())
+    if fmt == "csv":
+        table = np.hstack(values, dtype=float)
+        # the body is formatted in one pass over the flat values
+        body = (",".join(cells) + "\n") * len(table) % tuple(table.ravel().tolist())
+        return ",".join(header) + "\n" + body
+    records = [dict(zip(keys, row)) for row in zip(*values)]
+    doc = dict(meta)
+    if rows is None:
+        (record,) = records
+        doc.update(record)
+    else:
+        doc[rows] = records
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def require_keys(doc, required, optional=(), what="config") -> None:

@@ -239,7 +239,9 @@ def project_sampled(
     `e_grid`, `h_grid` have shape (n_theta, n_phi, 3) in the local frame;
     `modes` is a list of ModeIndex.  Returns (Hl, El), arrays of shape
     (len(modes), 3) holding each mode's radial 3-vectors at the sampling
-    radius, in the order of `modes`.
+    radius, in the order of `modes`.  A sample that is not finite raises
+    ValueError, a projection past the double range OverflowError naming
+    the first such mode.
     """
     nt, nphi = len(rule.cos_nodes), rule.n_phi
     e_grid = np.asarray(e_grid, dtype=complex)
@@ -248,6 +250,10 @@ def project_sampled(
         raise ValueError(
             f"field grids must have shape ({nt}, {nphi}, 3) matching the rule"
         )
+    for name, grid in (("e_grid", e_grid), ("h_grid", h_grid)):
+        if not np.isfinite(grid).all():
+            at = tuple(np.argwhere(~np.isfinite(grid))[0].tolist())
+            raise ValueError(f"{name} must be finite, got {grid[at]} at {at}")
     modes = list(modes)
     ls = np.array([mode.l for mode in modes], dtype=int)
     ms = np.array([mode.m for mode in modes], dtype=int)
@@ -268,7 +274,19 @@ def project_sampled(
         return np.stack([dot(y, v[..., 0]), dot(xt, v[..., 1]) - dot(xp, v[..., 2]),
                          dot(xp, v[..., 1]) + dot(xt, v[..., 2])], axis=-1)
 
-    return project(h_grid), project(e_grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hls, els = project(h_grid), project(e_grid)
+    _require_finite(modes, OverflowError, "the projection onto mode {} leaves the "
+                    "double range", hls, els)
+    return hls, els
+
+
+def _require_finite(modes, error, message: str, *values) -> None:
+    """Raise error(message.format((l, m))) of the first mode with a non-finite row."""
+    bad = ~np.isfinite(np.column_stack(values)).all(axis=1)
+    if bad.any():
+        mode = modes[int(np.argmax(bad))]
+        raise error(message.format((mode.l, mode.m)))
 
 
 def recover_coefficients(
@@ -289,14 +307,16 @@ def recover_coefficients(
     state, and the inverse of the kinds' `_PAIR` weights maps them onto
     the kinds: c1 = (b2 v_j - a2 v_h1) / P, c2 = (a1 v_h1 - b1 v_j) / P,
     P = a1 b2 - a2 b1.  Returns (c1, c2), (len(modes), 2) arrays in mode order.
-    One kind twice, a singular basis, raises ValueError; a mode whose values
-    or coefficients leave the double range, OverflowError."""
+    One kind twice, a singular basis, or a value of `hl`, `el` that is not
+    finite raises ValueError; a mode whose coefficients leave the double
+    range, OverflowError."""
     if kinds[0] is kinds[1]:
         raise ValueError(
             f"kinds must name two different kinds, got {kinds[0].value} twice"
         )
     ls = np.array([mode.l for mode in modes])
     hl, el = (np.asarray(v, dtype=complex) for v in (hl, el))
+    _require_finite(modes, ValueError, "hl and el of mode {} must be finite", hl, el)
     k, pair = _pair_at(ls, k, r, med)
     (a1, b1), (a2, b2) = (_PAIR[kind] for kind in kinds)
     p = a1 * b2 - a2 * b1
@@ -304,10 +324,8 @@ def recover_coefficients(
         u = r * np.stack([hl[:, 1], hl[:, 2], el[:, 1], el[:, 2]])
         v_j, v_h1 = np.split(_coefficients(*pair, k, r, med, u), 2, axis=1)
         c1, c2 = (b2 * v_j - a2 * v_h1) / p, (a1 * v_h1 - b1 * v_j) / p
-    bad = ~np.isfinite(np.column_stack([hl, el, c1, c2])).all(axis=1)
-    if bad.any():
-        mode = modes[int(np.argmax(bad))]
-        raise OverflowError(f"mode {(mode.l, mode.m)} at r={r} leaves the double range")
+    _require_finite(modes, OverflowError, f"mode {{}} at r={r} leaves the double range",
+                    c1, c2)
     return c1, c2
 
 

@@ -702,7 +702,7 @@ def test_solve_project_stops_at_a_mode_past_the_double_range(tmp_path, capsys, f
     out = tmp_path / f"out.{fmt}"
     assert main(["solve", "--config", proj, "--format", fmt, "--out", str(out)]) == 1
     assert capsys.readouterr() == (
-        "", "error: mode (1, -1) at r=2.0 leaves the double range\n"
+        "", "error: the projection onto mode (1, -1) leaves the double range\n"
     )
     assert not out.exists()
 
@@ -969,6 +969,26 @@ def test_project_rows_come_in_l_m_order_as_one_mode_requests_give_them(tmp_path,
     doc = json.loads(project([[3, -3], [1, 0], [2, 1], [1, 0]]))
     assert [[row["l"], row["m"]] for row in doc["modes"]] == want
     assert [row["h"] for row in doc["modes"]] == [cell_pairs(row, 2, 3) for row in rows]
+
+
+@pytest.mark.parametrize("where", ["points", "grid"])
+def test_synthesize_json_matches_element_wise_reference(tmp_path, capsys, where):
+    wave = dict(WAVE, l=2, m=1, c2=[[0.1, 0.0], [0.0, 0.2]])
+    cfg = dict(SYNTH, waves=[wave, dict(WAVE, m=-1)])
+    if where == "grid":
+        del cfg["points"]
+        cfg["grid"] = {"r": 2.0, "quadrature_lmax": 2}
+    else:
+        cfg["points"] = [[2.0, 1.0, 0.5], [0.5, 0.0, 6.0], [3.0, 3.1, 0.0]]
+    cfg = write_config(tmp_path, "s.json", cfg)
+    rows = csv_floats(cli_text(capsys, "solve", "--config", cfg, "--format", "csv"))
+    want = {"fields": [
+        {"r": row[0], "theta": row[1], "phi": row[2], "e": cell_pairs(row, 3, 3),
+         "h": cell_pairs(row, 9, 3)}
+        for row in rows
+    ]}
+    assert len(rows) == (3 if where == "points" else 6 * 12)
+    assert cli_text(capsys, "solve", "--config", cfg) == dumped(want)
 
 
 def test_propagate_json_matches_element_wise_reference(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -119,6 +121,24 @@ def test_field_csv_writer_matches_per_cell_reference(rng, which):
     buf = io.StringIO()
     write_field_csv(*fields, buf)
     assert buf.getvalue() == reference_csv(*fields)
+
+
+def test_an_empty_field_table_is_its_header_or_an_empty_list():
+    z = np.zeros((0, 3))
+    for write, read, want in (
+        (write_field_csv, read_field_csv, ",".join(FIELD_CSV_COLUMNS) + "\n"),
+        (write_field_json, read_field_json, '{\n  "fields": []\n}\n'),
+    ):
+        buf = io.StringIO()
+        write(z, z.astype(complex), z.astype(complex), buf)
+        assert buf.getvalue() == want
+        assert [v.shape for v in read(io.StringIO(want))] == [(0, 3)] * 3
+
+
+def test_readme_gives_the_field_csv_header():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    header = re.search(r"use the fixed header\s+`([^`]*)`", readme).group(1)
+    assert tuple(re.sub(r"\s", "", header).split(",")) == FIELD_CSV_COLUMNS
 
 
 def test_field_csv_writer_cells_at_the_edges():

@@ -365,6 +365,43 @@ def test_recover_coefficients_names_the_first_mode_past_the_double_range():
     assert str(info.value) == "mode (2, 1) at r=2.0 leaves the double range"
 
 
+def test_recover_coefficients_rejects_a_non_finite_value():
+    # a nan was reported as "mode (1, 0) at r=2.0 leaves the double range"
+    modes = [ModeIndex(2, 1), ModeIndex(1, 0)]
+    hl = np.array([[0.0, 1.0, 1.0], [0.0, math.nan, 1.0]])
+    with pytest.raises(ValueError) as info:
+        recover_coefficients(hl, np.ones((2, 3)), modes, 1.0, 2.0, VACUUM, (J, H1))
+    assert str(info.value) == "hl and el of mode (1, 0) must be finite"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+def test_project_sampled_rejects_a_non_finite_sample(bad):
+    rule = QuadratureRule.for_degree(2)
+    grid = np.ones((len(rule.cos_nodes), rule.n_phi, 3), dtype=complex)
+    h_grid = grid.copy()
+    h_grid[1, 2, 0] = bad
+    with pytest.raises(ValueError) as info:
+        project_sampled(grid, h_grid, [ModeIndex(1, 0)], rule)
+    assert str(info.value) == f"h_grid must be finite, got {complex(bad)} at (1, 2, 0)"
+
+
+def test_project_sampled_names_the_first_mode_past_the_double_range():
+    # finite samples near the double limit: the projections came back
+    # inf and nan, with RuntimeWarnings (errors under this suite)
+    rule = QuadratureRule.for_degree(2)
+    e_grid = np.ones((len(rule.cos_nodes), rule.n_phi, 3), dtype=complex)
+    h_grid = e_grid.copy()
+    # 12 phis: the order-0 sum of h_r overflows, and no partial sum of the
+    # order-2 one, whose positive terms add up to at most 4 h_r, can
+    h_grid[..., 0] = 2e307
+    hls, els = project_sampled(e_grid, h_grid, [ModeIndex(2, 2)], rule)
+    assert np.isfinite(hls).all() and np.isfinite(els).all()
+    modes = [ModeIndex(2, 2), ModeIndex(1, 0), ModeIndex(2, 0)]
+    with pytest.raises(OverflowError) as info:
+        project_sampled(e_grid, h_grid, modes, rule)
+    assert str(info.value) == "the projection onto mode (1, 0) leaves the double range"
+
+
 def test_projection_cross_mode_leakage():
     k, med, r = 1.0, VACUUM, 1.7
     waves = table([wave(2, 1, (1.0, -0.5j), (0.3, 0.1))])
