@@ -15,18 +15,18 @@ radial kind is a fixed combination of the pair (j_l, h1_l) from the table
 `specfun._PAIR`, so each wave's (c1, c2) is mapped once onto that pair,
 and one radial pass (`maxwell_radial._pair_seqs`, the builder every
 radial basis shares) makes j and h1 for every distinct radius.  Each
-F_lm is a theta-part times e^{i m phi}, so synthesis sorts the waves by
-order once and, in one vectorized pass over the distinct (r, theta)
-rows, forms every wave's state and theta-parts and sums them per order
-with one `np.add.reduceat`.  The phase stage then sums over the orders
-without a pass per order: points on a product grid of rows and angles
-phi take one `np.tensordot` into that (phi, row) grid, scattered points
-one contraction point by point.  Waves go in blocks of whole orders of
-bounded size; `_theta_columns` runs one Legendre recurrence per block,
-over just its orders.  Projection inverts this with the angular Gram
-identity of F_lm: one sum over phi for every order at once, then one
-contraction over the theta nodes of a quadrature sphere at fixed radius
-for every mode, from one Legendre recurrence per call.
+F_lm is a theta-part times e^{i m phi}, so synthesis and projection both
+walk the modes in blocks of whole orders of bounded size
+(`_order_blocks`).  Synthesis, in one vectorized pass over the distinct
+(r, theta) rows, forms every wave's state and theta-parts and sums them
+per order with one `np.add.reduceat`.  The phase stage then sums over
+the orders without a pass per order: points on a product grid of rows
+and angles phi take one `np.tensordot` into that (phi, row) grid,
+scattered points one contraction point by point.  Projection inverts
+this with the angular Gram identity of F_lm: one sum over phi for every
+order at once, then one contraction over the theta nodes of a
+quadrature sphere at fixed radius for every mode, from one Legendre
+recurrence, over just its orders, per block of whole orders.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ __all__ = [
 
 KINDS = tuple(RadialKind)  # kind code i stands for KINDS[i]
 
-# the most wave x row entries `synthesize` holds at once (a single order
-# may hold more), at about 0.35 kB each
+# the most mode x angle entries of a block of whole orders (one order may
+# hold more): about 0.23 kB each in `synthesize`, 0.13 kB in `project_sampled`
 _BLOCK = 1 << 17
 
 
@@ -107,6 +107,22 @@ class WaveTable:
         return len(self.l)
 
 
+def _order_blocks(l, m, theta):
+    """The modes (l, m) sorted by (|m|, m) in blocks of whole orders of at most
+    `_BLOCK` mode x angle entries (one order may hold more): per block its
+    indices into l and m, each order's first offset in it, and its `_theta_columns`."""
+    by_order = np.lexsort((m, np.abs(m)))
+    starts = np.flatnonzero(np.diff(m[by_order], prepend=np.nan))
+    blocks = []
+    for a, b in zip(starts, [*starts[1:], len(m)]):
+        if not blocks or (b - blocks[-1]) * len(theta) > _BLOCK:
+            blocks.append(a)
+    for a, b in zip(blocks, [*blocks[1:], len(m)]):
+        at = by_order[a:b]
+        first = starts[(starts >= a) & (starts < b)] - a
+        yield at, first, _theta_columns(l[at], m[at], theta)
+
+
 def synthesize(waves: WaveTable, k, med: Medium, points) -> tuple:
     """Evaluate the summed field of `waves` at the given (r, theta, phi) points.
 
@@ -150,22 +166,13 @@ def synthesize(waves: WaveTable, k, med: Medium, points) -> tuple:
     # on that (phi, row) grid, scattered points one by one
     grid = len(rows) * len(phis) <= 2 * len(pts)
     out = np.zeros((len(phis), 6, len(rows)) if grid else (len(pts), 6), dtype=complex)
-    by_order = np.lexsort((waves.m, np.abs(waves.m)))
-    ls, ms = waves.l[by_order], waves.m[by_order]
-    # the first wave of each order, and of each block of whole orders
-    starts = np.flatnonzero(np.diff(ms, prepend=ms[:1] - 1))
-    blocks = []
-    for a, b in zip(starts, [*starts[1:], len(ms)]):
-        if not blocks or (b - blocks[-1]) * len(rows) > _BLOCK:
-            blocks.append(a)
-    edges = [*blocks, len(ms)]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # every kind is a j_l + b h1_l with (a, b) = `_PAIR[kind]`, as
         # Im(n k r) >= 0, so a wave's (c1, c2) on its kinds (K1, K2) is (a1
         # c1 + a2 c2, b1 c1 + b2 c2) on (j, h1), and each of j and h1 runs
         # to the largest l of a wave whose kinds use it
         ab = np.array([_PAIR[kind] for kind in KINDS], dtype=complex)[waves.kinds]
-        coeffs = np.einsum("wkp,wkc->wpc", ab, waves.c).reshape(-1, 4)[by_order]
+        coeffs = np.einsum("wkp,wkc->wpc", ab, waves.c).reshape(-1, 4)
         tops = [waves.l[used].max(initial=-1) for used in (ab != 0).any(axis=1).T]
         xs = med.n * k * np.asarray(radii, dtype=complex)
         tables = [(f, d / radii) for f, d in _pair_seqs(xs, tops)]
@@ -178,17 +185,15 @@ def synthesize(waves: WaveTable, k, med: Medium, points) -> tuple:
             lj = np.arange(1.0, tops[0] + 1)[:, None]
             j_x = med.n * tables[0][0][:-1] / (2 * lj + 1)
             tables[0][1][1:, small] = k * ((lj + 1) * j_x)[:, small]
-        for a, b in zip(edges, edges[1:]):
-            l, m = ls[a:b], ms[a:b]
-            first = starts[(starts >= a) & (starts < b)]
+        for at, first, (y, xt, xp) in _order_blocks(waves.l, waves.m, rows[:, 1]):
+            l, m, c_at = waves.l[at], waves.m[at], coeffs[at]
             # the state W = u / r of every wave on every row, as
             # `_tangential` at r = 1 from (f, d / r) of j and h1
             w = _tangential(
                 *(v[np.minimum(l, len(v) - 1)[:, None], radius_of]
                   for f_d in tables for v in f_d),
-                k, 1.0, med, coeffs[a:b, None],
+                k, 1.0, med, c_at[:, None],
             )
-            y, xt, xp = _theta_columns(l, m, rows[:, 1])
             # F @ (v_r, p, q) = (Y v_r, X_theta p - X_phi q, X_phi p +
             # X_theta q) for E = (E_r, W_2, W_3) and H = (H_r, W_0, W_1) of
             # every wave into one buffer, summed per order.  Y takes the
@@ -197,7 +202,7 @@ def synthesize(waves: WaveTable, k, med: Medium, points) -> tuple:
             root = np.sqrt(l * (l + 1.0))[:, None]
             y, y_near = y * (root / (k * rows[:, 0])), y[:, near] * root
             xt = xt.astype(complex)  # else each product casts it anew
-            f = np.empty((b - a, 6, len(rows)), dtype=complex)
+            f = np.empty((len(at), 6, len(rows)), dtype=complex)
             for i, (c, v, p, q) in enumerate(((-1 / med.eps, w[0], w[2], w[3]),
                                               (1 / med.mu, w[2], w[0], w[1]))):
                 np.multiply(y * c, v, out=f[:, 3 * i])
@@ -205,17 +210,17 @@ def synthesize(waves: WaveTable, k, med: Medium, points) -> tuple:
                 np.add(xp * p, xt * q, out=f[:, 3 * i + 2])
                 if near.any():  # v / (k r) = n j_l(x) / x times the j coefficient
                     f[:, 3 * i][:, near] = (y_near * c * j_x[l - 1][:, radius_of[near]]
-                                            * coeffs[a:b, i, None])
-            sums = np.add.reduceat(f, first - a)
-            phase = np.exp(1j * ms[first, None] * phis)
+                                            * c_at[:, i, None])
+            sums = np.add.reduceat(f, first)
+            phase = np.exp(1j * m[first, None] * phis)
             if grid:
                 out += np.tensordot(phase, sums, axes=(0, 0))
             else:
                 step = max(1, _BLOCK // len(first))
                 for i in range(0, len(pts), step):
-                    at = slice(i, i + step)
-                    out[at] += np.einsum("mcp,mp->pc", sums[:, :, row_of[at]],
-                                         phase[:, phi_of[at]])
+                    chunk = slice(i, i + step)
+                    out[chunk] += np.einsum("mcp,mp->pc", sums[:, :, row_of[chunk]],
+                                            phase[:, phi_of[chunk]])
     if grid:
         out = out[phi_of, :, row_of]
     bad = ~np.isfinite(out).all(axis=1)
@@ -241,7 +246,8 @@ def project_sampled(
     (len(modes), 3) holding each mode's radial 3-vectors at the sampling
     radius, in the order of `modes`.  A sample that is not finite raises
     ValueError, a projection past the double range OverflowError naming
-    the first such mode.
+    the first such mode.  Blocks of whole orders bound its memory: 128 MB
+    (tracemalloc) for every mode l <= 352, the CLI's largest grid.
     """
     nt, nphi = len(rule.cos_nodes), rule.n_phi
     e_grid = np.asarray(e_grid, dtype=complex)
@@ -258,24 +264,23 @@ def project_sampled(
     ls = np.array([mode.l for mode in modes], dtype=int)
     ms = np.array([mode.m for mode in modes], dtype=int)
     orders, order_of = np.unique(ms, return_inverse=True)
-    # F^H is F with (Y*, X_theta*, -X_phi*) = (Y, X_theta, X_phi), as Y
-    # and X_theta are real and X_phi imaginary
-    y, xt, xp = _theta_columns(ls, ms, rule.thetas)
     w = rule.weights[:, None] * (2.0 * math.pi / nphi)
     phase = np.exp(-1j * orders[:, None] * rule.phis)
+    hls, els = out = np.empty((2, len(modes), 3), dtype=complex)
 
     def dot(a, b):
         return np.einsum("it,it->i", a, b)
 
-    def project(grid):
-        # one phi transform for every order, then one contraction over
-        # the theta nodes for every mode
-        v = (w * np.tensordot(phase, grid, axes=(1, 1)))[order_of]
-        return np.stack([dot(y, v[..., 0]), dot(xt, v[..., 1]) - dot(xp, v[..., 2]),
-                         dot(xp, v[..., 1]) + dot(xt, v[..., 2])], axis=-1)
-
     with np.errstate(over="ignore", invalid="ignore"):
-        hls, els = project(h_grid), project(e_grid)
+        # one phi transform for every order, then per block of whole orders
+        # one theta contraction with F^H, F with (Y*, X_theta*, -X_phi*) =
+        # (Y, X_theta, X_phi) as Y and X_theta are real and X_phi imaginary
+        vs = [w * np.tensordot(phase, grid, axes=(1, 1)) for grid in (h_grid, e_grid)]
+        for at, _, (y, xt, xp) in _order_blocks(ls, ms, rule.thetas):
+            for o, v in zip(out, vs):
+                v_r, v_t, v_p = np.moveaxis(v[order_of[at]], -1, 0)
+                o[at] = np.stack([dot(y, v_r), dot(xt, v_t) - dot(xp, v_p),
+                                  dot(xp, v_t) + dot(xt, v_p)], axis=-1)
     _require_finite(modes, OverflowError, "the projection onto mode {} leaves the "
                     "double range", hls, els)
     return hls, els

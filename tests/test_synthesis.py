@@ -145,8 +145,10 @@ def test_grouped_synthesis_matches_point_by_point(monkeypatch):
                 assert np.max(np.abs(got[i] - want[0])) <= tol * np.max(np.abs(want))
 
 
-def test_blocks_hold_whole_orders_and_at_most_the_block_entries(monkeypatch):
-    # 5,000 rows at L = 24 once held every wave x row entry at once
+@pytest.mark.parametrize("user", ["synthesize", "project_sampled"])
+def test_blocks_hold_whole_orders_and_at_most_the_block_entries(monkeypatch, user):
+    # 5,000 rows at L = 24 once held every wave x row entry at once, and
+    # projection every mode x node entry of its grid
     seen = []
     cols = synthesis._theta_columns
 
@@ -158,10 +160,15 @@ def test_blocks_hold_whole_orders_and_at_most_the_block_entries(monkeypatch):
     monkeypatch.setattr(synthesis, "_BLOCK", 300)
     rng = np.random.default_rng(11)
     modes = [(l, m) for l in range(1, 7) for m in range(-l, l + 1)]
-    pts = np.column_stack([rng.uniform(1.0, 3.0, 30), rng.uniform(0.1, 3.0, 30),
-                           rng.uniform(0.0, 6.0, 30)])
-    waves = table([wave(l, m, (1.0, 0.5)) for l, m in modes])
-    synthesize(waves, 1.0, VACUUM, pts)
+    if user == "synthesize":
+        pts = np.column_stack([rng.uniform(1.0, 3.0, 30), rng.uniform(0.1, 3.0, 30),
+                               rng.uniform(0.0, 6.0, 30)])
+        waves = table([wave(l, m, (1.0, 0.5)) for l, m in modes])
+        synthesize(waves, 1.0, VACUUM, pts)
+    else:
+        rule = QuadratureRule.for_degree(14)  # 30 theta nodes
+        grid = rng.standard_normal((30, rule.n_phi, 3)) + 0j
+        project_sampled(grid, grid, [ModeIndex(l, m) for l, m in modes], rule)
     assert sorted(m for block in seen for m in block) == sorted(m for _, m in modes)
     for block in seen:
         assert len(block) * 30 <= 300 or len(set(block)) == 1
@@ -416,9 +423,14 @@ def test_projection_cross_mode_leakage():
         assert np.max(np.abs(el)) < 1e-10
 
 
-def test_project_sampled_equals_the_quadrature_sum_of_each_mode(rng):
+@pytest.mark.parametrize("block", [None, 8])
+def test_project_sampled_equals_the_quadrature_sum_of_each_mode(
+    monkeypatch, rng, block
+):
     # the reference: sum over every node of w F_lm^H @ field, mode by mode,
-    # with F_lm from `flm`; modes unsorted, repeated, and l = 0 among them
+    # with F_lm from `flm`; modes unsorted, repeated, and l = 0 among them.
+    # At 8 entries per block each order of the 12 nodes is a block of its
+    # own, whose rows go back to the modes' places in the input
     rule = QuadratureRule.for_degree(5)
     shape = (len(rule.cos_nodes), rule.n_phi, 3)
     e_grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -426,12 +438,45 @@ def test_project_sampled_equals_the_quadrature_sum_of_each_mode(rng):
     modes = [ModeIndex(*lm) for lm in
              ((3, -2), (1, 1), (5, 5), (0, 0), (3, -2), (4, 0), (2, -1), (5, -4))]
     hls, els = project_sampled(e_grid, h_grid, modes, rule)
+    if block:
+        monkeypatch.setattr(synthesis, "_BLOCK", block)
+        blocked = project_sampled(e_grid, h_grid, modes, rule)
+        assert np.array_equal(blocked[0], hls) and np.array_equal(blocked[1], els)
     w = rule.weights[:, None] * (2.0 * math.pi / rule.n_phi)
     for mode, hl, el in zip(modes, hls, els):
         f_h = flm(mode, rule.thetas[:, None], rule.phis[None, :]).conj().swapaxes(-1, -2)
         for got, grid in ((hl, h_grid), (el, e_grid)):
             want = np.einsum("tp,tpij,tpj->i", w, f_h, grid)
             assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_projection_of_the_roundtrip_modes_makes_one_theta_columns_call(monkeypatch):
+    # every mode l <= 16 on its 34 nodes fits one block
+    calls = []
+    cols = synthesis._theta_columns
+    monkeypatch.setattr(synthesis, "_theta_columns",
+                        lambda *a: calls.append(1) or cols(*a))
+    rule = QuadratureRule.for_degree(16)
+    grid = np.ones((len(rule.cos_nodes), rule.n_phi, 3), dtype=complex)
+    modes = [ModeIndex(l, m) for l in range(1, 17) for m in range(-l, l + 1)]
+    project_sampled(grid, grid, modes, rule)
+    assert calls == [1]
+
+
+def test_project_sampled_memory_is_bounded_by_its_blocks():
+    # every mode l <= 96 once held every mode x node entry at once: 150 MB
+    import tracemalloc
+
+    rule = QuadratureRule.for_degree(96)
+    grid = np.ones((len(rule.cos_nodes), rule.n_phi, 3), dtype=complex)
+    modes = [ModeIndex(l, m) for l in range(1, 97) for m in range(-l, l + 1)]
+    tracemalloc.start()
+    try:
+        project_sampled(grid, grid, modes, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_project_sampled_shape_validation():
