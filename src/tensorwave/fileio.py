@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
+from array import array
 from contextlib import contextmanager
-from itertools import chain
 
 import numpy as np
 
@@ -69,74 +70,62 @@ def _check_header(reader) -> None:
 
 
 def read_field_csv(fp) -> tuple:
-    """(points, e, h) from a field CSV; blank lines are skipped.
+    """(points, e, h) from a field CSV, a path or a seekable file object;
+    blank lines are skipped.
 
     The body is parsed in C by np.loadtxt.  A body it cannot parse, or
-    whose values are not all finite with r > 0, is read again row by row
-    by `_scan_field_csv`, which accepts the cells Python's float() does
-    and names the first fault.
+    whose values are not all finite with r > 0, is read again from where
+    the read began, row by row, by `_scan_field_csv`, which accepts the
+    cells Python's float() does and names the first fault.
     """
     with _opened(fp, "r") as handle:
-        lines = handle.readlines()
-    body = iter(lines)
-    _check_header(csv.reader(body))
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a body with no rows
-            vals = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        vals = None
-    if (
-        vals is None
-        or vals.shape[1] != len(FIELD_CSV_COLUMNS)
-        or not (np.isfinite(vals).all() and (vals[:, 0] > 0).all())
-    ):
-        vals = _scan_field_csv(lines)
+        # on a stream that cannot seek, the second read raises io.UnsupportedOperation
+        start = handle.tell() if handle.seekable() else None
+        _check_header(csv.reader(handle))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a body with no rows
+                vals = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+            ok = vals.shape[1] == len(FIELD_CSV_COLUMNS) and np.isfinite(vals).all()
+        except ValueError:
+            ok = False
+        if not (ok and (vals[:, 0] > 0).all()):
+            handle.seek(start)
+            vals = _scan_field_csv(handle)
     # (re, im) cell pairs viewed as complex keep signed zeros and infinities
     eh = np.ascontiguousarray(vals[:, 3:]).view(complex)
     return vals[:, :3], eh[:, :3], eh[:, 3:]
 
 
 def _scan_field_csv(lines) -> np.ndarray:
-    """The values of a field CSV, given as its lines, as an (N, 15) array
-    read row by row.
+    """The (N, 15) values of a field CSV, read from its lines one row at a time.
 
-    Faults are reported for the first row holding one, in the order the
-    row is checked: column count, numbers, finiteness, r > 0.
+    The first faulty row raises; a row is checked for its column count,
+    numbers, finiteness and r > 0, in that order.
     """
     reader = csv.reader(lines)
     _check_header(reader)
-    rows, line_of = [], []
-    for row in reader:
-        if row:
-            rows.append(row)
-            line_of.append(reader.line_num)
     ncol = len(FIELD_CSV_COLUMNS)
-    wide = next((i for i, row in enumerate(rows) if len(row) != ncol), len(rows))
-    flat: list = []
-    try:
-        # on a bad number, `flat` keeps the cells parsed before it
-        flat.extend(map(float, chain.from_iterable(rows[:wide])))
-        unparsed = None
-    except ValueError:
-        i, j = divmod(len(flat), ncol)
-        unparsed = ValueError(
-            f"field CSV line {line_of[i]}: {FIELD_CSV_COLUMNS[j]} is not a number"
-        )
-    vals = np.array(flat[: len(flat) // ncol * ncol]).reshape(-1, ncol)
-    nonfinite = ~np.isfinite(vals)
-    bad = nonfinite.any(axis=1) | ~(vals[:, 0] > 0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if nonfinite[i].any():
-            col = FIELD_CSV_COLUMNS[int(np.argmax(nonfinite[i]))]
-            raise ValueError(f"field CSV line {line_of[i]}: {col} is not finite")
-        raise ValueError("field samples require r > 0")
-    if unparsed is not None:
-        raise unparsed
-    if wide < len(rows):
-        raise ValueError(f"field CSV row has {len(rows[wide])} columns")
-    return vals
+    flat = array("d")
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != ncol:
+            raise ValueError(f"field CSV row has {len(row)} columns")
+        n = len(flat)
+        try:
+            flat.extend(map(float, row))  # on a bad number, keeps the cells before it
+        except ValueError:
+            fault = f"{FIELD_CSV_COLUMNS[len(flat) - n]} is not a number"
+        else:
+            finite = list(map(math.isfinite, flat[n:]))
+            if all(finite) and flat[n] > 0:
+                continue
+            if all(finite):
+                raise ValueError("field samples require r > 0")
+            fault = f"{FIELD_CSV_COLUMNS[finite.index(False)]} is not finite"
+        raise ValueError(f"field CSV line {reader.line_num}: {fault}")
+    return np.frombuffer(flat).reshape(-1, ncol)
 
 
 def write_field_json(points, e, h, fp) -> None:
