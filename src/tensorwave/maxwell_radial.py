@@ -218,7 +218,9 @@ def _pair_seqs(xs: np.ndarray, tops, scaled: bool = False) -> list:
         if part is None:
             out.append((np.zeros((1, len(xs))),) * 2)
         elif name == "hankel1" and not scaled:  # e^{-ix} h1_l times e^{ix}
-            out.append(_f_and_d(name, xs, part * np.exp(1j * xs)))
+            with np.errstate(over="ignore", invalid="ignore"):  # _f_and_d names it
+                part = part * np.exp(1j * xs)
+            out.append(_f_and_d(name, xs, part))
         else:
             out.append(_f_and_d(name, xs, part))
     return out

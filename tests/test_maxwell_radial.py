@@ -8,6 +8,7 @@ from tensorwave.maxwell_radial import (
     Medium,
     RadialProfile,
     _coefficients,
+    _pair_at,
     _pair_seqs,
     _tangential,
     fundamental_matrix,
@@ -445,6 +446,15 @@ def test_propagate_reports_overflow():
     w0 = [1.0, 0.0, 0.0, 0.0]
     with pytest.raises(OverflowError, match="double range"):
         propagate(200, 1.0, Medium(1.0, 1.0), 1e-3, 2e-3, w0)
+
+
+def test_hankel1_overflow_is_named_with_no_runtime_warning():
+    # e^{-ix} h1_l at x = 5 sqrt(2) leaves the double range in both parts
+    # from l = 225, so multiplying back by e^{ix} makes inf - inf; that
+    # product warned, and the tests' error::RuntimeWarning raised it
+    # before `_f_and_d` could name the overflow
+    with pytest.raises(OverflowError, match=r"hankel1 overflowed at x=\(7\.07.*l=225"):
+        _pair_at(300, 1.0, 5.0, Medium(2, 1))
 
 
 def test_propagate_continuity_across_boundary():
