@@ -55,14 +55,6 @@ from .synthesis import (
 __all__ = ["main"]
 
 
-def _write_text(text: str, out) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="") as handle:
-            handle.write(text)
-
-
 # --- eval -------------------------------------------------------------------
 
 
@@ -108,7 +100,8 @@ def cmd_eval(args) -> int:
             "grid": {"n_theta": nt, "n_phi": nphi}}
     columns = [("theta", ["theta"], tt), ("phi", ["phi"], pp),
                ("value", _EVAL_COLUMNS[args.harmonic], vals)]
-    _write_text(_table(args.format, columns, meta, "points"), args.out)
+    with fileio._opened(sys.stdout if args.out is None else args.out, "w") as handle:
+        handle.writelines(_table(args.format, columns, meta, "points"))
     return 0
 
 
@@ -125,7 +118,8 @@ def cmd_verify(args) -> int:
         "checks": checks,
         "pass": ok,
     }
-    _write_text(json.dumps(doc, indent=2) + "\n", args.out)
+    with fileio._opened(sys.stdout if args.out is None else args.out, "w") as handle:
+        handle.writelines(_table("json", [], doc))
     if not ok:
         worst = max(
             (c for c in checks if not c["pass"]),
@@ -405,8 +399,9 @@ def cmd_solve(args) -> int:
     task = cfg.get("task")
     if not isinstance(task, str) or task not in _TASKS:
         raise ValueError(f"config 'task' must be one of {sorted(_TASKS)}")
-    text = _TASKS[task](cfg, args.format)
-    _write_text(text, args.out)
+    pieces = _TASKS[task](cfg, args.format)  # computed before --out is opened
+    with fileio._opened(sys.stdout if args.out is None else args.out, "w") as handle:
+        handle.writelines(pieces)
     return 0
 
 

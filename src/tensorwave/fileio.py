@@ -38,8 +38,8 @@ def _opened(fp, mode: str):
         yield fp
 
 
-def _field_table(fmt: str, points, e, h) -> str:
-    """The field file's text, CSV or JSON, for N points and E, H at them."""
+def _field_table(fmt: str, points, e, h):
+    """The field file's text, CSV or JSON, for N points and E, H at them, in pieces."""
     r, theta, phi = np.reshape(np.asarray(points, dtype=float), (-1, 3)).T
     e, h = (np.asarray(v, dtype=complex) for v in (e, h))
     columns = [("r", ["r"], r), ("theta", ["theta"], theta), ("phi", ["phi"], phi),
@@ -49,12 +49,12 @@ def _field_table(fmt: str, points, e, h) -> str:
 
 
 # the header of the empty table
-FIELD_CSV_COLUMNS = tuple(_field_table("csv", [], [], []).rstrip("\n").split(","))
+FIELD_CSV_COLUMNS = tuple(next(_field_table("csv", [], [], [])).rstrip("\n").split(","))
 
 
 def write_field_csv(points, e, h, fp) -> None:
     with _opened(fp, "w") as handle:
-        handle.write(_field_table("csv", points, e, h))
+        handle.writelines(_field_table("csv", points, e, h))
 
 
 def _check_header(reader) -> None:
@@ -130,7 +130,7 @@ def _scan_field_csv(lines) -> np.ndarray:
 
 def write_field_json(points, e, h, fp) -> None:
     with _opened(fp, "w") as handle:
-        handle.write(_field_table("json", points, e, h))
+        handle.writelines(_field_table("json", points, e, h))
 
 
 def read_field_json(fp) -> tuple:

@@ -6,7 +6,8 @@ values are rejected alike everywhere, with a ValueError naming the key;
 `kind_pair` reads a pair of radial kind names.
 `degree` also caps a degree l at MAX_DEGREE, and `quadrature_degree` a
 quadrature grid at MAX_GRID_POINTS.  `_table` is the matching encoder:
-every result table, CSV or JSON, is rendered from one column list.
+every result table, CSV or JSON, is rendered from one column list and
+yielded in pieces.
 """
 
 from __future__ import annotations
@@ -122,8 +123,8 @@ def _csv_block(x: np.ndarray, ints) -> str:
     return text
 
 
-def _table(fmt: str, columns, meta: dict, rows: str | None = None) -> str:
-    """One result table as CSV or JSON text.
+def _table(fmt: str, columns, meta: dict, rows: str | None = None):
+    """One result table as CSV or JSON text, yielded in pieces to write in turn.
 
     `columns` is a list of (key, names, values): `values` holds N rows of
     shape (N,) or (N, ...), integer, real or complex, and `names` the CSV
@@ -133,7 +134,8 @@ def _table(fmt: str, columns, meta: dict, rows: str | None = None) -> str:
     digits, which reproduces a double exactly (`_csv_block`, byte for byte
     as "%d" and "%.17g").  JSON is the `meta` keys, then under `rows` one
     {key: value} object per row, a complex value as nested [re, im] pairs;
-    with no `rows`, the one row's keys follow `meta`.
+    with no `rows`, the keys of the one row, if any, follow `meta`.  CSV
+    comes as the header, then one `_csv_block` per `_ROWS` rows.
     """
     keys, header, ints, values = [], [], [], []
     for key, names, v in columns:
@@ -146,18 +148,19 @@ def _table(fmt: str, columns, meta: dict, rows: str | None = None) -> str:
         ints += [v.dtype.kind in "iu"] * len(names)
         values.append(v.reshape(len(v), len(names)) if fmt == "csv" else v.tolist())
     if fmt == "csv":
-        table = np.hstack(values, dtype=float)
-        blocks = (table[i:i + _ROWS] for i in range(0, len(table), _ROWS))
-        lines = [",".join(header) + "\n", *(_csv_block(b, ints) for b in blocks)]
-        return "".join(lines)
+        yield ",".join(header) + "\n"
+        for i in range(0, len(values[0]), _ROWS):
+            block = np.hstack([v[i:i + _ROWS] for v in values], dtype=float)
+            yield _csv_block(block, ints)
+        return
     records = [dict(zip(keys, row)) for row in zip(*values)]
     doc = dict(meta)
     if rows is None:
-        (record,) = records
-        doc.update(record)
+        doc.update(*records)
     else:
         doc[rows] = records
-    return json.dumps(doc, indent=2) + "\n"
+    yield from json.JSONEncoder(indent=2).iterencode(doc)
+    yield "\n"
 
 
 def require_keys(doc, required, optional=(), what="config") -> None:

@@ -122,6 +122,7 @@ def _angles(theta, phi):
     return theta, phi
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite part raises below
 def _theta_columns(l, m, theta):
     """theta-parts of Y_lm, X_lm.e_theta and X_lm.e_phi for each (l, m).
 
@@ -133,7 +134,8 @@ def _theta_columns(l, m, theta):
     every order |m| and |m +- 1| read here.  Returns (y, x_theta, x_phi),
     each of shape broadcast(l, m).shape + theta.shape.  y and x_theta are
     real, x_phi is imaginary.  X comes from the ladder combination of the
-    orders m +- 1, so no sin(theta) divides.
+    orders m +- 1, so no sin(theta) divides.  A part that is not finite
+    raises OverflowError naming the first such (l, m) and theta.
     """
     theta = np.asarray(theta, dtype=float)
     _check_theta(theta)
@@ -160,6 +162,11 @@ def _theta_columns(l, m, theta):
     inv = 1.0 / np.sqrt(np.maximum(l * (l + 1), 1.0))  # X_00 = 0 either way
     x_theta = (0.5 * ct * (yp + ym) - m * st * y) * inv
     x_phi = -0.5j * (yp - ym) * inv
+    ok = np.isfinite(y) & np.isfinite(x_theta) & np.isfinite(x_phi)
+    if not ok.all():
+        k, t = divmod(int(np.argmin(ok)), theta.size)  # the first mode, then angle
+        raise OverflowError(f"the harmonic (l, m) = ({ls.flat[k]}, {ms.flat[k]}) at "
+                            f"theta = {theta.flat[t]} leaves the double range")
     return y, x_theta, x_phi
 
 

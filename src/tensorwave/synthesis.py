@@ -359,7 +359,8 @@ def match_sphere(
     host's j_l, h1_l overflow.  Returns (scattered, interior), arrays of
     shape (lmax, 2) whose row l - 1 holds the Hankel-1 coefficients of the
     scattered wave and the Bessel-j coefficients of the interior wave of
-    degree l.  A non-finite `incident_c1` raises ValueError.
+    degree l.  A non-finite `incident_c1` raises ValueError; a coefficient
+    that leaves the double range, OverflowError naming the first such l.
     """
     if lmax < 1:
         raise ValueError(f"lmax must be >= 1 (matching needs l >= 1), got {lmax}")
@@ -379,6 +380,8 @@ def match_sphere(
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         v = _coefficients(*pair, k, radius, host, u_i)
         scattered, interior = c * v[:, 2:] / v[:, :2], c * np.exp(1j * x) / v[:, :2]
-    if not np.isfinite([scattered, interior]).all():
-        raise RuntimeError(f"singular matching matrix at k={k}, radius={radius}")
+    bad = np.flatnonzero(~np.isfinite(np.hstack([scattered, interior])))  # 4 per l
+    if bad.size:
+        l, part = bad[0] // 4 + 1, ("scattered", "interior")[bad[0] % 4 // 2]
+        raise OverflowError(f"the {part} coefficient of l={l} leaves the double range")
     return scattered, interior

@@ -344,6 +344,17 @@ def test_solve_scatter_names_the_overflowing_function(tmp_path):
     assert res.stdout == ""
 
 
+def test_solve_scatter_names_the_coefficient_past_the_double_range(tmp_path, capsys):
+    # eps = 1e-300 puts the interior argument at 1e-150, where j_3 leaves
+    # the double range; this once read "singular matching matrix", but
+    # matching is recovery at the surface and has no matrix
+    from tensorwave.cli import main
+
+    assert main(["solve", "--config", write_config(tmp_path, "s.json", VOID_SPHERE)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: the scattered coefficient of l=3 leaves the double range\n")
+
+
 def test_solve_scatter_past_the_interior_double_range_matches_mpmath(tmp_path):
     # sphere n = 1.5+1i at radius 720: the interior argument 1080+720i
     # enters only through e^{ix} j_l, so nothing overflows
@@ -406,6 +417,9 @@ PROJECT = {"task": "project", "k": 1.0, "medium": HOST, "quadrature_lmax": 2,
 GRID_FIELD = "grid field"  # stands for the field file of `_grid_field`
 PROPAGATE = {"task": "propagate", "l": 1, "k": 1.0, "profile": {"outer": HOST},
              "r_from": 1.0, "r_to": 2.0, "w": [[1.0, 0.0]] * 4}
+# a sphere of eps = 1e-300 in vacuum: its scattered coefficient of l = 3
+# leaves the double range in the match
+VOID_SPHERE = dict(SCATTER, lmax=4, sphere={"eps": [1e-300, 0.0], "mu": [1.0, 0.0]})
 
 
 @pytest.mark.parametrize(
@@ -860,6 +874,85 @@ def test_output_is_deterministic_across_runs_and_threads(tmp_path):
         assert [res.returncode for res in runs] == [0, 0, 0], runs
         outputs.append((runs[0].stdout, field.read_bytes(), runs[2].stdout))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_and_out_get_the_same_bytes(tmp_path, capsys, fmt):
+    # every command writes its pieces through one opener, to either place
+    from tensorwave.cli import main
+
+    field, _, _ = _grid_field(tmp_path)
+    tasks = (SCATTER, SYNTH, dict(PROJECT, field=str(field)), PROPAGATE)
+    commands = [["eval", "--harmonic", harmonic, "--l", "3", "--m", "-2", "--grid", "3x4",
+                 "--format", fmt] for harmonic in ("ylm", "xlm", "flm")]
+    commands += [["solve", "--config", write_config(tmp_path, f"{cfg['task']}.json", cfg),
+                  "--format", fmt] for cfg in tasks]
+    commands.append(["verify", "--suite", "invariants", "--lmax", "2"])
+    for i, argv in enumerate(commands):
+        out = tmp_path / f"out{i}"
+        assert main(argv) == 0
+        printed = capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 0
+        assert printed.err == "" and capsys.readouterr() == ("", "")
+        assert out.read_bytes() == printed.out.encode(), argv
+
+
+@pytest.mark.parametrize("old", [None, b"an earlier result\n"])
+@pytest.mark.parametrize("cfg, code", [
+    (VOID_SPHERE, 1),
+    (dict(SYNTH, points=[[-1.0, 1.0, 0.5]]), 2),
+])
+def test_a_failing_solve_creates_and_truncates_no_out_file(tmp_path, capsys, old, cfg,
+                                                           code):
+    # the result is computed in full before --out is opened
+    from tensorwave.cli import main
+
+    out = tmp_path / "out.csv"
+    if old is not None:
+        out.write_bytes(old)
+    argv = ["solve", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)]
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    if old is None:
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == old
+
+
+def test_solve_synthesize_writes_a_large_field_in_bounded_memory(tmp_path):
+    # 133,128 rows at quadrature_lmax 128, a 43 MB CSV, written block by
+    # block as it is encoded: 31 MB of tracemalloc peak, where the whole
+    # text and its blocks at once took 130.5 MB (about 1 s)
+    import tracemalloc
+
+    from tensorwave.cli import main
+
+    waves = [dict(WAVE, l=l, m=m, kinds=["bessel_j", "hankel1"])
+             for l, m in ((1, 0), (5, -3), (20, 7))]
+    cfg = {"task": "synthesize", "k": 1.0, "medium": HOST, "waves": waves,
+           "grid": {"r": 255.0, "quadrature_lmax": 128}}
+    argv = ["solve", "--config", write_config(tmp_path, "s.json", cfg), "--format", "csv",
+            "--out", str(tmp_path / "field.csv")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 45e6
+    with open(tmp_path / "field.csv") as handle:
+        assert sum(1 for _ in handle) == 1 + 258 * 516
+
+
+@pytest.mark.parametrize("harmonic", ["ylm", "xlm", "flm"])
+def test_eval_of_a_harmonic_past_the_double_range_exits_1(capsys, harmonic):
+    # it exited 0 printing 16 nan rows and 3.37e180, after RuntimeWarnings
+    from tensorwave.cli import main
+
+    argv = ["eval", "--harmonic", harmonic, "--l", "25000", "--m", "22000", "--grid", "39x1"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: the harmonic (l, m) = (25000, 22000) at "
+                                   "theta = 0.6041524333826525 leaves the double range\n")
 
 
 @pytest.mark.parametrize("suite", ["ortho", "invariants", "maxwell"])

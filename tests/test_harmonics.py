@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import ylm_ref
@@ -185,6 +185,26 @@ def test_all_modes_table_matches_scipy_for_every_l_and_m():
         assert np.all(np.abs(x_theta[np.abs(ms) != 1, pole]) <= tol)
         assert np.all(np.abs(x_phi[np.abs(ms) != 1, pole]) <= tol)
         assert np.all(np.abs(x_theta[np.abs(ms) == 1, pole]) > 0.1)
+
+
+UNSOLD_THETAS = np.array([0.05, math.asin(1 / math.e), 1.2, math.pi / 2])
+
+
+# Unsöld's theorem: at every theta, sum_m |Y_lm|^2 = sum_m (|X_theta|^2 +
+# |X_phi|^2) = (2l+1)/(4 pi), so sum_m tr(F_lm F_lm^H) = 3(2l+1)/(4 pi).
+# The relative error grows about 1e-15 per degree (3.0e-14 at l = 50,
+# 1.37e-12 at 1,500), hence the bound 2e-15 (l + 1).  The range stops at
+# 1,500: from about l = 1,930 the sectoral seeds at asin(1/e) leave the
+# double range and the sums fail.  0.4-1 s in all; l = 1,500 takes 0.2 s
+# and 73 MB.
+@settings(max_examples=30, deadline=None)
+@example(1500)
+@given(st.floats(0.0, math.log(1500)).map(lambda u: round(math.exp(u))))
+def test_unsold_sums_hold_at_every_degree_to_1500(l):
+    y, x_theta, x_phi = _theta_columns(l, np.arange(-l, l + 1), UNSOLD_THETAS)
+    want = np.full(len(UNSOLD_THETAS), (2 * l + 1) / (4 * math.pi))
+    for total in ((y**2).sum(0), (x_theta**2 + np.abs(x_phi) ** 2).sum(0)):
+        np.testing.assert_allclose(total, want, rtol=2e-15 * (l + 1), atol=0)
 
 
 def test_a_table_of_some_orders_is_the_slice_of_the_full_table():

@@ -1,15 +1,17 @@
 """The CSV encoder of `parsing._table` against Python's % formatting."""
 
+import hashlib
 import json
 import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorwave import cli, parsing
-from tensorwave.fileio import _field_table
+from tensorwave.fileio import FIELD_CSV_COLUMNS, _field_table
 from tensorwave.parsing import _csv_block, _table
 
 
@@ -23,7 +25,7 @@ def percent(columns) -> str:
 
 def encoded(columns) -> str:
     """The CSV body `_table` renders for `columns`, one table column each."""
-    text = _table("csv", [(str(j), [f"c{j}"], v) for j, v in enumerate(columns)], {})
+    text = "".join(_table("csv", [(str(j), [f"c{j}"], v) for j, v in enumerate(columns)], {}))
     return text.split("\n", 1)[1]
 
 
@@ -93,10 +95,10 @@ def test_field_table_memory_is_bounded(rng):
     # the roundtrip field's shape: 2,312 rows of 15 cells; % took 2.1 MB
     # here, and blocks of 8,192 rows 10.2 MB
     fields = field(rng, 2312)
-    _field_table("csv", *fields)  # the lazily built tables
+    "".join(_field_table("csv", *fields))  # the lazily built tables
     tracemalloc.start()
     try:
-        text = _field_table("csv", *fields)
+        text = "".join(_field_table("csv", *fields))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -104,6 +106,33 @@ def test_field_table_memory_is_bounded(rng):
                *(c for v in fields[1:] for j in range(3) for c in (v[:, j].real, v[:, j].imag))]
     assert text.split("\n", 1)[1] == percent(columns)
     assert peak <= 4e6
+
+
+@pytest.mark.parametrize("fmt, bound", [("csv", 3.0e6), ("json", 3.2e6)])
+def test_field_table_pieces_stream_in_bounded_memory(rng, fmt, bound):
+    # the roundtrip field's 2,312 rows, hashed piece by piece as a writer
+    # takes them, peak at 2.67 MB (CSV) and 2.85 MB (JSON, most of it the
+    # rows as Python lists); as one text they took 3.21 and 10.8 MB
+    points, e, h = fields = field(rng, 2312)
+    if fmt == "csv":
+        columns = [*points.T, *(c for v in (e, h) for z in v.T for c in (z.real, z.imag))]
+        want = ",".join(FIELD_CSV_COLUMNS) + "\n" + percent(columns)
+    else:
+        rows = [{"r": p[0], "theta": p[1], "phi": p[2],
+                 "e": [[z.real, z.imag] for z in ez], "h": [[z.real, z.imag] for z in hz]}
+                for p, ez, hz in zip(points.tolist(), e.tolist(), h.tolist())]
+        want = json.dumps({"fields": rows}, indent=2) + "\n"
+    "".join(_field_table(fmt, *fields))  # the lazily built tables
+    digest = hashlib.sha256()
+    tracemalloc.start()
+    try:
+        for piece in _field_table(fmt, *fields):
+            digest.update(piece.encode())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest.hexdigest() == hashlib.sha256(want.encode()).hexdigest()
+    assert peak <= bound
 
 
 def test_benchmark_shaped_tables_take_no_percent_cell(tmp_path, monkeypatch):

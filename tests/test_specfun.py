@@ -77,6 +77,16 @@ def test_ylm_range_check():
         ylm(ModeIndex(2, -1), np.array([0.5, 1.0]), np.array([0.0, -math.inf]))
 
 
+def test_a_harmonic_past_the_double_range_raises_naming_its_mode_and_angle():
+    # the sectoral seed of order 22,000 leaves the double range below
+    # theta ~ 1.2, and the recurrence in l then gave nan (16 of these 39
+    # angles) and 3.37e180, with RuntimeWarnings, where |Y| is O(1)
+    thetas = math.pi * (np.arange(39) + 0.5) / 39
+    with pytest.raises(OverflowError, match=r"^the harmonic \(l, m\) = \(25000, 22000\) "
+                       r"at theta = 0\.6041524333826525 leaves the double range$"):
+        ylm(ModeIndex(25000, 22000), thetas[:, None], np.zeros((1, 2)))
+
+
 def test_ylm_normalization_all_l_up_to_8():
     # Gauss-Legendre in cos(theta); exact for these integrands
     x, w = np.polynomial.legendre.leggauss(24)
