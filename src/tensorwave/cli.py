@@ -85,7 +85,7 @@ _EVAL_COLUMNS = {
 def cmd_eval(args) -> int:
     mode = ModeIndex(degree(args.l, "--l"), args.m)
     nt, nphi = _parse_grid(args.grid)
-    if (mode.l + 1) * nt > MAX_GRID_POINTS:  # about 3 Legendre values each
+    if (mode.l + 1) * nt > MAX_GRID_POINTS:  # the recurrence's work
         raise ValueError(f"--l {mode.l} on {nt} thetas: (l + 1) n_theta must be at "
                          f"most {MAX_GRID_POINTS}")
     thetas = math.pi * (np.arange(nt) + 0.5) / nt

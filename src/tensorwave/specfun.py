@@ -13,14 +13,14 @@ sphere, so the ladder relations
 hold exactly, and Y_{l,-m} = (-1)^m conj(Y_lm).
 
 The Legendre part is evaluated by the fully normalized forward recurrence
-in l, run for a range of orders at once (each seeded from the
-double-factorial closed form of its sectoral term), which is stable for
-every |m| <= l at the orders handled here.  Its one caller is
-`_theta_columns`, the harmonic table: the theta-parts of Y_lm and of the
-vector harmonic X_lm = L Y_lm / sqrt(l(l+1)) for any set of modes, where
-the rule for negative m above is applied.  `_parts` multiplies them by
-e^{i m phi}, and every angular value of the package, `ylm` included,
-comes from these two.  Spherical Bessel functions
+in l, `_norm_legendre`, stable for every |m| <= l at the orders handled
+here: for any (l, m) pairs it runs once over their distinct orders, each
+seeded from the double-factorial closed form of its sectoral term, in two
+running rows, and returns each pair's theta-part of Y_lm, applying the
+rule for negative m above.  `ylm` reads it alone; `_theta_columns`, the
+harmonic table, reads it once on the orders m and m +- 1 for the
+theta-parts of Y_lm and X_lm = L Y_lm / sqrt(l(l+1)) of any set of
+modes, and `_parts` multiplies them by e^{i m phi}.  Spherical Bessel functions
 come as whole sequences in l for an array of arguments at once, valid for
 complex arguments.  An argument below the real axis is served by the
 conjugate symmetry f(x) = conj(f*(conj x)), f* the kind with h1 and h2
@@ -74,32 +74,42 @@ class RadialKind(Enum):
     HANKEL2 = "hankel2"
 
 
-def _norm_legendre(lmax: int, lo: int, hi: int, ct, st) -> np.ndarray:
-    """Fully normalized associated Legendre values for orders lo .. hi >= 0.
-
-    Returns N_lm P_l^m(ct) with N_lm = sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!)
-    and the Condon-Shortley (-1)^m folded in, evaluated elementwise on
-    cos(theta) = ct, sin(theta) = st: an array of shape
-    (lmax - lo + 1, hi - lo + 1) + ct.shape whose entry [l - lo, m - lo]
-    holds order m at degree l, and zero where l < m.  One recurrence in l
-    runs for every order at once, each order seeded by its sectoral term.
-    """
-    out = np.zeros((lmax - lo + 2, hi - lo + 1) + np.shape(ct))  # row 0: l = lo - 1
+@np.errstate(over="ignore", invalid="ignore")  # its callers name a non-finite value
+def _norm_legendre(l, m, ct, st) -> np.ndarray:
+    """The theta-part of Y_lm of each pair of the integer arrays l, m (one
+    shape), of shape l.shape + ct.shape at cos(theta) = ct, sin(theta) = st:
+    N P_l^|m|(ct) (-1)^m, N = sqrt((2l+1)/(4 pi) (l-|m|)!/(l+|m|)!), times
+    (-1)^m where m < 0 and 0 where l < |m|.  One recurrence in l from the
+    least order runs the distinct orders |m|, each from its sectoral seed,
+    in two rows; a pair takes its value as the recurrence passes its l."""
+    out = np.zeros(np.shape(l) + np.shape(ct))
+    flat, ls, ms = out.reshape((-1,) + np.shape(ct)), np.ravel(l), np.ravel(m)
+    at = np.flatnonzero(ls >= np.abs(ms))
+    at = at[np.argsort(ls[at], kind="stable")]  # the pairs with a value, by degree
+    orders, row = np.unique(np.abs(ms[at]), return_inverse=True)
+    flip = at[(ms[at] < 0) & (ms[at] % 2 == 1)]  # Y_{l,-m} = (-1)^m conj(Y_lm)
+    mm = orders.reshape((-1,) + (1,) * np.ndim(ct)) ** 2  # then the angle axes
+    ends = np.searchsorted(ls[at], np.arange(ls[at].max(initial=-1) + 2)).tolist()
+    seeds = orders.tolist() + [-1]  # the orders in turn, then none
+    cur, prev = np.zeros((2, len(orders)) + np.shape(ct))
     # sectoral seeds, built multiplicatively so large m cannot overflow
-    p = np.full_like(ct, 1.0 / math.sqrt(4.0 * math.pi))
-    for k in range(min(hi, lmax) + 1):
-        if k > 0:
-            p = p * (-math.sqrt((2 * k + 1) / (2.0 * k))) * st
-        if k >= lo:
-            out[k - lo + 1, k - lo] = p
-    m = np.arange(lo, hi + 1).reshape((-1,) + (1,) * np.ndim(ct))
-    for ll in range(lo + 1, lmax + 1):
-        n = min(ll, hi + 1) - lo  # the orders m < ll
-        mm, i = m[:n], ll - lo + 1
-        a = np.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - mm * mm))
-        b = np.sqrt(((ll - 1.0) ** 2 - mm * mm) / (4.0 * (ll - 1.0) ** 2 - 1.0))
-        out[i, :n] = a * (ct * out[i - 1, :n] - b * out[i - 2, :n])
-    return out[1:]
+    p, n = np.full_like(ct, 1.0 / math.sqrt(4.0 * math.pi)), 0  # n orders running
+    for ll in range(len(ends) - 1):  # the pairs at[ends[ll]:ends[ll + 1]] have l = ll
+        if n:  # one step for the orders below ll
+            a = np.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - mm[:n]))
+            b = np.sqrt(((ll - 1.0) ** 2 - mm[:n]) / (4.0 * (ll - 1.0) ** 2 - 1.0))
+            np.multiply(a, ct * cur[:n] - b * prev[:n], out=prev[:n])
+            cur, prev = prev, cur
+        if ll == seeds[n]:
+            cur[n] = p
+            n += 1
+        if ll < seeds[-2]:
+            p = p * (-math.sqrt((2 * ll + 3) / (2.0 * ll + 2))) * st
+        if ends[ll] < ends[ll + 1]:
+            i = slice(ends[ll], ends[ll + 1])
+            flat[at[i]] = cur.take(row[i], axis=0)
+    flat[flip] *= -1.0
+    return out
 
 
 def _check_theta(theta: np.ndarray) -> None:
@@ -128,34 +138,20 @@ def _theta_columns(l, m, theta):
 
     Every harmonic of order m is its theta-part times e^{i m phi}.  `l`
     and `m` are integers or integer arrays that broadcast together, with
-    |m| <= l; theta is an array of angles in [0, pi].  One Legendre
-    recurrence (`_norm_legendre`, which nothing else calls) runs to the
-    largest l for the orders from min|m| - 1 to max|m| + 1, which hold
-    every order |m| and |m +- 1| read here.  Returns (y, x_theta, x_phi),
-    each of shape broadcast(l, m).shape + theta.shape.  y and x_theta are
-    real, x_phi is imaginary.  X comes from the ladder combination of the
-    orders m +- 1, so no sin(theta) divides.  A part that is not finite
-    raises OverflowError naming the first such (l, m) and theta.
+    |m| <= l; theta is an array of angles in [0, pi].  Returns (y, x_theta,
+    x_phi), each of shape broadcast(l, m).shape + theta.shape; y and
+    x_theta are real, x_phi is imaginary.  One `_norm_legendre` call on the
+    orders m and m +- 1 gives Y and, by the ladder combination, X, so no
+    sin(theta) divides.  A part that is not finite raises OverflowError
+    naming the first such (l, m) and theta.
     """
     theta = np.asarray(theta, dtype=float)
     _check_theta(theta)
     ct, st = np.cos(theta), np.sin(theta)
     ls, ms = np.broadcast_arrays(np.asarray(l), np.asarray(m))
-    orders = np.abs(ms)
-    lmax = int(ls.max(initial=0))
-    lo = max(int(orders.min(initial=lmax)) - 1, 0)
-    hi = min(int(orders.max(initial=0)) + 1, lmax)
-    p = _norm_legendre(lmax, lo, hi, ct, st)
+    y, yp, ym = _norm_legendre(np.broadcast_to(ls, (3,) + ls.shape),
+                               np.stack([ms, ms + 1, ms - 1]), ct, st)
     grid = (...,) + (None,) * ct.ndim  # mode axes first, then the angle axes
-
-    def y_part(mm):
-        # Y_{l,mm} theta-parts, zero where l < |mm|; Y_{l,-m} = (-1)^m conj(Y_lm)
-        mu = np.abs(mm)
-        sign = np.where((mm < 0) & (mu % 2 == 1), -1.0, 1.0)[grid]
-        vals = p[ls - lo, np.minimum(mu, hi) - lo]
-        return np.where((ls >= mu)[grid], sign * vals, 0.0)
-
-    y, yp, ym = y_part(ms), y_part(ms + 1), y_part(ms - 1)
     l, m = ls[grid], ms[grid]
     yp = np.sqrt((l - m) * (l + m + 1)) * yp  # L+ Y_lm
     ym = np.sqrt((l + m) * (l - m + 1)) * ym  # L- Y_lm
@@ -191,7 +187,11 @@ def ylm(mode: ModeIndex, theta, phi):
     input, else a complex array.
     """
     theta, phi = _angles(theta, phi)
-    y = _theta_columns(mode.l, mode.m, theta)[0]
+    y = _norm_legendre(mode.l, mode.m, np.cos(theta), np.sin(theta))
+    ok = np.isfinite(y)
+    if not ok.all():
+        raise OverflowError(f"the harmonic (l, m) = ({mode.l}, {mode.m}) at theta = "
+                            f"{theta.flat[np.argmin(ok)]} leaves the double range")
     out = np.asarray(y * np.exp(1j * mode.m * phi), dtype=complex)
     return complex(out[()]) if out.ndim == 0 else out
 

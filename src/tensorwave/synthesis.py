@@ -26,7 +26,7 @@ scattered points one contraction point by point.  Projection inverts
 this with the angular Gram identity of F_lm: one sum over phi for every
 order at once, then one contraction over the theta nodes of a
 quadrature sphere at fixed radius for every mode, from one Legendre
-recurrence, over just its orders, per block of whole orders.
+recurrence per block of whole orders, in two rows per order it reads.
 """
 
 from __future__ import annotations

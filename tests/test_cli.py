@@ -919,6 +919,23 @@ def test_a_failing_solve_creates_and_truncates_no_out_file(tmp_path, capsys, old
         assert out.read_bytes() == old
 
 
+def test_solve_synthesize_of_a_low_and_a_high_order_at_one_point_exits_0(
+    tmp_path, capsys
+):
+    # waves (100,000, 0) and (100,000, 99,999): a dense table of the orders
+    # 0 .. 100,000 asked for 74.5 GiB; two running rows take about 1.5 s
+    from tensorwave.cli import main
+
+    waves = [dict(WAVE, l=100000, m=m, kinds=["bessel_j", "hankel1"]) for m in (0, 99999)]
+    cfg = dict(SYNTH, waves=waves, points=[[150000.0, 1.2, 0.5]])
+    argv = ["solve", "--config", write_config(tmp_path, "s.json", cfg), "--format", "csv"]
+    assert main(argv) == 0
+    header, rows = parse_csv(capsys.readouterr().out)
+    values = np.array(rows, dtype=float)
+    assert values.shape == (1, len(header))
+    assert np.isfinite(values).all() and np.abs(values[0, 3:]).max() > 0.0
+
+
 def test_solve_synthesize_writes_a_large_field_in_bounded_memory(tmp_path):
     # 133,128 rows at quadrature_lmax 128, a 43 MB CSV, written block by
     # block as it is encoded: 31 MB of tracemalloc peak, where the whole

@@ -157,11 +157,11 @@ ALL_MODES_24 = np.array([(l, m) for l in range(25) for m in range(-l, l + 1)]).T
 
 
 def test_all_modes_table_matches_scipy_for_every_l_and_m():
-    p = _norm_legendre(24, 0, 24, *TABLE_CS)
-    # every order 0..24 of every degree 0..24, exactly zero where l < m
-    assert p.shape == (25, 25, len(TABLE_THETAS))
-    below = np.arange(25)[:, None] < np.arange(25)[None, :]
-    assert np.all(p[below] == 0.0)
+    # every order -24..24 of every degree 0..24, exactly zero where l < |m|
+    degrees, orders = np.meshgrid(np.arange(25), np.arange(-24, 25), indexing="ij")
+    p = _norm_legendre(degrees, orders, *TABLE_CS)
+    assert p.shape == (25, 49, len(TABLE_THETAS))
+    assert np.all(p[degrees < np.abs(orders)] == 0.0)
     ls, ms = ALL_MODES_24
     y, x_theta, x_phi = _theta_columns(ls, ms, TABLE_THETAS)
     assert y.shape == x_theta.shape == x_phi.shape == (625, len(TABLE_THETAS))
@@ -195,8 +195,8 @@ UNSOLD_THETAS = np.array([0.05, math.asin(1 / math.e), 1.2, math.pi / 2])
 # The relative error grows about 1e-15 per degree (3.0e-14 at l = 50,
 # 1.37e-12 at 1,500), hence the bound 2e-15 (l + 1).  The range stops at
 # 1,500: from about l = 1,930 the sectoral seeds at asin(1/e) leave the
-# double range and the sums fail.  0.4-1 s in all; l = 1,500 takes 0.2 s
-# and 73 MB.
+# double range and the sums fail.  0.4-1 s in all; l = 1,500 takes 0.3 s
+# and 1.6 MB.
 @settings(max_examples=30, deadline=None)
 @example(1500)
 @given(st.floats(0.0, math.log(1500)).map(lambda u: round(math.exp(u))))
@@ -208,12 +208,17 @@ def test_unsold_sums_hold_at_every_degree_to_1500(l):
 
 
 def test_a_table_of_some_orders_is_the_slice_of_the_full_table():
-    # _theta_columns runs the recurrence for just the orders and degrees
-    # its modes need, so its values equal those of the full table
-    full = _norm_legendre(24, 0, 24, *TABLE_CS)
-    for lmax, lo, hi in ((7, 3, 8), (24, 11, 13), (5, 5, 6), (24, 0, 24)):
-        part = _norm_legendre(lmax, lo, hi, *TABLE_CS)
-        assert part.tobytes() == full[lo:lmax + 1, lo:hi + 1].tobytes()
+    # the recurrence runs for just the orders and degrees its pairs need,
+    # so any subset of pairs has the bytes of those pairs in the all-modes call
+    ls, ms = ALL_MODES_24
+    full = _norm_legendre(ls, ms, *TABLE_CS)
+    row = {(l, m): i for i, (l, m) in enumerate(zip(ls.tolist(), ms.tolist()))}
+    for pairs in ([(24, 0), (24, 23)], [(7, 3), (3, -3), (8, -8), (7, 3)],
+                  [(24, -11), (13, 12), (24, 13)], [(5, -5)], [(0, 0)],
+                  list(zip(ls.tolist(), ms.tolist()))[::-1]):
+        l, m = np.array(pairs).T
+        part = _norm_legendre(l, m, *TABLE_CS)
+        assert part.tobytes() == full[[row[pair] for pair in pairs]].tobytes()
 
 
 def test_theta_columns_run_one_recurrence_over_the_window_of_their_orders(
@@ -223,11 +228,58 @@ def test_theta_columns_run_one_recurrence_over_the_window_of_their_orders(
 
     calls = []
     exact = specfun._norm_legendre
-    monkeypatch.setattr(specfun, "_norm_legendre",
-                        lambda *a: calls.append(a[:3]) or exact(*a))
+
+    def spy(l, m, ct, st):
+        held = l >= np.abs(m)
+        calls.append((int(l.max()), sorted(set(np.abs(m[held]).tolist()))))
+        return exact(l, m, ct, st)
+
+    monkeypatch.setattr(specfun, "_norm_legendre", spy)
     _theta_columns(np.array([3, 5]), np.array([2, -4]), TABLE_THETAS)
     # orders |m| = 2 .. 4 and their ladder neighbours 1 .. 5, to l = 5
-    assert calls == [(5, 1, 5)]
+    assert calls == [(5, [1, 2, 3, 4, 5])]
+
+
+def test_theta_columns_of_every_order_hold_no_degree_by_order_table():
+    # every m at l = 2,000 at one theta: the dense (degree x order) table
+    # peaked at 32.5 MB, the pairs and two running rows take about 1 MB
+    import tracemalloc
+
+    l = 2000
+    tracemalloc.start()
+    try:
+        y = _theta_columns(l, np.arange(-l, l + 1), np.array([1.0]))[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(y).all()
+    assert peak <= 4e6
+
+
+sparse_modes = st.lists(
+    st.integers(0, 200).flatmap(lambda l: st.tuples(st.just(l), st.integers(-l, l))),
+    min_size=1, max_size=12,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_modes, st.lists(st.floats(0.0, math.pi), min_size=1, max_size=6))
+def test_sparse_modes_equal_the_per_order_recurrence_and_the_all_modes_call(
+    pairs, thetas
+):
+    # Y of any set of modes is the per-order recurrence, and X those modes
+    # of the call over every mode l <= the set's largest, byte for byte
+    l, m = np.array(pairs).T
+    thetas = np.array(thetas)
+    y, x_theta, x_phi = _theta_columns(l, m, thetas)
+    for i, (li, mi) in enumerate(pairs):
+        assert y[i].tobytes() == per_order_theta_part(li, mi, thetas).tobytes()
+    top = int(l.max())
+    every = np.array([(k, j) for k in range(top + 1) for j in range(-k, k + 1)]).T
+    _, all_theta, all_phi = _theta_columns(*every, thetas)
+    at = l * l + l + m  # row of (l, m) among every mode
+    assert x_theta.tobytes() == all_theta[at].tobytes()
+    assert x_phi.tobytes() == all_phi[at].tobytes()
 
 
 @pytest.mark.parametrize("fn, tail", [(ylm, ()), (xlm, (3,)), (flm, (3, 3))])
@@ -398,7 +450,7 @@ def test_l_dot_relations(mode, p):
 
 
 def test_l_dot_er_cross_check_sees_a_wrong_harmonic(monkeypatch, rng):
-    # negative control: order 2 of every Legendre value scaled by 1 + 1e-6.
+    # negative control: every Legendre value of order |m| = 2 scaled by 1 + 1e-6.
     # The product-rule pieces of L . (e_r x X) cancel only for true
     # harmonics, so the residual must rise well past rounding; the other
     # three checks test the ladder algebra alone and stay at rounding
@@ -417,10 +469,9 @@ def test_l_dot_er_cross_check_sees_a_wrong_harmonic(monkeypatch, rng):
     assert worst() < 1e-13
     exact = specfun._norm_legendre
 
-    def skewed(lmax, lo, hi, ct, st):
-        p = exact(lmax, lo, hi, ct, st)
-        if lo <= 2 <= hi:
-            p[:, 2 - lo] *= 1.0 + 1e-6
+    def skewed(l, m, ct, st):
+        p = exact(l, m, ct, st)
+        p[np.abs(m) == 2] *= 1.0 + 1e-6
         return p
 
     monkeypatch.setattr(specfun, "_norm_legendre", skewed)
