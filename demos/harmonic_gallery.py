@@ -8,7 +8,6 @@ prints the tensor layout, and checks the pointwise invariant identities
 import numpy as np
 
 from tensorwave import (
-    ModeIndex,
     adjoint,
     det,
     flm,
@@ -22,10 +21,9 @@ np.set_printoptions(precision=5, suppress=True, linewidth=100)
 theta, phi = 1.1, 0.7
 
 for l, m in [(0, 0), (1, 0), (2, 1), (3, -2)]:
-    mode = ModeIndex(l, m)
-    y = ylm(mode, theta, phi)
-    x = xlm(mode, theta, phi)
-    f = flm(mode, theta, phi)
+    y = ylm(l, m, theta, phi)
+    x = xlm(l, m, theta, phi)
+    f = flm(l, m, theta, phi)
 
     print(f"mode (l={l}, m={m}) at theta={theta}, phi={phi}")
     print(f"  Y = {y:.6f}")

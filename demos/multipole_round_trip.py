@@ -12,7 +12,6 @@ import numpy as np
 from tensorwave import (
     KINDS,
     Medium,
-    ModeIndex,
     QuadratureRule,
     RadialKind,
     WaveTable,
@@ -45,9 +44,10 @@ e_grid = e.reshape(len(rule.cos_nodes), rule.n_phi, 3)
 h_grid = h.reshape(len(rule.cos_nodes), rule.n_phi, 3)
 
 print("\nrecovered c1 per mode (zero rows are modes not present):")
-modes = [ModeIndex(l, m) for l in range(1, 4) for m in range(-l, l + 1)]
+ls, ms = np.array([(l, m) for l in range(1, 4) for m in range(-l, l + 1)]).T
 present = set(zip(waves.l.tolist(), waves.m.tolist()))
-hls, els = project_sampled(e_grid, h_grid, modes, rule)
-for mode, c1 in zip(modes, recover_coefficients(hls, els, modes, k, r, medium, kinds)[0]):
-    tag = " <- input" if (mode.l, mode.m) in present else ""
-    print(f"  (l={mode.l}, m={mode.m:+d}): c1 = {np.round(c1, 12)}{tag}")
+hls, els = project_sampled(e_grid, h_grid, ls, ms, rule)
+c1s, _ = recover_coefficients(hls, els, ls, ms, k, r, medium, kinds)
+for l, m, c1 in zip(ls.tolist(), ms.tolist(), c1s):
+    tag = " <- input" if (l, m) in present else ""
+    print(f"  (l={l}, m={m:+d}): c1 = {np.round(c1, 12)}{tag}")

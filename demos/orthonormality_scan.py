@@ -11,22 +11,21 @@ import math
 
 import numpy as np
 
-from tensorwave import ModeIndex, QuadratureRule, flm
+from tensorwave import QuadratureRule, flm
 
 lmax = 4
-modes = [ModeIndex(l, m) for l in range(1, lmax + 1) for m in range(-l, l + 1)]
+ls, ms = np.array([(l, m) for l in range(1, lmax + 1) for m in range(-l, l + 1)]).T
 rule = QuadratureRule.for_degree(lmax)
-print(f"{len(modes)} modes, grid {len(rule.cos_nodes)} x {rule.n_phi}")
+print(f"{len(ls)} modes, grid {len(rule.cos_nodes)} x {rule.n_phi}")
 
-tt, pp = rule.thetas[:, None], rule.phis[None, :]
-shape = (len(rule.cos_nodes), rule.n_phi, 3, 3)
-stack = np.stack([np.broadcast_to(flm(mode, tt, pp), shape) for mode in modes])
+# every mode in one call: the mode axis first, then the (theta, phi) grid
+stack = flm(ls, ms, rule.thetas[:, None], rule.phis[None, :])
 w = np.broadcast_to(
-    rule.weights[:, None] * (2.0 * math.pi / rule.n_phi), shape[:2]
+    rule.weights[:, None] * (2.0 * math.pi / rule.n_phi), stack.shape[1:3]
 )
 
 gram = np.einsum("tp,atpki,btpkj->abij", w, stack.conj(), stack)
-expected = np.einsum("ab,ij->abij", np.eye(len(modes)), np.eye(3))
+expected = np.einsum("ab,ij->abij", np.eye(len(ls)), np.eye(3))
 dev = np.abs(gram - expected)
 
 print("\nworst |G - expected| per (l, l') block:")
@@ -34,9 +33,9 @@ header = "l\\l' " + "".join(f"{lp:>10d}" for lp in range(1, lmax + 1))
 print(header)
 for l in range(1, lmax + 1):
     row = [f"{l:4d} "]
-    ia = [a for a, mode in enumerate(modes) if mode.l == l]
+    ia = np.flatnonzero(ls == l)
     for lp in range(1, lmax + 1):
-        ib = [b for b, mode in enumerate(modes) if mode.l == lp]
+        ib = np.flatnonzero(ls == lp)
         row.append(f"{np.max(dev[np.ix_(ia, ib)]):10.1e}")
     print("".join(row))
 

@@ -42,7 +42,7 @@ from .parsing import (
     real,
     require_keys,
 )
-from .specfun import ModeIndex, ylm
+from .specfun import _check_modes, _modes, ylm
 from .synthesis import (
     KINDS,
     WaveTable,
@@ -83,20 +83,21 @@ _EVAL_COLUMNS = {
 
 
 def cmd_eval(args) -> int:
-    mode = ModeIndex(degree(args.l, "--l"), args.m)
+    l, m = degree(args.l, "--l"), args.m
+    _check_modes(l, m)
     nt, nphi = _parse_grid(args.grid)
-    if (mode.l + 1) * nt > MAX_GRID_POINTS:  # the recurrence's work
-        raise ValueError(f"--l {mode.l} on {nt} thetas: (l + 1) n_theta must be at "
+    if (l + 1) * nt > MAX_GRID_POINTS:  # the recurrence's work
+        raise ValueError(f"--l {l} on {nt} thetas: (l + 1) n_theta must be at "
                          f"most {MAX_GRID_POINTS}")
     thetas = math.pi * (np.arange(nt) + 0.5) / nt
     phis = 2.0 * math.pi * np.arange(nphi) / nphi
     harmonic = {"ylm": ylm, "xlm": xlm, "flm": flm}[args.harmonic]
     # one row per point, theta-major: shape (points,), (points, 3) or (points, 3, 3)
-    vals = harmonic(mode, thetas[:, None], phis[None, :])
+    vals = harmonic(l, m, thetas[:, None], phis[None, :])
     vals = vals.reshape((nt * nphi,) + vals.shape[2:])
     tt, pp = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
 
-    meta = {"harmonic": args.harmonic, "l": mode.l, "m": mode.m,
+    meta = {"harmonic": args.harmonic, "l": l, "m": m,
             "grid": {"n_theta": nt, "n_phi": nphi}}
     columns = [("theta", ["theta"], tt), ("phi", ["phi"], pp),
                ("value", _EVAL_COLUMNS[args.harmonic], vals)]
@@ -146,9 +147,10 @@ def _wave_from_dict(rec: dict) -> WaveTable:
     kinds = kind_pair(rec["kinds"], "wave 'kinds'")
     c1 = complex_pairs(rec["c1"], 2, "c1")
     c2 = complex_pairs(rec.get("c2", [[0.0, 0.0], [0.0, 0.0]]), 2, "c2")
-    mode = ModeIndex(degree(rec["l"], "l"), integer(rec["m"], "m"))
+    l, m = degree(rec["l"], "l"), integer(rec["m"], "m")
+    _check_modes(l, m)
     codes = [_KIND_CODES[kind.value] for kind in kinds]
-    return WaveTable([mode.l], [mode.m], [[c1, c2]], [codes])
+    return WaveTable([l], [m], [[c1, c2]], [codes])
 
 
 def _wave_table(entries) -> WaveTable:
@@ -214,12 +216,6 @@ def _check_size(k: float, media, what: str, radii: dict) -> None:
 
 
 def _solve_scatter(cfg: dict, fmt: str):
-    require_keys(
-        cfg,
-        ("task", "k", "radius", "sphere", "host"),
-        optional=("lmax", "incident_c1"),
-        what="scatter config",
-    )
     k = real(cfg["k"], "k")
     radius = real(cfg["radius"], "radius")
     sphere = Medium.from_dict(cfg["sphere"], "sphere")
@@ -249,12 +245,6 @@ def _solve_scatter(cfg: dict, fmt: str):
 
 
 def _solve_synthesize(cfg: dict, fmt: str):
-    require_keys(
-        cfg,
-        ("task", "k", "medium", "waves"),
-        optional=("points", "grid"),
-        what="synthesize config",
-    )
     k = real(cfg["k"], "k")
     med = Medium.from_dict(cfg["medium"])
     waves = _waves_from_config(cfg["waves"])
@@ -279,12 +269,6 @@ def _solve_synthesize(cfg: dict, fmt: str):
 
 
 def _solve_project(cfg: dict, fmt: str):
-    require_keys(
-        cfg,
-        ("task", "k", "medium", "quadrature_lmax", "field"),
-        optional=("modes", "kinds", "r"),
-        what="project config",
-    )
     k = real(cfg["k"], "k")
     med = Medium.from_dict(cfg["medium"])
     lq = quadrature_degree(cfg["quadrature_lmax"], 1)
@@ -294,7 +278,7 @@ def _solve_project(cfg: dict, fmt: str):
         raw = cfg["modes"]
         if not isinstance(raw, list) or not raw:
             raise ValueError("'modes' must be a non-empty list of [l, m] pairs")
-        modes = []
+        ls, ms = [], []
         for lm in raw:
             if not (isinstance(lm, list) and len(lm) == 2):
                 raise ValueError(f"modes entry must be an [l, m] pair, got {lm!r}")
@@ -302,11 +286,11 @@ def _solve_project(cfg: dict, fmt: str):
             if not 1 <= l <= lq:  # l = 0 has no transverse field
                 raise ValueError(f"modes l must be between 1 and quadrature_lmax "
                                  f"= {lq}, the degrees its grid resolves, got {l}")
-            modes.append(ModeIndex(l, integer(lm[1], "modes m")))
+            ls.append(l)
+            ms.append(integer(lm[1], "modes m"))
+            _check_modes(l, ms[-1])
     else:
-        modes = [
-            ModeIndex(l, m) for l in range(1, lq + 1) for m in range(-l, l + 1)
-        ]
+        ls, ms = (v[1:] for v in _modes(lq))  # l = 0 has no transverse field
 
     path = cfg["field"]
     if not isinstance(path, str):
@@ -345,11 +329,11 @@ def _solve_project(cfg: dict, fmt: str):
     e_grid = e[pick].reshape(nt, nphi, 3)
     h_grid = h[pick].reshape(nt, nphi, 3)
 
-    modes.sort(key=lambda mode: (mode.l, mode.m))
-    hls, els = project_sampled(e_grid, h_grid, modes, rule)
-    c1s, c2s = recover_coefficients(hls, els, modes, k, r, med, kinds)
-    lm = np.array([(mode.l, mode.m) for mode in modes])
-    columns = [("l", ["l"], lm[:, 0]), ("m", ["m"], lm[:, 1]),
+    by_degree = np.lexsort((ms, ls))
+    ls, ms = np.asarray(ls)[by_degree], np.asarray(ms)[by_degree]
+    hls, els = project_sampled(e_grid, h_grid, ls, ms, rule)
+    c1s, c2s = recover_coefficients(hls, els, ls, ms, k, r, med, kinds)
+    columns = [("l", ["l"], ls), ("m", ["m"], ms),
                ("h", ["h_r", "h_theta", "h_phi"], hls),
                ("e", ["e_r", "e_theta", "e_phi"], els),
                ("c1", ["c1_theta", "c1_phi"], c1s), ("c2", ["c2_theta", "c2_phi"], c2s)]
@@ -358,11 +342,6 @@ def _solve_project(cfg: dict, fmt: str):
 
 
 def _solve_propagate(cfg: dict, fmt: str):
-    require_keys(
-        cfg,
-        ("task", "l", "k", "profile", "r_from", "r_to", "w"),
-        what="propagate config",
-    )
     l = degree(cfg["l"], "l")
     k = real(cfg["k"], "k")
     profile = RadialProfile.from_dict(cfg["profile"])
@@ -383,11 +362,14 @@ def _solve_propagate(cfg: dict, fmt: str):
     return _table(fmt, columns, meta)
 
 
+# each task's solver, required keys besides "task", and optional keys
 _TASKS = {
-    "scatter": _solve_scatter,
-    "synthesize": _solve_synthesize,
-    "project": _solve_project,
-    "propagate": _solve_propagate,
+    "scatter": (_solve_scatter, ("k", "radius", "sphere", "host"),
+                ("lmax", "incident_c1")),
+    "synthesize": (_solve_synthesize, ("k", "medium", "waves"), ("points", "grid")),
+    "project": (_solve_project, ("k", "medium", "quadrature_lmax", "field"),
+                ("modes", "kinds", "r")),
+    "propagate": (_solve_propagate, ("l", "k", "profile", "r_from", "r_to", "w"), ()),
 }
 
 
@@ -399,7 +381,9 @@ def cmd_solve(args) -> int:
     task = cfg.get("task")
     if not isinstance(task, str) or task not in _TASKS:
         raise ValueError(f"config 'task' must be one of {sorted(_TASKS)}")
-    pieces = _TASKS[task](cfg, args.format)  # computed before --out is opened
+    solve, required, optional = _TASKS[task]
+    require_keys(cfg, ("task", *required), optional, what=f"{task} config")
+    pieces = solve(cfg, args.format)  # computed before --out is opened
     with fileio._opened(sys.stdout if args.out is None else args.out, "w") as handle:
         handle.writelines(pieces)
     return 0

@@ -17,8 +17,9 @@ functions here each make one recurrence per call, as do projection and
 the Gram checks, and synthesis one per block of orders.  Every public
 function here takes angle arrays (theta, phi) that broadcast together and
 returns values of their broadcast shape, followed by (3,) or (3, 3) for
-vectors and tensors; a function of a degree l puts the orders m = -l .. l
-on a first axis.
+vectors and tensors; `xlm` and `flm` take modes as integers or integer
+arrays (l, m) and put their axes first, and a function of a degree l
+puts the orders m = -l .. l on a first axis.
 
 X_lm comes from the Cartesian ladder route: the three Cartesian components
 of L Y_lm are exact combinations of Y_{l,m} and Y_{l,m+-1}, rotated into
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import ModeIndex, _angles, _parts
+from .specfun import _angles, _parts, ylm
 
 __all__ = [
     "QuadratureRule",
@@ -99,13 +100,13 @@ class QuadratureRule:
 # --- vector harmonic --------------------------------------------------------
 
 
-def xlm(mode: ModeIndex, theta, phi) -> np.ndarray:
+def xlm(l, m, theta, phi) -> np.ndarray:
     """Vector spherical harmonic X_lm = L Y_lm / sqrt(l(l+1)).
 
     Returns the components over (e_r, e_theta, e_phi) along a last axis
     of 3; the e_r component is exactly zero.  X_00 is the zero vector.
     """
-    _, vt, vp = _parts(mode.l, mode.m, theta, phi)
+    _, vt, vp = _parts(l, m, theta, phi)
     out = np.zeros(vt.shape + (3,), dtype=complex)
     out[..., 1] = vt
     out[..., 2] = vp
@@ -125,12 +126,12 @@ def _assemble_f(y, vt, vp) -> np.ndarray:
     return f
 
 
-def flm(mode: ModeIndex, theta, phi) -> np.ndarray:
+def flm(l, m, theta, phi) -> np.ndarray:
     """Tensor harmonic F_lm as a 3x3 complex matrix over the last two axes.
 
     Columns over (e_r, e_theta, e_phi) are Y_lm e_r, X_lm and e_r x X_lm.
     """
-    return _assemble_f(*_parts(mode.l, mode.m, theta, phi))
+    return _assemble_f(*_parts(l, m, theta, phi))
 
 
 def flm_explicit(l: int, theta, phi) -> np.ndarray:
@@ -142,7 +143,7 @@ def flm_explicit(l: int, theta, phi) -> np.ndarray:
     dY/dtheta = (e^{-i phi} L+ Y - e^{+i phi} L- Y) / 2.
     Valid away from the poles; serves as a cross-check on `flm`.
     """
-    y = _ylm_row(l, theta, phi)  # recurs over theta's own shape
+    y = ylm(l, np.arange(-l, l + 1), theta, phi)  # recurs over theta's own shape
     theta, phi = np.broadcast_arrays(*_angles(theta, phi))
     if l == 0:
         return _assemble_f(y, 0.0, 0.0)
@@ -162,9 +163,10 @@ def flm_explicit(l: int, theta, phi) -> np.ndarray:
 # L+, L- and Lz keep l, so on the harmonics Y_{l,-l} .. Y_{l,l} of one
 # degree they are (2l+1)-square matrices over the coefficients, and an exact
 # finite combination of harmonics is a coefficient vector contracted with
-# `_ylm_row`.  No numerical differentiation enters.  Each check, like
-# `flm_explicit`, takes a degree l and angle arrays and returns its value at
-# every angle for every order m = -l .. l along a first axis, from one row.
+# the row `ylm(l, np.arange(-l, l + 1), theta, phi)`.  No numerical
+# differentiation enters.  Each check, like `flm_explicit`, takes a degree
+# l and angle arrays and returns its value at every angle for every order
+# m = -l .. l along a first axis, from one row.
 
 
 def _ladder(l: int) -> np.ndarray:
@@ -180,15 +182,9 @@ def _ladder(l: int) -> np.ndarray:
 _CARTESIAN = np.array([[0.5, 0.5, 0.0], [-0.5j, 0.5j, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _ylm_row(l: int, theta, phi) -> np.ndarray:
-    """Y_{l,-l} .. Y_{l,l} along a first axis, at the broadcast angles,
-    from one recurrence."""
-    return _parts(l, np.arange(-l, l + 1), theta, phi)[0]
-
-
 def _eigen_residual(op: np.ndarray, l: int, theta, phi, value):
     """|op Y_lm - value Y_lm| for a ladder matrix op; value is one or one per m."""
-    y = _ylm_row(l, theta, phi)
+    y = ylm(l, np.arange(-l, l + 1), theta, phi)
     return np.abs(np.tensordot(op.T, y, 1) - (value * y.T).T)
 
 
@@ -239,7 +235,7 @@ def l_dot_er_cross_xlm_residual(l: int, theta, phi):
     two pieces cancel only where rhat . L Y_lm = 0, so unlike the other
     three checks this one tests the harmonic values themselves.
     """
-    y = _ylm_row(l, theta, phi)  # recurs over theta's own shape
+    y = ylm(l, np.arange(-l, l + 1), theta, phi)  # recurs over theta's own shape
     theta, phi = np.broadcast_arrays(*_angles(theta, phi))
     st = np.sin(theta)
     rhat = np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])

@@ -20,49 +20,31 @@ running rows, and returns each pair's theta-part of Y_lm, applying the
 rule for negative m above.  `ylm` reads it alone; `_theta_columns`, the
 harmonic table, reads it once on the orders m and m +- 1 for the
 theta-parts of Y_lm and X_lm = L Y_lm / sqrt(l(l+1)) of any set of
-modes, and `_parts` multiplies them by e^{i m phi}.  Spherical Bessel functions
-come as whole sequences in l for an array of arguments at once, valid for
-complex arguments.  An argument below the real axis is served by the
-conjugate symmetry f(x) = conj(f*(conj x)), f* the kind with h1 and h2
-swapped, so the recursions run in the upper half plane only, from one
-pair: j_l by downward Miller recursion and h1_l, which decays there, by
-upward recursion, both built by one `_radial_pair` pass that shares the
-check of x and the split of 1/x.  Every kind is a fixed combination
-a j_l + b h1_l of that pair, read from the one table `_PAIR`.
+modes, and `_parts` multiplies them by e^{i m phi}.  Modes are integers
+or integer arrays (l, m), mode axes first, checked by `_check_modes`
+alone.  Spherical Bessel functions come as whole sequences in l for an
+array of arguments at once, valid for complex arguments.  An argument
+below the real axis is served by the conjugate symmetry f(x) =
+conj(f*(conj x)), f* the kind with h1 and h2 swapped, so the recursions
+run in the upper half plane only, from one pair: j_l by downward Miller
+recursion and h1_l, which decays there, by upward recursion, both built
+by one `_radial_pair` pass that shares the check of x and the split of
+1/x.  Every kind is a fixed combination a j_l + b h1_l of that pair, read
+from the one table `_PAIR`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 __all__ = [
-    "ModeIndex",
     "RadialKind",
     "ylm",
     "spherical_radial_seq",
 ]
-
-
-@dataclass(frozen=True, order=True)
-class ModeIndex:
-    """Degree/order pair (l, m) with l >= 0 and |m| <= l."""
-
-    l: int
-    m: int
-
-    def __post_init__(self):
-        if not isinstance(self.l, (int, np.integer)) or not isinstance(
-            self.m, (int, np.integer)
-        ):
-            raise ValueError("mode indices l, m must be integers")
-        if self.l < 0:
-            raise ValueError(f"l must be >= 0, got l={self.l}")
-        if abs(self.m) > self.l:
-            raise ValueError(f"|m| <= l required, got l={self.l}, m={self.m}")
 
 
 class RadialKind(Enum):
@@ -72,6 +54,31 @@ class RadialKind(Enum):
     BESSEL_Y = "bessel_y"
     HANKEL1 = "hankel1"
     HANKEL2 = "hankel2"
+
+
+def _check_modes(l, m):
+    """l and m, integers or integer arrays, broadcast together as int arrays;
+    ValueError unless all are integers, then naming the first mode (in flat
+    order) with l < 0 or |m| > l.  Python ints past int64 arrive as object
+    arrays and compare as they are; an empty set passes."""
+    l, m = np.broadcast_arrays(np.asarray(l), np.asarray(m))
+    if not all(v.dtype.kind in "iu" or all(isinstance(x, int | np.integer)
+                                           for x in v.flat) for v in (l, m)):
+        raise ValueError("mode indices l, m must be integers")
+    bad = (l < 0) | (np.abs(m) > l)
+    if bad.any():
+        i = np.argmax(bad)
+        li, mi = l.flat[i], m.flat[i]
+        raise ValueError(f"l must be >= 0, got l={li}" if li < 0 else
+                         f"|m| <= l required, got l={li}, m={mi}")
+    return l.astype(int), m.astype(int)
+
+
+def _modes(lmax: int):
+    """(l, m) index arrays of every mode l <= lmax, by l, then m = -l .. l."""
+    i = np.arange((lmax + 1) ** 2)
+    ls = np.sqrt(i).astype(int)
+    return ls, i - ls * (ls + 1)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # its callers name a non-finite value
@@ -158,12 +165,28 @@ def _theta_columns(l, m, theta):
     inv = 1.0 / np.sqrt(np.maximum(l * (l + 1), 1.0))  # X_00 = 0 either way
     x_theta = (0.5 * ct * (yp + ym) - m * st * y) * inv
     x_phi = -0.5j * (yp - ym) * inv
-    ok = np.isfinite(y) & np.isfinite(x_theta) & np.isfinite(x_phi)
-    if not ok.all():
-        k, t = divmod(int(np.argmin(ok)), theta.size)  # the first mode, then angle
-        raise OverflowError(f"the harmonic (l, m) = ({ls.flat[k]}, {ms.flat[k]}) at "
-                            f"theta = {theta.flat[t]} leaves the double range")
+    _check_finite(np.isfinite(y) & np.isfinite(x_theta) & np.isfinite(x_phi),
+                  ls, ms, theta)
     return y, x_theta, x_phi
+
+
+def _check_finite(ok, l, m, theta) -> None:
+    """OverflowError naming the first mode (l, m), then the first theta,
+    where `ok`, of shape l.shape + theta.shape, is False."""
+    if not ok.all():
+        k, t = divmod(int(np.argmin(ok)), theta.size)
+        raise OverflowError(f"the harmonic (l, m) = ({l.flat[k]}, {m.flat[k]}) at "
+                            f"theta = {theta.flat[t]} leaves the double range")
+
+
+def _phased(l, m, theta, phi):
+    """The checked modes l, m, theta raised to the rank of the angles and
+    e^{i m phi}, of shape broadcast(l, m).shape + the broadcast angle shape."""
+    l, m = _check_modes(l, m)
+    theta, phi = _angles(theta, phi)
+    nd = max(theta.ndim, phi.ndim)
+    theta = theta.reshape((1,) * (nd - theta.ndim) + theta.shape)
+    return l, m, theta, np.exp(1j * m[(...,) + (None,) * nd] * phi)
 
 
 def _parts(l, m, theta, phi):
@@ -171,29 +194,24 @@ def _parts(l, m, theta, phi):
     that broadcast together: the `_theta_columns` parts times e^{i m phi},
     each of shape broadcast(l, m).shape + the broadcast angle shape.  The
     recurrence runs over theta's own shape, not the broadcast one."""
-    theta, phi = _angles(theta, phi)
-    nd = max(theta.ndim, phi.ndim)
-    theta, phi = (a.reshape((1,) * (nd - a.ndim) + a.shape) for a in (theta, phi))
-    ms = np.broadcast_arrays(np.asarray(l), np.asarray(m))[1]
-    phase = np.exp(1j * ms[(...,) + (None,) * nd] * phi)
+    l, m, theta, phase = _phased(l, m, theta, phi)
     return tuple(c * phase for c in _theta_columns(l, m, theta))
 
 
-def ylm(mode: ModeIndex, theta, phi):
+def ylm(l, m, theta, phi):
     """Scalar spherical harmonic Y_lm(theta, phi).
 
-    Accepts scalars or broadcastable numpy arrays of angles; theta must
-    lie in [0, pi] and phi be finite.  Returns a complex scalar for scalar
-    input, else a complex array.
+    Modes l, m and angles theta in [0, pi], phi finite are scalars or
+    arrays that broadcast; returns a complex scalar for scalars, else a
+    complex array of the mode shape + the angle shape, from one recurrence
+    over theta's own shape.  A value past the double range raises
+    OverflowError naming the first such (l, m) and theta.
     """
-    theta, phi = _angles(theta, phi)
-    y = _norm_legendre(mode.l, mode.m, np.cos(theta), np.sin(theta))
-    ok = np.isfinite(y)
-    if not ok.all():
-        raise OverflowError(f"the harmonic (l, m) = ({mode.l}, {mode.m}) at theta = "
-                            f"{theta.flat[np.argmin(ok)]} leaves the double range")
-    out = np.asarray(y * np.exp(1j * mode.m * phi), dtype=complex)
-    return complex(out[()]) if out.ndim == 0 else out
+    l, m, theta, phase = _phased(l, m, theta, phi)
+    y = _norm_legendre(l, m, np.cos(theta), np.sin(theta))
+    _check_finite(np.isfinite(y), l, m, theta)
+    out = y * phase
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 # --- spherical Bessel machinery -------------------------------------------

@@ -4,7 +4,8 @@ boundary match.
 A partial wave is one (l, m) term of the field expansion: a pair of
 constant coefficient 2-vectors (c1, c2) over (e_theta, e_phi) attached to
 two radial function kinds.  A set of waves travels as one columnar
-`WaveTable`.  Fields are assembled as
+`WaveTable`, a set of modes as two integer arrays (l, m) of shape (W,),
+checked by `specfun._check_modes`.  Fields are assembled as
 
     E(r, theta, phi) = sum_waves  F_lm(theta, phi) @ El(r)
     H(r, theta, phi) = sum_waves  F_lm(theta, phi) @ Hl(r)
@@ -45,7 +46,8 @@ from .maxwell_radial import (
     _pair_seqs,
     _tangential,
 )
-from .specfun import _PAIR, _SMALL, RadialKind, _check_theta, _theta_columns
+from .specfun import (_PAIR, _SMALL, RadialKind, _check_modes, _check_theta,
+                      _theta_columns)
 
 __all__ = [
     "KINDS",
@@ -89,14 +91,12 @@ class WaveTable:
             raise ValueError("c1 and c2 must be 2-vectors on (e_theta, e_phi)")
         if kinds.shape != (n, 2) or np.any((kinds < 0) | (kinds >= len(KINDS))):
             raise ValueError("kinds must be a pair of RadialKind codes")
-        low, wide = l < 1, np.abs(m) > l
-        if np.any(low | wide):  # the first faulty wave
-            i = np.argmax(low | wide)
-            raise ValueError(
-                f"|m| <= l required, got l={l[i]}, m={m[i]}" if not low[i] else
-                "partial waves need l >= 1; the (0,0) harmonic carries no "
-                "transverse field"
-            )
+        bad = (l < 1) | (np.abs(m) > l)
+        if bad.any():  # the first faulty wave: not a mode, or l = 0
+            i = np.argmax(bad)
+            _check_modes(l[i], m[i])
+            raise ValueError("partial waves need l >= 1; the (0,0) harmonic carries "
+                             "no transverse field")
         for name, v, dtype in zip(("l", "m", "c", "kinds"), (l, m, c, kinds),
                                   (int, int, complex, int)):
             v = v.astype(dtype)
@@ -236,15 +236,16 @@ def synthesize(waves: WaveTable, k, med: Medium, points) -> tuple:
 def project_sampled(
     e_grid: np.ndarray,
     h_grid: np.ndarray,
-    modes,
+    l,
+    m,
     rule: QuadratureRule,
 ):
     """Project field values sampled on the rule's (theta, phi) grid.
 
     `e_grid`, `h_grid` have shape (n_theta, n_phi, 3) in the local frame;
-    `modes` is a list of ModeIndex.  Returns (Hl, El), arrays of shape
-    (len(modes), 3) holding each mode's radial 3-vectors at the sampling
-    radius, in the order of `modes`.  A sample that is not finite raises
+    the modes are the integer arrays `l`, `m` of shape (W,).  Returns (Hl,
+    El), arrays of shape (W, 3) holding each mode's radial 3-vectors at
+    the sampling radius, in mode order.  A sample that is not finite raises
     ValueError, a projection past the double range OverflowError naming
     the first such mode.  Blocks of whole orders bound its memory: 128 MB
     (tracemalloc) for every mode l <= 352, the CLI's largest grid.
@@ -260,13 +261,11 @@ def project_sampled(
         if not np.isfinite(grid).all():
             at = tuple(np.argwhere(~np.isfinite(grid))[0].tolist())
             raise ValueError(f"{name} must be finite, got {grid[at]} at {at}")
-    modes = list(modes)
-    ls = np.array([mode.l for mode in modes], dtype=int)
-    ms = np.array([mode.m for mode in modes], dtype=int)
-    orders, order_of = np.unique(ms, return_inverse=True)
+    l, m = map(np.ravel, _check_modes(l, m))
+    orders, order_of = np.unique(m, return_inverse=True)
     w = rule.weights[:, None] * (2.0 * math.pi / nphi)
     phase = np.exp(-1j * orders[:, None] * rule.phis)
-    hls, els = out = np.empty((2, len(modes), 3), dtype=complex)
+    hls, els = out = np.empty((2, len(m), 3), dtype=complex)
 
     def dot(a, b):
         return np.einsum("it,it->i", a, b)
@@ -276,28 +275,29 @@ def project_sampled(
         # one theta contraction with F^H, F with (Y*, X_theta*, -X_phi*) =
         # (Y, X_theta, X_phi) as Y and X_theta are real and X_phi imaginary
         vs = [w * np.tensordot(phase, grid, axes=(1, 1)) for grid in (h_grid, e_grid)]
-        for at, _, (y, xt, xp) in _order_blocks(ls, ms, rule.thetas):
+        for at, _, (y, xt, xp) in _order_blocks(l, m, rule.thetas):
             for o, v in zip(out, vs):
                 v_r, v_t, v_p = np.moveaxis(v[order_of[at]], -1, 0)
                 o[at] = np.stack([dot(y, v_r), dot(xt, v_t) - dot(xp, v_p),
                                   dot(xp, v_t) + dot(xt, v_p)], axis=-1)
-    _require_finite(modes, OverflowError, "the projection onto mode {} leaves the "
+    _require_finite(l, m, OverflowError, "the projection onto mode {} leaves the "
                     "double range", hls, els)
     return hls, els
 
 
-def _require_finite(modes, error, message: str, *values) -> None:
+def _require_finite(l, m, error, message: str, *values) -> None:
     """Raise error(message.format((l, m))) of the first mode with a non-finite row."""
     bad = ~np.isfinite(np.column_stack(values)).all(axis=1)
     if bad.any():
-        mode = modes[int(np.argmax(bad))]
-        raise error(message.format((mode.l, mode.m)))
+        i = np.argmax(bad)
+        raise error(message.format((int(l[i]), int(m[i]))))
 
 
 def recover_coefficients(
     hl,
     el,
-    modes,
+    l,
+    m,
     k,
     r: float,
     med: Medium,
@@ -305,13 +305,14 @@ def recover_coefficients(
 ):
     """Read each mode's (c1, c2) off its tangential state at radius r.
 
-    `hl`, `el` are the (len(modes), 3) arrays `project_sampled` returns
-    for `modes`; only their tangential parts enter (the radial parts are
-    determined by them and serve as a consistency check elsewhere).
+    `hl`, `el` are the (W, 3) arrays `project_sampled` returns for the
+    modes `l`, `m` of shape (W,); only their tangential parts enter (the
+    radial parts are determined by them and serve as a consistency check
+    elsewhere).
     `_coefficients` reads the (j, h1) coefficients (v_j, v_h1) off the
     state, and the inverse of the kinds' `_PAIR` weights maps them onto
     the kinds: c1 = (b2 v_j - a2 v_h1) / P, c2 = (a1 v_h1 - b1 v_j) / P,
-    P = a1 b2 - a2 b1.  Returns (c1, c2), (len(modes), 2) arrays in mode order.
+    P = a1 b2 - a2 b1.  Returns (c1, c2), (W, 2) arrays in mode order.
     One kind twice, a singular basis, or a value of `hl`, `el` that is not
     finite raises ValueError; a mode whose coefficients leave the double
     range, OverflowError."""
@@ -319,17 +320,17 @@ def recover_coefficients(
         raise ValueError(
             f"kinds must name two different kinds, got {kinds[0].value} twice"
         )
-    ls = np.array([mode.l for mode in modes])
+    l, m = map(np.ravel, _check_modes(l, m))
     hl, el = (np.asarray(v, dtype=complex) for v in (hl, el))
-    _require_finite(modes, ValueError, "hl and el of mode {} must be finite", hl, el)
-    k, pair = _pair_at(ls, k, r, med)
+    _require_finite(l, m, ValueError, "hl and el of mode {} must be finite", hl, el)
+    k, pair = _pair_at(l, k, r, med)
     (a1, b1), (a2, b2) = (_PAIR[kind] for kind in kinds)
     p = a1 * b2 - a2 * b1
     with np.errstate(over="ignore", invalid="ignore"):
         u = r * np.stack([hl[:, 1], hl[:, 2], el[:, 1], el[:, 2]])
         v_j, v_h1 = np.split(_coefficients(*pair, k, r, med, u), 2, axis=1)
         c1, c2 = (b2 * v_j - a2 * v_h1) / p, (a1 * v_h1 - b1 * v_j) / p
-    _require_finite(modes, OverflowError, f"mode {{}} at r={r} leaves the double range",
+    _require_finite(l, m, OverflowError, f"mode {{}} at r={r} leaves the double range",
                     c1, c2)
     return c1, c2
 

@@ -31,7 +31,7 @@ from .maxwell_radial import (
     system_matrix,
     wtheta_ode_residual,
 )
-from .specfun import RadialKind, _parts, spherical_radial_seq
+from .specfun import RadialKind, _modes, _parts, spherical_radial_seq
 from .synthesis import KINDS, WaveTable, synthesize
 from .tensor3 import adjoint, det, trace
 
@@ -57,13 +57,6 @@ def _fib_lattice(n: int):
     golden = (1.0 + math.sqrt(5.0)) / 2.0
     phi = (2.0 * math.pi * i / golden) % (2.0 * math.pi)
     return theta, phi
-
-
-def _modes(lmax: int):
-    """(l, m) index arrays of every mode l <= lmax, by l, then m = -l .. l."""
-    i = np.arange((lmax + 1) ** 2)
-    ls = np.sqrt(i).astype(int)
-    return ls, i - ls * (ls + 1)
 
 
 def _grams(lmax: int, rule: QuadratureRule):

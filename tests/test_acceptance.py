@@ -29,7 +29,7 @@ from tensorwave.maxwell_radial import (
     system_matrix,
     wtheta_ode_residual,
 )
-from tensorwave.specfun import ModeIndex, RadialKind, spherical_radial_seq, ylm
+from tensorwave.specfun import RadialKind, spherical_radial_seq, ylm
 from tensorwave.synthesis import (
     KINDS,
     WaveTable,
@@ -62,15 +62,15 @@ def _report(capsys, label, pairs, extra=""):
 
 
 def _modes(lmin, lmax):
-    return [ModeIndex(l, m) for l in range(lmin, lmax + 1) for m in range(-l, l + 1)]
+    return [(l, m) for l in range(lmin, lmax + 1) for m in range(-l, l + 1)]
 
 
 def _table(modes, c, kinds):
-    """The WaveTable of `modes` with coefficients c[i] = (c1, c2), all
-    on the same pair of kinds."""
+    """The WaveTable of the (l, m) `modes` with coefficients c[i] = (c1,
+    c2), all on the same pair of kinds."""
     return WaveTable(
-        [mode.l for mode in modes],
-        [mode.m for mode in modes],
+        [l for l, _ in modes],
+        [m for _, m in modes],
         c,
         [[KINDS.index(kind) for kind in kinds]] * len(modes),
     )
@@ -88,7 +88,7 @@ def test_acceptance_1_tensor_gram_orthonormality(capsys):
     rule = QuadratureRule.for_degree(lmax)
     tt, pp = rule.thetas[:, None], rule.phis[None, :]
     shape = (len(rule.cos_nodes), rule.n_phi, 3, 3)
-    f = np.stack([np.broadcast_to(flm(mode, tt, pp), shape) for mode in modes])
+    f = np.stack([np.broadcast_to(flm(*mode, tt, pp), shape) for mode in modes])
     w = _weights_grid(rule)
     gram = np.einsum("tp,atpki,btpkj->abij", w, f.conj(), f)
     expected = np.einsum("ab,ij->abij", np.eye(len(modes)), np.eye(3))
@@ -111,12 +111,12 @@ def test_acceptance_2_scalar_vector_orthonormality(capsys):
     shape2 = (len(rule.cos_nodes), rule.n_phi)
     y = np.stack(
         [
-            np.broadcast_to(np.asarray(ylm(mode, tt, pp), dtype=complex), shape2)
+            np.broadcast_to(np.asarray(ylm(*mode, tt, pp), dtype=complex), shape2)
             for mode in modes
         ]
     )
     x = np.stack(
-        [np.broadcast_to(xlm(mode, tt, pp), shape2 + (3,)) for mode in modes]
+        [np.broadcast_to(xlm(*mode, tt, pp), shape2 + (3,)) for mode in modes]
     )
     w = _weights_grid(rule)
     eye = np.eye(len(modes))
@@ -143,9 +143,9 @@ def test_acceptance_3_invariant_identities(capsys, rng):
         thetas = rng.uniform(0.05, math.pi - 0.05, 100)
         phis = rng.uniform(0.0, 2.0 * math.pi, 100)
         # every array below holds the 100 points along its first axis
-        fmat = flm(mode, thetas, phis)
-        y = ylm(mode, thetas, phis)
-        xv = xlm(mode, thetas, phis)
+        fmat = flm(*mode, thetas, phis)
+        y = ylm(*mode, thetas, phis)
+        xv = xlm(*mode, thetas, phis)
         s = np.maximum(np.linalg.norm(fmat, axis=(1, 2)), 1e-30)
         xdotx = np.sum(xv * xv, axis=1)
         adj = adjoint(fmat)
@@ -173,15 +173,15 @@ def test_acceptance_3_invariant_identities(capsys, rng):
 
 def test_acceptance_4_ladder_eigenrelations(capsys, rng):
     err = 0.0
-    for mode in _modes(0, 6):
+    for l, m in _modes(0, 6):
         thetas = rng.uniform(0.05, math.pi - 0.05, 100)
         phis = rng.uniform(0.0, 2.0 * math.pi, 100)
         err = max(
             err,
-            np.max(l_squared_check(mode.l, thetas, phis)[mode.l + mode.m]),
-            np.max(lz_check(mode.l, thetas, phis)[mode.l + mode.m]),
-            np.max(l_dot_xlm_residual(mode.l, thetas, phis)[mode.l + mode.m]),
-            np.max(l_dot_er_cross_xlm_residual(mode.l, thetas, phis)[mode.l + mode.m]),
+            np.max(l_squared_check(l, thetas, phis)[l + m]),
+            np.max(lz_check(l, thetas, phis)[l + m]),
+            np.max(l_dot_xlm_residual(l, thetas, phis)[l + m]),
+            np.max(l_dot_er_cross_xlm_residual(l, thetas, phis)[l + m]),
         )
     _report(
         capsys,
@@ -228,9 +228,9 @@ def test_acceptance_6_curl_equations_random_fields(capsys, rng):
     err = 0.0
     for _ in range(5):
         c = []
-        for mode in _modes(1, 3):
-            c1 = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / mode.l
-            c2 = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / mode.l
+        for l, _ in _modes(1, 3):
+            c1 = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / l
+            c2 = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / l
             c.append([c1, c2])
         waves = _table(_modes(1, 3), c, (H1, H2))
 
@@ -264,10 +264,10 @@ def test_acceptance_7_projection_round_trip(capsys, rng):
     kinds = (H1, H2)
     modes = _modes(1, 5)
     coeffs = {}
-    for mode in modes:
-        c1 = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / mode.l
-        c2 = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / mode.l
-        coeffs[mode] = (c1, c2)
+    for l, m in modes:
+        c1 = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / l
+        c2 = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / l
+        coeffs[(l, m)] = (c1, c2)
     waves = _table(modes, list(coeffs.values()), kinds)
 
     rule = QuadratureRule.for_degree(7)
@@ -278,9 +278,10 @@ def test_acceptance_7_projection_round_trip(capsys, rng):
     h_grid = h.reshape(nt, rule.n_phi, 3)
 
     err_rt = 0.0
-    hls, els = project_sampled(e_grid, h_grid, modes, rule)
+    ls, ms = np.array(modes).T
+    hls, els = project_sampled(e_grid, h_grid, ls, ms, rule)
     for mode, got1, got2 in zip(
-        modes, *recover_coefficients(hls, els, modes, k, r, med, kinds)
+        modes, *recover_coefficients(hls, els, ls, ms, k, r, med, kinds)
     ):
         c1, c2 = coeffs[mode]
         err_rt = max(
@@ -288,8 +289,8 @@ def test_acceptance_7_projection_round_trip(capsys, rng):
         )
 
     err_leak = 0.0
-    absent = [ModeIndex(6, 0), ModeIndex(6, -4), ModeIndex(7, 2)]
-    for hl, el in zip(*project_sampled(e_grid, h_grid, absent, rule)):
+    absent = [6, 6, 7], [0, -4, 2]
+    for hl, el in zip(*project_sampled(e_grid, h_grid, *absent, rule)):
         err_leak = max(err_leak, np.max(np.abs(hl)), np.max(np.abs(el)))
     _report(
         capsys,
@@ -338,7 +339,7 @@ def test_acceptance_9_negative_controls(capsys):
     rejects_non_solution = residual > 0.1
 
     with pytest.raises(ValueError, match=r"\|m\| <= l"):
-        ModeIndex(2, 3)
+        ylm(2, 3, 1.0, 0.0)
     with pytest.raises(ValueError, match="l >= 1"):
         system_matrix(0, k, 1.0, med)
     with pytest.raises(ValueError, match="l >= 1"):

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pathlib
 import re
 
@@ -53,3 +54,24 @@ def test_every_private_definition_is_used_in_the_package():
         if name.startswith("_") and not name.startswith("__") and name not in used
     ]
     assert dead == []
+
+
+def test_every_readme_signature_lists_the_parameters_of_its_function():
+    # a `name(args)` the README shows for a package function must list that
+    # function's parameters, in order
+    functions = {
+        name: f
+        for module in MODULES
+        for name, f in vars(importlib.import_module(f"tensorwave.{module}")).items()
+        if inspect.isfunction(f) and f.__module__.startswith("tensorwave")
+    }
+    shown = [
+        (name, [arg.strip() for arg in args.split(",") if arg.strip()])
+        for name, args in re.findall(r"`(\w+)\(([^`()]*)\)`",
+                                     (ROOT / "README.md").read_text())
+        if name in functions
+    ]
+    assert shown
+    wrong = [(name, args) for name, args in shown
+             if args != list(inspect.signature(functions[name]).parameters)]
+    assert wrong == []

@@ -18,14 +18,14 @@ from tensorwave.harmonics import (
     lz_check,
     xlm,
 )
-from tensorwave.specfun import ModeIndex, _norm_legendre, _theta_columns, ylm
+from tensorwave.specfun import _norm_legendre, _theta_columns, ylm
 from tensorwave.tensor3 import adjoint, det, trace
 
 E_R = np.eye(3)[0]
 ER_CROSS = np.cross(E_R, np.eye(3)).T  # ER_CROSS @ a == cross(E_R, a)
 
 modes = st.integers(min_value=0, max_value=8).flatmap(
-    lambda l: st.integers(min_value=-l, max_value=l).map(lambda m: ModeIndex(l, m))
+    lambda l: st.integers(min_value=-l, max_value=l).map(lambda m: (l, m))
 )
 # (theta, phi) pairs
 interior_points = st.tuples(
@@ -48,14 +48,14 @@ DEGREE_FUNCTIONS = [flm_explicit] + [check for check, _ in CHECKS]
 
 def test_angles_are_validated():
     # theta in [0, pi] (NaN fails) and a finite phi, for every angle function
-    calls = [(xlm, ModeIndex(2, 1)), (flm, ModeIndex(2, 1))]
-    for fn, arg in calls + [(fn, 2) for fn in DEGREE_FUNCTIONS]:
+    calls = [(xlm, (2, 1)), (flm, (2, 1))]
+    for fn, args in calls + [(fn, (2,)) for fn in DEGREE_FUNCTIONS]:
         for theta in (-0.1, math.pi + 0.1, math.nan):
             with pytest.raises(ValueError, match="theta"):
-                fn(arg, np.array([1.0, theta]), 0.3)
+                fn(*args, np.array([1.0, theta]), 0.3)
         for phi in (math.nan, math.inf):
             with pytest.raises(ValueError, match="phi"):
-                fn(arg, 1.0, np.array([0.3, phi]))
+                fn(*args, 1.0, np.array([0.3, phi]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -91,13 +91,13 @@ def test_quadrature_rule_invariants():
 
 def test_xlm_l0_is_zero():
     for p in SAMPLES:
-        assert np.array_equal(xlm(ModeIndex(0, 0), *p), np.zeros(3))
+        assert np.array_equal(xlm(0, 0, *p), np.zeros(3))
 
 
 @settings(max_examples=100)
 @given(modes, interior_points)
 def test_xlm_has_no_radial_part(mode, p):
-    assert xlm(mode, *p)[0] == 0.0
+    assert xlm(*mode, *p)[0] == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,10 +107,10 @@ def test_radial_projection_of_angular_momentum_vanishes(mode, p):
     # and single-mode Y; its e_r component
     # sin(t)cos(f) Lx + sin(t)sin(f) Ly + cos(t) Lz must vanish
     theta, phi = p
-    l = mode.l
-    y = np.array([ylm(ModeIndex(l, m), theta, phi) for m in range(-l, l + 1)])
+    l, m = mode
+    y = np.array([ylm(l, mp, theta, phi) for mp in range(-l, l + 1)])
     ops = np.tensordot(_CARTESIAN, _ladder(l), 1)  # Lx, Ly, Lz
-    lx, ly, lz = ops[:, :, l + mode.m] @ y
+    lx, ly, lz = ops[:, :, l + m] @ y
     st_, ct = math.sin(theta), math.cos(theta)
     sf, cf = math.sin(phi), math.cos(phi)
     radial = st_ * cf * lx + st_ * sf * ly + ct * lz
@@ -119,8 +119,7 @@ def test_radial_projection_of_angular_momentum_vanishes(mode, p):
 
 def test_xlm_against_scipy_composition():
     # X_lm spherical components from scipy harmonics alone, every l <= 24
-    for mode in (ModeIndex(l, m) for l in range(1, 25) for m in range(-l, l + 1)):
-        l, m = mode.l, mode.m
+    for l, m in ((l, m) for l in range(1, 25) for m in range(-l, l + 1)):
         for th, ph in SAMPLES:
             norm = math.sqrt(l * (l + 1))
             v_theta = -m * ylm_ref(l, m, th, ph) / (math.sin(th) * norm)
@@ -130,7 +129,7 @@ def test_xlm_against_scipy_composition():
             ym = cm * ylm_ref(l, m - 1, th, ph) if m > -l else 0.0
             dtheta = (np.exp(-1j * ph) * yp - np.exp(1j * ph) * ym) / 2.0
             v_phi = -1j * dtheta / norm
-            got = xlm(mode, th, ph)
+            got = xlm(l, m, th, ph)
             assert got[1] == pytest.approx(v_theta, abs=1e-13)
             assert got[2] == pytest.approx(v_phi, abs=1e-13)
 
@@ -293,9 +292,43 @@ def test_harmonics_on_a_product_grid_recur_over_theta_alone(monkeypatch, fn, tai
     monkeypatch.setattr(specfun, "_norm_legendre",
                         lambda *a: shapes.append(np.shape(a[3])) or exact(*a))
     thetas, phis = TABLE_THETAS[:, None], np.linspace(0.0, 6.0, 5)[None, :]
-    vals = fn(ModeIndex(3, -2), thetas, phis)
+    vals = fn(3, -2, thetas, phis)
     assert shapes == [(len(TABLE_THETAS), 1)]
     assert vals.shape == (len(TABLE_THETAS), 5) + tail
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(0, 40).flatmap(lambda l: st.tuples(st.just(l),
+                                                           st.integers(-l, l))),
+             min_size=1, max_size=8),
+    st.lists(st.floats(0.0, math.pi), min_size=1, max_size=3),
+    st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3),
+    st.booleans(),
+    st.lists(st.tuples(st.integers(-3, 40), st.integers(-45, 45)), min_size=1,
+             max_size=8),
+)
+def test_harmonics_of_mode_arrays_equal_the_stacked_scalar_calls(
+    pairs, thetas, phis, column, faulty
+):
+    # integer arrays of modes put their axes first, then the 2-d angles,
+    # with the bytes of one call per mode; a bad mode names the first one
+    l, m = np.array(pairs).T
+    if column:
+        l, m = l[:, None], m[:, None]
+    th, ph = np.array(thetas)[:, None], np.array(phis)[None, :]
+    for fn in (ylm, xlm, flm):
+        got = fn(l, m, th, ph)
+        want = np.stack([fn(a, b, th, ph) for a, b in pairs])
+        assert got.shape == l.shape + want.shape[1:]
+        assert got.tobytes() == want.tobytes()
+        bad = [(a, b) for a, b in faulty if a < 0 or abs(b) > a]
+        if bad:
+            a, b = bad[0]
+            with pytest.raises(ValueError) as info:
+                fn(*np.array(faulty).T, th, ph)
+            assert str(info.value) == (f"l must be >= 0, got l={a}" if a < 0 else
+                                       f"|m| <= l required, got l={a}, m={b}")
 
 
 def test_table_slices_and_single_order_ylm_equal_the_per_order_recurrence():
@@ -305,66 +338,66 @@ def test_table_slices_and_single_order_ylm_equal_the_per_order_recurrence():
     for i, (l, m) in enumerate(zip(ls.tolist(), ms.tolist())):
         want = per_order_theta_part(l, m, TABLE_THETAS)
         assert y[i].tobytes() == want.tobytes()
-        got = ylm(ModeIndex(l, m), TABLE_THETAS, phi)
+        got = ylm(l, m, TABLE_THETAS, phi)
         ref = np.asarray(want * np.exp(1j * m * phi), dtype=complex)
         assert got.tobytes() == ref.tobytes()
-        assert ylm(ModeIndex(l, m), 1.0, phi) == complex(
+        assert ylm(l, m, 1.0, phi) == complex(
             per_order_theta_part(l, m, np.float64(1.0)) * np.exp(1j * m * phi)
         )
 
 
 def test_xlm_finite_at_poles():
     for theta in (0.0, math.pi):
-        for mode in [ModeIndex(1, 1), ModeIndex(3, -1), ModeIndex(4, 0)]:
-            v = xlm(mode, theta, 0.7)
+        for mode in [(1, 1), (3, -1), (4, 0)]:
+            v = xlm(*mode, theta, 0.7)
             assert np.all(np.isfinite(v))
         # m = +-1 modes keep a finite transverse limit, others vanish
-        assert np.linalg.norm(xlm(ModeIndex(2, 1), theta, 0.7)) > 0.1
-        assert np.linalg.norm(xlm(ModeIndex(2, 2), theta, 0.7)) == pytest.approx(
+        assert np.linalg.norm(xlm(2, 1, theta, 0.7)) > 0.1
+        assert np.linalg.norm(xlm(2, 2, theta, 0.7)) == pytest.approx(
             0.0, abs=1e-15
         )
 
 
 def test_xlm_pole_limit_matches_interior_approach():
-    for mode in [ModeIndex(1, 1), ModeIndex(2, -1)]:
-        at_pole = xlm(mode, 0.0, 1.1)
-        near = xlm(mode, 1e-7, 1.1)
+    for mode in [(1, 1), (2, -1)]:
+        at_pole = xlm(*mode, 0.0, 1.1)
+        near = xlm(*mode, 1e-7, 1.1)
         assert np.allclose(at_pole, near, atol=1e-6)
 
 
 def test_flm_l0_is_rank_one():
     for p in SAMPLES:
-        f = flm(ModeIndex(0, 0), *p)
+        f = flm(0, 0, *p)
         want = (1.0 / math.sqrt(4 * math.pi)) * np.outer(E_R, E_R)
         assert np.allclose(f, want, atol=1e-16)
 
 
 def test_flm_columns_are_y_x_and_er_cross_x(rng):
-    for mode in [ModeIndex(1, 0), ModeIndex(3, 2)]:
+    for mode in [(1, 0), (3, 2)]:
         for p in SAMPLES:
-            f = flm(mode, *p)
-            x = xlm(mode, *p)
-            assert np.allclose(f[:, 0], ylm(mode, *p) * E_R, atol=1e-15)
+            f = flm(*mode, *p)
+            x = xlm(*mode, *p)
+            assert np.allclose(f[:, 0], ylm(*mode, *p) * E_R, atol=1e-15)
             assert np.allclose(f[:, 1], x, atol=1e-15)
             assert np.allclose(f[:, 2], ER_CROSS @ x, atol=1e-15)
 
 
 def test_trace_identity_10_random_points(rng):
-    mode = ModeIndex(1, 0)
+    mode = (1, 0)
     for _ in range(10):
         p = (rng.uniform(0.05, math.pi - 0.05), rng.uniform(0, 2 * math.pi))
-        f = flm(mode, *p)
-        x = xlm(mode, *p)
-        want = ylm(mode, *p) + 2.0 * x[1]
+        f = flm(*mode, *p)
+        x = xlm(*mode, *p)
+        want = ylm(*mode, *p) + 2.0 * x[1]
         assert trace(f) == pytest.approx(want, abs=1e-14)
 
 
 @settings(max_examples=100, deadline=None)
 @given(modes, interior_points)
 def test_invariant_identities(mode, p):
-    f = flm(mode, *p)
-    x = xlm(mode, *p)
-    y = ylm(mode, *p)
+    f = flm(*mode, *p)
+    x = xlm(*mode, *p)
+    y = ylm(*mode, *p)
     xdotx = complex(np.sum(x * x))  # unconjugated
     s = max(float(np.linalg.norm(f)), 1e-30)
     assert abs(det(f) - y * xdotx) <= 1e-12 * s**3
@@ -377,7 +410,7 @@ def test_invariant_identities(mode, p):
 @settings(max_examples=100, deadline=None)
 @given(modes, interior_points)
 def test_commutation_with_frame_tensors(mode, p):
-    f = flm(mode, *p)
+    f = flm(*mode, *p)
     s = max(float(np.linalg.norm(f)), 1.0)
     assert np.max(np.abs(f @ ER_CROSS - ER_CROSS @ f)) <= 1e-14 * s
 
@@ -385,8 +418,9 @@ def test_commutation_with_frame_tensors(mode, p):
 @settings(max_examples=100, deadline=None)
 @given(modes, interior_points)
 def test_two_construction_paths_agree(mode, p):
-    a = flm(mode, *p)
-    b = flm_explicit(mode.l, *p)[mode.l + mode.m]
+    a = flm(*mode, *p)
+    l, m = mode
+    b = flm_explicit(l, *p)[l + m]
     s = max(float(np.linalg.norm(a)), 1e-30)
     assert np.max(np.abs(a - b)) <= 1e-12 * s
 
@@ -399,18 +433,18 @@ def test_flm_explicit_rejects_poles():
 
 
 def test_grid_functions_match_pointwise():
-    mode = ModeIndex(3, -2)
-    l, i_m = mode.l, mode.l + mode.m
+    l, m = 3, -2
+    i_m = l + m
     thetas = np.array([0.4, 1.2, 2.6])
     phis = np.array([0.0, 2.1])
-    fx = xlm(mode, thetas[:, None], phis[None, :])
-    ff = flm(mode, thetas[:, None], phis[None, :])
+    fx = xlm(l, m, thetas[:, None], phis[None, :])
+    ff = flm(l, m, thetas[:, None], phis[None, :])
     fe = flm_explicit(l, thetas[:, None], phis[None, :])[i_m]
     assert fx.shape == (3, 2, 3) and ff.shape == fe.shape == (3, 2, 3, 3)
     for i, th in enumerate(thetas):
         for j, ph in enumerate(phis):
-            assert np.allclose(fx[i, j], xlm(mode, th, ph), atol=1e-15)
-            assert np.allclose(ff[i, j], flm(mode, th, ph), atol=1e-15)
+            assert np.allclose(fx[i, j], xlm(l, m, th, ph), atol=1e-15)
+            assert np.allclose(ff[i, j], flm(l, m, th, ph), atol=1e-15)
             assert np.allclose(fe[i, j], flm_explicit(l, th, ph)[i_m], atol=1e-15)
             for check in DEGREE_FUNCTIONS[1:]:
                 grid = check(l, thetas[:, None], phis[None, :])[i_m]
@@ -423,10 +457,10 @@ def test_x_cross_product_integral_vanishes():
     tt = rule.thetas[:, None]
     pp = rule.phis[None, :]
     xa = np.broadcast_to(
-        xlm(ModeIndex(3, 1), tt, pp), (len(rule.cos_nodes), rule.n_phi, 3)
+        xlm(3, 1, tt, pp), (len(rule.cos_nodes), rule.n_phi, 3)
     )
     xb = np.broadcast_to(
-        xlm(ModeIndex(3, 1), tt, pp), (len(rule.cos_nodes), rule.n_phi, 3)
+        xlm(3, 1, tt, pp), (len(rule.cos_nodes), rule.n_phi, 3)
     )
     integral = np.sum(
         w_full * (xa[..., 1].conj() * xb[..., 2] - xa[..., 2].conj() * xb[..., 1])
@@ -436,17 +470,18 @@ def test_x_cross_product_integral_vanishes():
 
 def test_eigenrelation_checks():
     assert l_squared_check(0, *SAMPLES[0])[0] == pytest.approx(0.0, abs=1e-15)
-    for mode in [ModeIndex(3, 2), ModeIndex(5, -5)]:
+    for l, m in [(3, 2), (5, -5)]:
         for p in SAMPLES:
-            assert l_squared_check(mode.l, *p)[mode.l + mode.m] < 1e-12
-            assert lz_check(mode.l, *p)[mode.l + mode.m] < 1e-12
+            assert l_squared_check(l, *p)[l + m] < 1e-12
+            assert lz_check(l, *p)[l + m] < 1e-12
 
 
 @settings(max_examples=80, deadline=None)
 @given(modes, interior_points)
 def test_l_dot_relations(mode, p):
-    assert l_dot_xlm_residual(mode.l, *p)[mode.l + mode.m] < 1e-10
-    assert l_dot_er_cross_xlm_residual(mode.l, *p)[mode.l + mode.m] < 1e-10
+    l, m = mode
+    assert l_dot_xlm_residual(l, *p)[l + m] < 1e-10
+    assert l_dot_er_cross_xlm_residual(l, *p)[l + m] < 1e-10
 
 
 def test_l_dot_er_cross_check_sees_a_wrong_harmonic(monkeypatch, rng):

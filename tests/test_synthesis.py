@@ -10,7 +10,7 @@ from oracles import curl_fd, div_fd, mie_ab, mie_ab_mp
 from tensorwave import synthesis
 from tensorwave.harmonics import QuadratureRule, flm
 from tensorwave.maxwell_radial import Medium, _tangential, longitudinal_components
-from tensorwave.specfun import ModeIndex, RadialKind, spherical_radial_seq
+from tensorwave.specfun import RadialKind, _modes, spherical_radial_seq
 from tensorwave.synthesis import (
     KINDS,
     WaveTable,
@@ -168,7 +168,7 @@ def test_blocks_hold_whole_orders_and_at_most_the_block_entries(monkeypatch, use
     else:
         rule = QuadratureRule.for_degree(14)  # 30 theta nodes
         grid = rng.standard_normal((30, rule.n_phi, 3)) + 0j
-        project_sampled(grid, grid, [ModeIndex(l, m) for l, m in modes], rule)
+        project_sampled(grid, grid, *np.array(modes).T, rule)
     assert sorted(m for block in seen for m in block) == sorted(m for _, m in modes)
     for block in seen:
         assert len(block) * 30 <= 300 or len(set(block)) == 1
@@ -223,7 +223,7 @@ def test_synthesize_matches_the_kinds_of_the_wave_evaluated_directly(kinds):
         )
         u = _tangential(f1, d1, f2, d2, k, r, med, c.ravel())
         e_r, h_r = longitudinal_components(l, k, r, med, u / r)
-        f = flm(ModeIndex(l, -2), th, ph)
+        f = flm(l, -2, th, ph)
         for got, want in ((h[i], f @ [h_r, u[0] / r, u[1] / r]),
                           (e[i], f @ [e_r, u[2] / r, u[3] / r])):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -355,9 +355,9 @@ def test_projection_round_trip(rng):
     e, h = synthesize(table(waves), k, med, pts)
     e_grid = e.reshape(len(rule.cos_nodes), rule.n_phi, 3)
     h_grid = h.reshape(len(rule.cos_nodes), rule.n_phi, 3)
-    modes = [ModeIndex(l, m) for l, m in coeffs]
-    hls, els = project_sampled(e_grid, h_grid, modes, rule)
-    got = recover_coefficients(hls, els, modes, k, r, med, kinds)
+    ls, ms = np.array(list(coeffs)).T
+    hls, els = project_sampled(e_grid, h_grid, ls, ms, rule)
+    got = recover_coefficients(hls, els, ls, ms, k, r, med, kinds)
     for (c1, c2), got1, got2 in zip(coeffs.values(), *got):
         assert np.max(np.abs(got1 - c1)) < 1e-10
         assert np.max(np.abs(got2 - c2)) < 1e-10
@@ -366,18 +366,18 @@ def test_projection_round_trip(rng):
 def test_recover_coefficients_names_the_first_mode_past_the_double_range():
     # r h = 2e308 overflows: the coefficients came back nan and inf
     hl = np.array([[0.0, 1.0, 1.0], [1e308] * 3])
-    modes = [ModeIndex(1, 0), ModeIndex(2, 1)]
+    ls, ms = [1, 2], [0, 1]
     with pytest.raises(OverflowError) as info:
-        recover_coefficients(hl, np.ones((2, 3)), modes, 1.0, 2.0, VACUUM, (J, H1))
+        recover_coefficients(hl, np.ones((2, 3)), ls, ms, 1.0, 2.0, VACUUM, (J, H1))
     assert str(info.value) == "mode (2, 1) at r=2.0 leaves the double range"
 
 
 def test_recover_coefficients_rejects_a_non_finite_value():
     # a nan was reported as "mode (1, 0) at r=2.0 leaves the double range"
-    modes = [ModeIndex(2, 1), ModeIndex(1, 0)]
+    ls, ms = [2, 1], [1, 0]
     hl = np.array([[0.0, 1.0, 1.0], [0.0, math.nan, 1.0]])
     with pytest.raises(ValueError) as info:
-        recover_coefficients(hl, np.ones((2, 3)), modes, 1.0, 2.0, VACUUM, (J, H1))
+        recover_coefficients(hl, np.ones((2, 3)), ls, ms, 1.0, 2.0, VACUUM, (J, H1))
     assert str(info.value) == "hl and el of mode (1, 0) must be finite"
 
 
@@ -388,7 +388,7 @@ def test_project_sampled_rejects_a_non_finite_sample(bad):
     h_grid = grid.copy()
     h_grid[1, 2, 0] = bad
     with pytest.raises(ValueError) as info:
-        project_sampled(grid, h_grid, [ModeIndex(1, 0)], rule)
+        project_sampled(grid, h_grid, [1], [0], rule)
     assert str(info.value) == f"h_grid must be finite, got {complex(bad)} at (1, 2, 0)"
 
 
@@ -401,11 +401,10 @@ def test_project_sampled_names_the_first_mode_past_the_double_range():
     # 12 phis: the order-0 sum of h_r overflows, and no partial sum of the
     # order-2 one, whose positive terms add up to at most 4 h_r, can
     h_grid[..., 0] = 2e307
-    hls, els = project_sampled(e_grid, h_grid, [ModeIndex(2, 2)], rule)
+    hls, els = project_sampled(e_grid, h_grid, [2], [2], rule)
     assert np.isfinite(hls).all() and np.isfinite(els).all()
-    modes = [ModeIndex(2, 2), ModeIndex(1, 0), ModeIndex(2, 0)]
     with pytest.raises(OverflowError) as info:
-        project_sampled(e_grid, h_grid, modes, rule)
+        project_sampled(e_grid, h_grid, [2, 1, 2], [2, 0, 0], rule)
     assert str(info.value) == "the projection onto mode (1, 0) leaves the double range"
 
 
@@ -417,8 +416,8 @@ def test_projection_cross_mode_leakage():
     e, h = synthesize(waves, k, med, pts)
     e_grid = e.reshape(-1, rule.n_phi, 3)
     h_grid = h.reshape(-1, rule.n_phi, 3)
-    others = [ModeIndex(3, 0), ModeIndex(1, 1), ModeIndex(4, -2)]
-    for hl, el in zip(*project_sampled(e_grid, h_grid, others, rule)):
+    others = [3, 1, 4], [0, 1, -2]
+    for hl, el in zip(*project_sampled(e_grid, h_grid, *others, rule)):
         assert np.max(np.abs(hl)) < 1e-10
         assert np.max(np.abs(el)) < 1e-10
 
@@ -435,16 +434,15 @@ def test_project_sampled_equals_the_quadrature_sum_of_each_mode(
     shape = (len(rule.cos_nodes), rule.n_phi, 3)
     e_grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     h_grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    modes = [ModeIndex(*lm) for lm in
-             ((3, -2), (1, 1), (5, 5), (0, 0), (3, -2), (4, 0), (2, -1), (5, -4))]
-    hls, els = project_sampled(e_grid, h_grid, modes, rule)
+    modes = [(3, -2), (1, 1), (5, 5), (0, 0), (3, -2), (4, 0), (2, -1), (5, -4)]
+    hls, els = project_sampled(e_grid, h_grid, *np.array(modes).T, rule)
     if block:
         monkeypatch.setattr(synthesis, "_BLOCK", block)
-        blocked = project_sampled(e_grid, h_grid, modes, rule)
+        blocked = project_sampled(e_grid, h_grid, *np.array(modes).T, rule)
         assert np.array_equal(blocked[0], hls) and np.array_equal(blocked[1], els)
     w = rule.weights[:, None] * (2.0 * math.pi / rule.n_phi)
     for mode, hl, el in zip(modes, hls, els):
-        f_h = flm(mode, rule.thetas[:, None], rule.phis[None, :]).conj().swapaxes(-1, -2)
+        f_h = flm(*mode, rule.thetas[:, None], rule.phis[None, :]).conj().swapaxes(-1, -2)
         for got, grid in ((hl, h_grid), (el, e_grid)):
             want = np.einsum("tp,tpij,tpj->i", w, f_h, grid)
             assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
@@ -458,8 +456,8 @@ def test_projection_of_the_roundtrip_modes_makes_one_theta_columns_call(monkeypa
                         lambda *a: calls.append(1) or cols(*a))
     rule = QuadratureRule.for_degree(16)
     grid = np.ones((len(rule.cos_nodes), rule.n_phi, 3), dtype=complex)
-    modes = [ModeIndex(l, m) for l in range(1, 17) for m in range(-l, l + 1)]
-    project_sampled(grid, grid, modes, rule)
+    ls, ms = _modes(16)
+    project_sampled(grid, grid, ls[1:], ms[1:], rule)
     assert calls == [1]
 
 
@@ -469,10 +467,10 @@ def test_project_sampled_memory_is_bounded_by_its_blocks():
 
     rule = QuadratureRule.for_degree(96)
     grid = np.ones((len(rule.cos_nodes), rule.n_phi, 3), dtype=complex)
-    modes = [ModeIndex(l, m) for l in range(1, 97) for m in range(-l, l + 1)]
+    ls, ms = _modes(96)
     tracemalloc.start()
     try:
-        project_sampled(grid, grid, modes, rule)
+        project_sampled(grid, grid, ls[1:], ms[1:], rule)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -482,9 +480,7 @@ def test_project_sampled_memory_is_bounded_by_its_blocks():
 def test_project_sampled_shape_validation():
     rule = QuadratureRule.for_degree(2)
     with pytest.raises(ValueError, match="shape"):
-        project_sampled(
-            np.zeros((2, 2, 3)), np.zeros((2, 2, 3)), [ModeIndex(1, 0)], rule
-        )
+        project_sampled(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)), [1], [0], rule)
 
 
 def test_match_sphere_no_contrast():
@@ -618,6 +614,10 @@ def test_match_sphere_unitarity_lossless():
     scattered, _ = match_sphere(7, k, sphere, VACUUM, radius, (1.0, 1.0))
     for coeff in -scattered.ravel():
         assert abs(coeff) ** 2 == pytest.approx(coeff.real, abs=1e-10)
+    # radius 1e5 at the default lmax of the scatter task there, 100,188
+    scattered, _ = match_sphere(100_188, k, sphere, VACUUM, 1e5, (1.0, 1.0))
+    coeffs = -scattered.ravel()
+    assert np.abs(coeffs) ** 2 == pytest.approx(coeffs.real, abs=1e-10)
 
 
 def test_match_sphere_validation():

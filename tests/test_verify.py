@@ -42,9 +42,8 @@ def test_invariants_suite_builds_one_harmonic_row_per_degree_and_check(
     from tensorwave import harmonics
 
     calls = []
-    exact = harmonics._ylm_row
-    monkeypatch.setattr(harmonics, "_ylm_row",
-                        lambda l, *a: calls.append(l) or exact(l, *a))
+    exact = harmonics.ylm
+    monkeypatch.setattr(harmonics, "ylm", lambda l, *a: calls.append(l) or exact(l, *a))
     assert_clean_report(invariants_suite(lmax=4))
     assert sorted(calls) == [l for l in range(5) for _ in range(5)]
 
